@@ -312,8 +312,7 @@ def _loadtest(args: argparse.Namespace) -> int:
                         return
                     crash_state["due"] += args.crash_every
                     victim = crash_state["victim"] % len(
-                        getattr(service, "active_slot_ids",
-                                lambda: range(service.n_shards))())
+                        service.active_slot_ids())
                     crash_state["victim"] += 1
                 service.crash_shard(victim)
 
@@ -371,8 +370,7 @@ def _loadtest(args: argparse.Namespace) -> int:
                 if child.value
             }
             replayed = {
-                shard_id: (result["replayed_ops"] if isinstance(result, dict)
-                           else result.replayed_ops)
+                shard_id: result["replayed_ops"]
                 for shard_id, result in sorted(service.last_recoveries.items())
             }
             label = "restarts" if args.procs else "failovers"
@@ -742,38 +740,20 @@ def _recover(args: argparse.Namespace) -> int:
 
 
 def _reshard_slot_files(directory, manifest):
-    """Per active slot: (wal_path, checkpoint_path) the manifest names.
-
-    Thread-mode entries carry generation-suffixed ``wal``/``ckpt`` file
-    names; process-mode entries carry a ``dir`` (a run-dir subdirectory
-    holding the slot's default-named files).  A service that never
-    resharded has no manifest — fall back to the deterministic static
-    layout, both flat (thread mode) and per-shard-directory (process mode).
+    """Per active slot: (wal_path, checkpoint_path) the manifest names
+    (``wal``/``ckpt`` relative to the run dir, thread and process shards
+    alike).  A service that never resharded has no manifest — fall back to
+    the static layout, flat (thread shards) or per-shard-directory (process
+    shards).
     """
-    slots = {}
     if manifest is not None:
-        for entry in sorted(manifest["slots"], key=lambda e: e["slot"]):
-            if not entry.get("active"):
-                continue
-            slot = int(entry["slot"])
-            if "dir" in entry:
-                base = os.path.join(directory, entry["dir"])
-                slots[slot] = (os.path.join(base, f"shard{slot}.wal"),
-                               os.path.join(base, f"shard{slot}.ckpt"))
-            elif "wal" in entry:
-                slots[slot] = (os.path.join(directory, entry["wal"]),
-                               os.path.join(directory, entry["ckpt"]))
-            else:
-                # Default layout: flat files in thread mode, a per-shard
-                # subdirectory in process mode.
-                flat = os.path.join(directory, f"shard{slot}.wal")
-                nested = os.path.join(
-                    directory, f"shard{slot}", f"shard{slot}.wal")
-                if os.path.exists(flat) or not os.path.exists(nested):
-                    slots[slot] = (flat, flat[:-4] + ".ckpt")
-                else:
-                    slots[slot] = (nested, nested[:-4] + ".ckpt")
-        return slots
+        return {
+            int(entry["slot"]): (os.path.join(directory, entry["wal"]),
+                                 os.path.join(directory, entry["ckpt"]))
+            for entry in manifest["slots"]
+            if entry.get("active")
+        }
+    slots = {}
     slot = 0
     while True:
         flat = os.path.join(directory, f"shard{slot}.wal")
@@ -805,10 +785,9 @@ def _reshard_status(args: argparse.Namespace) -> int:
           f"({len(entries)} ever created)")
     for entry in entries:
         slot = entry["slot"]
-        where = entry.get("dir") or entry.get("wal") or f"shard{slot}.wal"
         state = "active" if entry.get("active") else "retired"
         print(f"  slot {slot:<3} {state:<8} lane={entry.get('lane', slot)} "
-              f"-> {where}")
+              f"-> {entry.get('wal', '-')}")
     redirect = manifest.get("redirect", {})
     if redirect:
         print(f"merge redirects   : "

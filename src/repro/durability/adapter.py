@@ -27,8 +27,8 @@ Reads (search, introspection) bypass the log entirely.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional
 
 from ..core.request import RideRequest
 from ..exceptions import XARError
@@ -51,24 +51,13 @@ class DurabilityConfig:
     fsync_every: int = 64
     #: Mutations between automatic checkpoints (0 = never automatically).
     checkpoint_every: int = 0
-    #: Per-slot file-name overrides, ``slot -> (wal_name, ckpt_name)``.
-    #: Elastic resharding retires a slot's files and adopts
-    #: generation-suffixed successors (``shard0.g3.wal``); the topology
-    #: manifest is the durable source of truth for this table, and the
-    #: router mirrors it here so every stack (re)build opens the right
-    #: files.  Empty for services that never reshard.
-    names: Dict[int, Tuple[str, str]] = field(default_factory=dict)
 
     def wal_path(self, shard_id: int) -> str:
-        named = self.names.get(shard_id)
-        if named is not None:
-            return os.path.join(self.directory, named[0])
+        """A never-resharded slot's WAL (a resharded slot's files are named
+        by the topology manifest, see :mod:`repro.durability.reshard`)."""
         return os.path.join(self.directory, f"shard{shard_id}.wal")
 
     def checkpoint_path(self, shard_id: int) -> str:
-        named = self.names.get(shard_id)
-        if named is not None:
-            return os.path.join(self.directory, named[1])
         return os.path.join(self.directory, f"shard{shard_id}.ckpt")
 
 

@@ -15,9 +15,9 @@ truth*.  Two pieces make that crash-safe:
 * **The topology manifest** — ``topology.json`` in the durability
   directory, written with the same atomic tmp-file + rename +
   directory-fsync protocol as checkpoints.  The manifest names, per slot,
-  the WAL/checkpoint files (or directory, in process mode) holding that
-  slot's truth, plus the routing assignment, the ride-id lane table and the
-  epoch.  Its atomic replacement is the *single commit point* of a reshard:
+  the WAL/checkpoint files holding that slot's truth (``wal`` / ``ckpt``,
+  relative to the directory — one format for thread and process shards),
+  plus the routing assignment, the ride-id lane table and the epoch.  Its atomic replacement is the *single commit point* of a reshard:
   child checkpoints and WAL headers are written first under new
   (generation-suffixed) names, so a crash before the manifest lands
   recovers the **old** topology from the old files, and a crash after
@@ -98,7 +98,22 @@ def read_topology(
             f"{str(payload.get('region_digest'))[:12]}…, expected "
             f"{expected_digest[:12]}…)"
         )
+    _normalise_slot_files(payload.get("slots", []))
     return payload
+
+
+def _normalise_slot_files(entries: List[Dict[str, Any]]) -> None:
+    """Rewrite a process-mode manifest written before the formats were
+    unified — a ``dir`` per resharded slot, nothing for untouched ones —
+    into ``wal``/``ckpt`` paths, so existing run directories still open."""
+    if not any("dir" in entry for entry in entries):
+        return
+    for entry in entries:
+        slot = int(entry["slot"])
+        folder = entry.pop("dir", f"shard{slot}")
+        if entry.get("active", True):
+            entry.setdefault("wal", os.path.join(folder, f"shard{slot}.wal"))
+            entry.setdefault("ckpt", os.path.join(folder, f"shard{slot}.ckpt"))
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,12 @@
 """Sharded concurrent ride-matching service.
 
+One router core (:mod:`~repro.service.core`) over a routing table
+(:mod:`~repro.service.routing`), a shard transport — worker threads
+(:mod:`~repro.service.transport`) or supervised subprocesses
+(:mod:`~repro.service.proc`) — and one reshard machine
+(:mod:`~repro.service.machine`); every shard, wherever it runs, is the one
+stack :mod:`~repro.service.stack` builds.
+
 The serving layer in front of the engines: a :class:`ShardRouter` partitions
 the region's cluster space into N shards (in the spirit of *When Hashing Met
 Matching*'s spatio-temporal partitioning), each owning an independent

@@ -9,16 +9,16 @@ with cores instead of capping out near the 4-thread ceiling):
 * :mod:`~repro.service.proc.rpc` — length-prefixed, CRC-checked binary
   RPC frames over UNIX sockets: request ids, per-op deadlines, retry
   policy with jittered backoff, idempotency keys;
-* :mod:`~repro.service.proc.worker` — the child entry point: recovers the
-  shard engine from its WAL directory, then serves ops + heartbeats;
-* :mod:`~repro.service.proc.supervisor` — :class:`ShardSupervisor` spawns
-  each shard with its own WAL dir, watches liveness (heartbeats + exit
-  codes), classifies failures (crash / hang / repeated-crash) and restarts
-  through crash recovery with exponential backoff, quarantining shards
-  that flap;
-* :mod:`~repro.service.proc.router` — :class:`ProcRouter`, the
-  ``EngineAdapter``-shaped façade over the process fleet (same routing,
-  merge and partial-degradation semantics as the thread router);
+* :mod:`~repro.service.proc.worker` — the child entry point: builds the
+  shard's stack (recovering it from its WAL), then serves ops + heartbeats;
+* :mod:`~repro.service.proc.supervisor` — :class:`ShardSupervisor`, the
+  UNIX-socket shard transport: spawns each shard with its own WAL dir,
+  watches liveness (heartbeats + exit codes), classifies failures (crash /
+  hang / repeated-crash) and restarts through crash recovery with
+  exponential backoff, quarantining shards that flap;
+* :mod:`~repro.service.proc.router` — :class:`ProcRouter`, the router core
+  over that transport (the thread router's routing, merge, degradation and
+  resharding, verbatim);
 * :mod:`~repro.service.proc.gateway` — an ``asyncio`` HTTP/JSON gateway
   with admission control and deadline-based load shedding;
 * :mod:`~repro.service.proc.client` — the HTTP client adapter that lets

@@ -1,23 +1,21 @@
 """ProcRouter: the EngineAdapter-shaped façade over a process-shard fleet.
 
-Same routing rules as the thread-mode :class:`~repro.service.router.ShardRouter`
-— creates go to the shard owning the source cluster, ride ids encode their
-home shard in an arithmetic lane, searches fan out to the walkable shards
-and k-way-merge, tracking broadcasts behind a monotone watermark — but
-every shard call crosses a process boundary through
-:meth:`~repro.service.proc.supervisor.ProcShard.rpc`.
+:class:`ProcRouter` is :class:`~repro.service.core.RouterCore` over the
+UNIX-socket transport (:class:`~repro.service.proc.supervisor.ShardSupervisor`):
+exactly the thread-mode routing rules, fan-out merge, tick watermark and
+reshard machine — but every shard call crosses a process boundary through
+:meth:`~repro.service.proc.supervisor.ProcShard.rpc`, and every shard is a
+real fault domain.  What that changes for callers:
 
-Degradation semantics carry over exactly:
-
-* a shard that sheds (queue full) degrades a fan-out search to partial
-  results; a *quarantined* shard does the same (``ShardQuarantinedError``
-  is a ``ShardOverloadError``), so the router serves around a flapping
-  shard without new code;
-* a shard that is mid-restart fails searches fast (``wait_live_s=0``) and
-  makes mutations wait, bounded by their deadline;
-* ``book`` carries an idempotency key, so a booking whose connection died
-  mid-call is retried safely: the recovered shard's ledger (rebuilt by WAL
-  replay) answers the duplicate with the original record.
+* a *quarantined* shard sheds like a full queue (``ShardQuarantinedError``
+  is a ``ShardOverloadError``), so fan-out searches serve around a flapping
+  shard; a shard that is mid-restart fails searches fast and makes
+  mutations wait, bounded by their deadline;
+* ``book`` and ``cancel_booking`` carry an idempotency key, so one whose
+  connection died mid-call is retried safely: the recovered shard's ledger
+  (rebuilt by WAL replay) answers the duplicate with the original record;
+* a reshard can drain its source by SIGKILL (``split_shard(force_stop=True)``)
+  and still carve correctly off the synced WAL prefix.
 
 Anything that can drive one engine — the load generator, the differential
 harness's workloads, the CLI — can drive the process fleet unchanged.
@@ -26,45 +24,18 @@ harness's workloads, the CLI — can drive the process fleet unchanged.
 from __future__ import annotations
 
 import os
-import threading
-import time
-from typing import Any, Dict, List, Optional
+from typing import Optional
 
-from ...core import XAREngine
-from ...core.booking import BookingRecord
-from ...core.request import RideRequest
-from ...core.search import MatchOption
-from ...discretization import DiscretizedRegion, region_digest
-from ...durability import (
-    WriteAheadLog,
-    engine_state,
-    read_topology,
-    recover_engine,
-    split_engine_state,
-    topology_path,
-    write_checkpoint_state,
-    write_topology,
-)
-from ...exceptions import (
-    ConfigurationError,
-    DeadlineExceededError,
-    ReshardError,
-    RpcError,
-    ShardOverloadError,
-    WorkerCrashError,
-    XARError,
-)
-from ...geo import GeoPoint
-from ...obs import DEFAULT_LATENCY_BUCKETS_S, FANOUT_BUCKETS, MetricsRegistry
+from ...discretization import DiscretizedRegion
+from ...obs import MetricsRegistry
+from ..core import RouterCore
 from ..merge import merge_matches
 from ..reshard import ReshardConfig
-from ..sharding import ShardMap
-from . import codec
-from .rpc import book_idempotency_key
+from ..routing import RoutingTable
 from .supervisor import ShardSupervisor, SupervisorConfig
 
 
-class ProcRouter:
+class ProcRouter(RouterCore):
     """Sharded ride-matching service over subprocess shards."""
 
     def __init__(
@@ -72,724 +43,43 @@ class ProcRouter:
         region: DiscretizedRegion,
         config: Optional[SupervisorConfig] = None,
         *,
-        supervisor: Optional[ShardSupervisor] = None,
         fanout: str = "local",
         fanout_radius_m: Optional[float] = None,
         search_deadline_s: float = 5.0,
         metrics: Optional[MetricsRegistry] = None,
         reshard: Optional[ReshardConfig] = None,
     ):
-        if fanout not in ("local", "all"):
-            raise ValueError(f"fanout must be 'local' or 'all', got {fanout!r}")
-        self.region = region
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._digest = region_digest(region)
-        self._reshard = reshard
-        self.reshard_config = reshard
-        self._reshard_lock = threading.RLock()
-        base_config = (supervisor.config if supervisor is not None
-                       else (config or SupervisorConfig()))
-        manifest: Optional[Dict[str, Any]] = None
-        if supervisor is None:
-            run_dir = os.path.abspath(base_config.run_dir)
-            manifest = read_topology(
-                topology_path(run_dir), expected_digest=self._digest)
-            if manifest is not None and reshard is None:
-                raise ConfigurationError(
-                    f"{run_dir} holds a reshard topology manifest (epoch "
-                    f"{manifest.get('epoch')}); reopen the service with "
-                    f"reshard=ReshardConfig(max_shards="
-                    f"{manifest.get('lane_modulus')})"
-                )
-            if reshard is not None and reshard.max_shards < base_config.n_shards:
-                raise ConfigurationError(
-                    f"reshard.max_shards ({reshard.max_shards}) must cover "
-                    f"the initial n_shards ({base_config.n_shards})"
-                )
-            overrides: Dict[int, Dict[str, Any]] = {}
-            inactive: List[int] = []
-            n_slots: Optional[int] = None
-            if manifest is not None:
-                overrides, inactive, n_slots = self._manifest_spawn_plan(
-                    run_dir, manifest)
-            elif reshard is not None:
-                overrides = {
-                    slot: {"ride_id_start": slot + 1,
-                           "ride_id_step": reshard.max_shards}
-                    for slot in range(base_config.n_shards)
-                }
-            supervisor = ShardSupervisor(
-                region, base_config, metrics=self.metrics,
-                overrides=overrides, inactive=inactive, n_slots=n_slots)
-        self.supervisor = supervisor
-        self.n_shards = len(supervisor.shards)
-        self.shard_map = ShardMap(region, base_config.n_shards)
-        self._init_reshard_state(manifest)
-        self.fanout = fanout
-        self.fanout_radius_m = (
-            fanout_radius_m
-            if fanout_radius_m is not None
-            else region.config.epsilon_m
+        self._check_fanout(fanout)
+        config = config or SupervisorConfig()
+        metrics = metrics if metrics is not None else MetricsRegistry()
+        table = RoutingTable(
+            region, config.n_shards,
+            layout=ShardSupervisor.layout,
+            directory=os.path.abspath(config.run_dir),
+            reshard=reshard,
         )
-        self.search_deadline_s = search_deadline_s
-        self.name = f"Proc(XAR x{len(self.active_slot_ids())})"
-        # Same router-level series as thread mode, so dashboards and CI
-        # assertions are mode-agnostic.
-        self._c_partial = self.metrics.counter(
-            "xar_router_partial_searches_total",
-            "Fan-out searches that lost >= 1 shard to shedding but were "
-            "still served from the rest (degraded recall, not failure)",
+        #: The fleet (and the core's transport): ``supervisor.shards[k]`` is
+        #: slot *k*'s process handle, connection pool and state machine.
+        self.supervisor = ShardSupervisor(
+            region, config, table.specs(), metrics,
+            search_deadline_s=search_deadline_s,
         )
-        self._c_search_failures = self.metrics.counter(
-            "xar_router_search_failures_total",
-            "Per-shard search calls that raised and contributed an empty "
-            "batch instead of failing the whole fan-out",
+        super().__init__(
+            region, table, self.supervisor, label="Proc", fanout=fanout,
+            fanout_radius_m=fanout_radius_m, metrics=metrics,
         )
-        self._c_shed_searches = self.metrics.counter(
-            "xar_router_shed_searches_total",
-            "Searches refused outright: every consulted shard shed",
-        )
-        self._c_ticks = self.metrics.counter(
-            "xar_router_track_ticks_total",
-            "Tracking ticks by outcome (applied / coalesced / dropped)",
-            labels=("outcome",),
-        )
-        self._h_fanout = self.metrics.histogram(
-            "xar_router_fanout_width",
-            "Shards consulted per fan-out search",
-            buckets=FANOUT_BUCKETS,
-        )
-        for family in (self._c_partial, self._c_search_failures,
-                       self._c_shed_searches, self._h_fanout):
-            family.labels()
-        for outcome in ("applied", "coalesced", "dropped"):
-            self._c_ticks.labels(outcome=outcome)
-        self._last_track_s: Optional[float] = None
-        self._track_lock = threading.Lock()
 
-    # ------------------------------------------------------------------
-    # Reshard state (mirrors the thread-mode ShardRouter's lane tables)
-    # ------------------------------------------------------------------
-    def _manifest_spawn_plan(self, run_dir: str, manifest: Dict[str, Any]):
-        """Spawn-config overrides + inactive slots from a committed topology."""
-        reshard = self._reshard
-        modulus = int(manifest["lane_modulus"])
-        if reshard is not None and reshard.max_shards != modulus:
-            raise ConfigurationError(
-                f"reshard.max_shards ({reshard.max_shards}) differs from "
-                f"the committed lane modulus ({modulus}); lanes are fixed "
-                f"for the service's lifetime"
-            )
-        entries = sorted(manifest["slots"], key=lambda e: int(e["slot"]))
-        overrides: Dict[int, Dict[str, Any]] = {}
-        inactive: List[int] = []
-        for entry in entries:
-            slot = int(entry["slot"])
-            if not entry.get("active", True):
-                inactive.append(slot)
-                continue
-            spawn: Dict[str, Any] = {
-                "ride_id_start": int(entry["lane"]) + 1,
-                "ride_id_step": modulus,
-            }
-            if entry.get("dir"):
-                spawn["wal_dir"] = os.path.join(run_dir, entry["dir"])
-            overrides[slot] = spawn
-        return overrides, inactive, len(entries)
-
-    def _init_reshard_state(self, manifest: Optional[Dict[str, Any]]) -> None:
-        reshard = self._reshard
-        self._redirect: Dict[int, int] = {}
-        self._ride_homes: Dict[int, int] = {}
-        if reshard is None:
-            self._lane_modulus: Optional[int] = None
-            self._slot_lane: List[int] = []
-            self._lane_owner: List[int] = []
-            self._next_lane = self.n_shards
-            self._c_reshard = self._h_reshard = None
-            self._c_migrated = self._g_epoch = None
-            return
-        self._lane_modulus = reshard.max_shards
-        if manifest is not None:
-            entries = sorted(manifest["slots"], key=lambda e: int(e["slot"]))
-            self._slot_lane = [int(e["lane"]) for e in entries]
-            self._lane_owner = [int(x) for x in manifest["lane_owner"]]
-            self._next_lane = int(manifest["next_lane"])
-            self._redirect = {
-                int(src): int(dst)
-                for src, dst in manifest.get("redirect", {}).items()
-            }
-            self._ride_homes = {
-                int(rid): int(slot)
-                for rid, slot in manifest.get("ride_homes", {}).items()
-            }
-            self.shard_map.restore(
-                [int(s) for s in manifest["assignment"]],
-                len(entries),
-                int(manifest["epoch"]),
-            )
-        else:
-            n = self.supervisor.config.n_shards
-            self._slot_lane = list(range(n))
-            self._lane_owner = [
-                lane if lane < n else 0 for lane in range(self._lane_modulus)
-            ]
-            self._next_lane = n
-        self._c_reshard = self.metrics.counter(
-            "xar_reshard_total",
-            "Reshard actions executed (topology manifest committed)",
-            labels=("action",),
-        )
-        for action in ("split", "merge"):
-            self._c_reshard.labels(action=action)
-        self._h_reshard = self.metrics.histogram(
-            "xar_reshard_duration_seconds",
-            "Wall-clock duration of reshard executions",
-            labels=("action",),
-            buckets=DEFAULT_LATENCY_BUCKETS_S,
-        )
-        self._c_migrated = self.metrics.counter(
-            "xar_reshard_migrated_rides_total",
-            "Rides whose home slot changed in a reshard carve",
-        )
-        self._c_migrated.labels()
-        self._g_epoch = self.metrics.gauge(
-            "xar_routing_epoch",
-            "Current epoch of the shard routing table",
-        )
-        self._g_epoch.set(self.shard_map.epoch)
-
-    def _resolve_slot(self, slot: int) -> int:
-        while slot in self._redirect:
-            slot = self._redirect[slot]
-        return slot
-
-    def active_slot_ids(self) -> List[int]:
-        if self._reshard is None:
-            return list(range(self.n_shards))
-        return [
-            shard.shard_id
-            for shard in self.supervisor.shards
-            if shard.shard_id not in self._redirect
-        ]
-
-    def _active_shards(self):
-        return [self.supervisor.shards[slot]
-                for slot in self.active_slot_ids()]
-
-    # ------------------------------------------------------------------
-    # Routing
-    # ------------------------------------------------------------------
-    def shard_of_ride(self, ride_id: int) -> int:
-        if self._reshard is None:
-            return (ride_id - 1) % self.n_shards
-        home = self._ride_homes.get(ride_id)
-        if home is None:
-            home = self._lane_owner[(ride_id - 1) % self._lane_modulus]
-        return self._resolve_slot(home)
-
-    def shards_for_request(self, request: RideRequest) -> List[int]:
-        if self.fanout == "all":
-            return self.active_slot_ids()
-        raw = self.shard_map.shards_for_request(request, self.fanout_radius_m)
-        if self._reshard is None:
-            return raw
-        seen: List[int] = []
-        for slot in raw:
-            resolved = self._resolve_slot(slot)
-            if resolved not in seen:
-                seen.append(resolved)
-        return seen
-
-    @property
-    def partial_searches(self) -> int:
-        return int(self._c_partial.value)
-
-    @property
-    def search_failures(self) -> int:
-        return int(self._c_search_failures.value)
-
-    @property
-    def last_recoveries(self) -> Dict[int, Dict[str, Any]]:
-        """Latest per-shard recovery summaries (from respawn handshakes)."""
-        return {
-            shard.shard_id: shard.last_recovery
-            for shard in self._active_shards()
-            if shard.last_recovery is not None
-        }
-
-    # ------------------------------------------------------------------
-    # EngineAdapter protocol
-    # ------------------------------------------------------------------
-    def create(
-        self,
-        source: GeoPoint,
-        destination: GeoPoint,
-        depart_s: float,
-        seats: Optional[int] = None,
-        detour_limit_m: Optional[float] = None,
-        shift_end_s: Optional[float] = None,
-    ) -> Any:
-        shard_id = self.shard_map.shard_of_point(source)
-        result = self.supervisor.rpc(shard_id, "create", {
-            "source": [source.lat, source.lon],
-            "destination": [destination.lat, destination.lon],
-            "depart_s": depart_s,
-            "seats": seats,
-            "detour_limit_m": detour_limit_m,
-            "shift_end_s": shift_end_s,
-        })
-        return codec.ride_from(self.region, result["ride"])
-
-    def search(self, request: RideRequest,
-               k: Optional[int] = None) -> List[MatchOption]:
-        """Fan out and k-way-merge; shed/quarantined/restarting shards
-        degrade the search to partial results rather than failing it."""
-        shed = 0
-        batches: List[List[MatchOption]] = []
-        errors: List[BaseException] = []
-        shard_ids = self.shards_for_request(request)
-        self._h_fanout.observe(len(shard_ids))
-        record = codec.request_record(request)
-        for shard_id in shard_ids:
-            try:
-                result = self.supervisor.rpc(
-                    shard_id,
-                    "search",
-                    {"request": record, "k": k},
-                    deadline_s=self.search_deadline_s,
-                    readonly=True,
-                    wait_live_s=0.0,
-                )
-                batches.append(codec.matches_from(result["matches"]))
-            except ShardOverloadError:
-                shed += 1
-            except (WorkerCrashError, DeadlineExceededError, RpcError,
-                    XARError) as exc:
-                self._c_search_failures.inc()
-                errors.append(exc)
-        if shed and (batches or errors):
-            self._c_partial.inc()
-        if not batches:
-            if shed or not errors:
-                self._c_shed_searches.inc()
-                raise ShardOverloadError(-1, "search")
-            raise errors[0]
+    def _merge(self, batches, k):
         return merge_matches(batches, k)
-
-    def book(self, request: RideRequest, match: MatchOption) -> BookingRecord:
-        shard_id = self.shard_of_ride(match.ride_id)
-        result = self.supervisor.rpc(
-            shard_id,
-            "book",
-            {"request": codec.request_record(request),
-             "match": codec.match_record(match)},
-            idem=book_idempotency_key(request.request_id, match.ride_id),
-        )
-        return codec.booking_from(result["booking"])
-
-    def track_all(self, now_s: float) -> int:
-        """Broadcast a tracking tick behind the monotone watermark.
-
-        Same commit rule as thread mode: the watermark advances only once
-        at least one shard swept, so a tick every shard refused is retried
-        (not coalesced away) at the same simulated time.
-        """
-        with self._track_lock:
-            if self._last_track_s is not None and now_s <= self._last_track_s:
-                self._c_ticks.labels(outcome="coalesced").inc()
-                return 0
-            total = 0
-            applied = 0
-            for shard in self._active_shards():
-                try:
-                    result = shard.rpc(
-                        "track",
-                        {"now_s": now_s},
-                        idem=f"track:{now_s}",
-                        wait_live_s=0.0,
-                    )
-                except (ShardOverloadError, WorkerCrashError,
-                        DeadlineExceededError, RpcError):
-                    continue
-                total += int(result["affected"])
-                applied += 1
-            if applied:
-                self._last_track_s = now_s
-                self._c_ticks.labels(outcome="applied").inc()
-            else:
-                self._c_ticks.labels(outcome="dropped").inc()
-            return total
-
-    def cancel(self, ride: Any) -> None:
-        shard_id = self.shard_of_ride(ride.ride_id)
-        self.supervisor.rpc(shard_id, "cancel", {"ride_id": ride.ride_id})
-
-    def cancel_booking(self, request_id: int, ride_id: int) -> Any:
-        """Cancel one passenger's booking on the ride's home shard.
-
-        Carries an idempotency key like ``book``: a retry whose first
-        attempt died mid-call is answered from the recovered shard's
-        cancellation ledger instead of un-splicing twice.
-        """
-        shard_id = self.shard_of_ride(ride_id)
-        result = self.supervisor.rpc(
-            shard_id,
-            "cancel_booking",
-            {"request_id": request_id, "ride_id": ride_id},
-            idem=f"cancel_booking:{request_id}:{ride_id}",
-        )
-        return codec.cancellation_from(result["cancellation"])
-
-    def active_rides(self) -> List[Any]:
-        rides: List[Any] = []
-        for shard in self._active_shards():
-            result = shard.rpc("active_rides", readonly=True)
-            rides.extend(codec.ride_from(self.region, state)
-                         for state in result["rides"])
-        return rides
-
-    def rollback_count(self) -> int:
-        return sum(
-            int(shard.rpc("rollback_count", readonly=True)["count"])
-            for shard in self._active_shards()
-        )
-
-    def index_stats(self) -> Dict[str, int]:
-        totals: Dict[str, int] = {}
-        for shard in self._active_shards():
-            stats = shard.rpc("index_stats", readonly=True)["stats"]
-            for key, value in stats.items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
-
-    # ------------------------------------------------------------------
-    # Service introspection
-    # ------------------------------------------------------------------
-    def bookings(self) -> List[BookingRecord]:
-        records: List[BookingRecord] = []
-        for shard in self._active_shards():
-            result = shard.rpc("bookings", readonly=True)
-            records.extend(codec.booking_from(state)
-                           for state in result["bookings"])
-        return records
-
-    def find_ride(self, ride_id: int) -> Any:
-        shard_id = self.shard_of_ride(ride_id)
-        result = self.supervisor.rpc(shard_id, "find_ride",
-                                     {"ride_id": ride_id}, readonly=True)
-        return codec.ride_from(self.region, result["ride"])
-
-    def audit(self, heal: bool = False) -> Dict[str, Any]:
-        per_shard: Dict[int, int] = {}
-        healed = 0
-        for shard in self._active_shards():
-            result = shard.rpc("audit", {"heal": heal})
-            per_shard[shard.shard_id] = int(result["violations"])
-            healed += int(result["healed"])
-        return {
-            "violations": sum(per_shard.values()),
-            "per_shard": per_shard,
-            "healed": healed,
-        }
-
-    def checkpoint(self) -> None:
-        for shard in self._active_shards():
-            shard.rpc("checkpoint")
-
-    def stats(self) -> Dict[str, Any]:
-        shard_stats = []
-        total_shed = 0
-        for shard in self._active_shards():
-            try:
-                snapshot = shard.rpc("stats", readonly=True, deadline_s=5.0,
-                                     wait_live_s=0.0)
-            except (ShardOverloadError, WorkerCrashError,
-                    DeadlineExceededError, RpcError):
-                snapshot = {"unreachable": True}
-            snapshot["shard_id"] = shard.shard_id
-            snapshot["state"] = shard.state
-            snapshot["restarts"] = shard.restarts
-            total_shed += sum(snapshot.get("shed", {}).values())
-            shard_stats.append(snapshot)
-        return {
-            "name": self.name,
-            "n_shards": len(shard_stats),
-            "epoch": self.shard_map.epoch,
-            "fanout": self.fanout,
-            "fanout_radius_m": self.fanout_radius_m,
-            "total_shed": total_shed,
-            "partial_searches": self.partial_searches,
-            "search_failures": self.search_failures,
-            "states": self.supervisor.states(),
-            "shards": shard_stats,
-        }
-
-    # ------------------------------------------------------------------
-    # Elastic resharding (split only; process-mode merge is an open item)
-    # ------------------------------------------------------------------
-    def shard_loads(self) -> Dict[int, Dict[str, float]]:
-        """Per-slot load snapshot for the reshard controller.
-
-        Op counts and queue depth come from each child's ``stats`` RPC;
-        p95 service time is approximated by the parent-side RPC round-trip
-        histogram (``xar_proc_rpc_latency_seconds``), which includes the
-        child's queue wait — exactly the pressure signal we want.
-        """
-        p95: Dict[int, float] = {}
-        family = self.metrics.get("xar_proc_rpc_latency_seconds")
-        if family is not None:
-            for labels, child in family.collect():
-                if getattr(child, "count", 0) > 0:
-                    quantile = child.quantile(0.95)
-                    if quantile == quantile:  # not NaN
-                        slot = int(labels.get("shard", "-1"))
-                        p95[slot] = max(p95.get(slot, 0.0), quantile)
-        loads: Dict[int, Dict[str, float]] = {}
-        for shard in self._active_shards():
-            slot = shard.shard_id
-            try:
-                snapshot = shard.rpc("stats", readonly=True, deadline_s=5.0,
-                                     wait_live_s=0.0)
-            except (ShardOverloadError, WorkerCrashError,
-                    DeadlineExceededError, RpcError):
-                snapshot = {}
-            loads[slot] = {
-                "ops": float(sum(snapshot.get("completed", {}).values())),
-                "queue": float(snapshot.get("depth", 0)),
-                "p95_s": p95.get(slot, 0.0),
-                "rides": float(snapshot.get("rides", 0)),
-                "clusters": float(len(self.shard_map.clusters_of_shard(slot))),
-            }
-        return loads
-
-    def _require_reshard_mode(self) -> None:
-        if self._reshard is None:
-            raise ReshardError(
-                "this service was built without reshard=ReshardConfig(...); "
-                "static topologies cannot split"
-            )
 
     def split_shard(self, shard_id: int, *, fault_hook=None,
                     force_stop: bool = False) -> int:
-        """Split a hot slot into two processes; returns the new slot id.
-
-        Protocol (same commit point as thread mode — the atomic
-        ``topology.json`` replacement):
-
-        1. take the slot down (graceful drain syncs its WAL; ``force_stop``
-           SIGKILLs, resharding off the synced prefix like any crash),
-        2. recover its engine offline in the parent — restart *is* crash
-           recovery, so a split after SIGKILL is just recovery + carve —
-        3. carve the state at a load-weighted cluster boundary and write
-           both children's checkpoint + WAL header under
-           ``shard<k>.g<epoch>/`` directories,
-        4. commit the manifest, then swap the routing epoch and respawn the
-           left child / spawn the right child from the new directories.
-
-        A crash (or ``fault_hook`` raise) before the commit resumes the old
-        generation from its untouched files; after the commit the split
-        rolls forward.  Mutations aimed at the slot block in RPC while it
-        is down and resume against whichever generation won.
-        """
-        self._require_reshard_mode()
-        with self._reshard_lock:
-            slot = self._resolve_slot(shard_id)
-            sup = self.supervisor
-            if slot >= len(sup.shards) or slot in self._redirect:
-                raise ReshardError(f"slot {slot} is not active")
-            if self._next_lane >= self._lane_modulus:
-                raise ReshardError(
-                    f"ride-id lane budget exhausted ({self._lane_modulus} "
-                    f"lanes); raise ReshardConfig.max_shards"
-                )
-            started = time.perf_counter()
-            new_slot = len(sup.shards)
-            right_lane = self._next_lane
-            lane = self._slot_lane[slot]
-            generation = self.shard_map.epoch + 1
-
-            def fire(phase: str) -> None:
-                if fault_hook is not None:
-                    fault_hook(phase)
-
-            old_override = dict(sup.overrides.get(slot, {}))
-            old_dir = sup._shard_paths(slot, 0)["wal_dir"]
-            committed = False
-            try:
-                sup.stop_shard_for_reshard(slot, force=force_stop)
-                fire("drained")
-
-                def factory() -> XAREngine:
-                    return XAREngine(
-                        self.region,
-                        optimize_insertion=bool(
-                            sup.config.optimize_insertion),
-                        ride_id_start=lane + 1,
-                        ride_id_step=self._lane_modulus,
-                    )
-
-                recovered = recover_engine(
-                    self.region,
-                    os.path.join(old_dir, f"shard{slot}.wal"),
-                    os.path.join(old_dir, f"shard{slot}.ckpt"),
-                    engine_factory=factory,
-                )
-                state = engine_state(recovered.engine)
-                fire("synced")
-                weights: Dict[int, float] = {}
-                for ride_state in state["rides"]:
-                    lat, lon = ride_state["source"]
-                    cluster_id = self.region.cluster_of_point(
-                        GeoPoint(lat, lon))
-                    if cluster_id is not None:
-                        weights[cluster_id] = weights.get(cluster_id, 0.0) + 1.0
-                new_assignment, moved_clusters = (
-                    self.shard_map.split_assignment(slot, new_slot, weights))
-                moved_set = set(moved_clusters)
-
-                def goes_right(ride_state: Dict[str, Any]) -> bool:
-                    lat, lon = ride_state["source"]
-                    return self.region.cluster_of_point(
-                        GeoPoint(lat, lon)) in moved_set
-
-                parent_counters = state["counters"]
-                carved = split_engine_state(
-                    state,
-                    goes_right,
-                    left_counters=dict(parent_counters),
-                    right_counters={
-                        "ride_next": right_lane + 1,
-                        "ride_step": self._lane_modulus,
-                        "request_next": parent_counters["request_next"],
-                    },
-                )
-                left_dir = os.path.join(
-                    sup.run_dir, f"shard{slot}.g{generation}")
-                right_dir = os.path.join(
-                    sup.run_dir, f"shard{new_slot}.g{generation}")
-                for child_slot, child_dir, child_state, child_lane in (
-                    (slot, left_dir, carved["left"], lane),
-                    (new_slot, right_dir, carved["right"], right_lane),
-                ):
-                    write_checkpoint_state(
-                        os.path.join(child_dir, f"shard{child_slot}.ckpt"),
-                        child_state,
-                        region_digest=self._digest,
-                        shard_id=child_slot,
-                        wal_seq=-1,
-                    )
-                    WriteAheadLog.open(
-                        os.path.join(child_dir, f"shard{child_slot}.wal"),
-                        shard_id=child_slot,
-                        ride_id_start=child_lane + 1,
-                        ride_id_step=self._lane_modulus,
-                        region_digest=self._digest,
-                        fsync_every=sup.config.fsync_every,
-                    ).close()
-                fire("carved")
-                slots_meta = []
-                for entry_slot in range(len(sup.shards) + 1):
-                    if entry_slot == slot:
-                        meta = {"slot": slot, "active": True, "lane": lane,
-                                "dir": os.path.basename(left_dir)}
-                    elif entry_slot == new_slot:
-                        meta = {"slot": new_slot, "active": True,
-                                "lane": right_lane,
-                                "dir": os.path.basename(right_dir)}
-                    else:
-                        meta = {
-                            "slot": entry_slot,
-                            "active": entry_slot not in self._redirect,
-                            "lane": self._slot_lane[entry_slot],
-                        }
-                        entry_dir = sup.overrides.get(entry_slot, {}).get(
-                            "wal_dir")
-                        if entry_dir:
-                            meta["dir"] = os.path.basename(entry_dir)
-                    slots_meta.append(meta)
-                lane_owner = list(self._lane_owner)
-                lane_owner[right_lane] = new_slot
-                ride_homes = dict(self._ride_homes)
-                for ride_id in carved["moved_rides"]:
-                    ride_homes[ride_id] = new_slot
-                write_topology(
-                    topology_path(sup.run_dir),
-                    {
-                        "epoch": generation,
-                        "lane_modulus": self._lane_modulus,
-                        "region_digest": self._digest,
-                        "slots": slots_meta,
-                        "assignment": list(new_assignment),
-                        "lane_owner": lane_owner,
-                        "next_lane": right_lane + 1,
-                        "redirect": {str(s): d
-                                     for s, d in self._redirect.items()},
-                        "ride_homes": {str(r): s
-                                       for r, s in ride_homes.items()},
-                    },
-                )
-                committed = True
-            except BaseException:
-                if not committed:
-                    # Old files untouched (the carve only read them):
-                    # respawn the old generation and surface the error.
-                    sup.resume_shard(slot, old_override or None)
-                raise
-            # --- committed: the manifest IS the new truth; roll forward ---
-            hook_error: Optional[BaseException] = None
-            try:
-                fire("committed")
-            except BaseException as exc:  # noqa: BLE001
-                hook_error = exc
-            modulus = self._lane_modulus
-            sup.resume_shard(slot, {
-                "wal_dir": left_dir,
-                "ride_id_start": lane + 1,
-                "ride_id_step": modulus,
-            })
-            sup.add_shard(new_slot, {
-                "wal_dir": right_dir,
-                "ride_id_start": right_lane + 1,
-                "ride_id_step": modulus,
-            })
-            self._slot_lane.append(right_lane)
-            self._lane_owner[right_lane] = new_slot
-            self._next_lane = right_lane + 1
-            self._ride_homes.update(
-                (ride_id, new_slot) for ride_id in carved["moved_rides"])
-            epoch = self.shard_map.swap(new_assignment, len(sup.shards))
-            if self._g_epoch is not None:
-                self._g_epoch.set(epoch)
-            self.n_shards = len(sup.shards)
-            self.name = f"Proc(XAR x{len(self.active_slot_ids())})"
-            try:
-                fire("swapped")
-            except BaseException as exc:  # noqa: BLE001
-                hook_error = hook_error or exc
-            self._c_reshard.labels(action="split").inc()
-            self._h_reshard.labels(action="split").observe(
-                time.perf_counter() - started)
-            self._c_migrated.inc(len(carved["moved_rides"]))
-            if hook_error is not None:
-                raise hook_error
-            return new_slot
-
-    # ------------------------------------------------------------------
-    # Chaos + lifecycle
-    # ------------------------------------------------------------------
-    def crash_shard(self, shard_id: int, *, mid_book: bool = False,
-                    kill: bool = True) -> None:
-        self.supervisor.crash_shard(shard_id, mid_book=mid_book, kill=kill)
+        """As :meth:`RouterCore.split_shard`; ``force_stop`` SIGKILLs the
+        victim instead of draining it, so the split reshards off the synced
+        WAL prefix exactly like crash recovery."""
+        return self._reshard_machine().split(
+            shard_id, fault_hook=fault_hook, force=force_stop
+        )
 
     def wait_all_live(self, timeout_s: float = 30.0) -> bool:
         return self.supervisor.wait_all_live(timeout_s)
-
-    def close(self) -> None:
-        self.supervisor.close()
-
-    def __enter__(self) -> "ProcRouter":
-        return self
-
-    def __exit__(self, *_exc: Any) -> None:
-        self.close()

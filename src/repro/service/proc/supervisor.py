@@ -31,10 +31,19 @@ after the request was sent is *not* retried (the WAL may already hold it;
 recovery completes it) and surfaces as
 :class:`~repro.exceptions.WorkerCrashError` exactly like a thread-mode
 crash.
+
+The supervisor **is** the UNIX-socket
+:class:`~repro.service.transport.ShardTransport`: typed per-slot operations
+marshal through :mod:`~repro.service.proc.codec` into ``rpc`` calls, and the
+reshard steps map onto the process lifecycle — ``drain`` stops a child and
+parks it in ``RESHARDING`` where callers wait, ``snapshot`` recovers its
+engine offline in the parent (a reshard after SIGKILL is just recovery +
+carve), ``start`` spawns a child on a spec's files.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import queue
@@ -45,11 +54,13 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ...discretization import DiscretizedRegion, save_region
+from ...durability import engine_state, recover_engine
 from ...exceptions import (
     DeadlineExceededError,
+    RpcError,
     RpcProtocolError,
     RpcTransportError,
     ServiceClosedError,
@@ -59,7 +70,15 @@ from ...exceptions import (
 )
 from ...obs import DEFAULT_LATENCY_BUCKETS_S, MetricsRegistry
 from ..sharding import derive_seed
-from .rpc import RetryPolicy, raise_remote_error, read_frame, write_frame
+from ..stack import Rerouted, ShardSpec, StackConfig, make_engine
+from . import codec
+from .rpc import (
+    RetryPolicy,
+    book_idempotency_key,
+    raise_remote_error,
+    read_frame,
+    write_frame,
+)
 
 # Supervision states (exported as the ``xar_proc_shard_state`` gauge).
 STARTING = "starting"
@@ -127,6 +146,9 @@ class ProcShard:
         self.shard_id = shard_id
         self.config = config
         self.supervisor = supervisor
+        #: Which shard the next spawn boots (lane + files); the reshard
+        #: machine re-points it at a carved generation via ``start``.
+        self.spec: Optional[ShardSpec] = None
         self.state = STARTING
         self.generation = 0
         self.process: Optional[subprocess.Popen] = None
@@ -135,7 +157,8 @@ class ProcShard:
         self.consecutive_failures = 0
         self.restarts = 0
         self.quarantines = 0
-        self.quarantine_until = 0.0
+        #: When the monitor may try the next life (restart backoff, or the
+        #: quarantine cooldown before its single probe restart).
         self.next_restart_at = 0.0
         self.restart_inflight = False
         self.last_recovery: Optional[Dict[str, Any]] = None
@@ -156,9 +179,17 @@ class ProcShard:
         self.supervisor._observe_state(self)
 
     def _await_live(self, operation: str, deadline: float,
-                    fail_fast: bool = False) -> None:
+                    fail_fast: bool = False,
+                    guard: Optional[Callable[[], bool]] = None) -> None:
         with self._cond:
             while True:
+                # Re-checked on every wake-up, whatever the state: the
+                # reshard machine installs the new routing tables *before*
+                # it lets a parked slot go live (or leaves it STOPPED), so
+                # an op that waited out a reshard re-resolves instead of
+                # landing on a child that no longer owns its ride.
+                if guard is not None and not guard():
+                    raise Rerouted()
                 if self.state == LIVE:
                     return
                 if self.state == QUARANTINED:
@@ -194,6 +225,7 @@ class ProcShard:
         idem: Optional[str] = None,
         readonly: bool = False,
         wait_live_s: Optional[float] = None,
+        guard: Optional[Callable[[], bool]] = None,
     ) -> Any:
         """Call ``op`` on the shard process; deadline- and retry-aware.
 
@@ -203,7 +235,11 @@ class ProcShard:
         retry with jittered backoff only when ``readonly`` or ``idem`` says
         a duplicate apply is impossible; anything else becomes a
         :class:`WorkerCrashError` with ``mid_op`` telling the caller
-        whether the op may already be in the shard's WAL.
+        whether the op may already be in the shard's WAL.  ``guard`` is the
+        router core's routing re-check: evaluated after every wait for
+        liveness and before the frame is sent (first attempt and retries
+        alike); when it fails nothing was sent and
+        :class:`~repro.service.stack.Rerouted` is raised.
         """
         total_s = (self.config.default_deadline_s
                    if deadline_s is None else deadline_s)
@@ -214,7 +250,7 @@ class ProcShard:
                          else min(deadline, started + wait_live_s))
         attempt = 0
         while True:
-            self._await_live(op, live_deadline, fail_fast=fail_fast)
+            self._await_live(op, live_deadline, fail_fast, guard)
             try:
                 return self._call_once(op, args, deadline, total_s, idem)
             except (RpcTransportError, RpcProtocolError) as exc:
@@ -359,54 +395,71 @@ class ProcShard:
 
 
 class ShardSupervisor:
-    """Spawns and supervises the process-shard fleet."""
+    """Spawns and supervises the process-shard fleet; the UNIX-socket
+    :class:`~repro.service.transport.ShardTransport`."""
+
+    #: The controller's load signal: parent-side RPC round-trip, which
+    #: includes the child's queue wait.
+    load_metric = "xar_proc_rpc_latency_seconds"
+
+    @staticmethod
+    def layout(slot: int, generation: Optional[int]) -> Tuple[str, str]:
+        """Every shard generation gets its own directory under the run dir
+        (``shard0/``, then ``shard0.g3/`` once a reshard rewrote the slot),
+        holding that slot's WAL + checkpoint."""
+        folder = (f"shard{slot}" if generation is None
+                  else f"shard{slot}.g{generation}")
+        return (os.path.join(folder, f"shard{slot}.wal"),
+                os.path.join(folder, f"shard{slot}.ckpt"))
 
     def __init__(
         self,
         region: DiscretizedRegion,
-        config: Optional[SupervisorConfig] = None,
-        metrics: Optional[MetricsRegistry] = None,
+        config: SupervisorConfig,
+        specs: List[Optional[ShardSpec]],
+        metrics: MetricsRegistry,
         *,
-        overrides: Optional[Dict[int, Dict[str, Any]]] = None,
-        inactive: Optional[Iterable[int]] = None,
-        n_slots: Optional[int] = None,
+        search_deadline_s: float = 5.0,
     ):
-        """``overrides`` maps slot → spawn-config overrides (``wal_dir``,
-        ``ride_id_start``, ``ride_id_step``) — the elastic-reshard seam: a
-        resharded slot's truth lives in a generation-suffixed directory on
-        a fixed ride-id lane, both dictated by the topology manifest.
-        ``inactive`` slots (merged away, in a restored topology) get a
-        placeholder entry but no process; ``n_slots`` widens the slot table
-        past ``config.n_shards`` for manifests that recorded splits."""
+        """``specs`` is the slot table to boot, indexed by slot: the lane
+        and files each child serves (dictated by the routing table, i.e. by
+        the topology manifest once the service has resharded); ``None``
+        marks a slot merged away — a placeholder entry, no process."""
         self.region = region
-        self.config = config or SupervisorConfig()
-        if self.config.n_shards < 1:
+        self.config = config
+        if config.n_shards < 1:
             raise ValueError(
-                f"n_shards must be >= 1, got {self.config.n_shards!r}")
+                f"n_shards must be >= 1, got {config.n_shards!r}")
         self.metrics = metrics
-        self.run_dir = os.path.abspath(self.config.run_dir)
+        self.search_deadline_s = search_deadline_s
+        self.stack_config = StackConfig(
+            queue_depth=config.queue_depth,
+            fsync_every=config.fsync_every,
+            checkpoint_every=config.checkpoint_every,
+            resilient=config.resilient,
+            optimize_insertion=config.optimize_insertion,
+            seed=config.seed,
+        )
+        self.run_dir = os.path.abspath(config.run_dir)
         os.makedirs(self.run_dir, exist_ok=True)
+        #: Serialises reshard actions (the monitor's restarts stay out of
+        #: it: a slot parked in RESHARDING is never restarted).
+        self.lock = threading.RLock()
         self._closing = threading.Event()
         self._instrument(metrics)
-        self.region_dir = self.config.region_dir
+        self.region_dir = config.region_dir
         if self.region_dir is None:
             self.region_dir = os.path.join(self.run_dir, "region")
             if not os.path.isdir(self.region_dir):
                 save_region(region, self.region_dir)
-        self.overrides: Dict[int, Dict[str, Any]] = {
-            int(slot): dict(values)
-            for slot, values in (overrides or {}).items()
-        }
-        never_spawn = frozenset(int(s) for s in (inactive or ()))
-        total = n_slots if n_slots is not None else self.config.n_shards
-        self.shards = [ProcShard(i, self.config, self)
-                       for i in range(total)]
+        self.shards: List[ProcShard] = []
         try:
-            for shard in self.shards:
-                if shard.shard_id in never_spawn:
-                    shard.state = STOPPED
-                    continue
-                self._spawn(shard)
+            for slot, spec in enumerate(specs):
+                if spec is not None:
+                    self.start(spec)
+                else:
+                    self.shards.append(ProcShard(slot, config, self))
+                    self.shards[slot].state = STOPPED
         except Exception:
             self.close()
             raise
@@ -417,11 +470,7 @@ class ShardSupervisor:
     # ------------------------------------------------------------------
     # Metrics
     # ------------------------------------------------------------------
-    def _instrument(self, metrics: Optional[MetricsRegistry]) -> None:
-        self._c_failures = self._c_restarts = self._c_quarantines = None
-        self._g_hb_age = self._g_state = self._h_rpc = None
-        if metrics is None:
-            return
+    def _instrument(self, metrics: MetricsRegistry) -> None:
         self._c_failures = metrics.counter(
             "xar_proc_failures_total",
             "Shard process failures by kind (crash / hang / spawn)",
@@ -444,8 +493,8 @@ class ShardSupervisor:
         )
         self._g_state = metrics.gauge(
             "xar_proc_shard_state",
-            "Supervision state per shard "
-            "(0 starting, 1 live, 2 restarting, 3 quarantined, 4 stopped)",
+            "Supervision state per shard (0 starting, 1 live, 2 restarting, "
+            "3 quarantined, 4 stopped, 5 resharding)",
             labels=("shard",),
         )
         self._h_rpc = metrics.histogram(
@@ -456,18 +505,11 @@ class ShardSupervisor:
         )
 
     def _observe_state(self, shard: ProcShard) -> None:
-        if self._g_state is not None:
-            self._g_state.labels(shard=str(shard.shard_id)).set(
-                STATE_CODES[shard.state])
+        self._g_state.labels(shard=str(shard.shard_id)).set(
+            STATE_CODES[shard.state])
 
     def _observe_rpc(self, shard_id: int, op: str, elapsed_s: float) -> None:
-        if self._h_rpc is not None:
-            self._h_rpc.labels(shard=str(shard_id), op=op).observe(elapsed_s)
-
-    def _count_failure(self, shard: ProcShard, kind: str) -> None:
-        if self._c_failures is not None:
-            self._c_failures.labels(shard=str(shard.shard_id),
-                                    kind=kind).inc()
+        self._h_rpc.labels(shard=str(shard_id), op=op).observe(elapsed_s)
 
     # ------------------------------------------------------------------
     # Spawning
@@ -482,13 +524,10 @@ class ShardSupervisor:
         return env
 
     def _shard_paths(self, shard_id: int, generation: int) -> Dict[str, str]:
-        wal_dir = self.overrides.get(shard_id, {}).get(
-            "wal_dir", os.path.join(self.run_dir, f"shard{shard_id}"))
         return {
             "socket": os.path.join(
                 self.run_dir, f"shard{shard_id}.g{generation}.sock"),
             "config": os.path.join(self.run_dir, f"shard{shard_id}.json"),
-            "wal_dir": wal_dir,
             "log": os.path.join(self.run_dir, f"shard{shard_id}.log"),
         }
 
@@ -505,29 +544,17 @@ class ShardSupervisor:
         cfg = self.config
         generation = shard.generation + 1
         paths = self._shard_paths(shard.shard_id, generation)
-        os.makedirs(paths["wal_dir"], exist_ok=True)
         if os.path.exists(paths["socket"]):
             os.unlink(paths["socket"])
         child_config = {
-            "shard_id": shard.shard_id,
-            "n_shards": cfg.n_shards,
+            "spec": dataclasses.asdict(shard.spec),
+            "stack": dataclasses.asdict(self.stack_config),
             "generation": generation,
             "region_dir": self.region_dir,
             "socket_path": paths["socket"],
-            "wal_dir": paths["wal_dir"],
-            "fsync_every": cfg.fsync_every,
-            "checkpoint_every": cfg.checkpoint_every,
-            "queue_depth": cfg.queue_depth,
-            "resilient": cfg.resilient,
-            "optimize_insertion": cfg.optimize_insertion,
-            "seed": cfg.seed,
             "heartbeat_interval_s": cfg.heartbeat_interval_s,
             "ops_connections": cfg.ops_connections,
         }
-        for key in ("ride_id_start", "ride_id_step"):
-            value = self.overrides.get(shard.shard_id, {}).get(key)
-            if value is not None:
-                child_config[key] = int(value)
         with open(paths["config"], "w", encoding="utf-8") as handle:
             json.dump(child_config, handle)
         listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -559,7 +586,6 @@ class ShardSupervisor:
                     recovery = hello.get("recovery")
                 else:
                     ops_socks.append(conn)
-            conn_ok = True
         except Exception:
             if process is not None and process.poll() is None:
                 process.kill()
@@ -567,11 +593,9 @@ class ShardSupervisor:
             raise
         finally:
             _close_quietly(listener)
-        assert conn_ok and hb_sock is not None
         if count_restart:
             shard.restarts += 1
-            if self._c_restarts is not None:
-                self._c_restarts.labels(shard=str(shard.shard_id)).inc()
+            self._c_restarts.labels(shard=str(shard.shard_id)).inc()
         shard.adopt(process, generation, ops_socks, hb_sock, recovery)
         threading.Thread(
             target=self._heartbeat_loop,
@@ -592,6 +616,23 @@ class ShardSupervisor:
                 return
             shard.last_heartbeat = time.monotonic()
 
+    def _stop_process(self, shard: ProcShard, *, force: bool = False) -> None:
+        """Bring a shard's process down and drop its channels: SIGTERM (the
+        child finishes its queue and fsyncs the WAL), escalating to SIGKILL
+        past the drain timeout — or SIGKILL outright with ``force``."""
+        process = shard.process
+        if process is not None and process.poll() is None:
+            if force:
+                process.kill()
+            else:
+                process.terminate()
+                try:
+                    process.wait(timeout=self.config.drain_timeout_s)
+                except subprocess.TimeoutExpired:
+                    process.kill()
+            process.wait()
+        shard.discard_channels()
+
     # ------------------------------------------------------------------
     # Monitoring, restarts, quarantine
     # ------------------------------------------------------------------
@@ -607,67 +648,52 @@ class ShardSupervisor:
                         self._on_failure(shard, "crash")
                         continue
                     age = now - shard.last_heartbeat
-                    if self._g_hb_age is not None:
-                        self._g_hb_age.labels(
-                            shard=str(shard.shard_id)).set(age)
+                    self._g_hb_age.labels(shard=str(shard.shard_id)).set(age)
                     if age > cfg.hang_timeout_s:
                         # Alive but silent: a wedged process is
                         # indistinguishable from a dead one to callers, so
                         # it gets the same treatment — SIGKILL + recovery.
-                        if process is not None and process.poll() is None:
-                            process.kill()
-                            process.wait()
                         self._on_failure(shard, "hang")
                     elif (shard.consecutive_failures
                           and now - shard.live_since >= cfg.stability_reset_s):
                         shard.consecutive_failures = 0
-                elif state == RESTARTING:
+                elif state in (RESTARTING, QUARANTINED):
+                    # RESTARTING: backoff elapsed.  QUARANTINED: cooldown
+                    # over, one probe restart — if the probe dies too the
+                    # failure count is still above the budget and the shard
+                    # goes straight back in.
                     if now >= shard.next_restart_at and not shard.restart_inflight:
                         shard.restart_inflight = True
-                        self._start_restart(shard)
-                elif state == QUARANTINED:
-                    if now >= shard.quarantine_until and not shard.restart_inflight:
-                        # Cooldown over: one probe restart.  If the probe
-                        # dies too the failure count is still above the
-                        # budget and the shard goes straight back in.
-                        shard.restart_inflight = True
-                        self._start_restart(shard)
+                        threading.Thread(
+                            target=self._restart,
+                            args=(shard,),
+                            name=f"xar-proc-restart-{shard.shard_id}",
+                            daemon=True,
+                        ).start()
             self._closing.wait(cfg.check_interval_s)
 
     def _on_failure(self, shard: ProcShard, kind: str) -> None:
-        """Classify a failure and schedule the shard's next life."""
+        """Classify a failure and schedule the shard's next life: a restart
+        after exponential backoff, or quarantine once the consecutive
+        failures exceed the restart budget."""
         cfg = self.config
-        process = shard.process
-        if process is not None:
-            if process.poll() is None:
-                process.kill()
-            process.wait()
-        shard.discard_channels()
+        if kind != "spawn":
+            self._stop_process(shard, force=True)
         shard.consecutive_failures += 1
-        self._count_failure(shard, kind)
+        self._c_failures.labels(shard=str(shard.shard_id), kind=kind).inc()
         now = time.monotonic()
         if shard.consecutive_failures > cfg.max_restarts:
             shard.quarantines += 1
-            shard.quarantine_until = now + cfg.quarantine_cooldown_s
-            if self._c_quarantines is not None:
-                self._c_quarantines.labels(shard=str(shard.shard_id)).inc()
+            shard.next_restart_at = now + cfg.quarantine_cooldown_s
+            self._c_quarantines.labels(shard=str(shard.shard_id)).inc()
             shard.set_state(QUARANTINED)
             return
-        backoff = min(
+        shard.next_restart_at = now + min(
             cfg.restart_backoff_cap_s,
             cfg.restart_backoff_base_s
             * (2.0 ** (shard.consecutive_failures - 1)),
         )
-        shard.next_restart_at = now + backoff
         shard.set_state(RESTARTING)
-
-    def _start_restart(self, shard: ProcShard) -> None:
-        threading.Thread(
-            target=self._restart,
-            args=(shard,),
-            name=f"xar-proc-restart-{shard.shard_id}",
-            daemon=True,
-        ).start()
 
     def _restart(self, shard: ProcShard) -> None:
         try:
@@ -675,56 +701,44 @@ class ShardSupervisor:
         except Exception:  # noqa: BLE001 - a failed spawn is another failure
             shard.restart_inflight = False
             if not self._closing.is_set():
-                self._count_failure(shard, "spawn")
-                shard.consecutive_failures += 1
-                now = time.monotonic()
-                if shard.consecutive_failures > self.config.max_restarts:
-                    shard.quarantines += 1
-                    shard.quarantine_until = (
-                        now + self.config.quarantine_cooldown_s)
-                    if self._c_quarantines is not None:
-                        self._c_quarantines.labels(
-                            shard=str(shard.shard_id)).inc()
-                    shard.set_state(QUARANTINED)
-                else:
-                    shard.next_restart_at = now + min(
-                        self.config.restart_backoff_cap_s,
-                        self.config.restart_backoff_base_s
-                        * (2.0 ** (shard.consecutive_failures - 1)),
-                    )
-                    shard.set_state(RESTARTING)
-            return
+                self._on_failure(shard, "spawn")
 
     # ------------------------------------------------------------------
-    # Public surface
+    # Fleet surface
     # ------------------------------------------------------------------
     def rpc(self, shard_id: int, op: str,
             args: Optional[Dict[str, Any]] = None, **kwargs: Any) -> Any:
         return self.shards[shard_id].rpc(op, args, **kwargs)
 
     def wait_all_live(self, timeout_s: float = 30.0) -> bool:
-        """Block until every shard is LIVE (True) or the timeout passes."""
+        """Block until every shard that should run is LIVE (True) or the
+        timeout passes (merged-away slots stay STOPPED and do not count)."""
         deadline = time.monotonic() + timeout_s
         for shard in self.shards:
             with shard._cond:
-                while shard.state != LIVE:
+                while shard.state not in (LIVE, STOPPED):
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         return False
                     shard._cond.wait(min(remaining, 0.05))
         return True
 
-    def crash_shard(self, shard_id: int, *, mid_book: bool = False,
-                    kill: bool = True) -> None:
-        """Chaos hook: kill a shard process (or arm a mid-book crash).
+    def states(self) -> Dict[int, str]:
+        return {shard.shard_id: shard.state for shard in self.shards}
 
-        ``mid_book`` arms the child's fault hook so its *next* book dies
-        after the WAL append but before the engine splice — the recovery
-        path must complete it.  Otherwise the process is SIGKILLed outright
-        (``kill=True`` is the only process-mode flavour: there is no thread
-        to poison, only a process to kill).
-        """
-        shard = self.shards[shard_id]
+    def recoveries(self) -> Dict[int, Dict[str, Any]]:
+        """Latest per-shard recovery summaries (from spawn handshakes)."""
+        return {
+            shard.shard_id: shard.last_recovery
+            for shard in self.shards
+            if shard.state != STOPPED and shard.last_recovery is not None
+        }
+
+    def crash(self, slot: int, *, mid_book: bool = False) -> None:
+        """Chaos hook: SIGKILL a shard process, or — ``mid_book`` — arm the
+        child's fault hook so its *next* book dies after the WAL append but
+        before the engine splice (recovery must complete it)."""
+        shard = self.shards[slot]
         if mid_book:
             shard.rpc("crash", {"mode": "mid_book"}, deadline_s=5.0,
                       readonly=True)
@@ -734,80 +748,158 @@ class ShardSupervisor:
             process.kill()
 
     # ------------------------------------------------------------------
-    # Elastic resharding hooks (driven by ProcRouter.split_shard)
+    # Data path (typed ops marshalled through the codec)
     # ------------------------------------------------------------------
-    def stop_shard_for_reshard(self, shard_id: int, *,
-                               force: bool = False) -> None:
+    def create(self, slot, guard, source, destination, depart_s, seats,
+               detour_limit_m, shift_end_s):
+        result = self.shards[slot].rpc("create", {
+            "source": [source.lat, source.lon],
+            "destination": [destination.lat, destination.lon],
+            "depart_s": depart_s,
+            "seats": seats,
+            "detour_limit_m": detour_limit_m,
+            "shift_end_s": shift_end_s,
+        }, guard=guard)
+        return codec.ride_from(self.region, result["ride"])
+
+    def book(self, slot, guard, request, match):
+        """Carries an idempotency key, so a booking whose connection died
+        mid-call is retried safely: the recovered shard's ledger (rebuilt
+        by WAL replay) answers the duplicate with the original record."""
+        result = self.shards[slot].rpc(
+            "book",
+            {"request": codec.request_record(request),
+             "match": codec.match_record(match)},
+            idem=book_idempotency_key(request.request_id, match.ride_id),
+            guard=guard,
+        )
+        return codec.booking_from(result["booking"])
+
+    def cancel(self, slot, guard, ride):
+        self.shards[slot].rpc("cancel", {"ride_id": ride.ride_id},
+                              guard=guard)
+
+    def cancel_booking(self, slot, guard, request_id, ride_id):
+        """Idempotent like ``book``: a retry whose first attempt died
+        mid-call is answered from the recovered cancellation ledger."""
+        result = self.shards[slot].rpc(
+            "cancel_booking",
+            {"request_id": request_id, "ride_id": ride_id},
+            idem=f"cancel_booking:{request_id}:{ride_id}",
+            guard=guard,
+        )
+        return codec.cancellation_from(result["cancellation"])
+
+    def find_ride(self, slot, guard, ride_id):
+        result = self.shards[slot].rpc(
+            "find_ride", {"ride_id": ride_id}, readonly=True, guard=guard)
+        return codec.ride_from(self.region, result["ride"])
+
+    def search(self, slot, request, k):
+        """Fails fast (``wait_live_s=0``): a shard that is mid-restart is
+        shed like an overloaded one instead of stalling the fan-out."""
+        result = self.shards[slot].rpc(
+            "search",
+            {"request": codec.request_record(request), "k": k},
+            deadline_s=self.search_deadline_s,
+            readonly=True,
+            wait_live_s=0.0,
+        )
+        return codec.matches_from(result["matches"])
+
+    def track(self, slot, now_s):
+        affected = int(self.shards[slot].rpc(
+            "track", {"now_s": now_s}, idem=f"track:{now_s}",
+            wait_live_s=0.0,
+        )["affected"])
+        return lambda: affected
+
+    # ------------------------------------------------------------------
+    # Introspection
+    # ------------------------------------------------------------------
+    def active_rides(self, slot):
+        result = self.shards[slot].rpc("active_rides", readonly=True)
+        return [codec.ride_from(self.region, state)
+                for state in result["rides"]]
+
+    def bookings(self, slot):
+        result = self.shards[slot].rpc("bookings", readonly=True)
+        return [codec.booking_from(state) for state in result["bookings"]]
+
+    def index_stats(self, slot):
+        return self.shards[slot].rpc("index_stats", readonly=True)["stats"]
+
+    def rollback_count(self, slot):
+        return int(
+            self.shards[slot].rpc("rollback_count", readonly=True)["count"])
+
+    def audit(self, slot, heal):
+        result = self.shards[slot].rpc("audit", {"heal": heal})
+        return int(result["violations"]), int(result["healed"])
+
+    def stats(self, slot):
+        shard = self.shards[slot]
+        try:
+            snapshot = shard.rpc("stats", readonly=True, deadline_s=5.0,
+                                 wait_live_s=0.0)
+        except (ShardOverloadError, WorkerCrashError,
+                DeadlineExceededError, RpcError):
+            snapshot = {"unreachable": True}
+        snapshot["state"] = shard.state
+        snapshot["restarts"] = shard.restarts
+        return snapshot
+
+    # ------------------------------------------------------------------
+    # Reshard steps
+    # ------------------------------------------------------------------
+    def drain(self, slot, *, force=False):
         """Take a shard down for resharding and park it out of the monitor.
 
         The RESHARDING state is set *first* so the monitor classifies the
         process exit as intentional rather than a crash to restart.
-        Default is a graceful drain (SIGTERM → the child finishes its queue
-        and fsyncs the WAL); ``force=True`` SIGKILLs outright — the chaos
+        Default is a graceful drain; ``force`` SIGKILLs outright — the chaos
         flavour, which must still reshard correctly off the synced WAL
-        prefix.  Callers blocked in RPC wait out the reshard and resume
-        against the respawned generation.
+        prefix.  Callers blocked in RPC wait out the reshard and re-resolve
+        against the new routing tables.
         """
-        shard = self.shards[shard_id]
+        shard = self.shards[slot]
         shard.set_state(RESHARDING)
-        process = shard.process
-        if process is not None and process.poll() is None:
-            if force:
-                process.kill()
-            else:
-                process.terminate()
-                try:
-                    process.wait(timeout=self.config.drain_timeout_s)
-                except subprocess.TimeoutExpired:
-                    process.kill()
-            process.wait()
-        shard.discard_channels()
+        self._stop_process(shard, force=force)
 
-    def resume_shard(self, shard_id: int,
-                     overrides: Optional[Dict[str, Any]] = None) -> None:
-        """Respawn a RESHARDING/STOPPED shard, optionally re-homed.
+    def snapshot(self, slot):
+        spec = self.shards[slot].spec
+        recovered = recover_engine(
+            self.region, spec.wal_path, spec.ckpt_path,
+            engine_factory=lambda: make_engine(
+                self.region, spec, self.stack_config),
+        )
+        return engine_state(recovered.engine)
 
-        With ``overrides`` the new generation boots from a different WAL
-        directory / ride-id lane (the committed child topology); without,
-        it recovers exactly where it left off (the abort path).
-        """
-        if overrides is not None:
-            self.overrides[shard_id] = dict(overrides)
-        shard = self.shards[shard_id]
+    def start(self, spec):
+        """Spawn a slot's next generation on ``spec``'s lane and files; a
+        slot id one past the table brings a brand-new slot into the fleet."""
+        if spec.slot == len(self.shards):
+            # Publish the entry before spawning: _observe_state and the
+            # monitor index self.shards by id (append is atomic under the
+            # GIL), and STARTING is a state the monitor leaves alone.
+            self.shards.append(ProcShard(spec.slot, self.config, self))
+        shard = self.shards[spec.slot]
+        shard.spec = spec
         shard.consecutive_failures = 0
         self._spawn(shard)
 
-    def add_shard(self, shard_id: int,
-                  overrides: Dict[str, Any]) -> None:
-        """Bring a brand-new slot (a split's right child) into the fleet."""
-        if shard_id != len(self.shards):
-            raise ValueError(
-                f"new slot must be {len(self.shards)}, got {shard_id}")
-        self.overrides[shard_id] = dict(overrides)
-        shard = ProcShard(shard_id, self.config, self)
-        # Publish the entry before spawning: _observe_state and the monitor
-        # index self.shards by id (list append is atomic under the GIL).
-        self.shards.append(shard)
-        self._spawn(shard)
+    def resume(self, slot):
+        """Abort path: the old files are untouched (the carve only read
+        them), so the old generation recovers exactly where it left off."""
+        self.start(self.shards[slot].spec)
 
-    def retire_shard(self, shard_id: int) -> None:
-        """Permanently stop a merged-away slot (no process, no restarts)."""
-        shard = self.shards[shard_id]
-        shard.set_state(STOPPED)
-        process = shard.process
-        if process is not None and process.poll() is None:
-            process.terminate()
-            try:
-                process.wait(timeout=self.config.drain_timeout_s)
-            except subprocess.TimeoutExpired:
-                process.kill()
-                process.wait()
-        shard.discard_channels()
+    def retire(self, slot, heir):
+        """A merged-away slot stays STOPPED for good: no process, no
+        restarts; callers parked on it re-resolve to ``heir``."""
+        del heir  # callers carry no queue here: they wait, then re-route
+        self.shards[slot].set_state(STOPPED)
 
-    def states(self) -> Dict[int, str]:
-        return {shard.shard_id: shard.state for shard in self.shards}
-
-    def close(self) -> None:
+    def close(self, *, force: bool = False) -> None:
         """Drain and stop the fleet: SIGTERM (graceful drain in the child,
         finishing queued mutations and syncing the WAL), escalate to
         SIGKILL only past the drain timeout."""
@@ -815,18 +907,10 @@ class ShardSupervisor:
         monitor = getattr(self, "_monitor_thread", None)
         if monitor is not None and monitor.is_alive():
             monitor.join(timeout=self.config.check_interval_s * 20 + 1.0)
-        for shard in getattr(self, "shards", []):
+        for shard in self.shards:
             shard.set_state(STOPPED)
-            process = shard.process
-            if process is not None and process.poll() is None:
-                process.terminate()
-                try:
-                    process.wait(timeout=self.config.drain_timeout_s)
-                except subprocess.TimeoutExpired:
-                    process.kill()
-                    process.wait()
-            shard.discard_channels()
-        for shard in getattr(self, "shards", []):
+            self._stop_process(shard, force=force)
+        for shard in self.shards:
             for generation in range(1, shard.generation + 1):
                 path = self._shard_paths(shard.shard_id,
                                          generation)["socket"]
@@ -836,11 +920,9 @@ class ShardSupervisor:
                     except OSError:
                         pass
 
-    def __enter__(self) -> "ShardSupervisor":
-        return self
-
-    def __exit__(self, *_exc: Any) -> None:
-        self.close()
+    def abandon(self) -> None:
+        """Process-death teardown: SIGKILL every child, no drain."""
+        self.close(force=True)
 
 
 def _close_quietly(sock: socket.socket) -> None:

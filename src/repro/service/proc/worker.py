@@ -4,14 +4,14 @@ One process per shard.  On start the child
 
 1. loads the discretized region from disk (regions are content-digested,
    so parent and child provably serve the same geometry),
-2. **recovers** its engine from the shard's own WAL directory when one
-   exists — restart *is* crash recovery; there is no separate cold path —
-3. rebuilds the familiar adapter stack (``XARAdapter`` →
-   ``DurableAdapter`` → optional ``ResilientEngine``) behind a
-   :class:`~repro.service.shard.ShardWorker`, so admission control, the
-   bounded queue and the inline read path behave exactly as in thread
-   mode, and
-4. connects back to the supervisor's UNIX socket: ``ops_connections``
+2. builds the one :class:`~repro.service.stack.ShardStack` a thread shard
+   runs too — engine **recovered** from the spec's WAL when it exists
+   (restart *is* crash recovery; there is no separate cold path), then
+   ``XARAdapter`` → ``DurableAdapter`` → optional ``ResilientEngine``
+   behind a :class:`~repro.service.shard.ShardWorker` — and serves each
+   RPC by decoding it, calling the stack's local operation, and encoding
+   the answer, and
+3. connects back to the supervisor's UNIX socket: ``ops_connections``
    request/response channels plus one dedicated heartbeat channel.
 
 Failure semantics: a :class:`~repro.exceptions.WorkerCrashError` surfacing
@@ -31,11 +31,9 @@ import socket
 import sys
 import threading
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
-from ...core import XAREngine
 from ...discretization import load_region, region_digest
-from ...durability import DurabilityConfig, DurableAdapter, WriteAheadLog, recover_engine
 from ...exceptions import (
     DeadlineExceededError,
     RpcError,
@@ -44,11 +42,9 @@ from ...exceptions import (
     WorkerCrashError,
     XARError,
 )
-from ...obs import MetricsRegistry, to_prometheus_text
-from ...resilience import InvariantAuditor, ResilienceConfig, ResilientEngine
-from ...sim.adapters import XARAdapter
-from ..shard import ShardWorker
-from ..sharding import derive_seed
+from ...geo import GeoPoint
+from ...obs import MetricsRegistry
+from ..stack import ShardSpec, ShardStack, StackConfig
 from . import codec
 from .rpc import error_response, read_frame, write_frame
 
@@ -60,107 +56,24 @@ class ShardProcess:
     """Everything one shard subprocess owns; built from the config dict."""
 
     def __init__(self, config: Dict[str, Any]):
-        self.config = config
-        self.shard_id = int(config["shard_id"])
-        self.n_shards = int(config["n_shards"])
         self.generation = int(config.get("generation", 0))
-        # Ride-id lane: defaults interleave by shard id, but elastic
-        # resharding hands children explicit lanes (and a modulus fixed at
-        # the service's max_shards) via the spawn config.
-        self.ride_id_start = int(
-            config.get("ride_id_start", self.shard_id + 1))
-        self.ride_id_step = int(config.get("ride_id_step", self.n_shards))
         self.metrics = MetricsRegistry()
-        self.region = load_region(config["region_dir"])
-        self.digest = region_digest(self.region)
-        self.durability = DurabilityConfig(
-            directory=config["wal_dir"],
-            fsync_every=int(config.get("fsync_every", 64)),
-            checkpoint_every=int(config.get("checkpoint_every", 0)),
-        )
-        self.recovery_info: Optional[Dict[str, Any]] = None
-        engine = self._recover_or_make_engine()
-        self.engine = engine
-        self.adapter = self._wrap_stack(engine)
-        self.worker = ShardWorker(
-            self.shard_id,
-            self.adapter,
-            queue_depth=int(config.get("queue_depth", 128)),
-            seed=derive_seed(int(config.get("seed", 0)), self.shard_id),
+        region = load_region(config["region_dir"])
+        #: The same stack a thread shard runs — recovered from the spec's
+        #: WAL when it exists — so admission control, the bounded queue and
+        #: the inline read path behave exactly as in thread mode.
+        self.stack = ShardStack(
+            region,
+            ShardSpec(**config["spec"]),
+            StackConfig(**config["stack"]),
+            digest=region_digest(region),
             metrics=self.metrics,
         )
+        self.shard_id = self.stack.shard_id
         self._draining = threading.Event()
         self._shutdown = threading.Event()
         self._hang_heartbeats = threading.Event()
         self._hb_seq = 0
-
-    # ------------------------------------------------------------------
-    # Engine / stack construction (mirrors ShardRouter's per-shard build)
-    # ------------------------------------------------------------------
-    def _make_engine(self) -> XAREngine:
-        return XAREngine(
-            self.region,
-            optimize_insertion=bool(self.config.get("optimize_insertion")),
-            ride_id_start=self.ride_id_start,
-            ride_id_step=self.ride_id_step,
-            metrics=self.metrics,
-            metrics_labels={"shard": str(self.shard_id)},
-        )
-
-    def _recover_or_make_engine(self) -> XAREngine:
-        wal_path = self.durability.wal_path(self.shard_id)
-        if os.path.exists(wal_path):
-            result = recover_engine(
-                self.region,
-                wal_path,
-                self.durability.checkpoint_path(self.shard_id),
-                engine_factory=self._make_engine,
-                metrics=self.metrics,
-            )
-            self.recovery_info = {
-                "replayed_ops": result.replayed_ops,
-                "skipped_ops": result.skipped_ops,
-                "failed_ops": result.failed_ops,
-                "torn_tail_bytes": result.torn_tail_bytes,
-                "checkpoint_seq": result.checkpoint_seq,
-                "last_seq": result.last_seq,
-            }
-            return result.engine
-        return self._make_engine()
-
-    def _wrap_stack(self, engine: XAREngine):
-        adapter: Any = XARAdapter(engine)
-        wal = WriteAheadLog.open(
-            self.durability.wal_path(self.shard_id),
-            shard_id=self.shard_id,
-            ride_id_start=self.ride_id_start,
-            ride_id_step=self.ride_id_step,
-            region_digest=self.digest,
-            fsync_every=self.durability.fsync_every,
-            metrics=self.metrics,
-            metrics_labels={"shard": str(self.shard_id)},
-        )
-        self.durable = DurableAdapter(
-            adapter,
-            wal,
-            checkpoint_path=self.durability.checkpoint_path(self.shard_id),
-            checkpoint_every=self.durability.checkpoint_every,
-            shard_id=self.shard_id,
-            digest=self.digest,
-            metrics=self.metrics,
-        )
-        adapter = self.durable
-        if self.config.get("resilient"):
-            adapter = ResilientEngine(
-                adapter,
-                ResilienceConfig(
-                    seed=derive_seed(int(self.config.get("seed", 0)),
-                                     self.shard_id)
-                ),
-                metrics=self.metrics,
-                metrics_labels={"shard": str(self.shard_id)},
-            )
-        return adapter
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -179,8 +92,7 @@ class ShardProcess:
         try:
             if deadline_ms is not None and float(deadline_ms) <= 0.0:
                 raise DeadlineExceededError(op, 0.0, 0.0)
-            if self._draining.is_set() and op not in (
-                    "ping", "shutdown", "stats", "metrics"):
+            if self._draining.is_set() and op not in ("ping", "stats"):
                 raise ShardOverloadError(self.shard_id, op)
             result = self._execute(op, args)
         except WorkerCrashError:
@@ -193,40 +105,33 @@ class ShardProcess:
         return {"id": request_id, "ok": True, "result": result}
 
     def _execute(self, op: str, args: Dict[str, Any]) -> Any:
-        engine = self.engine
-        worker = self.worker
+        """Decode, run the stack's local operation, encode."""
+        stack = self.stack
+        engine = stack.engine
         if op == "ping":
             return {"pid": os.getpid(), "generation": self.generation}
         if op == "search":
-            request = codec.request_from(args["request"])
             k = args.get("k")
-            matches = worker.execute_inline(
-                "search",
-                lambda: self.adapter.search(request,
-                                            None if k is None else int(k)),
-            )
+            matches = stack.search(codec.request_from(args["request"]),
+                                   None if k is None else int(k))
             return {"matches": codec.matches_record(matches)}
         if op == "create":
-            ride = worker.call(
-                "create",
-                lambda: self.adapter.create(
-                    _point(args["source"]),
-                    _point(args["destination"]),
-                    float(args["depart_s"]),
-                    seats=None if args.get("seats") is None
-                    else int(args["seats"]),
-                    detour_limit_m=codec.optional_float(
-                        args.get("detour_limit_m")),
-                    shift_end_s=codec.optional_float(
-                        args.get("shift_end_s")),
-                ),
-            )
+            ride = stack.mutate("create", lambda adapter: adapter.create(
+                _point(args["source"]),
+                _point(args["destination"]),
+                float(args["depart_s"]),
+                seats=None if args.get("seats") is None
+                else int(args["seats"]),
+                detour_limit_m=codec.optional_float(
+                    args.get("detour_limit_m")),
+                shift_end_s=codec.optional_float(args.get("shift_end_s")),
+            ))
             return {"ride": codec.ride_record(ride)}
         if op == "book":
             request = codec.request_from(args["request"])
             match = codec.match_from(args["match"])
 
-            def do_book():
+            def do_book(adapter):
                 # Idempotent by ledger: a retried book whose first attempt
                 # crashed mid-apply finds the booking WAL replay completed
                 # and returns it verbatim — recovery, not the client, is
@@ -236,28 +141,28 @@ class ShardProcess:
                         if (existing.request_id == request.request_id
                                 and existing.ride_id == match.ride_id):
                             return existing, True
-                return self.adapter.book(request, match), False
+                return adapter.book(request, match), False
 
-            record, deduped = worker.call("book", do_book)
+            record, deduped = stack.mutate("book", do_book)
             return {"booking": codec.booking_record(record),
                     "deduped": deduped}
         if op == "cancel":
             ride_id = int(args["ride_id"])
 
-            def do_cancel():
+            def do_cancel(adapter):
                 with engine.lock:
                     ride = engine.rides.get(ride_id)
                 if ride is None:
                     raise UnknownRideError(ride_id)
-                return self.adapter.cancel(ride)
+                return adapter.cancel(ride)
 
-            worker.call("cancel", do_cancel)
+            stack.mutate("cancel", do_cancel)
             return {}
         if op == "cancel_booking":
             req_id = int(args["request_id"])
             ride_id = int(args["ride_id"])
 
-            def do_cancel_booking():
+            def do_cancel_booking(adapter):
                 # Idempotent by ledger, like book: a retried cancellation
                 # whose first attempt crashed mid-apply finds the WAL replay
                 # already balanced the ledgers and returns the original
@@ -273,79 +178,40 @@ class ShardProcess:
                     ]
                     if cancelled and len(cancelled) >= booked:
                         return cancelled[-1], True
-                return self.adapter.cancel_booking(req_id, ride_id), False
+                return adapter.cancel_booking(req_id, ride_id), False
 
-            record, deduped = worker.call("cancel_booking", do_cancel_booking)
+            record, deduped = stack.mutate("cancel_booking",
+                                           do_cancel_booking)
             return {"cancellation": codec.cancellation_record(record),
                     "deduped": deduped}
         if op == "track":
-            affected = worker.call(
-                "track", lambda: self.adapter.track_all(float(args["now_s"]))
-            )
-            return {"affected": affected}
+            return {"affected": stack.track(float(args["now_s"])).result()}
         if op == "active_rides":
-            def snapshot():
-                with engine.lock:
-                    return [codec.ride_record(r)
-                            for r in self.adapter.active_rides()]
-            return {"rides": worker.call("admin", snapshot)}
+            # Encoded on the worker thread: rides are mutable, and there no
+            # booking can splice one mid-serialisation.
+            return {"rides": stack.admin(lambda: [
+                codec.ride_record(ride)
+                for ride in stack.adapter.active_rides()
+            ])}
         if op == "bookings":
-            def ledger():
-                with engine.lock:
-                    return [codec.booking_record(b) for b in engine.bookings]
-            return {"bookings": worker.call("admin", ledger)}
+            return {"bookings": [codec.booking_record(record)
+                                 for record in stack.bookings()]}
         if op == "find_ride":
-            ride_id = int(args["ride_id"])
-            with engine.lock:
-                ride = (engine.rides.get(ride_id)
-                        or engine.completed_rides.get(ride_id))
-            if ride is None:
-                raise UnknownRideError(ride_id)
-            return {"ride": codec.ride_record(ride)}
+            return {"ride": codec.ride_record(
+                stack.find_ride(int(args["ride_id"])))}
         if op == "audit":
-            heal = bool(args.get("heal"))
-
-            def sweep():
-                auditor = InvariantAuditor(engine)
-                report = auditor.audit()
-                actions = 0
-                if heal and not report.ok:
-                    actions = auditor.heal(report)
-                    report = auditor.audit()
-                return {"violations": len(report.violations),
-                        "healed": actions}
-
-            return worker.call("audit", sweep)
+            violations, healed = stack.audit(bool(args.get("heal")))
+            return {"violations": violations, "healed": healed}
         if op == "stats":
-            snapshot = worker.stats_snapshot()
-            snapshot["depth"] = worker.depth
-            with engine.lock:
-                snapshot["rides"] = engine.n_active_rides
-                snapshot["bookings"] = engine.n_bookings
-            snapshot["pid"] = os.getpid()
-            snapshot["generation"] = self.generation
-            return snapshot
+            return {**stack.stats(), "pid": os.getpid(),
+                    "generation": self.generation}
         if op == "rollback_count":
-            return {"count": self.adapter.rollback_count()}
+            return {"count": stack.rollback_count()}
         if op == "index_stats":
-            return {"stats": worker.call(
-                "admin", lambda: engine.index_stats())}
-        if op == "checkpoint":
-            self.durable.checkpoint()
-            return {}
-        if op == "metrics":
-            return {"prometheus": to_prometheus_text(self.metrics)}
+            return {"stats": stack.index_stats()}
         if op == "crash":
-            mode = str(args.get("mode", "exit"))
-            if mode == "mid_book":
-                def hook(point: str) -> None:
-                    if point == "book:post-snapshot":
-                        engine.fault_hook = None
-                        raise WorkerCrashError(
-                            f"injected crash in shard {self.shard_id} "
-                            f"at {point}"
-                        )
-                engine.fault_hook = hook
+            if str(args.get("mode", "exit")) == "mid_book":
+                stack.arm_mid_book_crash()
                 return {"armed": "mid_book"}
             # Plain crash: die right now, mid-RPC — no response ever leaves.
             raise WorkerCrashError(
@@ -355,9 +221,6 @@ class ShardProcess:
             # failure the supervisor's hang detector must catch.
             self._hang_heartbeats.set()
             return {"hung": True}
-        if op == "shutdown":
-            self._shutdown.set()
-            return {"draining": True}
         raise RpcError(f"unknown rpc op {op!r}")
 
     # ------------------------------------------------------------------
@@ -394,7 +257,7 @@ class ShardProcess:
                             "seq": self._hb_seq,
                             "pid": os.getpid(),
                             "generation": self.generation,
-                            "depth": self.worker.stats.queue_peak,
+                            "depth": self.stack.worker.stats.queue_peak,
                         })
                     except RpcError:
                         return
@@ -409,17 +272,14 @@ class ShardProcess:
         """Graceful shutdown: admit nothing new, finish the queue, sync."""
         self._draining.set()
         self._shutdown.set()
-        self.worker.close(timeout_s=30.0)
-        if not self.durable.wal.closed:
-            self.durable.close()
+        self.stack.worker.close(timeout_s=30.0)
+        self.stack.release_wal(sync=True)
         # Give connection threads a beat to flush final responses.
         time.sleep(0.05)
         os._exit(0)
 
 
-def _point(coords) -> Any:
-    from ...geo import GeoPoint
-
+def _point(coords) -> GeoPoint:
     return GeoPoint(float(coords[0]), float(coords[1]))
 
 
@@ -471,7 +331,7 @@ def main(argv=None) -> int:
     write_frame(hb_sock, {
         **handshake_base,
         "role": "hb",
-        "recovery": shard.recovery_info,
+        "recovery": shard.stack.recovery,
     })
 
     def on_sigterm(_signum, _frame):
@@ -495,7 +355,7 @@ def main(argv=None) -> int:
     for thread in threads:
         thread.start()
 
-    # Park the main thread until a shutdown (RPC or SIGTERM) is requested.
+    # Park the main thread until SIGTERM's drain asks for shutdown.
     shard._shutdown.wait()
     shard.drain_and_exit()
     return 0

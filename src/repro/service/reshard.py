@@ -1,8 +1,9 @@
 """Elastic resharding: load-watching controller over a sharded router.
 
-The routers own the *mechanism* — ``split_shard`` / ``merge_shards`` carve
-WALs, hand off ride-id lanes and swap the epoch-versioned routing table —
-while :class:`ReshardController` owns the *policy*: watch per-shard load
+The router core owns the *mechanism* — ``split_shard`` / ``merge_shards``
+run the one reshard machine (:mod:`repro.service.machine`): carve WALs,
+hand off ride-id lanes, swap the epoch-versioned routing table — while
+:class:`ReshardController` owns the *policy*: watch per-shard load
 (op rate, queue depth, p95 service time, all from the service's own
 :class:`~repro.obs.MetricsRegistry` series) and decide when a shard is hot
 enough to split or a pair of strip-adjacent shards cold enough to merge.
@@ -18,12 +19,10 @@ a split of the hottest slot, and two adjacent slots both at or below
 volume (``min_interval_ops``), not wall-clock, so the cadence is
 reproducible under a paced load generator.
 
-The controller is deliberately duck-typed over the router surface
+The controller drives the :class:`~repro.service.core.RouterCore` surface
 (``shard_loads`` / ``active_slot_ids`` / ``split_shard`` /
-``merge_shards``): the thread-shard :class:`~repro.service.router.ShardRouter`
-and the process-shard :class:`~repro.service.proc.router.ProcRouter` both
-satisfy it (the latter without merges — process-mode merge is an open
-item, see docs/resharding.md).
+``merge_shards``), so it works identically over thread shards and process
+shards.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ class ReshardConfig:
     #: mean) reaches this.
     split_pressure: float = 1.75
     #: Merge two strip-adjacent slots when *both* ratios are at or below
-    #: this (thread mode only).
+    #: this.
     merge_pressure: float = 0.4
     #: Completed ops across the fleet between controller decisions
     #: (volume-based, so paced runs reshard reproducibly).
@@ -95,11 +94,7 @@ class ReshardController:
 
     def __init__(self, router: Any, config: Optional[ReshardConfig] = None):
         self.router = router
-        self.config = (
-            config
-            or getattr(router, "reshard_config", None)
-            or ReshardConfig()
-        )
+        self.config = config or router.reshard_config or ReshardConfig()
         self.metrics = router.metrics
         self._g_ratio = self.metrics.gauge(
             "xar_shard_load_ratio",
@@ -194,16 +189,13 @@ class ReshardController:
                 epoch=self.router.shard_map.epoch, ratio=ratios[hottest],
             )
         if config.merge_enabled and len(ratios) > 1:
-            merge = getattr(self.router, "merge_shards", None)
-            if merge is None:
-                return None
             for a, b in self.router.shard_map.adjacent_pairs():
                 if (
                     ratios.get(a, 1.0) <= config.merge_pressure
                     and ratios.get(b, 1.0) <= config.merge_pressure
                 ):
                     try:
-                        merge(a, b)
+                        self.router.merge_shards(a, b)
                     except (ReshardError, XARError) as exc:
                         return ReshardAction(
                             action="refused", slot=a, peer=b,

@@ -1,47 +1,19 @@
-"""The sharded ride-matching service: N engines behind one façade.
+"""The thread-shard service: N in-process engines behind one façade.
 
-:class:`ShardRouter` partitions the region's cluster space with a
-:class:`~repro.service.sharding.ShardMap` and gives every shard its own
-:class:`~repro.core.XAREngine` behind a :class:`~repro.service.shard.ShardWorker`
-(worker thread + bounded queue).  The router speaks the simulator's
-``EngineAdapter`` protocol, so everything that can drive one engine — the
-replay simulator, the load generator, the fault injector — can drive the
-whole fleet unchanged.
+:class:`ShardRouter` is :class:`~repro.service.core.RouterCore` over a
+:class:`~repro.service.transport.ThreadTransport`: it partitions the
+region's cluster space with a :class:`~repro.service.sharding.ShardMap` and
+gives every slot its own :class:`~repro.core.XAREngine` behind a
+:class:`~repro.service.shard.ShardWorker` (worker thread + bounded queue).
+Routing, fan-out search, the tick watermark, introspection and elastic
+resharding are the core's (docs/service.md, docs/resharding.md); this
+module only validates the thread-mode options and wires the pieces.
 
-Routing rules (see docs/service.md):
-
-* **create** goes to the shard owning the ride source's cluster; each shard
-  allocates ride ids from a disjoint arithmetic lane
-  (``shard_id + 1 + k * n_shards``) so ids stay globally unique and encode
-  their home shard — ``book``/``cancel`` route by ``ride_id % n_shards``
-  without any lookup table;
-* **search** fans out to the shards owning walkable clusters of the
-  request's source/destination (expanded by ``fanout_radius_m``; or every
-  shard with ``fanout="all"``) and k-way-merges the per-shard batches by the
-  engine's ranking key, reproducing the single-engine ordering exactly;
-* **track** broadcasts to all shards, each sweeping only its own rides —
-  the tick's cost is amortized 1/N per shard;
-* a full queue sheds the operation with
-  :class:`~repro.exceptions.ShardOverloadError` (admission control); a
-  partially shed fan-out search still serves from the shards that accepted.
-
-**Elastic resharding** (pass ``reshard=ReshardConfig(...)``, requires
-durability): the router can split a hot shard in two or merge two cold
-adjacent shards at runtime.  The routing table becomes epoch-versioned:
-every split/merge atomically swaps the cluster → slot assignment and bumps
-the epoch, and an in-flight op that resolved routing under the old epoch
-detects the race on the worker thread (its captured slot no longer matches
-a fresh resolve) and bounces back to the caller to re-resolve — no lost
-ops, no double-apply.  Ride ids move to fixed **lanes** modulo
-``ReshardConfig.max_shards``: slot *k* allocates from lane
-``_slot_lane[k]``, a split hands the new slot the next unused lane (so the
-lane budget bounds lifetime splits), and a merge parks the source's lane on
-the destination via the lane-owner table.  Durability of a reshard is a
-single atomic commit: child checkpoints + WAL headers are written under
-generation-suffixed names first, then the topology manifest
-(``topology.json``) is atomically replaced — crash before the manifest
-recovers the old topology, crash after recovers the new one (see
-docs/resharding.md).
+Durability (pass ``durability=DurabilityConfig(...)``) puts a WAL +
+checkpoints under every shard: a worker that dies is recovered in place
+from its log by the next caller that touches it (or :meth:`supervise`), and
+a restart over the same directory recovers every shard — through the
+committed ``topology.json`` when the service has resharded.
 
 Reproducibility: per-shard RNGs (retry jitter, any stochastic policy) are
 derived from one root seed via :func:`~repro.service.sharding.derive_seed`.
@@ -49,96 +21,23 @@ derived from one root seed via :func:`~repro.service.sharding.derive_seed`.
 
 from __future__ import annotations
 
-import os
-import threading
-import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from ..core import XAREngine
-from ..core.booking import BookingRecord
-from ..core.request import RideRequest
-from ..core.search import MatchOption
-from ..discretization import DiscretizedRegion, region_digest
-from ..durability import (
-    DurabilityConfig,
-    DurableAdapter,
-    RecoveryResult,
-    WriteAheadLog,
-    engine_state,
-    merge_engine_states,
-    read_topology,
-    recover_engine,
-    split_engine_state,
-    state_ride_ids,
-    topology_path,
-    write_checkpoint_state,
-    write_topology,
-)
-from ..exceptions import (
-    ConfigurationError,
-    RecoveryError,
-    ReshardError,
-    ServiceClosedError,
-    ShardOverloadError,
-    UnknownRideError,
-    WorkerCrashError,
-    XARError,
-)
-from ..geo import GeoPoint
-from ..obs import DEFAULT_LATENCY_BUCKETS_S, FANOUT_BUCKETS, MetricsRegistry
-from ..resilience import InvariantAuditor, ResilienceConfig, ResilientEngine
-from ..sim.adapters import XARAdapter
+from ..discretization import DiscretizedRegion
+from ..durability import DurabilityConfig
+from ..exceptions import ConfigurationError
+from ..obs import MetricsRegistry
+from .core import RouterCore
 from .merge import merge_matches
 from .reshard import ReshardConfig
-from .shard import ShardWorker
-from .sharding import ShardMap, derive_seed
-
-#: Sentinel a worker-side closure returns when it detects that routing moved
-#: its target between submission and execution (epoch race).  Returned, not
-#: raised: an exception would be miscounted as an op failure — and a
-#: :class:`WorkerCrashError` would kill the worker — when the op merely needs
-#: to be resubmitted under the new routing table.
-_REROUTED = object()
-
-#: Operations routed through :meth:`ShardRouter._routed_call`, whose job
-#: closures carry the epoch-race check and are therefore safe to requeue on
-#: a *different* slot's worker during a reshard (they bounce, never touch
-#: the wrong adapter).
-_ROUTED_OPS = ("create", "book", "cancel", "cancel_booking")
+from .routing import RoutingTable
+from .stack import ShardStack, StackConfig
+from .transport import ThreadTransport
 
 
-def _durable_of(adapter: Any) -> Optional[DurableAdapter]:
-    """The DurableAdapter in an adapter stack, if any (walks ``.inner``)."""
-    node = adapter
-    while node is not None:
-        if isinstance(node, DurableAdapter):
-            return node
-        node = getattr(node, "inner", None)
-    return None
-
-
-class _Shard:
-    """One shard's engine + adapter stack + worker thread.
-
-    A slot merged away keeps its position in ``ShardRouter.shards`` (slot
-    ids are append-only so manifests, metrics labels and ride homes stay
-    stable) as an ``active=False`` placeholder with no stack.
-    """
-
-    __slots__ = ("shard_id", "engine", "adapter", "worker", "active")
-
-    def __init__(self, shard_id: int, engine: Optional[XAREngine],
-                 adapter: Any, worker: Optional[ShardWorker],
-                 active: bool = True):
-        self.shard_id = shard_id
-        self.engine = engine
-        self.adapter = adapter
-        self.worker = worker
-        self.active = active
-
-
-class ShardRouter:
-    """Sharded, concurrent ride-matching service (EngineAdapter-shaped)."""
+class ShardRouter(RouterCore):
+    """Sharded, concurrent ride-matching service over worker threads."""
 
     def __init__(
         self,
@@ -157,1430 +56,56 @@ class ShardRouter:
         durability: Optional[DurabilityConfig] = None,
         reshard: Optional[ReshardConfig] = None,
     ):
-        if fanout not in ("local", "all"):
-            raise ValueError(f"fanout must be 'local' or 'all', got {fanout!r}")
-        self.region = region
-        self.shard_map = ShardMap(region, n_shards)
-        self.n_shards = self.shard_map.n_shards
-        self.fanout = fanout
-        #: Neighbor expansion radius for local fan-out; defaults to the
-        #: region's approximation radius ε (clusters within one guarantee
-        #: band of the request are consulted too).
-        self.fanout_radius_m = (
-            fanout_radius_m
-            if fanout_radius_m is not None
-            else region.config.epsilon_m
-        )
-        self.seed = seed
-        self.name = f"Sharded(XAR x{self.n_shards})"
-        self._closed = False
-        #: The service's metric registry: every shard engine, worker and
-        #: router-level counter reports here (pass a shared registry to
-        #: co-locate load-generator series in the same exposition).
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: Registry counters replacing the racy unlocked ints the router
-        #: used to keep — see the ``partial_searches`` / ``search_failures``
-        #: read-through properties.
-        self._c_partial = self.metrics.counter(
-            "xar_router_partial_searches_total",
-            "Fan-out searches that lost >= 1 shard to shedding but were "
-            "still served from the rest (degraded recall, not failure)",
-        )
-        self._c_search_failures = self.metrics.counter(
-            "xar_router_search_failures_total",
-            "Per-shard search calls that raised and contributed an empty "
-            "batch instead of failing the whole fan-out",
-        )
-        self._c_shed_searches = self.metrics.counter(
-            "xar_router_shed_searches_total",
-            "Searches refused outright: every consulted shard shed",
-        )
-        self._c_ticks = self.metrics.counter(
-            "xar_router_track_ticks_total",
-            "Tracking ticks by outcome: applied (>= 1 shard swept), "
-            "coalesced (not later than the committed watermark), dropped "
-            "(every shard shed; the watermark did NOT advance, so a retry "
-            "at the same timestamp will sweep)",
-            labels=("outcome",),
-        )
-        self._h_fanout = self.metrics.histogram(
-            "xar_router_fanout_width",
-            "Shards consulted per fan-out search",
-            buckets=FANOUT_BUCKETS,
-        )
-        # Pre-create every child so the exposition always carries the full
-        # router series set, zeros included (scrape-friendly and lets CI
-        # assert on names without first forcing traffic through each path).
-        for family in (self._c_partial, self._c_search_failures,
-                       self._c_shed_searches, self._h_fanout):
-            family.labels()
-        for outcome in ("applied", "coalesced", "dropped"):
-            self._c_ticks.labels(outcome=outcome)
-        self._last_track_s: Optional[float] = None
-        self._track_lock = threading.Lock()
-
-        #: Failover bookkeeping: one lock serialises all recoveries AND all
-        #: reshard actions (re-entrant: a split may heal a crashed shard
-        #: first), and the config + digest let a dead shard's stack be
-        #: rebuilt from its WAL.
-        self.durability = durability
-        self._queue_depth = queue_depth
-        self._resilient = resilient
-        self._optimize_insertion = optimize_insertion
-        self._use_flat_index = use_flat_index
-        self._engine_factory = engine_factory
-        self._digest = region_digest(region) if durability is not None else ""
-        self._failover_lock = threading.RLock()
-        self.last_recoveries: Dict[int, RecoveryResult] = {}
-        self._c_failovers = self.metrics.counter(
-            "xar_failovers_total",
-            "Shard worker crashes recovered by the failover supervisor",
-            labels=("shard",),
-        )
-        if durability is not None:
-            for shard_id in range(self.n_shards):
-                self._c_failovers.labels(shard=str(shard_id))
-
-        # --- elastic resharding state -------------------------------------
-        self._reshard = reshard
-        self.reshard_config = reshard
-        #: Merged-away slot -> its absorbing slot; chains are followed, so a
-        #: slot id stays a valid routing handle forever.
-        self._redirect: Dict[int, int] = {}
-        #: Ride ids whose home moved off their lane's original slot (split
-        #: migration); merges repoint entries at the absorbing slot.
-        self._ride_homes: Dict[int, int] = {}
-        manifest = None
-        if durability is not None:
-            # The config object may be shared across simulated restarts:
-            # always rebuild the name table from the manifest (or defaults).
-            durability.names.clear()
-            manifest = read_topology(
-                topology_path(durability.directory),
-                expected_digest=self._digest,
-            )
-        if manifest is not None and reshard is None:
+        self._check_fanout(fanout)
+        if reshard is not None and engine_factory is not None:
             raise ConfigurationError(
-                "durability directory holds a reshard topology manifest; "
-                "reopen the service with reshard=ReshardConfig(...) so the "
-                "lane tables and per-slot file names can be restored"
+                "reshard mode owns ride-id lane assignment and is "
+                "incompatible with a custom engine_factory"
             )
-        if reshard is not None:
-            if durability is None:
-                raise ConfigurationError(
-                    "elastic resharding requires durability: splits carve "
-                    "the shard's checkpoint + WAL (pass "
-                    "durability=DurabilityConfig(...))"
-                )
-            if engine_factory is not None:
-                raise ConfigurationError(
-                    "reshard mode owns ride-id lane assignment and is "
-                    "incompatible with a custom engine_factory"
-                )
-            if reshard.max_shards < self.n_shards:
-                raise ConfigurationError(
-                    f"ReshardConfig.max_shards={reshard.max_shards} is below "
-                    f"the initial shard count {self.n_shards}"
-                )
-            self._lane_modulus: Optional[int] = reshard.max_shards
-            self._c_reshard = self.metrics.counter(
-                "xar_reshard_total",
-                "Elastic reshard actions executed",
-                labels=("action",),
-            )
-            self._h_reshard_s = self.metrics.histogram(
-                "xar_reshard_duration_seconds",
-                "Wall-clock of one reshard action, drain through swap",
-                labels=("action",),
-                buckets=DEFAULT_LATENCY_BUCKETS_S,
-            )
-            for action in ("split", "merge"):
-                self._c_reshard.labels(action=action)
-                self._h_reshard_s.labels(action=action)
-            self._c_migrated = self.metrics.counter(
-                "xar_reshard_migrated_rides_total",
-                "Rides whose home slot changed in a reshard action",
-            )
-            self._c_migrated.labels()
-            self._g_epoch = self.metrics.gauge(
-                "xar_routing_epoch",
-                "Routing-table epoch (bumped by every reshard swap)",
-            )
-        else:
-            self._lane_modulus = None
-
-        self.shards: List[_Shard] = []
-        if manifest is not None:
-            self._install_manifest(manifest)
-        else:
-            self._slot_lane: List[int] = list(range(self.n_shards))
-            if reshard is not None:
-                # Lanes >= n_shards are unissued: no ride id can live there
-                # yet, so their owner entry is a don't-care placeholder.
-                self._lane_owner: List[int] = [
-                    lane if lane < self.n_shards else 0
-                    for lane in range(self._lane_modulus)
-                ]
-            else:
-                self._lane_owner = []
-            self._next_lane = self.n_shards
-            for shard_id in range(self.n_shards):
-                engine = self._recover_or_make_engine(shard_id)
-                adapter, worker = self._wrap_stack(shard_id, engine)
-                self.shards.append(_Shard(shard_id, engine, adapter, worker))
-        self.n_shards = len(self.shards)
-        self.name = f"Sharded(XAR x{len(self._active_shards())})"
-        if reshard is not None:
-            self._g_epoch.set(self.shard_map.epoch)
-
-    def _install_manifest(self, manifest: Dict[str, Any]) -> None:
-        """Restart from a committed topology: rebuild exactly the slots the
-        manifest names, from exactly the files it names."""
-        config = self.durability
-        if manifest["lane_modulus"] != self._lane_modulus:
-            raise ConfigurationError(
-                f"topology manifest was committed with lane modulus "
-                f"{manifest['lane_modulus']}; this service was configured "
-                f"with ReshardConfig.max_shards={self._lane_modulus}"
-            )
-        entries = sorted(manifest["slots"], key=lambda entry: entry["slot"])
-        for index, entry in enumerate(entries):
-            if entry["slot"] != index:
-                raise ConfigurationError(
-                    f"topology manifest slot table has a gap at slot {index}"
-                )
-        self._slot_lane = [int(entry.get("lane", 0)) for entry in entries]
-        self._lane_owner = [int(slot) for slot in manifest["lane_owner"]]
-        self._redirect = {
-            int(src): int(dst)
-            for src, dst in manifest.get("redirect", {}).items()
+        metrics = metrics if metrics is not None else MetricsRegistry()
+        table = RoutingTable(
+            region, n_shards,
+            layout=ThreadTransport.layout,
+            directory=durability.directory if durability is not None else None,
+            reshard=reshard,
+        )
+        n_static = table.n_slots
+        flush_policy = {} if durability is None else {
+            "fsync_every": durability.fsync_every,
+            "checkpoint_every": durability.checkpoint_every,
         }
-        self._ride_homes = {
-            int(ride_id): int(slot)
-            for ride_id, slot in manifest.get("ride_homes", {}).items()
-        }
-        self._next_lane = int(manifest["next_lane"])
-        config.names.clear()
-        for entry in entries:
-            if entry.get("active") and "wal" in entry:
-                config.names[entry["slot"]] = (entry["wal"], entry["ckpt"])
-        self.shard_map.restore(
-            [int(slot) for slot in manifest["assignment"]],
-            len(entries),
-            int(manifest["epoch"]),
-        )
-        for entry in entries:
-            slot = entry["slot"]
-            if entry.get("active"):
-                engine = self._recover_or_make_engine(slot)
-                adapter, worker = self._wrap_stack(slot, engine)
-                self.shards.append(_Shard(slot, engine, adapter, worker))
-                self._c_failovers.labels(shard=str(slot))
-            else:
-                self.shards.append(_Shard(slot, None, None, None, active=False))
-
-    # ------------------------------------------------------------------
-    # Shard stack construction (initial build + failover rebuild)
-    # ------------------------------------------------------------------
-    def _lane_params(self, shard_id: int) -> Tuple[int, int]:
-        """A slot's ride-id allocator lane: ``(ride_id_start, ride_id_step)``.
-
-        Static services use the classic ``(shard_id + 1, n_shards)``
-        arithmetic; reshard mode fixes the step at the lane modulus
-        (``max_shards``) up front so a child slot created years into the
-        service's life still allocates from a lane disjoint with every
-        other slot's, past and future.
-        """
-        if self._reshard is None:
-            return shard_id + 1, self.n_shards
-        return self._slot_lane[shard_id] + 1, self._lane_modulus
-
-    def _recover_or_make_engine(self, shard_id: int) -> XAREngine:
-        """Fresh engine, or — when the shard's WAL already exists — the
-        engine recovered from checkpoint + WAL replay (service restart)."""
-        if self.durability is not None and os.path.exists(
-            self.durability.wal_path(shard_id)
-        ):
-            result = recover_engine(
-                self.region,
-                self.durability.wal_path(shard_id),
-                self.durability.checkpoint_path(shard_id),
-                engine_factory=lambda: self._make_engine(shard_id),
-                metrics=self.metrics,
-            )
-            self.last_recoveries[shard_id] = result
-            return result.engine
-        return self._make_engine(shard_id)
-
-    def _make_engine(self, shard_id: int) -> XAREngine:
-        if self._engine_factory is not None:
-            return self._engine_factory(shard_id, self.n_shards)
-        ride_id_start, ride_id_step = self._lane_params(shard_id)
-        return XAREngine(
-            self.region,
-            optimize_insertion=self._optimize_insertion,
-            use_flat_index=self._use_flat_index,
-            ride_id_start=ride_id_start,
-            ride_id_step=ride_id_step,
-            metrics=self.metrics,
-            metrics_labels={"shard": str(shard_id)},
-        )
-
-    def _wrap_stack(self, shard_id: int, engine: XAREngine):
-        """Adapter stack + worker around an engine: XARAdapter, then the
-        WAL decorator (innermost, so resilient retries are logged too),
-        then the resilient runtime, then the worker thread."""
-        adapter: Any = XARAdapter(engine)
-        if self.durability is not None:
-            config = self.durability
-            ride_id_start, ride_id_step = self._lane_params(shard_id)
-            wal = WriteAheadLog.open(
-                config.wal_path(shard_id),
-                shard_id=shard_id,
-                ride_id_start=ride_id_start,
-                ride_id_step=ride_id_step,
-                region_digest=self._digest,
-                fsync_every=config.fsync_every,
-                metrics=self.metrics,
-                metrics_labels={"shard": str(shard_id)},
-            )
-            adapter = DurableAdapter(
-                adapter,
-                wal,
-                checkpoint_path=config.checkpoint_path(shard_id),
-                checkpoint_every=config.checkpoint_every,
-                shard_id=shard_id,
-                digest=self._digest,
-                metrics=self.metrics,
-            )
-        if self._resilient:
-            adapter = ResilientEngine(
-                adapter,
-                ResilienceConfig(seed=derive_seed(self.seed, shard_id)),
-                metrics=self.metrics,
-                metrics_labels={"shard": str(shard_id)},
-            )
-        worker = ShardWorker(
-            shard_id,
-            adapter,
-            queue_depth=self._queue_depth,
-            seed=derive_seed(self.seed, shard_id),
-            metrics=self.metrics,
-        )
-        return adapter, worker
-
-    # ------------------------------------------------------------------
-    # Legacy counter surface (now registry-backed, hence race-free)
-    # ------------------------------------------------------------------
-    @property
-    def partial_searches(self) -> int:
-        """Fan-out searches that lost at least one shard to shedding but
-        were still served from the rest (degraded recall, not failure)."""
-        return int(self._c_partial.value)
-
-    @property
-    def search_failures(self) -> int:
-        """Per-shard search calls that raised an XARError and contributed
-        an empty batch instead of failing the whole fan-out."""
-        return int(self._c_search_failures.value)
-
-    @property
-    def dropped_ticks(self) -> int:
-        """Tracking ticks every shard shed (watermark rolled back)."""
-        return int(self._c_ticks.labels(outcome="dropped").value)
-
-    # ------------------------------------------------------------------
-    # Routing
-    # ------------------------------------------------------------------
-    def _active_shards(self) -> List[_Shard]:
-        return [shard for shard in self.shards if shard.active]
-
-    def active_slot_ids(self) -> List[int]:
-        return [shard.shard_id for shard in self.shards if shard.active]
-
-    def _resolve_slot(self, slot: int) -> int:
-        """Follow merge redirects to the slot that serves this id today."""
-        while slot in self._redirect:
-            slot = self._redirect[slot]
-        return slot
-
-    def shard_of_ride(self, ride_id: int) -> int:
-        """Home shard encoded in the ride id's arithmetic lane.
-
-        Reshard mode resolves in three steps: the migration table (rides a
-        split moved off their lane's slot), then the lane-owner table
-        (``lane = (ride_id - 1) % max_shards``), then merge redirects.
-        """
-        if self._reshard is None:
-            return (ride_id - 1) % self.n_shards
-        home = self._ride_homes.get(ride_id)
-        if home is None:
-            home = self._lane_owner[(ride_id - 1) % self._lane_modulus]
-        return self._resolve_slot(home)
-
-    def shards_for_request(self, request: RideRequest) -> List[int]:
-        if self.fanout == "all":
-            return self.active_slot_ids()
-        raw = self.shard_map.shards_for_request(request, self.fanout_radius_m)
-        # The map's hash fallback (uncovered points) can name a merged-away
-        # slot; follow redirects and dedupe, preserving ascending order.
-        resolved: List[int] = []
-        seen = set()
-        for slot in raw:
-            slot = self._resolve_slot(slot)
-            if slot not in seen and self.shards[slot].active:
-                seen.add(slot)
-                resolved.append(slot)
-        return resolved
-
-    # ------------------------------------------------------------------
-    # Failover supervision
-    # ------------------------------------------------------------------
-    def _ensure_live(self, shard: _Shard) -> None:
-        if shard.worker.crashed:
-            self._failover(shard)
-
-    def _with_failover(self, shard: _Shard, attempt: Callable[[], Any]) -> Any:
-        """Run ``attempt`` on a live shard, recovering it first if needed.
-
-        ``attempt`` must late-bind through the ``shard`` object
-        (``shard.worker`` / ``shard.adapter``), because failover swaps the
-        stack in place.  A crash *detected at submission* (``mid_op=False``:
-        the op never started) is retried once on the recovered shard; a
-        crash *mid-operation* re-raises after failover — the op may already
-        be in the WAL, and recovery has replayed it, so a blind retry would
-        double-apply.
-        """
-        self._ensure_live(shard)
-        try:
-            return attempt()
-        except WorkerCrashError as exc:
-            self._failover(shard)
-            if exc.mid_op:
-                raise
-            return attempt()
-
-    def _routed_call(
-        self,
-        operation: str,
-        resolve: Callable[[], int],
-        apply: Callable[[Any], Any],
-    ) -> Any:
-        """Run one single-shard mutation wherever routing points *now*.
-
-        The epoch-race loop: capture the slot, submit, and have the job
-        itself re-resolve on the worker thread — if a reshard swapped the
-        routing table while the job was queued, the job returns the
-        ``_REROUTED`` sentinel without touching the (wrong) engine and the
-        loop resubmits under the new table.  Static services resolve to a
-        constant slot, so the loop collapses to the classic
-        submit-with-failover path.
-        """
-        reshard_mode = self._reshard is not None
-        while True:
-            slot = resolve()
-            shard = self.shards[slot]
-            self._ensure_live(shard)
-
-            def attempt(slot=slot, shard=shard):
-                if reshard_mode and resolve() != slot:
-                    return _REROUTED
-                return apply(shard.adapter)
-
-            try:
-                result = shard.worker.call(operation, attempt)
-            except WorkerCrashError as exc:
-                self._failover(shard)
-                if exc.mid_op:
-                    raise
-                continue
-            if result is _REROUTED:
-                continue
-            return result
-
-    def _drop_job(self, slot: int, job: Any) -> None:
-        """Shed a drained job the successor queue cannot hold."""
-        self.metrics.counter(
-            "xar_shard_ops_total",
-            labels=("shard", "op", "outcome"),
-        ).labels(
-            shard=str(slot), op=job.operation, outcome="dropped"
-        ).inc()
-        job.future.set_exception(ShardOverloadError(slot, job.operation))
-
-    def _failover(self, shard: _Shard) -> None:
-        """Recover a crashed shard in place: drain its queue, replay its
-        WAL (checkpoint + suffix), swap in a fresh stack, requeue the
-        drained jobs (original futures intact).  Jobs the rebuilt queue
-        cannot hold are shed with ``outcome="dropped"``."""
-        with self._failover_lock:
-            if self._closed:
-                raise ServiceClosedError("service is shut down")
-            if self.shards[shard.shard_id] is not shard or not shard.active:
-                # The slot was resharded while we waited on the lock: the
-                # "crash" we saw was its worker being retired.  Nothing to
-                # recover — the caller re-resolves routing.
-                return
-            if not shard.worker.crashed:
-                return  # another caller already recovered it
-            if self.durability is None:
-                raise RecoveryError(
-                    f"shard {shard.shard_id} crashed but the service has no "
-                    "durability configured: its state is unrecoverable"
-                )
-            old_worker = shard.worker
-            pending = old_worker.drain_pending()
-            old_worker.join(timeout_s=5.0)
-            # Disarm any one-shot crash hook and release the dead stack's
-            # WAL handle so the rebuilt stack can reopen the file.
-            shard.engine.fault_hook = None
-            durable = _durable_of(shard.adapter)
-            if durable is not None and not durable.wal.closed:
-                durable.abandon()
-            result = recover_engine(
-                self.region,
-                self.durability.wal_path(shard.shard_id),
-                self.durability.checkpoint_path(shard.shard_id),
-                engine_factory=lambda: self._make_engine(shard.shard_id),
-                metrics=self.metrics,
-            )
-            self.last_recoveries[shard.shard_id] = result
-            engine = result.engine
-            adapter, worker = self._wrap_stack(shard.shard_id, engine)
-            # Publish engine + adapter first (requeued jobs late-bind
-            # ``shard.adapter`` and may start executing immediately), but
-            # hold back ``shard.worker`` until every drained job is
-            # requeued: submitters route through the worker, so while it is
-            # unpublished none of them can race the survivors for queue
-            # slots — the drained jobs keep their FIFO positions ahead of
-            # all post-failover traffic.
-            shard.engine, shard.adapter = engine, adapter
-            for job in pending:
-                if not worker.resubmit(job):
-                    self._drop_job(shard.shard_id, job)
-            shard.worker = worker
-            self._c_failovers.labels(shard=str(shard.shard_id)).inc()
-
-    def supervise(self) -> int:
-        """Sweep every shard and recover any whose worker died; returns the
-        number of failovers performed."""
-        recovered = 0
-        for shard in self._active_shards():
-            if shard.worker.crashed:
-                self._failover(shard)
-                recovered += 1
-        return recovered
-
-    def crash_shard(self, shard_id: int, *, mid_book: bool = False,
-                    kill: bool = False) -> None:
-        """Chaos hook: kill one shard's worker as a process death would.
-
-        Plain crashes enqueue a job that dies on the worker thread;
-        ``mid_book=True`` instead arms a one-shot engine hook that kills
-        the *next booking* between its transactional snapshot and the route
-        splice — the op is in the WAL but never applied, the exact window
-        recovery must close.  ``kill`` is accepted for signature parity with
-        the process-mode supervisor (where it means SIGKILL); a thread
-        worker's death is always the in-process flavour.
-        """
-        del kill  # thread mode has no process to signal
-        if self.durability is None:
-            raise ConfigurationError(
-                "crash injection requires a durable service "
-                "(pass durability=DurabilityConfig(...))"
-            )
-        shard = self.shards[self._resolve_slot(shard_id)]
-        if mid_book:
-            engine = shard.engine
-
-            def hook(point: str) -> None:
-                if point == "book:post-snapshot":
-                    engine.fault_hook = None
-                    raise WorkerCrashError(
-                        f"injected crash in shard {shard.shard_id} at {point}"
-                    )
-
-            engine.fault_hook = hook
-            return
-
-        def die() -> None:
-            raise WorkerCrashError(f"injected crash in shard {shard.shard_id}")
-
-        try:
-            future = shard.worker.submit("crash", die)
-        except (WorkerCrashError, ShardOverloadError, ServiceClosedError):
-            return  # already dead, saturated, or shutting down: nothing to kill
-        try:
-            future.result(timeout=5.0)
-        except WorkerCrashError:
-            pass
-
-    # ------------------------------------------------------------------
-    # EngineAdapter protocol
-    # ------------------------------------------------------------------
-    def create(
-        self,
-        source: GeoPoint,
-        destination: GeoPoint,
-        depart_s: float,
-        seats: Optional[int] = None,
-        detour_limit_m: Optional[float] = None,
-        shift_end_s: Optional[float] = None,
-    ) -> Any:
-        return self._routed_call(
-            "create",
-            lambda: self._resolve_slot(self.shard_map.shard_of_point(source)),
-            lambda adapter: adapter.create(
-                source, destination, depart_s,
-                seats=seats, detour_limit_m=detour_limit_m,
-                shift_end_s=shift_end_s,
+        transport = ThreadTransport(
+            region,
+            table.specs(),
+            StackConfig(
+                queue_depth=queue_depth,
+                resilient=resilient,
+                optimize_insertion=optimize_insertion,
+                use_flat_index=use_flat_index,
+                seed=seed,
+                **flush_policy,
+            ),
+            digest=table.digest,
+            metrics=metrics,
+            engine_factory=(
+                (lambda spec: engine_factory(spec.slot, n_static))
+                if engine_factory is not None else None
             ),
         )
+        super().__init__(
+            region, table, transport, label="Sharded", fanout=fanout,
+            fanout_radius_m=fanout_radius_m, metrics=metrics,
+        )
 
-    def search(self, request: RideRequest, k: Optional[int] = None) -> List[MatchOption]:
-        """Fan out to the request's shards and k-way-merge their answers.
+    @property
+    def shards(self) -> List[ShardStack]:
+        """The slot table: ``shards[k].engine/.adapter/.worker`` (merged-away
+        slots stay as ``active=False`` tombstones)."""
+        return self.transport.shards
 
-        Searches take each shard's inline read path — the engine's own lock
-        provides the synchronisation, so a fan-out of three shards costs
-        three small searches, not six thread hand-offs.  A shard that sheds
-        (concurrency budget exhausted) degrades the search to partial
-        results; only when *every* consulted shard refuses is the search
-        itself shed.  A shard retired out from under the fan-out by a
-        concurrent reshard counts as shed too: its rides are served from
-        the successor slots on the next search.
-        """
-        shed = 0
-        batches: List[List[MatchOption]] = []
-        errors: List[XARError] = []
-        shard_ids = self.shards_for_request(request)
-        self._h_fanout.observe(len(shard_ids))
-        for shard_id in shard_ids:
-            shard = self.shards[shard_id]
-            try:
-                batches.append(
-                    self._with_failover(
-                        shard,
-                        lambda shard=shard: shard.worker.execute_inline(
-                            "search",
-                            lambda: shard.adapter.search(request, k),
-                        ),
-                    )
-                )
-            except (ShardOverloadError, WorkerCrashError):
-                shed += 1
-            except XARError as exc:
-                self._c_search_failures.inc()
-                errors.append(exc)
-        if shed and (batches or errors):
-            self._c_partial.inc()
-        if not batches:
-            if shed or not errors:
-                # Every consulted shard refused: the search itself is shed.
-                self._c_shed_searches.inc()
-                raise ShardOverloadError(-1, "search")
-            raise errors[0]
+    def _merge(self, batches, k):
         return merge_matches(batches, k)
 
-    def book(self, request: RideRequest, match: MatchOption) -> BookingRecord:
-        return self._routed_call(
-            "book",
-            lambda: self.shard_of_ride(match.ride_id),
-            lambda adapter: adapter.book(request, match),
-        )
-
-    def track_all(self, now_s: float) -> int:
-        """Broadcast a tracking tick; each shard sweeps only its rides.
-
-        Ticks are batched: a tick at a simulated time no later than the last
-        one already *accepted somewhere* is skipped entirely (the
-        obsolescence sweep is monotone in time), so redundant ticks from
-        concurrent drivers cost nothing.  A shard whose queue is full drops
-        its tick — tracking is best-effort per shard.
-
-        The watermark commits **only after at least one shard accepts the
-        tick**.  Committing it up front (the old behaviour) permanently lost
-        any tick every shard shed: a retry at the same simulated time
-        compared equal to the watermark and was coalesced away, so the sweep
-        never ran even once the queues drained.  Outcomes are counted in
-        ``xar_router_track_ticks_total{outcome=applied|coalesced|dropped}``.
-        """
-        futures = []
-        with self._track_lock:
-            if self._last_track_s is not None and now_s <= self._last_track_s:
-                self._c_ticks.labels(outcome="coalesced").inc()
-                return 0
-            for shard in self._active_shards():
-                try:
-                    self._ensure_live(shard)
-                    futures.append(
-                        (
-                            shard,
-                            shard.worker.submit(
-                                "track",
-                                # Late-bound through the shard object: a job
-                                # requeued after failover must sweep the
-                                # *recovered* engine, not the dead one.
-                                lambda shard=shard: shard.adapter.track_all(
-                                    now_s
-                                ),
-                            ),
-                        )
-                    )
-                except (ShardOverloadError, WorkerCrashError):
-                    continue
-            if futures:
-                # >= 1 shard holds the tick: the sweep up to now_s will
-                # happen, so the watermark may advance.
-                self._last_track_s = now_s
-                self._c_ticks.labels(outcome="applied").inc()
-            else:
-                # Every shard shed.  Leave the watermark where it was so a
-                # retry at the same timestamp is NOT coalesced away.
-                self._c_ticks.labels(outcome="dropped").inc()
-                return 0
-        total = 0
-        for shard, future in futures:
-            try:
-                total += future.result()
-            except WorkerCrashError:
-                # The tick crashed this shard mid-sweep.  Its WAL holds the
-                # track record, so recovery replays the sweep; the tick is
-                # not lost, just accounted to the recovered engine.
-                self._failover(shard)
-        return total
-
-    def cancel(self, ride: Any) -> None:
-        self._routed_call(
-            "cancel",
-            lambda: self.shard_of_ride(ride.ride_id),
-            lambda adapter: adapter.cancel(ride),
-        )
-
-    def cancel_booking(self, request_id: int, ride_id: int) -> Any:
-        """Cancel one passenger's booking on the ride's home shard."""
-        return self._routed_call(
-            "cancel_booking",
-            lambda: self.shard_of_ride(ride_id),
-            lambda adapter: adapter.cancel_booking(request_id, ride_id),
-        )
-
-    def active_rides(self) -> List[Any]:
-        rides: List[Any] = []
-        for shard in self._active_shards():
-            rides.extend(
-                self._with_failover(
-                    shard,
-                    lambda shard=shard: shard.worker.call(
-                        "admin", lambda: shard.adapter.active_rides()
-                    ),
-                )
-            )
-        return rides
-
-    # ------------------------------------------------------------------
-    # Adapter parity (protocol introspection surface)
-    # ------------------------------------------------------------------
-    def rollback_count(self) -> int:
-        return sum(
-            len(shard.engine.rollbacks) for shard in self._active_shards()
-        )
-
-    def index_stats(self) -> Dict[str, int]:
-        totals: Dict[str, int] = {}
-        for shard in self._active_shards():
-            stats = self._with_failover(
-                shard,
-                lambda shard=shard: shard.worker.call(
-                    "admin", lambda: shard.engine.index_stats()
-                ),
-            )
-            for key, value in stats.items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
-
-    # ------------------------------------------------------------------
-    # Service introspection
-    # ------------------------------------------------------------------
-    def bookings(self) -> List[BookingRecord]:
-        """All shards' booking ledgers, concatenated shard-by-shard."""
-        records: List[BookingRecord] = []
-        for shard in self._active_shards():
-            records.extend(
-                self._with_failover(
-                    shard,
-                    lambda shard=shard: shard.worker.call(
-                        "admin", lambda: list(shard.engine.bookings)
-                    ),
-                )
-            )
-        return records
-
-    def find_ride(self, ride_id: int) -> Any:
-        """Resolve a ride (live or completed) on its home shard.
-
-        The lookup takes the engine's lock: without it a concurrent cancel
-        or completion sweep on the shard's worker thread could be observed
-        mid-removal (popped from ``rides`` but not yet in
-        ``completed_rides``), spuriously raising ``UnknownRideError`` for a
-        ride that exists.  In reshard mode the home is re-resolved under
-        the lock — a swap between resolve and read sends the lookup to the
-        ride's new slot instead of reporting a false miss.
-        """
-        while True:
-            slot = self.shard_of_ride(ride_id)
-            shard = self.shards[slot]
-            self._ensure_live(shard)
-            engine = shard.engine
-            with engine.lock:
-                moved = self.shard_of_ride(ride_id) != slot
-                ride = (
-                    None
-                    if moved
-                    else (
-                        engine.rides.get(ride_id)
-                        or engine.completed_rides.get(ride_id)
-                    )
-                )
-            if moved:
-                continue
-            if ride is None:
-                raise UnknownRideError(ride_id)
-            return ride
-
-    def audit(self, heal: bool = False) -> Dict[str, Any]:
-        """Run the invariant auditor on every shard, inside its worker.
-
-        Returns total violations plus the per-shard breakdown; with
-        ``heal=True`` index damage is repaired and a second sweep verifies.
-        """
-        per_shard: Dict[int, int] = {}
-        healed = 0
-        for shard in self._active_shards():
-            def sweep(shard=shard):
-                # Late-bound: after a failover this must audit the shard's
-                # *recovered* engine, not the stack that died.
-                auditor = InvariantAuditor(shard.engine)
-                report = auditor.audit()
-                actions = 0
-                if heal and not report.ok:
-                    actions = auditor.heal(report)
-                    report = auditor.audit()
-                return len(report.violations), actions
-
-            violations, actions = self._with_failover(
-                shard,
-                lambda shard=shard, sweep=sweep: shard.worker.call(
-                    "audit", sweep
-                ),
-            )
-            per_shard[shard.shard_id] = violations
-            healed += actions
-        return {
-            "violations": sum(per_shard.values()),
-            "per_shard": per_shard,
-            "healed": healed,
-        }
-
-    def stats(self) -> Dict[str, Any]:
-        """Service-level counters: queue/shed stats, rides, bookings.
-
-        All reads are race-free: worker counters are copied under the
-        worker's stats lock (``stats_snapshot``) and engine state is read
-        under the engine's lock, so a concurrent booking can never be seen
-        mid-increment.
-        """
-        shard_stats = []
-        total_shed = 0
-        for shard in self._active_shards():
-            snapshot = shard.worker.stats_snapshot()
-            total_shed += sum(snapshot["shed"].values())
-            with shard.engine.lock:
-                rides = shard.engine.n_active_rides
-                bookings = shard.engine.n_bookings
-            shard_stats.append(
-                {
-                    "shard_id": shard.shard_id,
-                    "clusters": len(self.shard_map.clusters_of_shard(shard.shard_id)),
-                    "rides": rides,
-                    "bookings": bookings,
-                    **snapshot,
-                }
-            )
-        return {
-            "name": self.name,
-            "n_shards": len(shard_stats),
-            "epoch": self.shard_map.epoch,
-            "fanout": self.fanout,
-            "fanout_radius_m": self.fanout_radius_m,
-            "total_shed": total_shed,
-            "partial_searches": self.partial_searches,
-            "search_failures": self.search_failures,
-            "dropped_ticks": self.dropped_ticks,
-            "shards": shard_stats,
-        }
-
-    def shard_loads(self) -> Dict[int, Dict[str, float]]:
-        """Per-active-slot load signals for the reshard controller.
-
-        ``ops`` (lifetime completed jobs), ``queue`` (current depth),
-        ``p95_s`` (worst per-op p95 service time from the worker's
-        ``xar_shard_service_seconds`` series), ``rides`` (live rides) and
-        ``clusters`` (owned cluster count — split eligibility).
-        """
-        p95: Dict[int, float] = {}
-        family = self.metrics.get("xar_shard_service_seconds")
-        if family is not None:
-            for labels, child in family.collect():
-                if child.count == 0:
-                    continue
-                try:
-                    slot = int(labels.get("shard", "-1"))
-                except ValueError:
-                    continue
-                quantile = child.quantile(0.95)
-                if quantile == quantile:  # NaN-guard
-                    p95[slot] = max(p95.get(slot, 0.0), quantile)
-        loads: Dict[int, Dict[str, float]] = {}
-        for shard in self._active_shards():
-            snapshot = shard.worker.stats_snapshot()
-            loads[shard.shard_id] = {
-                "ops": float(sum(snapshot["completed"].values())),
-                "queue": float(shard.worker.depth),
-                "p95_s": p95.get(shard.shard_id, 0.0),
-                "rides": float(shard.engine.n_active_rides),
-                "clusters": float(
-                    len(self.shard_map.clusters_of_shard(shard.shard_id))
-                ),
-            }
-        return loads
-
-    # ------------------------------------------------------------------
-    # Elastic resharding
-    # ------------------------------------------------------------------
-    def _require_reshard_mode(self) -> None:
-        if self._reshard is None:
-            raise ReshardError(
-                "service is not in reshard mode: construct the router with "
-                "reshard=ReshardConfig(...) (and durability) to enable "
-                "split/merge"
-            )
-
-    def _slot_names(self, slot: int) -> Tuple[str, str]:
-        named = self.durability.names.get(slot)
-        if named is not None:
-            return named
-        return f"shard{slot}.wal", f"shard{slot}.ckpt"
-
-    def _slot_meta(self, shard: _Shard,
-                   names: Optional[Tuple[str, str]]) -> Dict[str, Any]:
-        meta: Dict[str, Any] = {
-            "slot": shard.shard_id,
-            "active": shard.active,
-            "lane": self._slot_lane[shard.shard_id],
-        }
-        if shard.active and names is not None:
-            meta["wal"], meta["ckpt"] = names
-        return meta
-
-    def _manifest_payload(
-        self,
-        *,
-        epoch: int,
-        assignment: List[int],
-        slots: List[Dict[str, Any]],
-        lane_owner: List[int],
-        next_lane: int,
-        redirect: Dict[int, int],
-        ride_homes: Dict[int, int],
-    ) -> Dict[str, Any]:
-        return {
-            "epoch": epoch,
-            "lane_modulus": self._lane_modulus,
-            "region_digest": self._digest,
-            "slots": slots,
-            "assignment": list(assignment),
-            "lane_owner": list(lane_owner),
-            "next_lane": next_lane,
-            "redirect": {str(src): dst for src, dst in redirect.items()},
-            "ride_homes": {
-                str(ride_id): slot for ride_id, slot in ride_homes.items()
-            },
-        }
-
-    def _restore_slot(self, shard: _Shard, pending: List[Any]) -> None:
-        """Pre-commit unwind of a reshard: the old engine, adapter and WAL
-        handle are untouched (carving only *read* state), so a fresh worker
-        around the existing stack restores service — no replay needed."""
-        shard.engine.fault_hook = None
-        worker = ShardWorker(
-            shard.shard_id,
-            shard.adapter,
-            queue_depth=self._queue_depth,
-            seed=derive_seed(self.seed, shard.shard_id),
-            metrics=self.metrics,
-        )
-        for job in pending:
-            if not worker.resubmit(job):
-                self._drop_job(shard.shard_id, job)
-        shard.worker = worker
-
-    def split_shard(self, shard_id: int, *,
-                    fault_hook: Optional[Callable[[str], None]] = None) -> int:
-        """Split one hot slot into two at a load-weighted cluster boundary.
-
-        Phases (``fault_hook``, when given, is invoked with each phase name
-        after it completes — the crash-differential fuzzer raises from it to
-        prove every window recovers cleanly):
-
-        1. **drained** — the slot's worker is retired (no new job can ever
-           reach its queue; pending jobs are held for requeue) and joined;
-        2. **synced** — the slot's WAL is fsynced, so the serialized engine
-           snapshot about to be carved is covered by durable log;
-        3. **carved** — the cluster range is cut at the boundary that best
-           balances live-ride weight, the engine snapshot is partitioned by
-           ride source ownership, and both children's checkpoints + WAL
-           headers are written under new generation-suffixed names;
-        4. **committed** — ``topology.json`` is atomically replaced: THE
-           commit point.  Before it, a crash recovers the old topology from
-           the old files; after it, the new topology from the new files;
-        5. **swapped** — the in-process routing table swap (epoch bump),
-           stack rebuild and pending-job requeue are done.
-
-        A failure before the commit point unwinds to the old topology in
-        process (the old stack was never touched); a failure after it rolls
-        *forward* — the manifest is already the new truth, and re-installing
-        the old topology in memory would append new ops to a superseded WAL
-        that a restart ignores.
-
-        Returns the new slot id.
-        """
-        self._require_reshard_mode()
-        started = time.perf_counter()
-        with self._failover_lock:
-            if self._closed:
-                raise ServiceClosedError("service is shut down")
-            slot = self._resolve_slot(shard_id)
-            shard = self.shards[slot]
-            if not shard.active:
-                raise ReshardError(f"slot {slot} is not active")
-            if self._next_lane >= self._lane_modulus:
-                raise ReshardError(
-                    f"ride-id lane budget exhausted: all {self._lane_modulus} "
-                    "lanes (= ReshardConfig.max_shards) have been issued; "
-                    "further splits need a fresh directory with a larger "
-                    "max_shards"
-                )
-            if shard.worker.crashed:
-                self._failover(shard)
-            new_slot = len(self.shards)
-            right_lane = self._next_lane
-            generation = self.shard_map.epoch + 1
-            config = self.durability
-
-            def fire(phase: str) -> None:
-                if fault_hook is not None:
-                    fault_hook(phase)
-
-            committed = False
-            pending: List[Any] = []
-            try:
-                pending = shard.worker.retire()
-                shard.worker.join(timeout_s=5.0)
-                shard.engine.fault_hook = None
-                fire("drained")
-                durable = _durable_of(shard.adapter)
-                durable.wal.sync()
-                fire("synced")
-                # Load-weighted cut: weight = live rides homed per cluster.
-                weights: Dict[int, float] = {}
-                with shard.engine.lock:
-                    ride_sources = [
-                        ride.source_point
-                        for ride in shard.engine.rides.values()
-                    ]
-                for source in ride_sources:
-                    cluster_id = self.region.cluster_of_point(source)
-                    if cluster_id is not None:
-                        weights[cluster_id] = weights.get(cluster_id, 0.0) + 1.0
-                new_assignment, moved_clusters = self.shard_map.split_assignment(
-                    slot, new_slot, weights=weights
-                )
-                moved_set = set(moved_clusters)
-                with shard.engine.lock:
-                    state = engine_state(shard.engine)
-
-                def goes_right(ride_state: Dict[str, Any]) -> bool:
-                    lat, lon = ride_state["source"]
-                    cluster_id = self.region.cluster_of_point(
-                        GeoPoint(lat, lon)
-                    )
-                    return cluster_id in moved_set
-
-                parent_counters = state["counters"]
-                carved = split_engine_state(
-                    state,
-                    goes_right,
-                    left_counters=dict(parent_counters),
-                    right_counters={
-                        "ride_next": right_lane + 1,
-                        "ride_step": self._lane_modulus,
-                        "request_next": parent_counters["request_next"],
-                    },
-                )
-                left_names = (
-                    f"shard{slot}.g{generation}.wal",
-                    f"shard{slot}.g{generation}.ckpt",
-                )
-                right_names = (
-                    f"shard{new_slot}.g{generation}.wal",
-                    f"shard{new_slot}.g{generation}.ckpt",
-                )
-                for child_slot, names, child_state, lane in (
-                    (slot, left_names, carved["left"], self._slot_lane[slot]),
-                    (new_slot, right_names, carved["right"], right_lane),
-                ):
-                    write_checkpoint_state(
-                        os.path.join(config.directory, names[1]),
-                        child_state,
-                        region_digest=self._digest,
-                        shard_id=child_slot,
-                        wal_seq=-1,
-                    )
-                    WriteAheadLog.open(
-                        os.path.join(config.directory, names[0]),
-                        shard_id=child_slot,
-                        ride_id_start=lane + 1,
-                        ride_id_step=self._lane_modulus,
-                        region_digest=self._digest,
-                        fsync_every=config.fsync_every,
-                    ).close()
-                fire("carved")
-                slots_meta = [
-                    self._slot_meta(
-                        entry,
-                        left_names if entry.shard_id == slot
-                        else self._slot_names(entry.shard_id),
-                    )
-                    for entry in self.shards
-                ]
-                slots_meta.append({
-                    "slot": new_slot,
-                    "active": True,
-                    "lane": right_lane,
-                    "wal": right_names[0],
-                    "ckpt": right_names[1],
-                })
-                lane_owner = list(self._lane_owner)
-                lane_owner[right_lane] = new_slot
-                ride_homes = dict(self._ride_homes)
-                for ride_id in carved["moved_rides"]:
-                    ride_homes[ride_id] = new_slot
-                write_topology(
-                    topology_path(config.directory),
-                    self._manifest_payload(
-                        epoch=generation,
-                        assignment=new_assignment,
-                        slots=slots_meta,
-                        lane_owner=lane_owner,
-                        next_lane=right_lane + 1,
-                        redirect=self._redirect,
-                        ride_homes=ride_homes,
-                    ),
-                )
-                committed = True
-            except BaseException:
-                self._restore_slot(shard, pending)
-                raise
-            # --- committed: the manifest IS the new truth; roll forward ---
-            hook_error: Optional[BaseException] = None
-            try:
-                fire("committed")
-            except BaseException as exc:  # noqa: BLE001 - crash injection
-                hook_error = exc
-            self._install_split(
-                shard, new_slot, right_lane, left_names, right_names,
-                new_assignment, carved, pending,
-            )
-            try:
-                fire("swapped")
-            except BaseException as exc:  # noqa: BLE001 - crash injection
-                if hook_error is None:
-                    hook_error = exc
-            self._c_reshard.labels(action="split").inc()
-            self._h_reshard_s.labels(action="split").observe(
-                time.perf_counter() - started
-            )
-            if hook_error is not None:
-                raise hook_error
-            return new_slot
-
-    def _install_split(
-        self,
-        shard: _Shard,
-        new_slot: int,
-        right_lane: int,
-        left_names: Tuple[str, str],
-        right_names: Tuple[str, str],
-        new_assignment: List[int],
-        carved: Dict[str, Any],
-        pending: List[Any],
-    ) -> None:
-        """In-process half of a committed split: swap the routing tables,
-        rebuild both child stacks from the carved files, requeue survivors."""
-        config = self.durability
-        slot = shard.shard_id
-        config.names[slot] = left_names
-        config.names[new_slot] = right_names
-        self._lane_owner[right_lane] = new_slot
-        self._next_lane = right_lane + 1
-        for ride_id in carved["moved_rides"]:
-            self._ride_homes[ride_id] = new_slot
-        # Release the superseded WAL handle before children reopen files.
-        durable = _durable_of(shard.adapter)
-        if durable is not None and not durable.wal.closed:
-            durable.wal.close()
-        epoch = self.shard_map.swap(new_assignment, len(self.shards) + 1)
-        self._g_epoch.set(epoch)
-        # Right child first: a requeued job that bounces off the left child
-        # re-resolves immediately, so its target slot must already exist.
-        self._slot_lane.append(right_lane)
-        right_engine = self._recover_or_make_engine(new_slot)
-        right_adapter, right_worker = self._wrap_stack(new_slot, right_engine)
-        self.shards.append(
-            _Shard(new_slot, right_engine, right_adapter, right_worker)
-        )
-        self.n_shards = len(self.shards)
-        self._c_failovers.labels(shard=str(new_slot))
-        # Left child: same slot, new generation (recovery round-trips the
-        # carved checkpoint + empty WAL — the same replay path a restart
-        # takes, so the swap validates what a crash would depend on).
-        engine = self._recover_or_make_engine(slot)
-        adapter, worker = self._wrap_stack(slot, engine)
-        shard.engine, shard.adapter = engine, adapter
-        for job in pending:
-            if not worker.resubmit(job):
-                self._drop_job(slot, job)
-        shard.worker = worker
-        self._c_migrated.inc(len(carved["moved_rides"]))
-        self.name = f"Sharded(XAR x{len(self._active_shards())})"
-
-    def merge_shards(self, dst_id: int, src_id: int, *,
-                     fault_hook: Optional[Callable[[str], None]] = None) -> int:
-        """Fold one cold slot into another (strip-adjacent preferred).
-
-        Same phase structure and commit discipline as :meth:`split_shard`:
-        both slots drain, both WALs sync, the union state is checkpointed
-        under the destination's next generation, and the manifest commit
-        atomically retires the source slot (``active=False`` + a redirect
-        entry).  The source's ride-id lane is parked on the destination via
-        the lane-owner table — lanes are never recycled, so its rides keep
-        resolving correctly forever.
-
-        Returns the destination slot id.
-        """
-        self._require_reshard_mode()
-        started = time.perf_counter()
-        with self._failover_lock:
-            if self._closed:
-                raise ServiceClosedError("service is shut down")
-            dst_slot = self._resolve_slot(dst_id)
-            src_slot = self._resolve_slot(src_id)
-            if dst_slot == src_slot:
-                raise ReshardError(
-                    f"merge of slot {src_id} into {dst_id} resolves to the "
-                    f"same live slot {dst_slot}"
-                )
-            dst = self.shards[dst_slot]
-            src = self.shards[src_slot]
-            if not (dst.active and src.active):
-                raise ReshardError("both merge operands must be active slots")
-            for operand in (dst, src):
-                if operand.worker.crashed:
-                    self._failover(operand)
-            generation = self.shard_map.epoch + 1
-            config = self.durability
-
-            def fire(phase: str) -> None:
-                if fault_hook is not None:
-                    fault_hook(phase)
-
-            committed = False
-            dst_pending: List[Any] = []
-            src_pending: List[Any] = []
-            try:
-                dst_pending = dst.worker.retire()
-                dst.worker.join(timeout_s=5.0)
-                dst.engine.fault_hook = None
-                src_pending = src.worker.retire()
-                src.worker.join(timeout_s=5.0)
-                src.engine.fault_hook = None
-                fire("drained")
-                for operand in (dst, src):
-                    _durable_of(operand.adapter).wal.sync()
-                fire("synced")
-                new_assignment = self.shard_map.merge_assignment(
-                    dst_slot, src_slot
-                )
-                with dst.engine.lock:
-                    dst_state = engine_state(dst.engine)
-                with src.engine.lock:
-                    src_state = engine_state(src.engine)
-                absorbed = state_ride_ids(src_state)
-                merged = merge_engine_states(
-                    [dst_state, src_state], dst_state["counters"]
-                )
-                dst_names = (
-                    f"shard{dst_slot}.g{generation}.wal",
-                    f"shard{dst_slot}.g{generation}.ckpt",
-                )
-                write_checkpoint_state(
-                    os.path.join(config.directory, dst_names[1]),
-                    merged,
-                    region_digest=self._digest,
-                    shard_id=dst_slot,
-                    wal_seq=-1,
-                )
-                WriteAheadLog.open(
-                    os.path.join(config.directory, dst_names[0]),
-                    shard_id=dst_slot,
-                    ride_id_start=self._slot_lane[dst_slot] + 1,
-                    ride_id_step=self._lane_modulus,
-                    region_digest=self._digest,
-                    fsync_every=config.fsync_every,
-                ).close()
-                fire("carved")
-                slots_meta = []
-                for entry in self.shards:
-                    if entry.shard_id == src_slot:
-                        meta = self._slot_meta(entry, None)
-                        meta["active"] = False
-                        slots_meta.append(meta)
-                    else:
-                        slots_meta.append(
-                            self._slot_meta(
-                                entry,
-                                dst_names if entry.shard_id == dst_slot
-                                else self._slot_names(entry.shard_id),
-                            )
-                        )
-                lane_owner = list(self._lane_owner)
-                lane_owner[self._slot_lane[src_slot]] = dst_slot
-                redirect = dict(self._redirect)
-                redirect[src_slot] = dst_slot
-                ride_homes = {
-                    ride_id: (dst_slot if home == src_slot else home)
-                    for ride_id, home in self._ride_homes.items()
-                }
-                write_topology(
-                    topology_path(config.directory),
-                    self._manifest_payload(
-                        epoch=generation,
-                        assignment=new_assignment,
-                        slots=slots_meta,
-                        lane_owner=lane_owner,
-                        next_lane=self._next_lane,
-                        redirect=redirect,
-                        ride_homes=ride_homes,
-                    ),
-                )
-                committed = True
-            except BaseException:
-                self._restore_slot(dst, dst_pending)
-                self._restore_slot(src, src_pending)
-                raise
-            hook_error: Optional[BaseException] = None
-            try:
-                fire("committed")
-            except BaseException as exc:  # noqa: BLE001 - crash injection
-                hook_error = exc
-            self._install_merge(
-                dst, src, dst_names, new_assignment, len(absorbed),
-                dst_pending, src_pending,
-            )
-            try:
-                fire("swapped")
-            except BaseException as exc:  # noqa: BLE001 - crash injection
-                if hook_error is None:
-                    hook_error = exc
-            self._c_reshard.labels(action="merge").inc()
-            self._h_reshard_s.labels(action="merge").observe(
-                time.perf_counter() - started
-            )
-            if hook_error is not None:
-                raise hook_error
-            return dst_slot
-
-    def _install_merge(
-        self,
-        dst: _Shard,
-        src: _Shard,
-        dst_names: Tuple[str, str],
-        new_assignment: List[int],
-        absorbed_rides: int,
-        dst_pending: List[Any],
-        src_pending: List[Any],
-    ) -> None:
-        """In-process half of a committed merge: retire the source slot to a
-        placeholder, rebuild the destination from the merged checkpoint."""
-        config = self.durability
-        dst_slot, src_slot = dst.shard_id, src.shard_id
-        config.names[dst_slot] = dst_names
-        config.names.pop(src_slot, None)
-        self._lane_owner[self._slot_lane[src_slot]] = dst_slot
-        self._redirect[src_slot] = dst_slot
-        for ride_id, home in list(self._ride_homes.items()):
-            if home == src_slot:
-                self._ride_homes[ride_id] = dst_slot
-        for operand in (dst, src):
-            durable = _durable_of(operand.adapter)
-            if durable is not None and not durable.wal.closed:
-                durable.wal.close()
-        epoch = self.shard_map.swap(new_assignment, len(self.shards))
-        self._g_epoch.set(epoch)
-        # Retire the source slot BEFORE requeueing: a bounced job re-resolves
-        # through the redirect the moment it runs.
-        self.shards[src_slot] = _Shard(src_slot, None, None, None, active=False)
-        engine = self._recover_or_make_engine(dst_slot)
-        adapter, worker = self._wrap_stack(dst_slot, engine)
-        dst.engine, dst.adapter = engine, adapter
-        requeue = list(dst_pending)
-        for job in src_pending:
-            if job.operation == "track":
-                # Best-effort tick: the merged engine is swept by the next
-                # tick; resolving the future keeps the broadcaster moving.
-                job.future.set_result(0)
-            elif job.operation in _ROUTED_OPS:
-                # Safe on the destination worker: the closure's epoch-race
-                # check bounces it back to re-resolve before it can touch
-                # the wrong adapter.
-                requeue.append(job)
-            else:
-                self._drop_job(src_slot, job)
-        requeue.sort(key=lambda job: job.enqueued_at)
-        for job in requeue:
-            if not worker.resubmit(job):
-                self._drop_job(dst_slot, job)
-        dst.worker = worker
-        self._c_migrated.inc(absorbed_rides)
-        self.name = f"Sharded(XAR x{len(self._active_shards())})"
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        for shard in self._active_shards():
-            shard.worker.close()
-            durable = _durable_of(shard.adapter)
-            if durable is not None and not durable.wal.closed:
-                # Final fsync barrier: everything the service acknowledged
-                # is on disk before the handles go away.
-                durable.close()
-
-    def __enter__(self) -> "ShardRouter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+    def supervise(self) -> int:
+        """Recover every shard whose worker died; returns how many."""
+        return self.transport.supervise()

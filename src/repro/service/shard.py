@@ -284,7 +284,7 @@ class ShardWorker:
     # ------------------------------------------------------------------
     # Failover support (called by the router's supervisor)
     # ------------------------------------------------------------------
-    def drain_pending(self) -> "list[_Job]":
+    def _take_pending(self, *, stop: bool) -> "list[_Job]":
         """Atomically mark the worker crashed and take its queued jobs.
 
         Holding the submit lock while draining closes the race with
@@ -293,12 +293,11 @@ class ShardWorker:
 
         The returned list is **FIFO by submission**: per-shard write
         ordering is part of the service's contract (a create must not jump
-        a cancel that was accepted before it), and the failover path
-        requeues these jobs verbatim, so any reordering here would survive
-        into the recovered shard.  Queue drain order already is submission
-        order; the sort by enqueue timestamp makes the guarantee explicit
-        and self-enforcing rather than an accident of ``queue.Queue``
-        internals.
+        a cancel that was accepted before it), and the caller requeues
+        these jobs verbatim, so any reordering here would survive into the
+        successor shard.  Queue drain order already is submission order;
+        the sort by enqueue timestamp makes the guarantee explicit and
+        self-enforcing rather than an accident of ``queue.Queue`` internals.
         """
         with self._submit_lock:
             self.crashed = True
@@ -311,41 +310,32 @@ class ShardWorker:
                 if job is not _STOP:
                     pending.append(job)
             pending.sort(key=lambda job: job.enqueued_at)
+            if stop:
+                # The queue was just emptied under the submit lock, so there
+                # is room for the sentinel; the worker thread exits after it.
+                self._queue.put_nowait(_STOP)
             if self._m_depth is not None:
                 self._m_depth.set(0)
             return pending
+
+    def drain_pending(self) -> "list[_Job]":
+        """Failover: take the queued jobs of a worker whose thread died."""
+        return self._take_pending(stop=False)
 
     def retire(self) -> "list[_Job]":
         """Stop a *healthy* worker for migration and take its queued jobs.
 
         The elastic-resharding path needs what :meth:`drain_pending` gives a
-        failover — an atomic "no job can ever reach this queue again" plus
-        the pending backlog, FIFO — but for a worker whose thread is alive
-        and must be *stopped*, not merely abandoned.  Marking the worker
-        crashed redirects concurrent submitters into the router's
-        failover/retry path (where they block on the reshard lock and then
-        re-resolve routing under the new epoch); the stop sentinel lets the
-        thread finish its in-flight job against the old engine — whose WAL
-        is synced before the swap — and exit.  Caller joins, then requeues
-        the returned jobs on the successor worker(s).
+        failover, but for a worker whose thread is alive and must be
+        *stopped*, not merely abandoned.  Marking the worker crashed
+        redirects concurrent submitters into the transport's failover path
+        (where they block on the reshard lock and then re-resolve routing
+        under the new epoch); the stop sentinel lets the thread finish its
+        in-flight job against the old engine — whose WAL is synced before
+        the swap — and exit.  Caller joins, then requeues the returned jobs
+        on the successor worker(s).
         """
-        with self._submit_lock:
-            self.crashed = True
-            pending = []
-            while True:
-                try:
-                    job = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if job is not _STOP:
-                    pending.append(job)
-            pending.sort(key=lambda job: job.enqueued_at)
-            # The queue was just emptied under the submit lock, so there is
-            # room for the sentinel; the worker thread exits after it.
-            self._queue.put_nowait(_STOP)
-            if self._m_depth is not None:
-                self._m_depth.set(0)
-            return pending
+        return self._take_pending(stop=True)
 
     def resubmit(self, job: _Job) -> bool:
         """Requeue a drained job (its original future included) on this

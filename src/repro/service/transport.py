@@ -1,0 +1,403 @@
+"""Shard transports: how the router core reaches a slot's shard stack.
+
+A transport owns the slot table of live shards and answers per-slot typed
+operations; it knows nothing about routing.  :class:`ThreadTransport` keeps
+every slot as a :class:`~repro.service.stack.ShardStack` in this process and
+recovers a dead worker **in place** from its WAL, from the caller that trips
+over it; :class:`~repro.service.proc.supervisor.ShardSupervisor` runs the
+same stack in a supervised subprocess per slot, reached over a UNIX socket,
+and respawns dead processes from its monitor.
+"""
+
+from __future__ import annotations
+
+import functools
+import threading
+from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
+
+from ..core import XAREngine
+from ..discretization import DiscretizedRegion
+from ..durability import engine_state
+from ..exceptions import (
+    ConfigurationError,
+    RecoveryError,
+    ServiceClosedError,
+    ShardOverloadError,
+    WorkerCrashError,
+)
+from ..obs import MetricsRegistry
+from .stack import Rerouted, ShardSpec, ShardStack, StackConfig
+
+#: The core's routing re-check ("does routing still point at this slot?").
+Guard = Optional[Callable[[], bool]]
+
+
+class ShardTransport(Protocol):
+    """What the router core and the reshard machine need from a fleet.
+
+    *Data path*: the guarded ops evaluate ``guard`` at the last moment before
+    applying and raise :class:`~repro.service.stack.Rerouted` when it fails —
+    or when the shard died before the op started; ``search`` and ``track``
+    shed with :class:`~repro.exceptions.ShardOverloadError`; ``track``
+    returns a callable that waits for the slot's sweep.  *Reshard steps*:
+    ``drain`` parks a source (``force`` = no graceful stop), ``snapshot``
+    makes its WAL durable and serialises its engine, ``start`` boots a slot
+    from a spec's files (one past the table = a new slot), ``resume``
+    un-parks a source whose reshard aborted, ``retire`` tombstones a
+    merged-away source in favour of ``heir``.
+    """
+
+    lock: Any  #: serialises failovers and reshard actions (re-entrant)
+    load_metric: str  #: histogram whose per-shard p95 is the load signal
+
+    def create(self, slot, guard, source, destination, depart_s, seats,
+               detour_limit_m, shift_end_s): ...
+    def book(self, slot, guard, request, match): ...
+    def cancel(self, slot, guard, ride): ...
+    def cancel_booking(self, slot, guard, request_id, ride_id): ...
+    def find_ride(self, slot, guard, ride_id): ...
+    def search(self, slot, request, k): ...
+    def track(self, slot, now_s) -> Callable[[], int]: ...
+
+    def active_rides(self, slot): ...
+    def bookings(self, slot): ...
+    def index_stats(self, slot): ...
+    def rollback_count(self, slot): ...
+    def audit(self, slot, heal) -> Tuple[int, int]: ...
+    def stats(self, slot) -> Dict[str, Any]: ...
+    def states(self) -> Dict[int, str]: ...
+    def recoveries(self) -> Dict[int, Dict[str, Any]]: ...
+    def crash(self, slot, *, mid_book=False): ...
+
+    def drain(self, slot, *, force=False): ...
+    def snapshot(self, slot) -> Dict[str, Any]: ...
+    def start(self, spec: ShardSpec): ...
+    def resume(self, slot): ...
+    def retire(self, slot, heir): ...
+    def close(self): ...
+    def abandon(self): ...
+
+
+#: Routed mutations: their jobs carry the routing guard, so they are safe to
+#: requeue on a *different* slot's worker during a merge (they bounce back
+#: to re-resolve, never touch the wrong adapter).
+_ROUTED_OPS = ("create", "book", "cancel", "cancel_booking")
+
+
+class ThreadTransport:
+    """In-process shards: one :class:`ShardStack` per slot, in-place failover."""
+
+    load_metric = "xar_shard_service_seconds"
+
+    @staticmethod
+    def layout(slot: int, generation: Optional[int]) -> Tuple[str, str]:
+        """Flat files in the durability directory, generation-suffixed once
+        a reshard has rewritten the slot (``shard0.g3.wal``)."""
+        stem = (f"shard{slot}" if generation is None
+                else f"shard{slot}.g{generation}")
+        return f"{stem}.wal", f"{stem}.ckpt"
+
+    def __init__(
+        self,
+        region: DiscretizedRegion,
+        specs: List[Optional[ShardSpec]],
+        config: StackConfig,
+        *,
+        digest: str,
+        metrics: MetricsRegistry,
+        engine_factory: Optional[Callable[[ShardSpec], XAREngine]] = None,
+    ):
+        self.metrics = metrics
+        #: One lock serialises all recoveries AND all reshard actions
+        #: (re-entrant: a drain may heal a crashed shard first).
+        self.lock = threading.RLock()
+        self._closed = False
+        self._build = functools.partial(
+            ShardStack, region, config=config, digest=digest,
+            metrics=metrics, engine_factory=engine_factory,
+        )
+        #: Jobs taken off a drained slot's queue, held for its successor.
+        self._pending: Dict[int, List[Any]] = {}
+        self._c_failovers = metrics.counter(
+            "xar_failovers_total",
+            "Shard worker crashes recovered by the failover supervisor",
+            labels=("shard",),
+        )
+        self.shards: List[ShardStack] = []
+        for slot, spec in enumerate(specs):
+            if spec is not None:
+                self.start(spec)
+            else:
+                # Merged away before this restart: a stackless tombstone
+                # (no routing table can name it).
+                self.shards.append(ShardStack.tombstone(slot))
+
+    def _active(self) -> List[ShardStack]:
+        return [shard for shard in self.shards if shard.active]
+
+    # ------------------------------------------------------------------
+    # Failover supervision
+    # ------------------------------------------------------------------
+    def _live(self, slot: int) -> ShardStack:
+        shard = self.shards[slot]
+        if shard.worker.crashed:
+            self._failover(shard)
+        return shard
+
+    def _with_failover(self, slot: int,
+                       attempt: Callable[[ShardStack], Any]) -> Any:
+        """Run ``attempt`` on a live shard, recovering it first if needed.
+
+        A crash *detected at submission* (``mid_op=False``: the op never
+        started) is retried once on the recovered shard; a crash
+        *mid-operation* re-raises after failover — the op may already be in
+        the WAL, and recovery has replayed it, so a blind retry would
+        double-apply.
+        """
+        shard = self._live(slot)
+        try:
+            return attempt(shard)
+        except WorkerCrashError as exc:
+            self._failover(shard)
+            if exc.mid_op:
+                raise
+            return attempt(shard)
+
+    def _drop(self, slot: int, job: Any) -> None:
+        """Shed a drained job the successor queue cannot hold."""
+        self.metrics.counter(
+            "xar_shard_ops_total", labels=("shard", "op", "outcome"),
+        ).labels(shard=str(slot), op=job.operation, outcome="dropped").inc()
+        job.future.set_exception(ShardOverloadError(slot, job.operation))
+
+    def _failover(self, shard: ShardStack) -> None:
+        """Recover a crashed shard in place: drain its queue, replay its
+        WAL (checkpoint + suffix) into a fresh stack, requeue the drained
+        jobs (original futures intact)."""
+        with self.lock:
+            if self._closed:
+                raise ServiceClosedError("service is shut down")
+            if not shard.active or not shard.worker.crashed:
+                # Recovered by another caller — or resharded while we waited
+                # on the lock: the "crash" we saw was the worker being
+                # retired, and the caller re-resolves routing.
+                return
+            if shard.spec.wal_path is None:
+                raise RecoveryError(
+                    f"shard {shard.shard_id} crashed but the service has no "
+                    "durability configured: its state is unrecoverable"
+                )
+            pending = shard.worker.drain_pending()
+            shard.worker.join(timeout_s=5.0)
+            # Disarm any one-shot crash hook and release the dead stack's
+            # WAL handle so the rebuilt stack can reopen the file.
+            shard.engine.fault_hook = None
+            shard.release_wal(sync=False)
+            shard.adopt(self._build(spec=shard.spec), pending,
+                        functools.partial(self._drop, shard.shard_id))
+            self._c_failovers.labels(shard=str(shard.shard_id)).inc()
+
+    def supervise(self) -> int:
+        """Sweep every shard and recover any whose worker died; returns the
+        number of failovers performed."""
+        crashed = [shard for shard in self._active() if shard.worker.crashed]
+        for shard in crashed:
+            self._failover(shard)
+        return len(crashed)
+
+    def crash(self, slot: int, *, mid_book: bool = False) -> None:
+        """Chaos: kill a shard's worker as a process death would — a job
+        that dies on the worker thread, or the armed mid-book hook."""
+        shard = self.shards[slot]
+        if shard.spec.wal_path is None:
+            raise ConfigurationError(
+                "crash injection requires a durable service "
+                "(pass durability=DurabilityConfig(...))"
+            )
+        if mid_book:
+            shard.arm_mid_book_crash()
+            return
+
+        def die() -> None:
+            raise WorkerCrashError(f"injected crash in shard {slot}")
+
+        try:
+            shard.worker.submit("crash", die).result(timeout=5.0)
+        except (WorkerCrashError, ShardOverloadError, ServiceClosedError):
+            pass  # dead now — or already dead, saturated, shutting down
+
+    # ------------------------------------------------------------------
+    # Data path
+    # ------------------------------------------------------------------
+    def _mutate(self, slot: int, guard: Guard, operation: str,
+                apply: Callable[[Any], Any]) -> Any:
+        shard = self._live(slot)
+        try:
+            return shard.mutate(operation, apply, guard)
+        except WorkerCrashError as exc:
+            self._failover(shard)
+            if exc.mid_op:
+                raise
+            # Never started (the worker was dead or being retired): the
+            # core re-resolves — routing may have moved — and resubmits.
+            raise Rerouted() from None
+
+    def create(self, slot, guard, source, destination, depart_s, seats,
+               detour_limit_m, shift_end_s):
+        return self._mutate(slot, guard, "create", lambda adapter: adapter.create(
+            source, destination, depart_s, seats=seats,
+            detour_limit_m=detour_limit_m, shift_end_s=shift_end_s,
+        ))
+
+    def book(self, slot, guard, request, match):
+        return self._mutate(slot, guard, "book",
+                            lambda adapter: adapter.book(request, match))
+
+    def cancel(self, slot, guard, ride):
+        return self._mutate(slot, guard, "cancel",
+                            lambda adapter: adapter.cancel(ride))
+
+    def cancel_booking(self, slot, guard, request_id, ride_id):
+        return self._mutate(
+            slot, guard, "cancel_booking",
+            lambda adapter: adapter.cancel_booking(request_id, ride_id),
+        )
+
+    def find_ride(self, slot, guard, ride_id):
+        return self._live(slot).find_ride(ride_id, guard)
+
+    def search(self, slot, request, k):
+        """Inline read: a fan-out of three shards costs three small
+        searches, not six thread hand-offs."""
+        return self._with_failover(
+            slot, lambda shard: shard.search(request, k)
+        )
+
+    def track(self, slot, now_s):
+        shard = self._live(slot)
+        future = shard.track(now_s)
+
+        def sweep() -> int:
+            try:
+                return future.result()
+            except WorkerCrashError:
+                # The tick crashed this shard mid-sweep.  Its WAL holds the
+                # track record, so recovery replays the sweep; the tick is
+                # not lost, just accounted to the recovered engine.
+                self._failover(shard)
+                return 0
+
+        return sweep
+
+    # ------------------------------------------------------------------
+    # Introspection
+    # ------------------------------------------------------------------
+    def active_rides(self, slot):
+        return self._with_failover(slot, ShardStack.active_rides)
+
+    def bookings(self, slot):
+        return self._with_failover(slot, ShardStack.bookings)
+
+    def index_stats(self, slot):
+        return self._with_failover(slot, ShardStack.index_stats)
+
+    def rollback_count(self, slot):
+        return self.shards[slot].rollback_count()
+
+    def audit(self, slot, heal):
+        return self._with_failover(slot, lambda shard: shard.audit(heal))
+
+    def stats(self, slot):
+        return self.shards[slot].stats()
+
+    def states(self):
+        return {
+            shard.shard_id: "crashed" if shard.worker.crashed else "live"
+            for shard in self._active()
+        }
+
+    def recoveries(self):
+        return {
+            shard.shard_id: shard.recovery
+            for shard in self._active()
+            if shard.recovery is not None
+        }
+
+    # ------------------------------------------------------------------
+    # Reshard steps
+    # ------------------------------------------------------------------
+    def drain(self, slot, *, force=False):
+        """Retire the slot's worker: no new job can ever reach its queue
+        (submitters trip the failover path, block on the lock, then
+        re-resolve), the in-flight job finishes, pending jobs are held."""
+        del force  # a worker thread has no process to signal
+        shard = self._live(slot)  # heal a crashed shard before carving it
+        self._pending[slot] = shard.worker.retire()
+        shard.worker.join(timeout_s=5.0)
+        shard.engine.fault_hook = None
+
+    def snapshot(self, slot):
+        shard = self.shards[slot]
+        shard.durable.wal.sync()
+        with shard.engine.lock:
+            return engine_state(shard.engine)
+
+    def resume(self, slot):
+        """The old engine, adapter and WAL handle are untouched (carving
+        only *read* state), so a fresh worker restores service."""
+        self.shards[slot].adopt(None, self._pending.pop(slot, []),
+                                functools.partial(self._drop, slot))
+
+    def start(self, spec):
+        """Boot a slot from its files.  A surviving slot's rebuild
+        round-trips the carved checkpoint + empty WAL — the same replay a
+        restart takes, so the swap validates what a crash would depend on."""
+        slot = spec.slot
+        if slot == len(self.shards):
+            self.shards.append(self._build(spec=spec))
+        else:
+            shard = self.shards[slot]
+            shard.release_wal(sync=True)
+            shard.adopt(self._build(spec=spec), self._pending.pop(slot, []),
+                        functools.partial(self._drop, slot))
+        if spec.wal_path is not None:
+            self._c_failovers.labels(shard=str(slot))
+
+    def retire(self, slot, heir):
+        """Tombstone a merged-away slot; its held jobs move to the heir's."""
+        inherited = self._pending.setdefault(heir, [])
+        for job in self._pending.pop(slot, []):
+            if job.operation == "track":
+                # Best-effort tick: the merged engine is swept by the next
+                # tick; resolving the future keeps the broadcaster moving.
+                job.future.set_result(0)
+            elif job.operation in _ROUTED_OPS:
+                inherited.append(job)
+            else:
+                self._drop(slot, job)
+        inherited.sort(key=lambda job: job.enqueued_at)
+        self.shards[slot].entomb()
+
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+    def abandon(self) -> None:
+        """Process-death teardown: every WAL handle is dropped *without*
+        its final fsync barrier, then the workers stop.  What a restart
+        finds on disk is what a SIGKILL would have left."""
+        self._closed = True
+        for shard in self._active():
+            shard.engine.fault_hook = None
+            shard.release_wal(sync=False)
+        for shard in self._active():
+            shard.worker.close()
+
+    def close(self) -> None:
+        if self._closed:
+            return
+        self._closed = True
+        for shard in self._active():
+            shard.worker.close()
+            # Final fsync barrier: everything the service acknowledged is
+            # on disk before the handles go away.
+            shard.release_wal(sync=True)

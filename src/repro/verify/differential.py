@@ -413,15 +413,7 @@ class _ReshardTarget:
 
     def kill_and_rebuild(self) -> None:
         """Simulate SIGKILL: drop every WAL handle un-fsynced, restart."""
-        router = self.router
-        for shard in router._active_shards():
-            shard.engine.fault_hook = None
-            durable = _durable_of_adapter(shard.adapter)
-            if durable is not None and not durable.wal.closed:
-                durable.abandon()
-        router._closed = True
-        for shard in router._active_shards():
-            shard.worker.close()
+        self.router.abandon()
         self.router = self._build()
         self.rebuilds += 1
         if self.on_rebuilt is not None:
@@ -468,14 +460,6 @@ class _ReshardTarget:
         shutil.rmtree(self.directory, ignore_errors=True)
 
 
-def _durable_of_adapter(adapter: Any) -> Optional[DurableAdapter]:
-    while adapter is not None:
-        if isinstance(adapter, DurableAdapter):
-            return adapter
-        adapter = getattr(adapter, "inner", None)
-    return None
-
-
 class ReshardFacade(Facade):
     """Facade whose handle maps survive splits, merges, and mid-split
     crash rebuilds.
@@ -494,7 +478,7 @@ class ReshardFacade(Facade):
     def refresh(self) -> None:
         router = self.target.router
         self.xar_engines = [
-            shard.engine for shard in router._active_shards()
+            shard.engine for shard in router.shards if shard.active
         ]
         for handle, ride in list(self.rides_by_handle.items()):
             for engine in self.xar_engines:

@@ -99,7 +99,7 @@ def test_plain_crash_fails_over_with_state_intact(durable_service, city):
     assert sorted(
         b.request_id for b in durable_service.bookings()
     ) == bookings
-    assert durable_service.last_recoveries[0].replayed_ops > 0
+    assert durable_service.last_recoveries[0]["replayed_ops"] > 0
     failovers = durable_service.metrics.counter(
         "xar_failovers_total", labels=("shard",)
     ).labels(shard="0").value
@@ -142,7 +142,7 @@ def test_mid_book_crash_completes_the_interrupted_booking(
     assert not durable_service.shards[home].worker.crashed
     assert [b.request_id for b in durable_service.bookings()] == [777]
     assert durable_service.find_ride(ride.ride_id).seats_available == 2
-    assert durable_service.last_recoveries[home].replayed_ops >= 2
+    assert durable_service.last_recoveries[home]["replayed_ops"] >= 2
     assert durable_service.audit()["violations"] == 0
 
 
