@@ -38,7 +38,11 @@ class DistanceMatrix:
             raise ValueError("distances must be non-negative")
         if not np.array_equal(array, array.T):
             raise ValueError("distance matrix must be symmetric")
-        self._values = array
+        # Kernels index this array directly and thread shards share it:
+        # hand out a view nobody can write through (the caller's own array,
+        # which ``asarray`` may alias, keeps its flags).
+        self._values = array.view()
+        self._values.setflags(write=False)
 
     @property
     def n(self) -> int:

@@ -127,16 +127,20 @@ class Ride:
     # Route geometry
     # ------------------------------------------------------------------
     def _set_route(self, route: List[int]) -> None:
-        offsets = [0.0]
-        times = [0.0]
+        hops = self.network.frozen().hops
+        offset = elapsed = 0.0
+        offsets = [offset]
+        times = [elapsed]
         for a, b in zip(route, route[1:]):
-            edge = self.network._find_edge(a, b)
-            if edge is None:
+            hop = hops.get((a, b))
+            if hop is None:
                 raise RideError(
                     f"ride {self.ride_id}: route hop {a}->{b} is not a road edge"
                 )
-            offsets.append(offsets[-1] + edge.length_m)
-            times.append(times[-1] + edge.travel_seconds)
+            offset += hop[0]
+            elapsed += hop[1]
+            offsets.append(offset)
+            times.append(elapsed)
         self._route = route
         self._offsets_m = offsets
         self._times_s = times

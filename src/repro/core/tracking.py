@@ -69,6 +69,14 @@ def apply_obsolescence(engine: "XAREngine", ride_id: int, now_s: float) -> None:
     }
     if not crossed:
         return
+    flat_index = getattr(engine, "flat_index", None)
+    if flat_index is not None:
+        # Clusters about to lose a support (read before the sets shrink).
+        shrunk = [
+            cluster_id
+            for cluster_id, info in entry.reachable.items()
+            if not info.supports.isdisjoint(crossed)
+        ]
     # Step 1 + 2: withdraw crossed supports; clusters losing all support are
     # truly obsolete and leave the potential-ride lists.
     orphaned = entry.remove_supports(crossed)
@@ -76,11 +84,11 @@ def apply_obsolescence(engine: "XAREngine", ride_id: int, now_s: float) -> None:
         engine.cluster_index.remove(cluster_id, ride_id)
     # Step 3: crossed pass-through clusters leave the pass-through list.
     entry.drop_pass_through(crossed)
-    if getattr(engine, "flat_index", None) is not None:
-        # Mirror the shrink: orphaned clusters lose their row; surviving
-        # rows refresh their precomputed segment choice (the support set
-        # the choice depends on just changed).
-        engine.flat_index.refresh_supports(ride_id, entry)
+    if flat_index is not None:
+        # Mirror the shrink: orphaned clusters lose their row; survivors
+        # whose support set just changed refresh their precomputed segment
+        # choice (it depends on nothing else).
+        flat_index.refresh_supports(ride_id, entry, shrunk)
 
 
 def track_all(engine: "XAREngine", now_s: float) -> int:

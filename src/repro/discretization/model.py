@@ -113,6 +113,9 @@ class DiscretizedRegion:
                 d = float(values[np.ix_(index_arrays[i], index_arrays[j])].min())
                 matrix[i, j] = d
                 matrix[j, i] = d
+        # The reachability kernel indexes it directly and thread shards
+        # share one region: nobody gets to write to it.
+        matrix.setflags(write=False)
         return matrix
 
     def _bucket_landmarks(self) -> Dict[GridCell, List[int]]:
@@ -259,7 +262,7 @@ class DiscretizedRegion:
 
     @property
     def cluster_matrix(self) -> np.ndarray:
-        """The k x k cluster distance matrix (read-only view)."""
+        """The k x k cluster distance matrix (read-only: writes raise)."""
         return self._cluster_matrix
 
     def require_covered(self, point: GeoPoint) -> None:

@@ -37,7 +37,18 @@ compare the two, and the invariant auditor heals any drift by reindexing.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Tuple
+from collections import defaultdict
+from operator import attrgetter
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 import numpy as np
 
@@ -60,41 +71,76 @@ _EMPTY_F64 = np.empty(0, dtype=np.float64)
 _EMPTY_IDX = np.empty(0, dtype=np.intp)
 
 
-def _segment_meta(entry: "RideIndexEntry", segment: int) -> Tuple[int, int, float]:
-    """(start_landmark, end_landmark, length) of a segment, or the invalid
-    triple that makes the vectorized splice fall back to the coarse
-    cluster-level estimate — exactly when ``_splice_estimate`` returns None."""
-    if 0 <= segment < len(entry.segments):
-        meta = entry.segments[segment]
-        return meta.start_landmark, meta.end_landmark, meta.length_m
-    return -1, -1, 0.0
+#: Column values of a row whose cluster has no supporting segment: the
+#: invalid triple makes the vectorized splice fall back to the coarse
+#: cluster-level estimate — exactly when ``_splice_estimate`` returns None.
+_NO_SEGMENT = (-1, -1, 0.0)
+
+_eta = attrgetter("eta_s")
+
+_Row = Tuple[
+    int, Tuple[float, float, float, float], Tuple[int, int, int, int, int, int]
+]
 
 
-def _feasibility_row(
-    entry: "RideIndexEntry", cluster_id: int, eta_s: float
-) -> Tuple[Tuple[float, float, float, float], Tuple[int, int, int, int, int, int]]:
-    """One slab row's column values for a (ride, cluster) pair."""
-    info = entry.reachable.get(cluster_id)
-    detour = info.detour_estimate_m if info is not None else float("inf")
-    seg_e = entry.segment_for(cluster_id, earliest=True)
-    seg_l = entry.segment_for(cluster_id, earliest=False)
-    sp_a, sp_b, sp_len = (
-        _segment_meta(entry, seg_e) if seg_e is not None else (-1, -1, 0.0)
-    )
-    sd_a, sd_b, sd_len = (
-        _segment_meta(entry, seg_l) if seg_l is not None else (-1, -1, 0.0)
-    )
-    return (
-        (eta_s, detour, sp_len, sd_len),
-        (
-            -1 if seg_e is None else seg_e,
-            -1 if seg_l is None else seg_l,
-            sp_a,
-            sp_b,
-            sd_a,
-            sd_b,
-        ),
-    )
+def _feasibility_rows(
+    entry: "RideIndexEntry",
+    etas: Iterable[Tuple[int, float]],
+) -> Iterator[_Row]:
+    """Slab rows ``(cluster, float columns, int columns)`` of one ride, for
+    the given ``(cluster, stored ETA)`` pairs.
+
+    A row's pickup/drop-off segment is that of the earliest/latest
+    pass-through visit among its cluster's supports — what
+    ``entry.segment_for(cluster, earliest=True|False)`` scans
+    ``pass_through`` for, twice per row.  Here the scan happens once per
+    *entry*: the visits are ranked by ETA ascending and descending (stable,
+    so equal ETAs keep route order — ``min``/``max``'s first-minimal /
+    first-maximal rule), each pass-through cluster records its best rank in
+    either order, and a row only takes the minimum over its supports.
+    """
+    visits = entry.pass_through
+    n_visits = len(visits)
+
+    def ranked(latest_first: bool):
+        """(cluster -> best rank of any of its visits, rank -> segment); a
+        support without a visit ranks past the end ("no segment")."""
+        best: Dict[int, int] = defaultdict(lambda: n_visits)
+        segment_of_rank: List[int] = []
+        for rank, visit in enumerate(sorted(visits, key=_eta, reverse=latest_first)):
+            best.setdefault(visit.cluster_id, rank)
+            segment_of_rank.append(visit.segment_index)
+        return best.__getitem__, segment_of_rank
+
+    earliest_rank, earliest_segment = ranked(latest_first=False)
+    latest_rank, latest_segment = ranked(latest_first=True)
+    segments = [
+        (meta.start_landmark, meta.end_landmark, meta.length_m)
+        for meta in entry.segments
+    ]
+    n_segments = len(segments)
+    reachable = entry.reachable
+    for cluster_id, eta_s in etas:
+        info = reachable.get(cluster_id)
+        detour = float("inf")
+        seg_e = seg_l = -1
+        pickup = dropoff = _NO_SEGMENT
+        if info is not None:
+            detour = info.detour_estimate_m
+            supports = info.supports
+            rank = min(map(earliest_rank, supports), default=n_visits)
+            if rank < n_visits:
+                seg_e = earliest_segment[rank]
+                seg_l = latest_segment[min(map(latest_rank, supports))]
+                if 0 <= seg_e < n_segments:
+                    pickup = segments[seg_e]
+                if 0 <= seg_l < n_segments:
+                    dropoff = segments[seg_l]
+        yield (
+            cluster_id,
+            (eta_s, detour, pickup[2], dropoff[2]),
+            (seg_e, seg_l, pickup[0], pickup[1], dropoff[0], dropoff[1]),
+        )
 
 
 class _ClusterSlab:
@@ -346,10 +392,10 @@ class FlatSearchIndex:
         if old is not None:
             for cluster_id in old:
                 self._slabs[cluster_id].remove(ride_id)
+        slabs = self._slabs
         clusters: List[int] = []
-        for cluster_id, eta_s in etas.items():
-            fvals, ivals = _feasibility_row(entry, cluster_id, eta_s)
-            self._slabs[cluster_id].put(ride_id, fvals, ivals)
+        for cluster_id, fvals, ivals in _feasibility_rows(entry, etas.items()):
+            slabs[cluster_id].put(ride_id, fvals, ivals)
             clusters.append(cluster_id)
         self._ride_clusters[ride_id] = clusters
         self._budget.put(ride_id, ride.seats_available, ride.detour_limit_m)
@@ -360,36 +406,35 @@ class FlatSearchIndex:
             self._slabs[cluster_id].remove(ride_id)
         self._budget.drop(ride_id)
 
-    def refresh_supports(self, ride_id: int, entry: "RideIndexEntry") -> None:
+    def refresh_supports(
+        self, ride_id: int, entry: "RideIndexEntry", shrunk: Iterable[int]
+    ) -> None:
         """Re-derive rows after obsolescence shrank the entry's supports.
 
         Clusters no longer reachable lose their row (the legacy index
-        removed them too); surviving rows keep their stored ETA and detour
-        estimate but refresh the precomputed segment choice, which depends
-        on the support set.
+        removed them too).  Of the survivors, only the ``shrunk`` clusters —
+        those whose support set lost a crossed cluster — can have moved
+        their precomputed segment choice, which depends on nothing but the
+        support set; they keep their stored ETA and detour estimate and
+        refresh the segment columns.  Every other row is already what a
+        rewrite would produce.
         """
         clusters = self._ride_clusters.get(ride_id)
         if clusters is None:
             return
+        slabs = self._slabs
+        reachable = entry.reachable
         kept: List[int] = []
         for cluster_id in clusters:
-            if cluster_id in entry.reachable:
+            if cluster_id in reachable:
                 kept.append(cluster_id)
             else:
-                self._slabs[cluster_id].remove(ride_id)
-        # Second pass: refresh feasibility columns of the survivors.
-        for cluster_id in kept:
-            slab = self._slabs[cluster_id]
-            row = slab.rows.get(ride_id)
-            if row is None:
-                continue
-            eta_s = float(slab.fdata[row, F_ETA])
-            fvals, ivals = _feasibility_row(entry, cluster_id, eta_s)
-            detour = float(slab.fdata[row, F_DETOUR])
-            slab.update_feasibility(
-                ride_id, (eta_s, detour, fvals[2], fvals[3]), ivals
-            )
+                slabs[cluster_id].remove(ride_id)
         self._ride_clusters[ride_id] = kept
+        # update_feasibility ignores the ETA column, so any placeholder does.
+        stale = [(cluster_id, 0.0) for cluster_id in shrunk if cluster_id in reachable]
+        for cluster_id, fvals, ivals in _feasibility_rows(entry, stale):
+            slabs[cluster_id].update_feasibility(ride_id, fvals, ivals)
 
     def refresh_budget(self, ride: "Ride") -> None:
         """Refresh seats/detour columns without touching the rows."""

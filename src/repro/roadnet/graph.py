@@ -9,6 +9,7 @@ nearest-node snapping, and route tracing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -42,7 +43,9 @@ class RoadNetwork:
 
     The graph is mutable while being built (``add_node`` / ``add_edge``) and
     is then used read-only by the rest of the system.  ``snap`` queries are
-    served by a lazily built spatial hash over nodes.
+    served by a lazily built spatial hash over nodes, the shortest-path
+    kernels and route validation by a lazily built frozen adjacency; both
+    are dropped by any mutation and rebuilt on the next query.
     """
 
     def __init__(self):
@@ -51,6 +54,7 @@ class RoadNetwork:
         self._reverse: Dict[int, List[RoadEdge]] = {}
         self._edge_count = 0
         self._snap_index: Optional[_NodeSpatialHash] = None
+        self._frozen: Optional[FrozenAdjacency] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -67,6 +71,7 @@ class RoadNetwork:
             self._adjacency[node] = []
             self._reverse[node] = []
             self._snap_index = None
+            self._frozen = None
 
     def add_edge(
         self,
@@ -90,6 +95,7 @@ class RoadNetwork:
         self._adjacency[source].append(edge)
         self._reverse[target].append(edge)
         self._edge_count += 1
+        self._frozen = None
         if bidirectional:
             self.add_edge(target, source, length_m, speed_mps, bidirectional=False)
 
@@ -151,29 +157,85 @@ class RoadNetwork:
 
     def route_length_m(self, nodes: Sequence[int]) -> float:
         """Length of a node path, validating every hop is a real edge."""
-        total = 0.0
-        for a, b in zip(nodes, nodes[1:]):
-            edge = self._find_edge(a, b)
-            if edge is None:
-                raise RoadNetworkError(f"no edge {a} -> {b} on claimed route")
-            total += edge.length_m
-        return total
+        return self._route_total(nodes, 0)
 
     def route_time_s(self, nodes: Sequence[int]) -> float:
         """Free-flow traversal time of a node path."""
+        return self._route_total(nodes, 1)
+
+    def _route_total(self, nodes: Sequence[int], column: int) -> float:
+        """Sum one column of the ``(length_m, travel_s)`` hop table along a
+        node path, hop by hop in route order."""
+        hops = self.frozen().hops
         total = 0.0
         for a, b in zip(nodes, nodes[1:]):
-            edge = self._find_edge(a, b)
-            if edge is None:
+            hop = hops.get((a, b))
+            if hop is None:
                 raise RoadNetworkError(f"no edge {a} -> {b} on claimed route")
-            total += edge.travel_seconds
+            total += hop[column]
         return total
 
-    def _find_edge(self, source: int, target: int) -> Optional[RoadEdge]:
-        for edge in self._adjacency.get(source, ()):
-            if edge.target == target:
-                return edge
-        return None
+    # ------------------------------------------------------------------
+    # Frozen adjacency (what the shortest-path kernels iterate)
+    # ------------------------------------------------------------------
+    def frozen(self) -> "FrozenAdjacency":
+        """The graph's frozen adjacency, built on first use after a mutation.
+
+        Built completely before it is published with one attribute
+        assignment, so threads racing the lazy build each get a complete
+        structure (the loser's copy is identical and simply dropped).
+        """
+        frozen = self._frozen
+        if frozen is None:
+            frozen = FrozenAdjacency(self._positions, self._adjacency)
+            self._frozen = frozen
+        return frozen
+
+
+class FrozenAdjacency:
+    """Immutable, array-indexed view of a :class:`RoadNetwork`.
+
+    Derived from the graph alone — no query result is ever stored here.
+    Nodes are renumbered ``0..n-1`` in ascending id order, so the kernels
+    keep their per-query state in flat lists instead of dicts, and a heap
+    entry ``(distance, index)`` ties exactly like ``(distance, node id)``.
+
+    * ``ids[i]`` / ``index[node]`` — dense index <-> node id;
+    * ``out[i]`` — node ``i``'s out-edges in insertion order, each a
+      ``(target index, length_m, travel_s)`` tuple: the inner loop of a
+      kernel is a tuple unpack, not attribute and property lookups;
+    * ``coords[i]`` — ``(lat, lon, cos(radians(lat)))``: the per-node half
+      of the haversine formula, hoisted out of the A* heuristic;
+    * ``hops[(a, b)]`` — ``(length_m, travel_s)`` of the *first* edge
+      ``a -> b`` by node id (parallel edges keep first-match semantics).
+    """
+
+    __slots__ = ("ids", "index", "out", "coords", "hops")
+
+    def __init__(
+        self,
+        positions: Dict[int, GeoPoint],
+        adjacency: Dict[int, List[RoadEdge]],
+    ):
+        ids = sorted(positions)
+        index = {node: i for i, node in enumerate(ids)}
+        out: List[Tuple[Tuple[int, float, float], ...]] = []
+        hops: Dict[Tuple[int, int], Tuple[float, float]] = {}
+        for node in ids:
+            packed = []
+            for edge in adjacency[node]:
+                weights = (edge.length_m, edge.travel_seconds)
+                hops.setdefault((node, edge.target), weights)
+                packed.append((index[edge.target], *weights))
+            out.append(tuple(packed))
+        self.ids = ids
+        self.index = index
+        self.out = out
+        self.coords = [
+            (pos.lat, pos.lon, math.cos(math.radians(pos.lat)))
+            for pos in map(positions.__getitem__, ids)
+        ]
+        self.hops = hops
 
 
 class _NodeSpatialHash:

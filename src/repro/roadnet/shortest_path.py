@@ -19,10 +19,16 @@ obtained by passing ``weight="time"``.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..exceptions import NoPathError, RoadNetworkError
+from ..geo.point import EARTH_RADIUS_M
 from .graph import RoadEdge, RoadNetwork
+
+_INF = float("inf")
+#: ``2.0 * EARTH_RADIUS_M`` — the leading product of ``haversine_m``.
+_EARTH_DIAMETER_M = 2.0 * EARTH_RADIUS_M
 
 #: Edge weight selectors.
 _WEIGHTS: Dict[str, Callable[[RoadEdge], float]] = {
@@ -34,6 +40,17 @@ _WEIGHTS: Dict[str, Callable[[RoadEdge], float]] = {
 def _weight_fn(weight: str) -> Callable[[RoadEdge], float]:
     try:
         return _WEIGHTS[weight]
+    except KeyError:
+        raise ValueError(f"unknown weight {weight!r}, expected 'length' or 'time'")
+
+
+#: Position of each weight in a frozen ``(target index, length_m, travel_s)`` edge.
+_WEIGHT_COLUMNS: Dict[str, int] = {"length": 1, "time": 2}
+
+
+def _weight_column(weight: str) -> int:
+    try:
+        return _WEIGHT_COLUMNS[weight]
     except KeyError:
         raise ValueError(f"unknown weight {weight!r}, expected 'length' or 'time'")
 
@@ -51,26 +68,42 @@ def dijkstra_all(
     as every target has been settled (whichever comes first).  Returns settled
     distances only.
     """
-    if not network.has_node(source):
+    frozen = network.frozen()
+    start = frozen.index.get(source)
+    if start is None:
         raise RoadNetworkError(f"unknown source node {source}")
-    wf = _weight_fn(weight)
+    w = _weight_column(weight)
+    ids, out = frozen.ids, frozen.out
+    pop, push = heapq.heappop, heapq.heappush
     dist: Dict[int, float] = {}
+    # Best pushed distance per node.  A push that does not improve it is
+    # dominated by an entry already in the heap (same node, key <= its own),
+    # so it could only ever pop as a stale duplicate: never pushing it
+    # leaves the settle order — and so the result — unchanged.  Weights are
+    # >= 0, so a settled node never improves and a popped entry is stale
+    # exactly when it is worse than the node's best.
+    seen = [_INF] * len(ids)
+    seen[start] = 0.0
     remaining = set(targets) if targets is not None else None
-    heap: List[Tuple[float, int]] = [(0.0, source)]
+    heap: List[Tuple[float, int]] = [(0.0, start)]
     while heap:
-        d, node = heapq.heappop(heap)
-        if node in dist:
+        d, i = pop(heap)
+        if d > seen[i]:
             continue
         if cutoff is not None and d > cutoff:
             break
+        node = ids[i]
         dist[node] = d
         if remaining is not None:
             remaining.discard(node)
             if not remaining:
                 break
-        for edge in network.out_edges(node):
-            if edge.target not in dist:
-                heapq.heappush(heap, (d + wf(edge), edge.target))
+        for edge in out[i]:
+            j = edge[0]
+            nd = d + edge[w]
+            if nd < seen[j]:
+                seen[j] = nd
+                push(heap, (nd, j))
     return dist
 
 
@@ -84,40 +117,52 @@ def dijkstra_path(
 
     Raises :class:`~repro.exceptions.NoPathError` if unreachable.
     """
-    if not network.has_node(source):
-        raise RoadNetworkError(f"unknown source node {source}")
-    if not network.has_node(target):
-        raise RoadNetworkError(f"unknown target node {target}")
+    frozen = network.frozen()
+    start, goal = _endpoints(frozen, source, target)
     if source == target:
         return 0.0, [source]
-    wf = _weight_fn(weight)
-    settled: Dict[int, float] = {}
-    seen: Dict[int, float] = {source: 0.0}
-    parent: Dict[int, int] = {}
-    heap: List[Tuple[float, int]] = [(0.0, source)]
+    w = _weight_column(weight)
+    out = frozen.out
+    pop, push = heapq.heappop, heapq.heappush
+    n = len(out)
+    seen = [_INF] * n
+    seen[start] = 0.0
+    parent = [start] * n
+    heap: List[Tuple[float, int]] = [(0.0, start)]
     while heap:
-        d, node = heapq.heappop(heap)
-        if node in settled:
-            continue
-        settled[node] = d
-        if node == target:
-            return d, _trace(parent, source, target)
-        for edge in network.out_edges(node):
-            nxt = edge.target
-            if nxt in settled:
-                continue
-            nd = d + wf(edge)
-            if nd < seen.get(nxt, float("inf")):
-                seen[nxt] = nd
-                parent[nxt] = node
-                heapq.heappush(heap, (nd, nxt))
+        d, i = pop(heap)
+        if d > seen[i]:
+            continue  # stale: the node settled through a better entry
+        if i == goal:
+            return d, _trace(frozen.ids, parent, start, goal)
+        for edge in out[i]:
+            j = edge[0]
+            nd = d + edge[w]
+            if nd < seen[j]:
+                seen[j] = nd
+                parent[j] = i
+                push(heap, (nd, j))
     raise NoPathError(source, target)
 
 
-def _trace(parent: Dict[int, int], source: int, target: int) -> List[int]:
-    path = [target]
-    while path[-1] != source:
-        path.append(parent[path[-1]])
+def _endpoints(frozen, source: int, target: int) -> Tuple[int, int]:
+    """Dense indices of a query's endpoints, validating both exist."""
+    start = frozen.index.get(source)
+    if start is None:
+        raise RoadNetworkError(f"unknown source node {source}")
+    goal = frozen.index.get(target)
+    if goal is None:
+        raise RoadNetworkError(f"unknown target node {target}")
+    return start, goal
+
+
+def _trace(ids: List[int], parent: List[int], start: int, goal: int) -> List[int]:
+    """Node-id path ``start .. goal`` from dense parent pointers."""
+    path = [ids[goal]]
+    i = goal
+    while i != start:
+        i = parent[i]
+        path.append(ids[i])
     path.reverse()
     return path
 
@@ -186,35 +231,54 @@ def astar(
     The haversine distance is an admissible heuristic for road length, so the
     result is exact.
     """
-    if not network.has_node(source):
-        raise RoadNetworkError(f"unknown source node {source}")
-    if not network.has_node(target):
-        raise RoadNetworkError(f"unknown target node {target}")
+    frozen = network.frozen()
+    start, goal = _endpoints(frozen, source, target)
     if source == target:
         return 0.0, [source]
-    goal = network.position(target)
-    settled: Dict[int, float] = {}
-    seen: Dict[int, float] = {source: 0.0}
-    parent: Dict[int, int] = {}
-    start_h = network.position(source).distance_to(goal)
-    heap: List[Tuple[float, float, int]] = [(start_h, 0.0, source)]
+    out, coords = frozen.out, frozen.coords
+    pop, push = heapq.heappop, heapq.heappush
+    radians, sin, sqrt, asin = math.radians, math.sin, math.sqrt, math.asin
+    goal_lat, goal_lon, goal_cos = coords[goal]
+    n = len(out)
+    # The settled flags stay (unlike Dijkstra's stale-entry test): road
+    # lengths may undercut the great-circle bound, and a node settled under
+    # an inconsistent heuristic must not be re-expanded.
+    settled = [False] * n
+    seen = [_INF] * n
+    seen[start] = 0.0
+    parent = [start] * n
+    # Great-circle bound node -> goal, once per node per query (a node is
+    # pushed again every time its distance improves); < 0 == not computed.
+    bound = [-1.0] * n
+    # The lone first entry pops first whatever its key.
+    heap: List[Tuple[float, float, int]] = [(0.0, 0.0, start)]
     while heap:
-        _f, d, node = heapq.heappop(heap)
-        if node in settled:
+        _f, d, i = pop(heap)
+        if settled[i]:
             continue
-        settled[node] = d
-        if node == target:
-            return d, _trace(parent, source, target)
-        for edge in network.out_edges(node):
-            nxt = edge.target
-            if nxt in settled:
+        settled[i] = True
+        if i == goal:
+            return d, _trace(frozen.ids, parent, start, goal)
+        for j, length_m, _travel_s in out[i]:
+            if settled[j]:
                 continue
-            nd = d + edge.length_m
-            if nd < seen.get(nxt, float("inf")):
-                seen[nxt] = nd
-                parent[nxt] = node
-                h = network.position(nxt).distance_to(goal)
-                heapq.heappush(heap, (nd + h, nd, nxt))
+            nd = d + length_m
+            if nd < seen[j]:
+                seen[j] = nd
+                parent[j] = i
+                h = bound[j]
+                if h < 0.0:
+                    # haversine_m(j -> goal) with cos(lat) of both ends
+                    # hoisted: the float operations and their order are
+                    # haversine_m's, so the value is bit-identical to
+                    # position(j).distance_to(position(target)).
+                    lat, lon, cos_lat = coords[j]
+                    a = (
+                        sin(radians(goal_lat - lat) / 2.0) ** 2
+                        + cos_lat * goal_cos * sin(radians(goal_lon - lon) / 2.0) ** 2
+                    )
+                    h = bound[j] = _EARTH_DIAMETER_M * asin(min(1.0, sqrt(a)))
+                push(heap, (nd + h, nd, j))
     raise NoPathError(source, target)
 
 

@@ -1,0 +1,298 @@
+"""The flattened write path equals the reference loops exactly.
+
+``build_ride_entry`` (one masked array pass over the cluster matrix) and the
+flat index's row builder (one ranking of the pass-through visits per entry)
+are compared against ``tests/reference_write_path.py`` — the scalar loops
+they replaced — with ``==`` on every float and on the *insertion order* of
+``entry.reachable``, which becomes the slab append order the flat index's
+stable sorts tie on.  Rides are taken from seeded mini-replays, so they
+carry 0..3 bookings (1..7 segments), shrunken detour budgets and tracking
+progress; ``detour_limit_m == 0`` and a region whose cluster matrix holds
+``inf`` (the ``inf - inf`` NaN the scalar test lets through) are forced.
+"""
+
+from __future__ import annotations
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.config import XARConfig
+from repro.core import XAREngine
+from repro.core.reachability import build_ride_entry
+from repro.discretization import build_region
+from repro.geo import GeoPoint
+from repro.index.flat_index import F_DETOUR, F_ETA, _feasibility_rows
+from repro.roadnet import RoadNetwork, manhattan_city
+from tests.reference_write_path import ref_build_ride_entry, ref_feasibility_row
+
+
+def assert_entries_identical(got, want):
+    assert got == want  # every field of every visit / info / segment
+    assert list(got.reachable) == list(want.reachable)  # dict order, too
+
+
+def assert_rows_match_reference(engine):
+    """Every slab row is what the reference row builder derives from the
+    ride's *current* entry and the row's stored ETA."""
+    flat = engine.flat_index
+    checked = 0
+    for ride_id, clusters in flat._ride_clusters.items():
+        entry = engine.ride_entries[ride_id]
+        for cluster_id in clusters:
+            slab = flat._slabs[cluster_id]
+            row = slab.rows[ride_id]
+            eta_s = float(slab.fdata[row, F_ETA])
+            fvals, ivals = ref_feasibility_row(entry, cluster_id, eta_s)
+            assert tuple(slab.fdata[row].tolist()) == fvals
+            assert tuple(slab.idata[row].tolist()) == ivals
+            checked += 1
+    return checked
+
+
+def replay(engine, requests, track_every_s=300.0, on_step=None):
+    """search -> book the best match / create on a miss, with ticks."""
+    last_tick = None
+    for request in requests:
+        now = request.window_start_s
+        if last_tick is None or now - last_tick >= track_every_s:
+            engine.track_all(now)
+            last_tick = now
+        matches = engine.search(request, 5)
+        if matches:
+            engine.book(request, matches[0])
+        else:
+            engine.create_ride(
+                request.source, request.destination, request.window_start_s
+            )
+        if on_step is not None:
+            on_step()
+
+
+@pytest.fixture(scope="module")
+def replayed(region, workload):
+    """An engine after 300 replayed requests and one late tick: rides with
+    0..3 bookings, shrunken budgets, and entries cut down by tracking."""
+    engine = XAREngine(region)
+    replay(engine, workload[:300], track_every_s=1e12)  # no ticks while filling
+    assert {1, 3, 5, 7} <= {ride.n_segments for ride in engine.rides.values()}
+    departures = sorted(ride.departure_s for ride in engine.rides.values())
+    engine.track_all(departures[len(departures) * 3 // 4])
+    assert any(0 < ride.progressed_m < ride.length_m for ride in engine.rides.values())
+    return engine
+
+
+class TestBuildRideEntry:
+    def test_every_ride_of_a_replay(self, region, replayed):
+        segments = set()
+        for ride in replayed.rides.values():
+            assert_entries_identical(
+                build_ride_entry(region, ride), ref_build_ride_entry(region, ride)
+            )
+            segments.add(ride.n_segments)
+        assert {1, 3, 5, 7} <= segments  # 0, 1, 2 and 3 bookings
+
+    def test_every_reindex_of_a_replay(self, region, workload, monkeypatch):
+        """Compared at the call seam, on the ride state of that moment
+        (mid-booking, before obsolescence is re-applied)."""
+        import repro.core.engine as engine_module
+
+        calls = []
+
+        def checked(region_, ride):
+            got = build_ride_entry(region_, ride)
+            assert_entries_identical(got, ref_build_ride_entry(region_, ride))
+            calls.append(ride.n_segments)
+            return got
+
+        monkeypatch.setattr(engine_module, "build_ride_entry", checked)
+        replay(XAREngine(region), workload[100:220], track_every_s=1800.0)
+        assert len(calls) == 120 and max(calls) >= 5
+
+    @settings(
+        max_examples=60, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        seed=st.integers(0, 10**6),
+        detour=st.sampled_from([0.0, 1.0, 250.0, 900.0, 2500.0, 1e9, float("inf")]),
+    )
+    def test_fresh_rides_at_any_detour_limit(self, region, city, seed, detour):
+        rng = random.Random(seed)
+        a, b = rng.sample(sorted(city.nodes()), 2)
+        engine = XAREngine(region)
+        ride = engine.create_ride(
+            city.position(a), city.position(b), departure_s=rng.uniform(0, 5000),
+            detour_limit_m=detour,
+        )
+        want = ref_build_ride_entry(region, ride)
+        assert_entries_identical(build_ride_entry(region, ride), want)
+        if detour == 0.0:
+            assert set(want.reachable) == want.pass_through_ids()
+
+    def test_partially_tracked_rides_rebuild_identically(self, region, workload):
+        engine = XAREngine(region)
+        replay(engine, workload[:60], track_every_s=1e12)  # no ticks yet
+        horizon = max(ride.arrival_s for ride in engine.rides.values())
+        start = min(ride.departure_s for ride in engine.rides.values())
+        for fraction in (0.3, 0.5, 0.7):
+            engine.track_all(start + fraction * (horizon - start))
+            underway = [r for r in engine.rides.values() if r.progressed_m > 0]
+            assert underway
+            for ride in engine.rides.values():
+                assert_entries_identical(
+                    build_ride_entry(region, ride),
+                    ref_build_ride_entry(region, ride),
+                )
+
+    def test_cluster_matrix_with_unreachable_pairs(self):
+        """Two lattices joined one way: rides crossing the link put
+        ``inf - inf`` into the detour test, which the scalar code keeps."""
+        network = RoadNetwork()
+        west = manhattan_city(n_avenues=4, n_streets=7, one_way_streets=False)
+        for node in west.nodes():
+            position = west.position(node)
+            network.add_node(node, position)
+            network.add_node(
+                1000 + node, GeoPoint(position.lat, position.lon + 0.03)
+            )
+        for edge in west.edges():
+            network.add_edge(edge.source, edge.target, edge.length_m, edge.speed_mps)
+            network.add_edge(
+                1000 + edge.source, 1000 + edge.target, edge.length_m, edge.speed_mps
+            )
+        link = west.node_count - 1
+        network.add_edge(link, 1000)  # one way west -> east, never back
+        region = build_region(network, XARConfig.validated())
+        assert np.isinf(region.cluster_matrix).any()
+        engine = XAREngine(region)
+        rng = random.Random(3)
+        nans = 0
+        for _trip in range(25):
+            a = rng.randrange(west.node_count)
+            b = 1000 + rng.randrange(west.node_count)
+            ride = engine.create_ride(
+                network.position(a), network.position(b), departure_s=0.0,
+                detour_limit_m=rng.choice([300.0, 1500.0, 1e9]),
+            )
+            with np.errstate(invalid="raise"):  # the kernel silences its own
+                got = build_ride_entry(region, ride)
+            want = ref_build_ride_entry(region, ride)
+            assert_entries_identical(got, want)
+            nans += len(want.reachable) > len(want.pass_through)
+        assert nans  # the link-crossing rides did reach off-route clusters
+
+
+class TestFlatRows:
+    def test_row_builder_equals_reference_on_every_entry(self, replayed):
+        rows = 0
+        for ride_id, entry in replayed.ride_entries.items():
+            etas = {
+                cluster_id: info.eta_s for cluster_id, info in entry.reachable.items()
+            }
+            etas[10**6] = 1.0  # a cluster the entry does not reach
+            got = list(_feasibility_rows(entry, etas.items()))
+            want = [
+                (cluster_id, *ref_feasibility_row(entry, cluster_id, eta_s))
+                for cluster_id, eta_s in etas.items()
+            ]
+            assert got == want
+            rows += len(got)
+        assert rows > 500
+
+    def test_ties_on_eta_keep_first_minimal_and_first_maximal(self):
+        """``min``/``max`` over the visits return the *first* extreme one."""
+        from repro.index import PassThrough, ReachableInfo, RideIndexEntry, SegmentMeta
+
+        entry = RideIndexEntry(ride_id=1)
+        entry.pass_through = [
+            PassThrough(cluster_id=4, segment_index=0, eta_s=10.0, route_offset_m=0.0),
+            PassThrough(cluster_id=5, segment_index=1, eta_s=10.0, route_offset_m=1.0),
+            PassThrough(cluster_id=4, segment_index=2, eta_s=30.0, route_offset_m=2.0),
+            PassThrough(cluster_id=6, segment_index=3, eta_s=30.0, route_offset_m=3.0),
+            PassThrough(cluster_id=7, segment_index=1, eta_s=5.0, route_offset_m=4.0),
+        ]
+        entry.segments = [SegmentMeta(s, s + 1, 100.0 * s) for s in range(4)]
+        for cluster_id, supports in {
+            1: {4, 5, 6}, 2: {5, 6}, 3: {6}, 8: {7, 4}, 9: {99}, 10: set(),
+        }.items():
+            entry.reachable[cluster_id] = ReachableInfo(
+                cluster_id, set(supports), eta_s=1.0, detour_estimate_m=2.0
+            )
+        etas = {cluster_id: 50.0 for cluster_id in (1, 2, 3, 8, 9, 10, 11)}
+        got = list(_feasibility_rows(entry, etas.items()))
+        want = [
+            (cluster_id, *ref_feasibility_row(entry, cluster_id, eta_s))
+            for cluster_id, eta_s in etas.items()
+        ]
+        assert got == want
+        assert got[0][2][:2] == (0, 2)  # cluster 1: first 10.0, first 30.0
+
+    def test_rows_after_reindex_and_after_refresh_supports(self, region, workload):
+        """After every step of a ticking replay — creates, booking
+        reindexes, and obsolescence sweeps that rewrite only the shrunk
+        rows — every slab row equals a from-scratch reference row."""
+        engine = XAREngine(region)
+        checked = []
+        replay(
+            engine, workload[:90], track_every_s=120.0,
+            on_step=lambda: checked.append(assert_rows_match_reference(engine)),
+        )
+        assert sum(checked) > 5_000
+        engine.flat_index.check_consistency(engine)
+
+    def test_refresh_supports_only_touches_shrunk_rows(self, region, city):
+        engine = XAREngine(region)
+        ride = engine.create_ride(
+            city.position(0), city.position(city.node_count - 1), departure_s=0.0,
+            detour_limit_m=600.0,
+        )
+        entry = engine.ride_entries[ride.ride_id]
+        flat = engine.flat_index
+        before = {
+            c: (flat._slabs[c].fdata[flat._slabs[c].rows[ride.ride_id]].tolist(),
+                flat._slabs[c].idata[flat._slabs[c].rows[ride.ride_id]].tolist())
+            for c in flat._ride_clusters[ride.ride_id]
+        }
+        halfway = ride.departure_s + ride.duration_s / 4.0
+        crossed = {v.cluster_id for v in entry.pass_through if v.eta_s <= halfway}
+        untouched = {
+            c for c, info in entry.reachable.items()
+            if info.supports.isdisjoint(crossed)
+        }
+        assert crossed and untouched
+        engine.track_all(halfway)
+        assert_rows_match_reference(engine)
+        for cluster_id in untouched:
+            slab = flat._slabs[cluster_id]
+            row = slab.rows[ride.ride_id]
+            assert (slab.fdata[row].tolist(), slab.idata[row].tolist()) == before[cluster_id]
+        for cluster_id in flat._ride_clusters[ride.ride_id]:
+            slab = flat._slabs[cluster_id]
+            row = slab.rows[ride.ride_id]
+            # Stored ETA and detour survive a refresh verbatim.
+            assert slab.fdata[row, F_ETA] == before[cluster_id][0][F_ETA]
+            assert slab.fdata[row, F_DETOUR] == before[cluster_id][0][F_DETOUR]
+
+
+class TestSharedMatricesAreFrozen:
+    def test_cluster_matrix_rejects_writes(self, region):
+        assert not region.cluster_matrix.flags.writeable
+        with pytest.raises(ValueError):
+            region.cluster_matrix[0, 0] = 1.0
+
+    def test_cluster_matrix_is_exactly_symmetric(self, region):
+        """The reachability kernel reads ``D[x, via]`` as row ``D[via]``."""
+        matrix = region.cluster_matrix
+        assert np.array_equal(matrix, matrix.T)
+
+    def test_landmark_matrix_rejects_writes(self, region):
+        values = region.landmark_matrix.values
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            region.landmark_matrix[0][0] = 1.0

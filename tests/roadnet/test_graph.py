@@ -123,3 +123,94 @@ class TestSnap:
     def test_snap_empty_network_raises(self):
         with pytest.raises(RoadNetworkError):
             RoadNetwork().snap(GeoPoint(0.0, 0.0))
+
+
+class TestFrozenAdjacency:
+    """The lazily built frozen adjacency under the shortest-path kernels and
+    route validation: dropped by every mutation, complete when published."""
+
+    def test_add_edge_after_a_query_is_seen_by_the_next(self, triangle):
+        from repro.roadnet import astar, dijkstra_all, dijkstra_path
+
+        far = destination_point(triangle.position(1), 90.0, 500.0)
+        triangle.add_node(3, far)
+        triangle.add_edge(1, 3, bidirectional=True)
+        before, path = dijkstra_path(triangle, 0, 3)
+        assert path == [0, 1, 3]
+        # A shortcut added to the *built* graph must win the next query.
+        triangle.add_edge(0, 3, length_m=1.0)
+        assert dijkstra_path(triangle, 0, 3) == (1.0, [0, 3])
+        assert astar(triangle, 0, 3) == (1.0, [0, 3])
+        assert dijkstra_all(triangle, 0)[3] == 1.0
+        assert triangle.route_length_m([0, 3]) == 1.0
+        assert before > 1.0
+
+    def test_add_node_after_a_query_is_seen_by_the_next(self, triangle):
+        from repro.roadnet import dijkstra_path
+
+        dijkstra_path(triangle, 0, 2)
+        triangle.add_node(7, destination_point(triangle.position(2), 0.0, 300.0))
+        triangle.add_edge(2, 7, length_m=300.0)
+        assert dijkstra_path(triangle, 2, 7) == (300.0, [2, 7])
+        with pytest.raises(RoadNetworkError):
+            triangle.route_length_m([7, 2])  # one-way: no edge back
+
+    def test_parallel_edges_keep_first_match(self, triangle):
+        triangle.add_edge(0, 1, length_m=9999.0, speed_mps=1.0)  # second 0 -> 1
+        first = triangle.out_edges(0)[0]
+        assert first.target == 1
+        assert triangle.route_length_m([0, 1]) == first.length_m
+        assert triangle.route_time_s([0, 1]) == first.travel_seconds
+
+    def test_dense_order_follows_node_ids(self):
+        """Heap ties break on the dense index; it must order like the ids."""
+        net = RoadNetwork()
+        for node in (40, 7, 19, 3):
+            net.add_node(node, GeoPoint(40.0 + node * 1e-4, -74.0))
+        frozen = net.frozen()
+        assert frozen.ids == [3, 7, 19, 40]
+        assert [frozen.index[node] for node in frozen.ids] == [0, 1, 2, 3]
+
+    def test_racing_lazy_builds_all_get_a_complete_adjacency(self, city):
+        import sys
+        import threading
+
+        from repro.roadnet import dijkstra_path, manhattan_city
+
+        expected = dijkstra_path(city, 0, city.node_count - 1)
+        n_threads = 8
+        results = [None] * n_threads
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _round in range(5):
+                fresh = manhattan_city(n_avenues=12, n_streets=40)
+                assert fresh._frozen is None
+                barrier = threading.Barrier(n_threads)
+
+                def work(slot, network=fresh, barrier=barrier):
+                    barrier.wait(timeout=10)
+                    frozen = network.frozen()
+                    results[slot] = (
+                        len(frozen.out),
+                        sum(len(edges) for edges in frozen.out),
+                        len(frozen.coords),
+                        dijkstra_path(network, 0, network.node_count - 1),
+                    )
+
+                threads = [
+                    threading.Thread(target=work, args=(slot,))
+                    for slot in range(n_threads)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                for got in results:
+                    assert got == (
+                        fresh.node_count, fresh.edge_count, fresh.node_count,
+                        expected,
+                    )
+        finally:
+            sys.setswitchinterval(interval)
