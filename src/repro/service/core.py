@@ -258,6 +258,10 @@ class RouterCore:
                k: Optional[int] = None) -> List[MatchOption]:
         """Fan out to the request's slots and k-way-merge their answers.
 
+        The transport hands back one gatherable per slot: process shards
+        are all scanning by then, thread shards scan as they are gathered
+        (one interpreter has nothing to overlap them with).
+
         A slot that sheds — concurrency budget exhausted, quarantined,
         mid-restart, or retired out from under the fan-out by a concurrent
         reshard (its rides are served from the successor slots on the next
@@ -270,10 +274,9 @@ class RouterCore:
         errors: List[XARError] = []
         slots = self.shards_for_request(request)
         self._h_fanout.observe(len(slots))
-        search = self.transport.search
-        for slot in slots:
+        for gather in self.transport.search_many(slots, request, k):
             try:
-                batches.append(search(slot, request, k))
+                batches.append(gather())
             except (ShardOverloadError, WorkerCrashError):
                 shed += 1
             except XARError as exc:

@@ -139,6 +139,7 @@ class HttpServiceClient:
         depart_s: float,
         seats: Optional[int] = None,
         detour_limit_m: Optional[float] = None,
+        shift_end_s: Optional[float] = None,
     ) -> Any:
         result = self._request("POST", "/v1/create", {
             "source": [source.lat, source.lon],
@@ -146,6 +147,7 @@ class HttpServiceClient:
             "depart_s": depart_s,
             "seats": seats,
             "detour_limit_m": detour_limit_m,
+            "shift_end_s": shift_end_s,
         })
         return codec.ride_from(self.region, result["ride"])
 

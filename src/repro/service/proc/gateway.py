@@ -1,4 +1,4 @@
-"""An ``asyncio`` HTTP/JSON gateway with admission control and load shedding.
+"""A threaded HTTP/JSON gateway with admission control and load shedding.
 
 The gateway fronts any EngineAdapter-shaped service (:class:`ProcRouter`,
 the thread-mode :class:`~repro.service.router.ShardRouter`, a bare engine
@@ -27,23 +27,23 @@ and counts every refusal in ``xar_gateway_shed_total{reason}``:
   The p95 comes from a sliding window of measured RTTs and only engages
   once ``min_rtt_samples`` responses have been observed.
 
-Service calls are synchronous (the routers block on shard RPC), so the
-event loop hands them to a thread pool and keeps accepting; ``max_inflight``
-bounds that pool's backlog.
+Service calls are synchronous (the routers block on shard RPC), so a
+request runs to completion on the thread that read it: an accept thread
+gives every connection its own thread, which loops read → admit → service
+call → write.  ``max_inflight`` bounds the work, not the connections.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import signal
+import socket
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Any, Callable, Deque, Dict, Optional, Tuple
+from typing import Any, BinaryIO, Callable, Deque, Dict, Optional, Tuple
 
 from ...exceptions import (
     DeadlineExceededError,
@@ -57,6 +57,14 @@ from . import codec
 
 SHED_REASONS = ("draining", "capacity", "deadline")
 
+#: Longest request or header line read; a connection that sends a longer
+#: one is closed instead of buffered.
+MAX_LINE_BYTES = 64 * 1024
+
+_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
+            422: "Unprocessable Entity", 500: "Internal Server Error",
+            503: "Service Unavailable", 504: "Gateway Timeout"}
+
 
 @dataclass
 class GatewayConfig:
@@ -68,8 +76,6 @@ class GatewayConfig:
     #: Concurrent requests allowed into the service; beyond this the
     #: gateway sheds with reason="capacity".
     max_inflight: int = 64
-    #: Worker threads executing the (blocking) service calls.
-    workers: int = 16
     #: Deadline assumed for requests without an ``X-Deadline-Ms`` header.
     default_deadline_ms: float = 30_000.0
     #: Sliding window of measured RTTs feeding the p95 estimate.
@@ -106,7 +112,7 @@ class _RttEstimator:
 
 
 class Gateway:
-    """Async HTTP façade over an EngineAdapter-shaped service."""
+    """Threaded HTTP façade over an EngineAdapter-shaped service."""
 
     def __init__(
         self,
@@ -128,15 +134,11 @@ class Gateway:
         self._inflight = 0
         self._inflight_lock = threading.Lock()
         self._rtt = _RttEstimator(self.config.rtt_window)
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.config.workers,
-            thread_name_prefix="xar-gateway",
-        )
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._conn_tasks: set = set()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._stopped = threading.Event()
+        self._listener: Optional[socket.socket] = None
+        self._accept_thread: Optional[threading.Thread] = None
+        #: Open connections and the threads serving them.
+        self._conns: Dict[socket.socket, threading.Thread] = {}
+        self._conns_lock = threading.Lock()
         self._c_requests = self.metrics.counter(
             "xar_gateway_requests_total",
             "Gateway requests by route and status code",
@@ -175,110 +177,88 @@ class Gateway:
     # Admission control
     # ------------------------------------------------------------------
     def _admit(self, deadline_ms: float) -> Optional[str]:
-        """None to admit, else the shed reason."""
+        """None to admit — the request then holds an in-flight slot until
+        :meth:`_leave` — else the shed reason."""
         if self.draining:
             return "draining"
+        # Check and take the slot under one lock: connection threads admit
+        # concurrently, and a check-then-increment would overshoot the cap.
         with self._inflight_lock:
             if self._inflight >= self.config.max_inflight:
                 return "capacity"
+            self._inflight += 1
+            self._g_inflight.set(self._inflight)
         if len(self._rtt) >= self.config.min_rtt_samples:
             p95 = self._rtt.p95_s()
             if (p95 is not None
                     and deadline_ms < p95 * 1000.0 * self.config.deadline_safety):
+                self._leave()
                 return "deadline"
         return None
+
+    def _leave(self) -> None:
+        with self._inflight_lock:
+            self._inflight -= 1
+            self._g_inflight.set(self._inflight)
 
     # ------------------------------------------------------------------
     # HTTP plumbing
     # ------------------------------------------------------------------
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
+    def _serve_connection(self, conn: socket.socket) -> None:
+        """One connection's thread: requests run to completion here."""
         try:
-            while True:
-                request = await self._read_request(reader)
-                if request is None:
-                    return
-                method, path, headers, body = request
-                status, payload = await self._route(method, path, headers,
-                                                    body)
-                keep_alive = headers.get("connection", "").lower() != "close"
-                await self._write_response(writer, status, payload,
-                                           keep_alive)
-                if not keep_alive:
-                    return
-        except (ConnectionError, asyncio.IncompleteReadError,
-                asyncio.CancelledError):
-            pass
+            with conn, conn.makefile("rb") as reader:
+                while True:
+                    request = self._read_request(reader)
+                    if request is None:
+                        return
+                    method, path, headers, body = request
+                    status, payload = self._route(method, path, headers, body)
+                    keep_alive = (
+                        headers.get("connection", "").lower() != "close")
+                    conn.sendall(_response(status, payload, keep_alive))
+                    if not keep_alive:
+                        return
+        except (OSError, ValueError):
+            pass  # peer gone, or a request too malformed to answer
         finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError, RuntimeError):
-                pass
+            with self._conns_lock:
+                self._conns.pop(conn, None)
 
-    async def _read_request(
-        self, reader: asyncio.StreamReader
+    def _read_request(
+        self, reader: BinaryIO
     ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-        line = await reader.readline()
+        line = _read_line(reader)
         if not line:
-            return None
-        try:
-            method, path, _version = line.decode("latin-1").split(" ", 2)
-        except ValueError:
-            return None
+            return None  # clean EOF between requests
+        method, path, _version = line.decode("latin-1").split(" ", 2)
         headers: Dict[str, str] = {}
         while True:
-            raw = await reader.readline()
+            raw = _read_line(reader)
             if raw in (b"\r\n", b"\n", b""):
                 break
             name, _sep, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         length = int(headers.get("content-length", "0") or "0")
-        body = await reader.readexactly(length) if length else b""
+        body = reader.read(length) if length else b""
+        if len(body) < length:
+            raise ValueError("peer closed mid-body")
         return method.upper(), path, headers, body
-
-    async def _write_response(self, writer: asyncio.StreamWriter, status: int,
-                              payload: Any, keep_alive: bool) -> None:
-        if isinstance(payload, str):  # /metrics exposition
-            body = payload.encode("utf-8")
-            content_type = "text/plain; version=0.0.4; charset=utf-8"
-        else:
-            body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-            content_type = "application/json"
-        reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                  422: "Unprocessable Entity", 500: "Internal Server Error",
-                  503: "Service Unavailable",
-                  504: "Gateway Timeout"}.get(status, "Status")
-        head = (
-            f"HTTP/1.1 {status} {reason}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
-            "\r\n"
-        )
-        writer.write(head.encode("latin-1") + body)
-        await writer.drain()
 
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    async def _route(self, method: str, path: str, headers: Dict[str, str],
-                     body: bytes) -> Tuple[int, Any]:
+    def _route(self, method: str, path: str, headers: Dict[str, str],
+               body: bytes) -> Tuple[int, Any]:
         route = f"{method} {path}"
         started = time.perf_counter()
         try:
-            status, payload = await self._dispatch(method, path, headers,
-                                                   body)
+            status, payload = self._dispatch(method, path, headers, body)
         except XARError as exc:
             status, payload = _domain_status(exc), _error_body(exc)
         except WorkerCrashError as exc:
             status, payload = 503, _error_body(exc)
-        except Exception as exc:  # noqa: BLE001 - one request, not the loop
+        except Exception as exc:  # noqa: BLE001 - one request, not the server
             status, payload = 500, {"error": type(exc).__name__,
                                     "message": str(exc)}
         self._c_requests.labels(route=route, status=str(status)).inc()
@@ -286,9 +266,8 @@ class Gateway:
             time.perf_counter() - started)
         return status, payload
 
-    async def _dispatch(self, method: str, path: str,
-                        headers: Dict[str, str],
-                        body: bytes) -> Tuple[int, Any]:
+    def _dispatch(self, method: str, path: str, headers: Dict[str, str],
+                  body: bytes) -> Tuple[int, Any]:
         if method == "GET":
             if path == "/healthz":
                 return 200, {
@@ -300,20 +279,16 @@ class Gateway:
             if path == "/metrics":
                 return 200, to_prometheus_text(self.metrics)
             if path == "/v1/stats":
-                return 200, await self._call(lambda: self.service.stats(),
-                                             measure=False)
+                return 200, self._unmetered(self.service.stats)
             if path == "/v1/rides":
-                rides = await self._call(
-                    lambda: self.service.active_rides(), measure=False)
+                rides = self._unmetered(self.service.active_rides)
                 return 200, {"rides": [codec.ride_record(r) for r in rides]}
             if path == "/v1/rollbacks":
-                count = await self._call(
-                    lambda: self.service.rollback_count(), measure=False)
-                return 200, {"count": count}
+                return 200, {
+                    "count": self._unmetered(self.service.rollback_count)}
             if path == "/v1/index-stats":
-                stats = await self._call(
-                    lambda: self.service.index_stats(), measure=False)
-                return 200, {"stats": stats}
+                return 200, {
+                    "stats": self._unmetered(self.service.index_stats)}
             return 404, {"error": "NotFound", "message": path}
         if method != "POST":
             return 404, {"error": "NotFound", "message": f"{method} {path}"}
@@ -338,21 +313,26 @@ class Gateway:
             return 503, {"error": "GatewayShed", "shed": reason,
                          "message": f"request shed by gateway ({reason})"}
 
+        try:
+            return self._serve(path, args)
+        finally:
+            self._leave()
+
+    def _serve(self, path: str, args: Dict[str, Any]) -> Tuple[int, Any]:
+        """An admitted POST: decode, call the service, encode."""
+        service = self.service
         if path == "/v1/search":
             request = codec.request_from(args["request"])
-            k = args.get("k")
-            matches = await self._call(
-                lambda: self.service.search(
-                    request, None if k is None else int(k)))
+            k = None if args.get("k") is None else int(args["k"])
+            matches = self._call(lambda: service.search(request, k))
             return 200, {"matches": codec.matches_record(matches)}
         if path == "/v1/book":
             request = codec.request_from(args["request"])
             match = codec.match_from(args["match"])
-            booking = await self._call(
-                lambda: self.service.book(request, match))
+            booking = self._call(lambda: service.book(request, match))
             return 200, {"booking": codec.booking_record(booking)}
         if path == "/v1/create":
-            ride = await self._call(lambda: self.service.create(
+            ride = self._call(lambda: service.create(
                 GeoPoint(*[float(c) for c in args["source"]]),
                 GeoPoint(*[float(c) for c in args["destination"]]),
                 float(args["depart_s"]),
@@ -360,126 +340,144 @@ class Gateway:
                 else int(args["seats"]),
                 detour_limit_m=codec.optional_float(
                     args.get("detour_limit_m")),
+                shift_end_s=codec.optional_float(args.get("shift_end_s")),
             ))
             return 200, {"ride": codec.ride_record(ride)}
         if path == "/v1/track":
-            affected = await self._call(
-                lambda: self.service.track_all(float(args["now_s"])))
+            affected = self._call(
+                lambda: service.track_all(float(args["now_s"])))
             return 200, {"affected": affected}
         if path == "/v1/cancel":
             handle = SimpleNamespace(ride_id=int(args["ride_id"]))
-            await self._call(lambda: self.service.cancel(handle))
+            self._call(lambda: service.cancel(handle))
             return 200, {}
         return 404, {"error": "NotFound", "message": path}
 
-    async def _call(self, fn, measure: bool = True) -> Any:
-        """Run a blocking service call on the pool, tracking in-flight count
-        and feeding the RTT estimator."""
-        loop = asyncio.get_running_loop()
+    def _call(self, fn: Callable[[], Any]) -> Any:
+        """An admitted service call; its time feeds the RTT estimator."""
+        started = time.perf_counter()
+        try:
+            return fn()
+        finally:
+            self._rtt.observe(time.perf_counter() - started)
+
+    def _unmetered(self, fn: Callable[[], Any]) -> Any:
+        """An introspection call: counted in flight (the drain waits for
+        it), neither admission-controlled nor fed to the RTT estimator."""
         with self._inflight_lock:
             self._inflight += 1
             self._g_inflight.set(self._inflight)
-        started = time.perf_counter()
         try:
-            return await loop.run_in_executor(self._executor, fn)
+            return fn()
         finally:
-            if measure:
-                self._rtt.observe(time.perf_counter() - started)
-            with self._inflight_lock:
-                self._inflight -= 1
-                self._g_inflight.set(self._inflight)
+            self._leave()
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port)
-        self.port = self._server.sockets[0].getsockname()[1]
+    def start_background(self) -> str:
+        """Bind, listen and serve from daemon threads; returns the base URL
+        (port 0 resolves at bind)."""
+        listener = socket.create_server(
+            (self.config.host, self.config.port), backlog=128)
+        self._listener = listener
+        self.port = listener.getsockname()[1]
+        self._accept_thread = threading.Thread(
+            target=self._accept_loop, args=(listener,),
+            name="xar-gateway-accept", daemon=True)
+        self._accept_thread.start()
+        return f"http://{self.config.host}:{self.port}"
 
-    async def _shutdown(self, drain_timeout_s: Optional[float] = None) -> None:
-        """Drain: refuse new work, wait for in-flight requests, stop."""
+    def _accept_loop(self, listener: socket.socket) -> None:
+        while True:
+            try:
+                conn, _addr = listener.accept()
+            except OSError:
+                return  # listener closed: shutting down
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            thread = threading.Thread(
+                target=self._serve_connection, args=(conn,),
+                name="xar-gateway-conn", daemon=True)
+            with self._conns_lock:
+                self._conns[conn] = thread
+            thread.start()
+
+    def shutdown(self, drain_timeout_s: Optional[float] = None) -> None:
+        """Drain and stop, from any thread: refuse new work, wait for
+        in-flight requests, stop accepting, hang up.  A no-op on a gateway
+        that is not running."""
+        listener, self._listener = self._listener, None
+        if listener is None:
+            return
         self.draining = True
         timeout = (self.config.drain_timeout_s
                    if drain_timeout_s is None else drain_timeout_s)
         deadline = time.monotonic() + timeout
         while self._inflight > 0 and time.monotonic() < deadline:
-            await asyncio.sleep(0.02)
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        # Kill idle keep-alive connections so no task outlives the loop.
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-        self._executor.shutdown(wait=False)
-        self._stopped.set()
+            time.sleep(0.02)
+        # Closing a listener does not wake a thread blocked in accept();
+        # shutting it down does.
+        _hang_up(listener)
+        listener.close()
+        self._accept_thread.join(timeout=5.0)
+        # Half-close every connection: a thread idle in a keep-alive read
+        # sees EOF and exits, one still writing its response finishes first.
+        with self._conns_lock:
+            conns = dict(self._conns)
+        for conn in conns:
+            _hang_up(conn)
+        for thread in conns.values():
+            thread.join(timeout=1.0)
 
     def serve_forever(
         self, on_start: Optional[Callable[[str], None]] = None
     ) -> None:
         """Blocking entry point (the CLI's ``xar serve``): run until
-        SIGTERM/SIGINT, then drain and exit.  ``on_start`` receives the
-        bound base URL once the listener is up (port 0 resolves at bind)."""
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-
-        def request_shutdown() -> None:
-            asyncio.ensure_future(self._stop_and_halt(), loop=loop)
-
+        SIGTERM/SIGINT, then drain and return.  ``on_start`` receives the
+        bound base URL once the listener is up."""
+        stop = threading.Event()
         for signum in (signal.SIGTERM, signal.SIGINT):
             try:
-                loop.add_signal_handler(signum, request_shutdown)
-            except (NotImplementedError, RuntimeError):
-                pass
-        loop.run_until_complete(self.start())
+                signal.signal(signum, lambda _signum, _frame: stop.set())
+            except ValueError:
+                pass  # not the main thread: the caller stops us another way
+        url = self.start_background()
         if on_start is not None:
-            on_start(f"http://{self.config.host}:{self.port}")
-        try:
-            loop.run_forever()
-        finally:
-            loop.close()
+            on_start(url)
+        stop.wait()
+        self.shutdown()
 
-    async def _stop_and_halt(self) -> None:
-        await self._shutdown()
-        asyncio.get_running_loop().stop()
 
-    def start_background(self) -> str:
-        """Run the gateway on a daemon thread; returns the base URL."""
-        ready = threading.Event()
+def _read_line(reader: BinaryIO) -> bytes:
+    line = reader.readline(MAX_LINE_BYTES + 1)
+    if len(line) > MAX_LINE_BYTES:
+        raise ValueError(f"line over {MAX_LINE_BYTES} bytes")
+    return line
 
-        def run() -> None:
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            self._loop = loop
-            loop.run_until_complete(self.start())
-            ready.set()
-            try:
-                loop.run_forever()
-            finally:
-                loop.close()
 
-        self._thread = threading.Thread(target=run, name="xar-gateway-loop",
-                                        daemon=True)
-        self._thread.start()
-        if not ready.wait(timeout=10.0):
-            raise RuntimeError("gateway failed to start within 10s")
-        return f"http://{self.config.host}:{self.port}"
+def _response(status: int, payload: Any, keep_alive: bool) -> bytes:
+    if isinstance(payload, str):  # /metrics exposition
+        body = payload.encode("utf-8")
+        content_type = "text/plain; version=0.0.4; charset=utf-8"
+    else:
+        body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+        content_type = "application/json"
+    head = (
+        f"HTTP/1.1 {status} {_REASONS.get(status, 'Status')}\r\n"
+        f"Content-Type: {content_type}\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
+        "\r\n"
+    )
+    return head.encode("latin-1") + body
 
-    def shutdown(self, drain_timeout_s: Optional[float] = None) -> None:
-        """Stop a background gateway from any thread (drains first)."""
-        loop = self._loop
-        if loop is None or self._thread is None:
-            return
-        future = asyncio.run_coroutine_threadsafe(
-            self._shutdown(drain_timeout_s), loop)
-        future.result(timeout=(drain_timeout_s or
-                               self.config.drain_timeout_s) + 5.0)
-        loop.call_soon_threadsafe(loop.stop)
-        self._thread.join(timeout=5.0)
-        self._thread = None
+
+def _hang_up(sock: socket.socket) -> None:
+    """Stop reading from ``sock``, waking any thread blocked on it."""
+    try:
+        sock.shutdown(socket.SHUT_RD)
+    except OSError:
+        pass  # already closed by its own thread
 
 
 def _domain_status(exc: XARError) -> int:

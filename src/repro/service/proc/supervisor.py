@@ -30,7 +30,9 @@ mutations carrying an idempotency key.  A ``create`` whose connection died
 after the request was sent is *not* retried (the WAL may already hold it;
 recovery completes it) and surfaces as
 :class:`~repro.exceptions.WorkerCrashError` exactly like a thread-mode
-crash.
+crash.  Fan-outs (a search of several slots, every tracking tick) use
+:meth:`ProcShard.start` instead: the same send half now, the receive half
+when the caller gathers, so the children work at the same time.
 
 The supervisor **is** the UNIX-socket
 :class:`~repro.service.transport.ShardTransport`: typed per-slot operations
@@ -44,6 +46,7 @@ carve), ``start`` spawns a child on a spec's files.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import queue
@@ -54,7 +57,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ...discretization import DiscretizedRegion, save_region
 from ...durability import engine_state, recover_engine
@@ -67,6 +70,7 @@ from ...exceptions import (
     ShardOverloadError,
     ShardQuarantinedError,
     WorkerCrashError,
+    XARError,
 )
 from ...obs import DEFAULT_LATENCY_BUCKETS_S, MetricsRegistry
 from ..sharding import derive_seed
@@ -93,6 +97,11 @@ RESHARDING = "resharding"
 
 STATE_CODES = {STARTING: 0, LIVE: 1, RESTARTING: 2, QUARANTINED: 3,
                STOPPED: 4, RESHARDING: 5}
+
+#: What a best-effort call (stats probe, tick sweep) raises when its shard
+#: cannot serve it now; the caller reports the shard absent instead.
+_UNAVAILABLE = (ShardOverloadError, WorkerCrashError, DeadlineExceededError,
+                RpcError)
 
 
 @dataclass
@@ -136,6 +145,16 @@ class SupervisorConfig:
     resilient: bool = False
     optimize_insertion: bool = False
     seed: int = 0
+
+
+class _Sent(NamedTuple):
+    """A request on the wire: what its receive half needs."""
+
+    op: str
+    pool: "queue.Queue[socket.socket]"
+    sock: socket.socket
+    request_id: int
+    started: float  #: perf_counter just before the frame was written
 
 
 class ProcShard:
@@ -229,30 +248,28 @@ class ProcShard:
     ) -> Any:
         """Call ``op`` on the shard process; deadline- and retry-aware.
 
-        ``wait_live_s`` bounds how long the call blocks waiting for a
-        restarting shard (``0`` fails fast — the searcher's choice; the
-        default waits out the caller's whole deadline).  Transport failures
-        retry with jittered backoff only when ``readonly`` or ``idem`` says
-        a duplicate apply is impossible; anything else becomes a
-        :class:`WorkerCrashError` with ``mid_op`` telling the caller
-        whether the op may already be in the shard's WAL.  ``guard`` is the
-        router core's routing re-check: evaluated after every wait for
-        liveness and before the frame is sent (first attempt and retries
-        alike); when it fails nothing was sent and
+        The blocking composition of the two halves of a call
+        (:meth:`_send`, :meth:`_receive`).  ``wait_live_s`` bounds how long
+        the call blocks waiting for a restarting shard (``0`` fails fast —
+        the searcher's choice; the default waits out the caller's whole
+        deadline).  Transport failures retry with jittered backoff only
+        when ``readonly`` or ``idem`` says a duplicate apply is impossible;
+        anything else becomes a :class:`WorkerCrashError` with ``mid_op``
+        telling the caller whether the op may already be in the shard's
+        WAL.  ``guard`` is the router core's routing re-check: evaluated
+        after every wait for liveness and before the frame is sent (first
+        attempt and retries alike); when it fails nothing was sent and
         :class:`~repro.service.stack.Rerouted` is raised.
         """
-        total_s = (self.config.default_deadline_s
-                   if deadline_s is None else deadline_s)
-        started = time.monotonic()
-        deadline = started + total_s
+        total_s, started, deadline, live_deadline = self._window(
+            deadline_s, wait_live_s)
         fail_fast = wait_live_s is not None
-        live_deadline = (deadline if wait_live_s is None
-                         else min(deadline, started + wait_live_s))
         attempt = 0
         while True:
-            self._await_live(op, live_deadline, fail_fast, guard)
             try:
-                return self._call_once(op, args, deadline, total_s, idem)
+                return self._receive(self._send(
+                    op, args, deadline, total_s, idem, live_deadline,
+                    fail_fast, guard))
             except (RpcTransportError, RpcProtocolError) as exc:
                 request_sent = getattr(exc, "request_sent", True)
                 if not (readonly or idem is not None or not request_sent):
@@ -285,9 +302,74 @@ class ProcShard:
                 # instead of stalling behind the restart's WAL replay).
                 live_deadline = deadline
 
-    def _call_once(self, op: str, args: Optional[Dict[str, Any]],
-                   deadline: float, total_s: float,
-                   idem: Optional[str]) -> Any:
+    def start(
+        self,
+        op: str,
+        args: Optional[Dict[str, Any]] = None,
+        *,
+        deadline_s: Optional[float] = None,
+        idem: Optional[str] = None,
+        readonly: bool = False,
+        wait_live_s: Optional[float] = None,
+        guard: Optional[Callable[[], bool]] = None,
+    ) -> Callable[[], Any]:
+        """The scatter half of a fan-out: put ``op`` on the wire and return
+        the callable that waits for its answer.
+
+        A fan-out sends to every child before it waits for any, so the
+        children work at the same time.  The caller must call what it gets
+        back: until then the call keeps one of the shard's channels.  Only
+        for calls a duplicate cannot hurt (``readonly`` or ``idem``): a
+        transport or protocol failure of either half re-issues the whole
+        call through :meth:`rpc`, so the retry, fail-fast and shed rules
+        live there alone.  Everything ``rpc`` raises before its frame is
+        sent — shed, quarantined, shut down, rerouted — is raised here.
+        """
+        if not readonly and idem is None:
+            raise ValueError(f"{op}: only idempotent calls may be scattered")
+
+        def reissue() -> Any:
+            return self.rpc(op, args, deadline_s=deadline_s, idem=idem,
+                            readonly=readonly, wait_live_s=wait_live_s,
+                            guard=guard)
+
+        total_s, _started, deadline, live_deadline = self._window(
+            deadline_s, wait_live_s)
+        try:
+            sent = self._send(op, args, deadline, total_s, idem,
+                              live_deadline, wait_live_s is not None, guard)
+        except (RpcTransportError, RpcProtocolError):
+            result = reissue()
+            return lambda: result
+
+        def gather() -> Any:
+            try:
+                return self._receive(sent)
+            except (RpcTransportError, RpcProtocolError):
+                return reissue()
+
+        return gather
+
+    def _window(self, deadline_s: Optional[float],
+                wait_live_s: Optional[float]
+                ) -> Tuple[float, float, float, float]:
+        """``(total_s, started, deadline, live_deadline)`` of a call that
+        begins now (monotonic clock)."""
+        total_s = (self.config.default_deadline_s
+                   if deadline_s is None else deadline_s)
+        started = time.monotonic()
+        deadline = started + total_s
+        live_deadline = (deadline if wait_live_s is None
+                         else min(deadline, started + wait_live_s))
+        return total_s, started, deadline, live_deadline
+
+    def _send(self, op: str, args: Optional[Dict[str, Any]], deadline: float,
+              total_s: float, idem: Optional[str], live_deadline: float,
+              fail_fast: bool,
+              guard: Optional[Callable[[], bool]]) -> "_Sent":
+        """First half of one attempt: wait for the shard to be live (guard
+        re-checked), take a channel, stamp the request, write its frame."""
+        self._await_live(op, live_deadline, fail_fast, guard)
         remaining = deadline - time.monotonic()
         if remaining <= 0:
             raise DeadlineExceededError(op, total_s, total_s)
@@ -313,7 +395,6 @@ class ProcShard:
                         f"shard {self.shard_id} restarted while queued "
                         f"for a connection", request_sent=False,
                     ) from None
-        reusable = True
         try:
             with self._id_lock:
                 self._next_id += 1
@@ -332,6 +413,19 @@ class ProcShard:
             sock.settimeout(max(remaining, 0.001))
             rpc_started = time.perf_counter()
             write_frame(sock, request)
+        except (RpcTransportError, RpcProtocolError):
+            _close_quietly(sock)  # half a frame may be on it
+            raise
+        except BaseException:
+            self._release(pool, sock)  # nothing was written
+            raise
+        return _Sent(op, pool, sock, request_id, rpc_started)
+
+    def _receive(self, sent: "_Sent") -> Any:
+        """Second half: read the response frame, check it answers this
+        request, give the channel back (or close it), unwrap the result."""
+        op, pool, sock, request_id, rpc_started = sent
+        try:
             response = read_frame(sock)
             self.supervisor._observe_rpc(
                 self.shard_id, op, time.perf_counter() - rpc_started)
@@ -343,18 +437,22 @@ class ProcShard:
         except (RpcTransportError, RpcProtocolError):
             # The channel cannot be trusted (a late response could answer
             # the next request): drop it instead of returning it.
-            reusable = False
             _close_quietly(sock)
             raise
-        finally:
-            if reusable:
-                if self._conns is pool:
-                    pool.put(sock)
-                else:  # the shard restarted mid-call; this pool is history
-                    _close_quietly(sock)
+        except BaseException:
+            self._release(pool, sock)
+            raise
+        self._release(pool, sock)
         if response.get("ok"):
             return response.get("result")
         raise_remote_error(response, shard_id=self.shard_id, operation=op)
+
+    def _release(self, pool: "queue.Queue[socket.socket]",
+                 sock: socket.socket) -> None:
+        if self._conns is pool:
+            pool.put(sock)
+        else:  # the shard restarted mid-call; this pool is history
+            _close_quietly(sock)
 
     # ------------------------------------------------------------------
     # Plumbing used by the supervisor
@@ -795,24 +893,58 @@ class ShardSupervisor:
             "find_ride", {"ride_id": ride_id}, readonly=True, guard=guard)
         return codec.ride_from(self.region, result["ride"])
 
-    def search(self, slot, request, k):
-        """Fails fast (``wait_live_s=0``): a shard that is mid-restart is
-        shed like an overloaded one instead of stalling the fan-out."""
-        result = self.shards[slot].rpc(
-            "search",
-            {"request": codec.request_record(request), "k": k},
-            deadline_s=self.search_deadline_s,
-            readonly=True,
-            wait_live_s=0.0,
-        )
-        return codec.matches_from(result["matches"])
+    def search_many(self, slots, request, k):
+        """One gatherable per slot, in ``slots`` order.
+
+        Every search fails fast (``wait_live_s=0``): a shard that is
+        mid-restart is shed like an overloaded one instead of stalling the
+        fan-out.  A search of one slot is a plain ``rpc``.  A wider one is
+        scattered: every frame is on the wire before the first answer is
+        awaited, so the children scan at the same time.  Channels are
+        taken in ascending slot order whatever order the core asked in, so
+        concurrent fan-outs cannot hold one shard's last channel each while
+        waiting for the other's.
+        """
+        args = {"request": codec.request_record(request), "k": k}
+        options = dict(deadline_s=self.search_deadline_s, readonly=True,
+                       wait_live_s=0.0)
+        if len(slots) == 1:
+            waits = [functools.partial(
+                self.shards[slots[0]].rpc, "search", args, **options)]
+        else:
+            started = {slot: self._start(slot, "search", args, **options)
+                       for slot in sorted(slots)}
+            waits = [started[slot] for slot in slots]
+        return [functools.partial(_matches, wait) for wait in waits]
+
+    def _start(self, slot, op, args, **options):
+        """``ProcShard.start``, with a refusal at send time (shed,
+        quarantined, shut down) kept for the gather: the caller sorts every
+        slot's outcome in one place."""
+        try:
+            return self.shards[slot].start(op, args, **options)
+        except (XARError, WorkerCrashError) as exc:
+            return functools.partial(_raise, exc)
 
     def track(self, slot, now_s):
-        affected = int(self.shards[slot].rpc(
+        """Scatter like a wide search (the core sweeps slots in ascending
+        order): the tick is accepted once its frame is sent — a slot that
+        cannot take it raises here — and the returned callable waits for
+        the child's sweep.  The idempotency key makes the re-issue after a
+        lost connection safe; a slot that still sheds then contributes 0,
+        like a thread shard that crashed mid-sweep."""
+        wait = self.shards[slot].start(
             "track", {"now_s": now_s}, idem=f"track:{now_s}",
             wait_live_s=0.0,
-        )["affected"])
-        return lambda: affected
+        )
+
+        def sweep() -> int:
+            try:
+                return int(wait()["affected"])
+            except _UNAVAILABLE:
+                return 0
+
+        return sweep
 
     # ------------------------------------------------------------------
     # Introspection
@@ -842,8 +974,7 @@ class ShardSupervisor:
         try:
             snapshot = shard.rpc("stats", readonly=True, deadline_s=5.0,
                                  wait_live_s=0.0)
-        except (ShardOverloadError, WorkerCrashError,
-                DeadlineExceededError, RpcError):
+        except _UNAVAILABLE:
             snapshot = {"unreachable": True}
         snapshot["state"] = shard.state
         snapshot["restarts"] = shard.restarts
@@ -923,6 +1054,14 @@ class ShardSupervisor:
     def abandon(self) -> None:
         """Process-death teardown: SIGKILL every child, no drain."""
         self.close(force=True)
+
+
+def _matches(wait: Callable[[], Any]) -> List[Any]:
+    return codec.matches_from(wait()["matches"])
+
+
+def _raise(exc: BaseException) -> Any:
+    raise exc
 
 
 def _close_quietly(sock: socket.socket) -> None:

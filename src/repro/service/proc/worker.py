@@ -257,7 +257,7 @@ class ShardProcess:
                             "seq": self._hb_seq,
                             "pid": os.getpid(),
                             "generation": self.generation,
-                            "depth": self.stack.worker.stats.queue_peak,
+                            "depth": self.stack.worker.depth,
                         })
                     except RpcError:
                         return

@@ -17,12 +17,27 @@ drown the win of searching 1/N of the supply.  Inline reads are still
 admission-controlled: a semaphore with the same ``queue_depth`` bound
 refuses (sheds) reads beyond the shard's concurrency budget.
 
+**One engine op at a time per interpreter.**  Every job a worker runs —
+inline read or queued mutation, on any shard of the process — first takes
+:data:`ENGINE_TURN`, a process-wide lock.  An engine op is a few hundred
+short numpy calls, each of which drops the GIL; two ops "overlapping" on
+one interpreter therefore trade it ~100 times per search and both finish
+later than if they had taken turns (measured on a 2-shard router: one
+thread 1 300 searches/s, two threads 555/s in total, two threads taking
+turns 1 300/s — docs/service.md).  The turn is taken *after* admission
+(read gate, bounded queue — shedding and per-shard FIFO order are
+untouched) and *before* the service clock starts, so waiting for it is
+queue wait, never service time.  WAL fsyncs and checkpoints happen inside
+the turn (at most one ~2.4 ms fsync per ``fsync_every`` = 64 appends); the
+resilient runtime's retry backoff does not (:meth:`_Turn.sleep`).
+
 Observability: given a :class:`~repro.obs.MetricsRegistry` the worker
 reports queue depth (gauge), queue **wait** time vs **service** time
-(histograms — the classic "is latency the queue or the work?" split) and
-completed/shed/errored jobs per operation (counters), all labelled with
-the shard id.  The legacy :class:`ShardStats` counters remain and are
-always maintained; read them race-free via :meth:`ShardWorker.stats_snapshot`.
+(histograms — the classic "is latency the queue or the work?" split; the
+wait includes the wait for the turn) and completed/shed/errored jobs per
+operation (counters), all labelled with the shard id.  The legacy
+:class:`ShardStats` counters remain and are always maintained; read them
+race-free via :meth:`ShardWorker.stats_snapshot`.
 """
 
 from __future__ import annotations
@@ -83,6 +98,56 @@ class _Job:
 _STOP = object()
 
 
+class _Turn:
+    """The interpreter's turn: at most one engine op executes at a time.
+
+    Not re-entrant — a job that asks for the turn it already holds (an op
+    calling back into a shard worker) would wait for itself forever, so it
+    raises instead.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._holder: Optional[int] = None
+
+    def acquire(self) -> None:
+        me = threading.get_ident()
+        if self._holder == me:
+            raise RuntimeError(
+                "engine turn requested by the thread that already holds it"
+            )
+        self._lock.acquire()
+        self._holder = me
+
+    def release(self) -> None:
+        self._holder = None
+        self._lock.release()
+
+    def __enter__(self) -> None:
+        self.acquire()
+
+    def __exit__(self, *_exc: Any) -> None:
+        self.release()
+
+    def sleep(self, seconds: float) -> None:
+        """``time.sleep`` that gives the turn away while it sleeps (the
+        resilient runtime's retry backoff: 20–500 ms in which another
+        shard's op can run).  Plain sleep for a thread without the turn."""
+        if self._holder != threading.get_ident():
+            time.sleep(seconds)
+            return
+        self.release()
+        try:
+            time.sleep(seconds)
+        finally:
+            self.acquire()
+
+
+#: Process-wide because the interpreter is: one lock for every worker of
+#: every router and transport in this process.
+ENGINE_TURN = _Turn()
+
+
 class ShardWorker:
     """A single-threaded executor owning one shard's engine adapter."""
 
@@ -130,7 +195,8 @@ class ShardWorker:
             ).labels(shard=shard_label)
             self._m_wait = metrics.histogram(
                 "xar_shard_queue_wait_seconds",
-                "Time a job waited in the shard queue before running",
+                "Time a job waited before running: in the shard queue and "
+                "for the interpreter's turn",
                 labels=("shard",),
                 buckets=DEFAULT_LATENCY_BUCKETS_S,
             ).labels(shard=shard_label)
@@ -226,9 +292,11 @@ class ShardWorker:
         if not self._read_gate.acquire(blocking=False):
             self._count(self.stats.shed, operation, "shed")
             raise ShardOverloadError(self.shard_id, operation)
-        started = time.perf_counter()
+        admitted = time.perf_counter()
         try:
-            result = fn()
+            with ENGINE_TURN:
+                started = self._service_begins(admitted)
+                result = fn()
         except BaseException:
             self._count(self.stats.errors, operation, "error")
             raise
@@ -242,6 +310,14 @@ class ShardWorker:
         finally:
             self._read_gate.release()
 
+    def _service_begins(self, waiting_since: float) -> float:
+        """Called with the turn just taken: books everything since admission
+        as queue wait and starts the service clock."""
+        started = time.perf_counter()
+        if self._m_wait is not None:
+            self._m_wait.observe(started - waiting_since)
+        return started
+
     # ------------------------------------------------------------------
     # Worker loop (the shard thread)
     # ------------------------------------------------------------------
@@ -254,11 +330,10 @@ class ShardWorker:
                 self._m_depth.set(self._queue.qsize())
             if not job.future.set_running_or_notify_cancel():
                 continue
-            started = time.perf_counter()
-            if self._m_wait is not None:
-                self._m_wait.observe(started - job.enqueued_at)
             try:
-                result = job.fn()
+                with ENGINE_TURN:
+                    started = self._service_begins(job.enqueued_at)
+                    result = job.fn()
             except WorkerCrashError as exc:
                 # The worker "process" died mid-operation.  Flag the crash
                 # (mid_op: the op may already be in the WAL and must not be

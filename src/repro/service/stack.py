@@ -41,7 +41,7 @@ from ..exceptions import UnknownRideError, WorkerCrashError
 from ..obs import MetricsRegistry
 from ..resilience import InvariantAuditor, ResilienceConfig, ResilientEngine
 from ..sim.adapters import XARAdapter
-from .shard import ShardWorker
+from .shard import ENGINE_TURN, ShardWorker
 from .sharding import derive_seed
 
 
@@ -190,7 +190,10 @@ class ShardStack:
         if config.resilient:
             adapter = ResilientEngine(
                 adapter,
-                ResilienceConfig(seed=derive_seed(config.seed, spec.slot)),
+                # Retry backoff gives the interpreter's turn away: a shard
+                # sleeping off a transient fault must not stall the others.
+                ResilienceConfig(seed=derive_seed(config.seed, spec.slot),
+                                 sleep=ENGINE_TURN.sleep),
                 metrics=metrics,
                 metrics_labels=labels,
             )
@@ -288,8 +291,8 @@ class ShardStack:
 
     def search(self, request: RideRequest,
                k: Optional[int]) -> List[MatchOption]:
-        """The inline read path: runs in the caller's thread under the
-        engine's own lock — no worker hand-off."""
+        """The inline read path: runs in the caller's thread, in its turn,
+        under the engine's own lock — no worker hand-off."""
         return self.worker.execute_inline(
             "search", lambda: self.adapter.search(request, k)
         )

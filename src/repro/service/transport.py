@@ -37,9 +37,12 @@ class ShardTransport(Protocol):
 
     *Data path*: the guarded ops evaluate ``guard`` at the last moment before
     applying and raise :class:`~repro.service.stack.Rerouted` when it fails —
-    or when the shard died before the op started; ``search`` and ``track``
-    shed with :class:`~repro.exceptions.ShardOverloadError`; ``track``
-    returns a callable that waits for the slot's sweep.  *Reshard steps*:
+    or when the shard died before the op started; ``search_many`` and
+    ``track`` are the fan-out shape — one callable per slot that waits for
+    (or, in one interpreter, runs) that slot's part and raises what it
+    raised, shed (:class:`~repro.exceptions.ShardOverloadError`) included;
+    ``track`` itself raises when the slot cannot accept the tick.
+    *Reshard steps*:
     ``drain`` parks a source (``force`` = no graceful stop), ``snapshot``
     makes its WAL durable and serialises its engine, ``start`` boots a slot
     from a spec's files (one past the table = a new slot), ``resume``
@@ -56,7 +59,7 @@ class ShardTransport(Protocol):
     def cancel(self, slot, guard, ride): ...
     def cancel_booking(self, slot, guard, request_id, ride_id): ...
     def find_ride(self, slot, guard, ride_id): ...
-    def search(self, slot, request, k): ...
+    def search_many(self, slots, request, k) -> List[Callable[[], Any]]: ...
     def track(self, slot, now_s) -> Callable[[], int]: ...
 
     def active_rides(self, slot): ...
@@ -266,12 +269,16 @@ class ThreadTransport:
     def find_ride(self, slot, guard, ride_id):
         return self._live(slot).find_ride(ride_id, guard)
 
-    def search(self, slot, request, k):
-        """Inline read: a fan-out of three shards costs three small
-        searches, not six thread hand-offs."""
-        return self._with_failover(
-            slot, lambda shard: shard.search(request, k)
-        )
+    def search_many(self, slots, request, k):
+        """Inline reads, run one after the other as they are gathered: a
+        fan-out of three shards costs three small searches, not six thread
+        hand-offs, and inside one interpreter there is nothing to overlap
+        them with (the turn, :mod:`~repro.service.shard`)."""
+        def read(shard: ShardStack) -> Any:
+            return shard.search(request, k)
+
+        return [functools.partial(self._with_failover, slot, read)
+                for slot in slots]
 
     def track(self, slot, now_s):
         shard = self._live(slot)

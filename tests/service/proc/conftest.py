@@ -9,6 +9,7 @@ not wall clocks.
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -53,6 +54,14 @@ def proc_service(small_region, saved_region_dir, tmp_path):
     assert router.wait_all_live(30.0)
     yield router
     router.close()
+
+
+def await_until(predicate, timeout_s=15.0, what="condition"):
+    """Poll ``predicate`` until it holds; fail the test past ``timeout_s``."""
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.005)
 
 
 def make_request(region, request_id, src, dst):

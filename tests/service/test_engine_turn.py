@@ -1,0 +1,283 @@
+"""The interpreter's turn: one engine op at a time, on every shard.
+
+``ShardWorker`` takes the process-wide ``ENGINE_TURN`` around every job it
+runs — inline read or queued mutation — after admission and before the
+service clock starts.  These tests pin what that must and must not change.
+"""
+
+from __future__ import annotations
+
+import sys
+import threading
+import time
+
+import pytest
+
+from repro.durability import DurabilityConfig
+from repro.exceptions import TransientFaultError
+from repro.obs import MetricsRegistry
+from repro.service import ShardRouter, ShardWorker
+from repro.service.shard import ENGINE_TURN
+
+JOIN_S = 30.0
+
+
+def _join(threads):
+    for thread in threads:
+        thread.join(timeout=JOIN_S)
+        assert not thread.is_alive()
+
+
+class _Probe:
+    """Wraps shard adapters; sees how many ops execute at once, process-wide,
+    and the order mutations reach each shard's engine."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.active = 0
+        self.peak = 0
+        self.ops = 0
+        self.order = {}
+
+    def wrap(self, slot, inner):
+        self.order[slot] = []
+        return _Probed(self, slot, inner)
+
+    def enter(self):
+        with self._lock:
+            self.active += 1
+            self.ops += 1
+            self.peak = max(self.peak, self.active)
+
+    def leave(self):
+        with self._lock:
+            self.active -= 1
+
+
+class _Probed:
+    def __init__(self, probe, slot, inner):
+        self._probe, self._slot, self._inner = probe, slot, inner
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def _run(self, fn):
+        self._probe.enter()
+        try:
+            return fn()
+        finally:
+            self._probe.leave()
+
+    def search(self, request, k=None):
+        return self._run(lambda: self._inner.search(request, k))
+
+    def create(self, source, destination, depart_s, **options):
+        self._probe.order[self._slot].append(depart_s)
+        return self._run(lambda: self._inner.create(
+            source, destination, depart_s, **options))
+
+    def track_all(self, now_s):
+        return self._run(lambda: self._inner.track_all(now_s))
+
+
+def _supply(city, n):
+    nodes = list(city.nodes())
+    return [(city.position(nodes[(7 * i) % len(nodes)]),
+             city.position(nodes[(7 * i + 211) % len(nodes)]),
+             float(i)) for i in range(n)]
+
+
+def _ride_ids(service):
+    return sorted(ride.ride_id for ride in service.active_rides())
+
+
+def _answers(service, requests):
+    return [[(m.ride_id, m.detour_m) for m in service.search(request)]
+            for request in requests]
+
+
+def test_one_op_at_a_time_fifo_per_shard_and_sequential_answers(
+    region, city, workload
+):
+    supply = _supply(city, 60)
+    requests = workload[:80]
+
+    # The sequential run: one thread, same ops.
+    with ShardRouter(region, 2, seed=11) as reference:
+        for source, destination, depart_s in supply:
+            reference.create(source, destination, depart_s)
+        expected_rides = _ride_ids(reference)
+        expected_answers = _answers(reference, requests)
+
+    probe = _Probe()
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ShardRouter(region, 2, seed=11) as service:
+            for shard in service.shards:
+                shard.adapter = probe.wrap(shard.shard_id, shard.adapter)
+
+            # Phase 1: one submitter per shard pipelines its creates into
+            # the shard's queue (submission order = list order) while two
+            # readers fan searches out over both shards.
+            by_slot = {0: [], 1: []}
+            for ride in supply:
+                by_slot[service.table.slot_of_point(ride[0])].append(ride)
+            done = threading.Event()
+
+            def submit_all(slot):
+                shard = service.shards[slot]
+                futures = [
+                    shard.worker.submit(
+                        "create",
+                        lambda ride=ride: shard.adapter.create(*ride))
+                    for ride in by_slot[slot]
+                ]
+                for future in futures:
+                    future.result(timeout=JOIN_S)
+
+            def read_until_done():
+                while not done.is_set():
+                    for request in requests[:10]:
+                        service.search(request)
+
+            submitters = [threading.Thread(target=submit_all, args=(slot,))
+                          for slot in by_slot]
+            readers = [threading.Thread(target=read_until_done)
+                       for _ in range(2)]
+            for thread in submitters + readers:
+                thread.start()
+            _join(submitters)
+            done.set()
+            _join(readers)
+            for slot, rides in by_slot.items():
+                assert probe.order[slot] == [ride[2] for ride in rides]
+            assert _ride_ids(service) == expected_rides
+
+            # Phase 2: four clients search the now-static supply.
+            answers = [None] * 4
+
+            def client(index):
+                answers[index] = _answers(service, requests[index::4])
+
+            clients = [threading.Thread(target=client, args=(index,))
+                       for index in range(4)]
+            for thread in clients:
+                thread.start()
+            _join(clients)
+            for index in range(4):
+                assert answers[index] == expected_answers[index::4]
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert probe.ops > 200
+    assert probe.peak == 1
+
+
+def _histogram_sum(metrics, name, **labels):
+    return sum(child.sum for child_labels, child in metrics.get(name).collect()
+               if all(child_labels.get(k) == v for k, v in labels.items()))
+
+
+def test_turn_wait_is_queue_wait_not_service_time():
+    metrics = MetricsRegistry()
+    holder = ShardWorker(0, None, queue_depth=4, metrics=metrics)
+    waiter = ShardWorker(1, None, queue_depth=4, metrics=metrics)
+    inside = threading.Event()
+    release = threading.Event()
+    try:
+        held = holder.submit("hold", lambda: inside.set() or release.wait(5))
+        assert inside.wait(timeout=5)  # shard 0's job has the turn
+        reader = threading.Thread(
+            target=waiter.execute_inline, args=("search", lambda: None))
+        reader.start()
+        time.sleep(0.1)  # shard 1's read waits for the turn this long
+        assert reader.is_alive()
+        release.set()
+        _join([reader])
+        assert held.result(timeout=5) is True
+    finally:
+        release.set()
+        holder.close()
+        waiter.close()
+    assert _histogram_sum(
+        metrics, "xar_shard_queue_wait_seconds", shard="1") >= 0.09
+    assert _histogram_sum(
+        metrics, "xar_shard_service_seconds", shard="1", op="search") < 0.05
+
+
+def test_a_read_completes_while_another_shard_sleeps_in_retry_backoff(
+    region, city
+):
+    """The resilient runtime's backoff sleep gives the turn away."""
+    with ShardRouter(region, 2, seed=11, resilient=True) as service:
+        source, destination, _ = _supply(city, 1)[0]
+        slot = service.table.slot_of_point(source)
+        resilient = service.shards[slot].adapter
+        resilient.config.retry.base_delay_s = 1.0
+        resilient.config.retry.max_delay_s = 1.0
+        faulted = threading.Event()
+        inner_create = resilient.inner.create
+
+        def flaky_create(*args, **kwargs):
+            if not faulted.is_set():
+                faulted.set()
+                raise TransientFaultError("injected")
+            return inner_create(*args, **kwargs)
+
+        resilient.inner.create = flaky_create
+        created = []
+        creator = threading.Thread(target=lambda: created.append(
+            service.create(source, destination, 0.0)))
+        creator.start()
+        assert faulted.wait(timeout=5)
+        # The create now sleeps >= 0.5 s on its worker thread, mid-job.
+        other = service.shards[1 - slot]
+        started = time.monotonic()
+        assert other.worker.execute_inline("search", lambda: "served") == (
+            "served")
+        assert time.monotonic() - started < 0.4  # did not wait the sleep out
+        assert created == []
+        _join([creator])
+        assert len(created) == 1  # and the retry took the turn back
+
+
+def test_reentrant_acquisition_raises_instead_of_deadlocking():
+    a = ShardWorker(0, None, queue_depth=4)
+    b = ShardWorker(1, None, queue_depth=4)
+    try:
+        with pytest.raises(RuntimeError, match="already holds"):
+            a.execute_inline(
+                "outer", lambda: b.execute_inline("inner", lambda: None))
+        with pytest.raises(RuntimeError, match="already holds"):
+            a.call("outer", lambda: b.execute_inline("inner", lambda: None))
+        # Both failures gave the turn back.
+        assert b.execute_inline("search", lambda: 1) == 1
+        assert a.call("op", lambda: 2) == 2
+    finally:
+        a.close()
+        b.close()
+
+
+def test_a_job_that_raises_releases_the_turn(region, city, tmp_path):
+    def boom():
+        raise ValueError("kaput")
+
+    with ShardRouter(
+        region, 2, seed=11,
+        durability=DurabilityConfig(directory=str(tmp_path), fsync_every=8),
+    ) as service:
+        worker = service.shards[0].worker
+        with pytest.raises(ValueError):
+            worker.execute_inline("search", boom)
+        with pytest.raises(ValueError):
+            worker.call("op", boom)
+        assert not ENGINE_TURN._lock.locked()
+        # A worker that dies mid-job (WorkerCrashError -> failover) too.
+        service.crash_shard(0)
+        assert service.shards[0].worker.crashed
+        assert not ENGINE_TURN._lock.locked()
+        for source, destination, depart_s in _supply(city, 6):
+            service.create(source, destination, depart_s)  # heals shard 0
+        assert service.metrics.get("xar_failovers_total").labels(
+            shard="0").value == 1
+        assert len(service.active_rides()) == 6

@@ -9,6 +9,8 @@ import pytest
 from repro.exceptions import ServiceClosedError, ShardOverloadError
 from repro.service import ShardWorker
 
+from .proc.conftest import await_until
+
 
 class _Recorder:
     """Stand-in adapter recording which thread ran each job."""
@@ -121,27 +123,38 @@ def test_execute_inline_runs_in_the_caller_thread(worker):
 
 
 def test_execute_inline_sheds_when_budget_exhausted(worker):
+    """One reader is inside ``fn``; the other three hold their permits
+    while they wait for the turn.  All ``queue_depth=4`` permits are out, so
+    the fifth read sheds — admission comes before the turn."""
     w, _ = worker
     release = threading.Event()
-    holders_started = threading.Barrier(5)
+    inside = threading.Event()
+    ran = []
 
     def hold():
         def block():
-            holders_started.wait(timeout=5)
-            release.wait()
+            inside.set()
+            assert release.wait(timeout=5)
+            ran.append(1)
 
         w.execute_inline("search", block)
 
-    threads = [threading.Thread(target=hold) for _ in range(4)]
-    for thread in threads:
+    first = threading.Thread(target=hold)
+    first.start()
+    assert inside.wait(timeout=5)
+    waiters = [threading.Thread(target=hold) for _ in range(3)]
+    for thread in waiters:
         thread.start()
-    holders_started.wait(timeout=5)  # all queue_depth=4 permits are taken
+    await_until(lambda: w._read_gate._value == 0, 5.0)
     with pytest.raises(ShardOverloadError):
         w.execute_inline("search", lambda: None)
     assert w.stats.shed == {"search": 1}
+    assert ran == []  # nobody got past the reader that holds the turn
     release.set()
-    for thread in threads:
+    for thread in [first, *waiters]:
         thread.join(timeout=5)
+        assert not thread.is_alive()
+    assert len(ran) == 4
     # Permits were released: the next inline read goes straight through.
     assert w.execute_inline("search", lambda: "ok") == "ok"
 
