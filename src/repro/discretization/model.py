@@ -10,6 +10,7 @@ entirely during search.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import takewhile
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,6 +46,27 @@ class WalkOption(NamedTuple):
     cluster_id: int
     walk_m: float
     landmark_id: int
+
+
+class WalkColumns(NamedTuple):
+    """A walkable-cluster list with its fields as parallel read-only arrays
+    (what the flat search kernel gathers through), cached together."""
+
+    options: List[WalkOption]
+    walk_m: np.ndarray
+    cluster_id: np.ndarray
+    landmark_id: np.ndarray
+
+    @classmethod
+    def of(cls, options: List[WalkOption]) -> "WalkColumns":
+        columns = (
+            np.array([o.walk_m for o in options], dtype=np.float64),
+            np.array([o.cluster_id for o in options], dtype=np.int64),
+            np.array([o.landmark_id for o in options], dtype=np.int64),
+        )
+        for column in columns:  # thread shards share one region
+            column.setflags(write=False)
+        return cls(options, *columns)
 
 
 class DiscretizedRegion:
@@ -93,8 +115,8 @@ class DiscretizedRegion:
             )
 
         self._cluster_matrix = self._build_cluster_matrix()
-        self._walkable_cache: Dict[GridCell, List[WalkOption]] = {}
-        self._pruned_walkable_cache: Dict[Tuple[GridCell, float], List[WalkOption]] = {}
+        #: (cell, threshold or None for the system W) -> walkable list.
+        self._walkable_cache: Dict[Tuple[GridCell, Optional[float]], WalkColumns] = {}
         self._landmark_buckets = self._bucket_landmarks()
 
     # ------------------------------------------------------------------
@@ -194,7 +216,16 @@ class DiscretizedRegion:
         max_walk_m: Optional[float] = None,
     ) -> List[WalkOption]:
         """The grid's walkable-cluster list, optionally pruned to a request's
-        threshold.
+        threshold (a copy the caller may keep or reorder)."""
+        return list(self.walkable_columns(point, max_walk_m).options)
+
+    def walkable_columns(
+        self,
+        point: GeoPoint,
+        max_walk_m: Optional[float] = None,
+    ) -> WalkColumns:
+        """The walkable-cluster list and its column arrays, shared — do not
+        mutate.
 
         The full list (threshold = system W) is cached per grid cell, exactly
         as the paper precomputes it.  Pruned lists are cached per
@@ -203,22 +234,20 @@ class DiscretizedRegion:
         once per consulted shard on its search hot path.
         """
         cell = self.cell_of(point)
-        options = self._walkable_cache.get(cell)
-        if options is None:
-            options = self._compute_walkable(self.grid.centroid_of(cell))
-            self._walkable_cache[cell] = options
-        if max_walk_m is None or max_walk_m >= self.config.max_walk_m:
-            return list(options)
+        if max_walk_m is not None and max_walk_m >= self.config.max_walk_m:
+            max_walk_m = None
         key = (cell, max_walk_m)
-        pruned = self._pruned_walkable_cache.get(key)
-        if pruned is None:
-            pruned = []
-            for option in options:  # sorted ascending: stop at first exceedance
-                if option.walk_m > max_walk_m:
-                    break
-                pruned.append(option)
-            self._pruned_walkable_cache[key] = pruned
-        return list(pruned)
+        columns = self._walkable_cache.get(key)
+        if columns is None:
+            if max_walk_m is None:
+                options = self._compute_walkable(self.grid.centroid_of(cell))
+            else:  # sorted ascending: stop at the first exceedance
+                options = list(takewhile(
+                    lambda option: option.walk_m <= max_walk_m,
+                    self.walkable_columns(point).options,
+                ))
+            columns = self._walkable_cache[key] = WalkColumns.of(options)
+        return columns
 
     def _compute_walkable(self, centroid: GeoPoint) -> List[WalkOption]:
         best: Dict[int, Tuple[float, int]] = {}

@@ -1,32 +1,30 @@
-"""Flat struct-of-arrays search core with a spatio-temporal candidate hash.
+"""Flat struct-of-arrays search core over one index-wide row arena.
 
 The legacy search path walks per-ride Python objects: ``SortedKeyList`` →
 ``PotentialRide`` dataclasses → ``RideIndexEntry`` dicts → ``segment_for``
 scans, paying interpreter overhead on every candidate.  This module stores
-the same information as parallel primitive arrays so the hot stages become
-C-speed numpy kernels over contiguous slices:
+the same information as primitive arrays so the hot stages become a few
+dozen numpy calls over small arrays:
 
-* **Per-cluster slab** — one row per (cluster, ride): ride id, stored ETA,
+* **Row arena** — one row per (cluster, ride): ride id, stored ETA,
   cluster-level detour estimate, and the *precomputed feasibility bounds*
   the filter stage needs (pickup/drop-off segment choice plus that
   segment's bounding landmarks and on-route length, i.e. everything
   ``segment_for`` + ``_splice_estimate`` would otherwise recompute per
-  candidate per search).
-* **Spatio-temporal hash** — per slab, buckets keyed by (cluster cell,
-  ETA time slice ``floor(eta / slice_s)``).  A window query shortlists the
-  buckets overlapping the departure window in O(1)-ish hash/bisect work and
-  refines only the two edge buckets to exact ETA bounds; interior buckets
-  are in-window by construction.  This is the candidate-generation scheme
-  of *When Hashing Met Matching* adapted to the XAR index.
+  candidate per search).  All rows of all clusters live in three index-wide
+  arrays; a row's index there is its *global id*, so a search gathers the
+  columns of candidates from many clusters in one call.
+* **Per-cluster slab** — a contiguous region of the arena (append +
+  swap-remove, O(1) mutation) and the paper's per-cluster sorted list as
+  two lazily sorted views of it: global ids by ETA (the departure window is
+  two binary searches and a slice) and by ride id (the R1 ∩ R2 probe).
+  Views are rebuilt on first query after a mutation — a create/book/track
+  burst dirties slabs for free and the next search pays two ``argsort``
+  per *touched* cluster.
 * **Budget columns** — one global row per ride: seats available and the
-  remaining detour budget, refreshed at every (re)index point, so the
-  feasibility filter reads two gathers instead of 2×N attribute lookups.
-
-Row storage is append + swap-remove (O(1) mutation); the sorted views the
-queries need (by ride id for the R1∩R2 probe, by ETA for the window scan,
-plus the bucket ranges) are rebuilt lazily per slab on first query after a
-mutation — a create/book/track burst dirties slabs for free and the next
-search pays one ``argsort`` per *touched* cluster.
+  remaining detour budget as of the last (re)index, kept for the mirror
+  audit only.  The feasibility filter reads both *live* from the ride
+  objects, so a seat changed outside the reindex seam is honoured at once.
 
 The index is a strict mirror: every mutation flows through the same engine
 seams that maintain ``ClusterRideIndex`` (index / unindex / reindex /
@@ -37,6 +35,8 @@ compare the two, and the invariant auditor heals any drift by reindexing.
 from __future__ import annotations
 
 import math
+import mmap
+import weakref
 from collections import defaultdict
 from operator import attrgetter
 from typing import (
@@ -143,56 +143,124 @@ def _feasibility_rows(
         )
 
 
-class _ClusterSlab:
-    """One cluster's rows: unsorted SoA storage + lazy sorted views."""
-
-    __slots__ = (
-        "rows", "n", "rids", "fdata", "idata", "dirty",
-        "rid_order", "rid_sorted", "eta_order", "eta_sorted", "erids",
-        "slice_keys", "slice_starts",
+def _mapped(shape: Tuple[int, ...], dtype) -> np.ndarray:
+    """An array over an anonymous private mapping: zero pages handed out on
+    first touch and given back the moment the array dies.  Arena generations
+    are multi-megabyte and short-lived; ``np.empty`` would take them from
+    the malloc heap, where (once glibc's mmap threshold has adapted) the
+    untouched slack is recycled dirty memory and dead generations stay
+    behind as holes — several MB of resident set per engine."""
+    count = math.prod(shape)
+    if not count:
+        return np.empty(shape, dtype=dtype)
+    buffer = mmap.mmap(
+        -1, count * np.dtype(dtype).itemsize, access=mmap.ACCESS_COPY
     )
+    return np.frombuffer(buffer, dtype=dtype).reshape(shape)
+
+
+class _RowArena:
+    """Index-wide row storage: ``rids`` (rows), ``F`` (rows x 4 float64) and
+    ``I`` (rows x 6 int64), row-major, in which every slab owns one
+    contiguous region ``[base, base + cap)``.  A row's *global id* is its
+    arena index, so one fancy-indexed read gathers rows of many clusters.
+
+    A full slab moves to a region twice its rows at the tail (the old region
+    is dead until the next regrow).  When the tail would pass the end the
+    arena regrows: fresh arrays half again the size of all regions, every
+    slab laid out afresh with twice its current rows — which also takes back
+    what emptied slabs held.  Amortised O(1) per appended row; capacity is at
+    most 3x the rows (+ 12 per slab) as of the last regrow, and only the
+    part below ``tail`` has ever been touched.
+    """
+
+    __slots__ = ("_slabs", "rids", "F", "I", "eta", "tail")
 
     def __init__(self):
+        #: Weak, so that slab -> arena -> slab is not a reference cycle and a
+        #: dropped index frees its arrays at once, not at the next full GC.
+        self._slabs: List["weakref.ref[_ClusterSlab]"] = []
+        self._allocate(0)
+
+    def _allocate(self, capacity: int) -> None:
+        self.rids = _mapped((capacity,), np.int64)
+        self.F = _mapped((capacity, _N_F), np.float64)
+        self.I = _mapped((capacity, _N_I), np.int64)
+        #: The ETA column as a strided view, for 1-D gathers by global row.
+        self.eta = self.F[:, F_ETA]
+        self.tail = 0
+
+    def adopt(self, slab: "_ClusterSlab") -> None:
+        self._slabs.append(weakref.ref(slab))
+
+    def grow(self, slab: "_ClusterSlab") -> None:
+        """Give a full ``slab`` a region twice its rows (rows and their
+        order are kept)."""
+        if self.tail + max(8, 2 * slab.n) > len(self.rids):
+            # Regrow: every slab that has ever held a row moves into a fresh
+            # arena with the same headroom, the growing one last.
+            others = [
+                other for ref in self._slabs
+                if (other := ref()) is not None and other.cap and other is not slab
+            ]
+            live = sum(max(8, 2 * other.n) for other in (*others, slab))
+            self._allocate(live + live // 2)
+            for other in others:
+                self._place(other, max(8, 2 * other.n))
+        self._place(slab, max(8, 2 * slab.n))
+
+    def _place(self, slab: "_ClusterSlab", cap: int) -> None:
+        """Move ``slab`` into ``[tail, tail + cap)`` and advance the tail."""
+        base, n = self.tail, slab.n
+        end = self.tail = base + cap
+        rids, fdata, idata = self.rids[base:end], self.F[base:end], self.I[base:end]
+        rids[:n] = slab.rids[:n]
+        fdata[:n] = slab.fdata[:n]
+        idata[:n] = slab.idata[:n]
+        slab.rids, slab.fdata, slab.idata = rids, fdata, idata
+        slab.base, slab.cap = base, cap
+        slab.dirty = True  # the sorted views hold global ids
+
+
+class _ClusterSlab:
+    """One cluster's rows: an arena region (unsorted, append + swap-remove)
+    plus the paper's two lazily sorted views of it, holding global ids."""
+
+    __slots__ = (
+        "arena", "base", "cap", "rows", "n", "rids", "fdata", "idata", "dirty",
+        "rid_sorted", "rid_rows", "eta_sorted", "eta_rows", "__weakref__",
+    )
+
+    def __init__(self, arena: _RowArena):
+        self.arena = arena
+        arena.adopt(self)
+        self.base = self.cap = 0
         #: ride id -> storage row (live rows are ``[0, n)``).
         self.rows: Dict[int, int] = {}
         self.n = 0
-        self.rids = np.empty(0, dtype=np.int64)
-        # Column-major: queries gather whole columns by row index, so each
-        # column must be contiguous (row writes touch a handful of cells).
-        self.fdata = np.empty((0, _N_F), dtype=np.float64, order="F")
-        self.idata = np.empty((0, _N_I), dtype=np.int64, order="F")
+        #: Views of the arena region (rebound whenever the region moves).
+        self.rids = arena.rids[:0]
+        self.fdata = arena.F[:0]
+        self.idata = arena.I[:0]
         self.dirty = True
-        self.rid_order = _EMPTY_IDX
         self.rid_sorted = _EMPTY_I64
-        self.eta_order = _EMPTY_IDX
+        self.rid_rows = _EMPTY_IDX
         self.eta_sorted = _EMPTY_F64
-        self.erids = _EMPTY_I64
-        self.slice_keys = _EMPTY_I64
-        self.slice_starts = np.zeros(1, dtype=np.int64)
+        self.eta_rows = _EMPTY_IDX
 
     # -- mutation -------------------------------------------------------
-    def _grow(self) -> None:
-        cap = max(8, 2 * len(self.rids))
-        rids = np.empty(cap, dtype=np.int64)
-        fdata = np.empty((cap, _N_F), dtype=np.float64, order="F")
-        idata = np.empty((cap, _N_I), dtype=np.int64, order="F")
-        rids[: self.n] = self.rids[: self.n]
-        fdata[: self.n] = self.fdata[: self.n]
-        idata[: self.n] = self.idata[: self.n]
-        self.rids, self.fdata, self.idata = rids, fdata, idata
-
     def put(self, rid: int, fvals, ivals) -> None:
         row = self.rows.get(rid)
         if row is None:
-            if self.n == len(self.rids):
-                self._grow()
+            if self.n == self.cap:
+                self.arena.grow(self)
             row = self.n
             self.rows[rid] = row
             self.rids[row] = rid
             self.n += 1
             self.dirty = True
         elif self.fdata[row, F_ETA] != fvals[0]:
-            self.dirty = True  # the ETA views/buckets must re-sort
+            self.dirty = True  # the ETA view must re-sort
         self.fdata[row] = fvals
         self.idata[row] = ivals
 
@@ -228,67 +296,39 @@ class _ClusterSlab:
         return True
 
     # -- queries --------------------------------------------------------
-    def rebuild(self, slice_s: float) -> None:
+    def rebuild(self) -> None:
         if not self.dirty:
             return
         n = self.n
         rids = self.rids[:n]
-        self.rid_order = np.argsort(rids, kind="stable")
-        self.rid_sorted = rids[self.rid_order]
+        order = rids.argsort(kind="stable")
+        self.rid_sorted = rids[order]
+        order += self.base
+        self.rid_rows = order
         etas = self.fdata[:n, F_ETA]
-        self.eta_order = np.argsort(etas, kind="stable")
-        self.eta_sorted = etas[self.eta_order]
-        self.erids = rids[self.eta_order]
-        # The spatio-temporal hash: bucket b holds rows with
-        # floor(eta / slice_s) == b, stored as contiguous ranges of the
-        # ETA-sorted view (ETA order == bucket order).
-        if n:
-            slices = np.floor_divide(self.eta_sorted, slice_s).astype(np.int64)
-            keys, starts = np.unique(slices, return_index=True)
-            self.slice_keys = keys
-            self.slice_starts = np.append(starts, n).astype(np.int64)
-        else:
-            self.slice_keys = _EMPTY_I64
-            self.slice_starts = np.zeros(1, dtype=np.int64)
+        order = etas.argsort(kind="stable")
+        self.eta_sorted = etas[order]
+        order += self.base
+        self.eta_rows = order
         self.dirty = False
 
-    def window(
-        self, start_s: float, end_s: float, slice_s: float
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(ride ids, ETAs, storage rows) with ``start_s <= eta <= end_s``.
-
-        Buckets overlapping ``[start_s, end_s]`` are shortlisted via the
-        slice hash; only the two edge buckets need exact ETA refinement.
-        Views into the ETA-sorted arrays — zero copies.
-        """
-        self.rebuild(slice_s)
-        n = self.n
-        if n == 0 or end_s < start_s:
-            return _EMPTY_I64, _EMPTY_F64, _EMPTY_IDX
-        lo_key = math.floor(start_s / slice_s)
-        ki = int(np.searchsorted(self.slice_keys, lo_key, side="left"))
-        lo = int(self.slice_starts[ki])
-        if end_s == float("inf"):
-            hi = n
-        else:
-            hi_key = math.floor(end_s / slice_s)
-            kj = int(np.searchsorted(self.slice_keys, hi_key, side="right"))
-            hi = int(self.slice_starts[kj])
-        # Exact bounds within the edge buckets (interior buckets are fully
-        # inside the window by construction of the slice keys).
-        lo += int(np.searchsorted(self.eta_sorted[lo:hi], start_s, side="left"))
-        if end_s != float("inf"):
-            hi = lo + int(
-                np.searchsorted(self.eta_sorted[lo:hi], end_s, side="right")
-            )
-        return self.erids[lo:hi], self.eta_sorted[lo:hi], self.eta_order[lo:hi]
+    def window(self, start_s: float, end_s: float) -> Tuple[np.ndarray, np.ndarray]:
+        """(global rows, ETAs) with ``start_s <= eta <= end_s`` in ETA order:
+        the paper's two binary searches over the cluster's sorted list, then
+        a slice — zero copies.  Empty when the window is inverted."""
+        self.rebuild()
+        etas = self.eta_sorted
+        lo = etas.searchsorted(start_s, "left")
+        hi = etas.searchsorted(end_s, "right")
+        return self.eta_rows[lo:hi], etas[lo:hi]
 
 
 class _BudgetStore:
-    """Global per-ride columns: seats available + remaining detour budget."""
+    """Global per-ride columns: seats available + remaining detour budget
+    as of the last (re)index — what ``divergences`` audits against the live
+    rides.  The search itself reads both live."""
 
-    __slots__ = ("slots", "n", "rids", "seats", "detour", "dirty",
-                 "order", "rid_sorted")
+    __slots__ = ("slots", "n", "rids", "seats", "detour")
 
     def __init__(self):
         self.slots: Dict[int, int] = {}
@@ -296,9 +336,6 @@ class _BudgetStore:
         self.rids = np.empty(0, dtype=np.int64)
         self.seats = np.empty(0, dtype=np.int64)
         self.detour = np.empty(0, dtype=np.float64)
-        self.dirty = True
-        self.order = _EMPTY_IDX
-        self.rid_sorted = _EMPTY_I64
 
     def _grow(self) -> None:
         cap = max(16, 2 * len(self.rids))
@@ -317,7 +354,6 @@ class _BudgetStore:
             self.slots[rid] = slot
             self.rids[slot] = rid
             self.n += 1
-            self.dirty = True
         self.seats[slot] = seats
         self.detour[slot] = detour_limit_m
 
@@ -333,15 +369,6 @@ class _BudgetStore:
             self.detour[slot] = self.detour[last]
             self.slots[moved] = slot
         self.n = last
-        self.dirty = True
-
-    def rebuild(self) -> None:
-        if not self.dirty:
-            return
-        rids = self.rids[: self.n]
-        self.order = np.argsort(rids, kind="stable")
-        self.rid_sorted = rids[self.order]
-        self.dirty = False
 
 
 class FlatSearchIndex:
@@ -352,18 +379,11 @@ class FlatSearchIndex:
     last (re)index or obsolescence sweep.
     """
 
-    #: Default ETA slice width of the spatio-temporal hash (seconds).  The
-    #: workload's departure windows are O(10 minutes); one-slice windows
-    #: touch at most two buckets.
-    DEFAULT_SLICE_S = 600.0
-
-    def __init__(self, n_clusters: int, slice_s: float = DEFAULT_SLICE_S):
+    def __init__(self, n_clusters: int):
         if n_clusters < 0:
             raise ValueError(f"n_clusters must be >= 0, got {n_clusters!r}")
-        if slice_s <= 0:
-            raise ValueError(f"slice_s must be > 0, got {slice_s!r}")
-        self.slice_s = float(slice_s)
-        self._slabs = [_ClusterSlab() for _c in range(n_clusters)]
+        self._arena = _RowArena()
+        self._slabs = [_ClusterSlab(self._arena) for _c in range(n_clusters)]
         #: ride id -> clusters currently holding a row for it.
         self._ride_clusters: Dict[int, List[int]] = {}
         self._budget = _BudgetStore()
@@ -448,22 +468,16 @@ class FlatSearchIndex:
     # ------------------------------------------------------------------
     def window(
         self, cluster_id: int, start_s: float, end_s: float
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(ride ids, ETAs, rows) of one cluster's potential rides in the
-        ETA window — the bucket-hash shortlist plus exact edge refinement."""
-        return self._slabs[cluster_id].window(start_s, end_s, self.slice_s)
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """(global rows, ETAs) of one cluster's potential rides in the ETA
+        window, in ETA order."""
+        return self._slabs[cluster_id].window(start_s, end_s)
 
     def slab(self, cluster_id: int) -> _ClusterSlab:
         """The cluster's slab with its sorted views rebuilt (probe-ready)."""
         slab = self._slabs[cluster_id]
-        slab.rebuild(self.slice_s)
+        slab.rebuild()
         return slab
-
-    def budget_view(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(rid_sorted, order, seats, detour) for vectorized budget gathers."""
-        store = self._budget
-        store.rebuild()
-        return store.rid_sorted, store.order, store.seats, store.detour
 
     def eta(self, cluster_id: int, ride_id: int) -> Optional[float]:
         """Stored ETA of a ride at a cluster (mirror of the legacy query)."""
@@ -481,7 +495,9 @@ class FlatSearchIndex:
         return {
             "rows": self.total_rows(),
             "rides": len(self._ride_clusters),
-            "buckets": sum(len(s.slice_keys) for s in self._slabs),
+            # Regions double and dead ones wait for the next regrow: the
+            # gap to ``rows`` is the relocation slack.
+            "arena_capacity": len(self._arena.rids),
         }
 
     def divergences(self, engine: "XAREngine") -> List[Tuple[Optional[int], str]]:
@@ -565,371 +581,257 @@ def flat_search_rides(
     """Two-step XAR search over the flat core — identical results (values
     and rank order) to ``repro.core.search._search_legacy``.
 
-    Same five stages, each entered exactly once per search; the per-object
-    loops become numpy kernels:
+    Same five stages, each entered exactly once per search.  Arrays here are
+    tens to hundreds of elements, so the cost is the *number* of numpy
+    calls, not their size: rows travel as global arena ids and every column
+    is gathered once, after the cheap checks have thinned the candidates.
 
-    * **cluster_lookup** — per source cluster, the spatio-temporal hash
-      shortlists the (cluster, ETA-slice) buckets overlapping the
-      departure window; the two edge buckets refine to exact ETA bounds.
-      Returns zero-copy views of the ETA-sorted slab.
-    * **candidate_scan** — R1 = first-occurrence ``np.unique`` over the
-      option-ordered concatenation (options ascend by walk distance, so
-      first occurrence == the legacy best-walk winner under strict ``<``);
-      the destination pass probes R1 against each destination slab's
-      rid-sorted view (one vectorized ``searchsorted`` per cluster).
-    * **feasibility_filter** — vectorized seat/walk/order/cluster/detour
-      checks over gathered columns; the landmark-level splice estimate is
-      computed with the same float64 operation order as the scalar code,
-      so results are bit-identical.  The rare segment-order retry
-      (latest drop-off segment before earliest pickup segment) falls back
-      to the exact legacy scalar path.
+    * **cluster_lookup** — per source cluster, two binary searches over the
+      ETA-sorted view and a slice of its global rows.
+    * **candidate_scan** — R1 = first occurrence per ride id over the
+      option-ordered concatenation, by one stable argsort (options ascend
+      by walk distance, so first occurrence == the legacy best-walk winner
+      under strict ``<``); the destination pass probes R1 against each
+      destination slab's rid-sorted view and records only the hit's global
+      row and option index.
+    * **feasibility_filter** — order/cluster/walk checks on R1 ∩ R2, seats
+      and detour budget read live, then one gather of the survivors'
+      feasibility columns; the landmark-level splice estimate is computed
+      with the same float64 operation order as the scalar code, so results
+      are bit-identical.  The rare segment-order retry (latest drop-off
+      segment before earliest pickup segment) falls back to the exact
+      legacy scalar path.
+    * **rank_merge** — ``lexsort`` on the scalar key columns, top-k cut,
+      and only the survivors are converted to Python and built.
     """
-    from ..core.search import MatchOption, _build_match, _splice_estimate
-
     region = engine.region
+    threshold = request.walk_threshold_m
     with span.stage("snap"):
-        source_options = region.walkable_clusters(
-            request.source, request.walk_threshold_m
+        src = region.walkable_columns(request.source, threshold)
+        dst = (
+            region.walkable_columns(request.destination, threshold)
+            if src.options
+            else src
         )
-        destination_options = (
-            region.walkable_clusters(request.destination, request.walk_threshold_m)
-            if source_options
-            else []
-        )
-    if not source_options or not destination_options:
+    if not dst.options:
         return []
 
     window_start = request.window_start_s
-
     with span.stage("cluster_lookup"):
-        gathers = []
-        for oi, option in enumerate(source_options):
-            rids, etas, rows = flat.window(
-                option.cluster_id, window_start, request.window_end_s
-            )
-            if len(rids):
-                gathers.append((oi, rids, etas, rows))
+        window_end = request.window_end_s
+        parts = [
+            flat.window(option.cluster_id, window_start, window_end)[0]
+            for option in src.options
+        ]
+        counts = list(map(len, parts))
 
     with span.stage("candidate_scan"):
-        n_src = 0
-        if gathers:
-            all_rids = np.concatenate([g[1] for g in gathers])
-            all_etas = np.concatenate([g[2] for g in gathers])
-            all_rows = np.concatenate([g[3] for g in gathers])
-            all_opts = np.concatenate(
-                [np.full(g[1].shape, g[0], dtype=np.intp) for g in gathers]
-            )
-            # First occurrence per ride id in option order == smallest walk
-            # (walkable_clusters sorts options ascending by walk_m and the
-            # legacy reduction only replaces on strictly smaller walk).
-            src_rids, first = np.unique(all_rids, return_index=True)
-            src_eta = all_etas[first]
-            src_row = all_rows[first]
-            src_opt = all_opts[first]
-            n_src = len(src_rids)
-        if n_src:
-            # Destination pass: only R1 rides can survive the intersection,
-            # so probe R1 against each destination slab's rid-sorted view.
-            found = np.zeros(n_src, dtype=bool)
-            dst_eta = np.zeros(n_src, dtype=np.float64)
-            dst_row = np.zeros(n_src, dtype=np.intp)
-            dst_opt = np.zeros(n_src, dtype=np.intp)
-            for oi, option in enumerate(destination_options):
-                if found.all():
-                    # Later options can't win: first hit == smallest walk.
-                    break
-                slab = flat.slab(option.cluster_id)
-                if slab.n == 0:
-                    continue
-                pos = np.searchsorted(slab.rid_sorted, src_rids)
-                np.minimum(pos, slab.n - 1, out=pos)
-                hit_idx = np.nonzero(slab.rid_sorted[pos] == src_rids)[0]
-                if not len(hit_idx):
-                    continue
-                rows = slab.rid_order[pos[hit_idx]]
-                etas = slab.fdata[rows, F_ETA]
-                ok = etas >= window_start
-                cand = hit_idx[ok]
-                fresh = ~found[cand]
-                upd = cand[fresh]
-                if len(upd):
-                    found[upd] = True
-                    dst_eta[upd] = etas[ok][fresh]
-                    dst_row[upd] = rows[ok][fresh]
-                    dst_opt[upd] = oi
-
-    if not n_src:
+        scan = (
+            _scan(flat, parts, counts, dst.options, window_start)
+            if any(counts)
+            else None
+        )
+    if scan is None:
         return []
 
     with span.stage("feasibility_filter"):
-        matches = _flat_filter(
-            engine, flat, request, _build_match, _splice_estimate,
-            source_options, destination_options,
-            src_rids, src_eta, src_row, src_opt,
-            found, dst_eta, dst_row, dst_opt, k,
-        )
+        feasible = _feasible(engine, flat, request, src, dst, *scan)
 
     with span.stage("rank_merge"):
-        # _flat_filter already ranked and cut on scalar key arrays (ride_id
-        # is unique per match, so the key is a total order and the lexsort
-        # agrees with this tuple sort); re-sorting the survivors is a cheap
-        # O(k) pass that keeps the stage contract explicit.
-        matches.sort(key=lambda m: (m.total_walk_m, m.eta_pickup_s, m.ride_id))
-        if k is not None:
-            return matches[:k]
-        return matches
+        return _rank(request.request_id, src.options, dst.options, k, feasible)
 
 
-def _flat_filter(
-    engine,
-    flat,
-    request,
-    _build_match,
-    _splice_estimate,
-    source_options,
-    destination_options,
-    src_rids,
-    src_eta,
-    src_row,
-    src_opt,
-    found,
-    dst_eta,
-    dst_row,
-    dst_opt,
-    k,
-) -> list:
-    """Vectorized R1 ∩ R2 feasibility over the precomputed slab columns.
+def _scan(flat, parts, counts, dst_options, window_start):
+    """R1 and, per R1 ride, its first destination hit: ``(ride ids, source
+    rows, source option, destination rows, destination option)`` — rows are
+    global, and a ride outside R2 has its source row for a destination."""
+    arena = flat._arena
+    all_rows = np.concatenate(parts)
+    all_rids = arena.rids[all_rows]
+    # First occurrence per ride id in option order == smallest walk
+    # (walkable_clusters sorts options ascending by walk_m and the legacy
+    # reduction only replaces on strictly smaller walk).
+    order = all_rids.argsort(kind="stable")
+    sorted_rids = all_rids[order]
+    is_first = np.empty(len(order), dtype=bool)
+    is_first[0] = True
+    np.not_equal(sorted_rids[1:], sorted_rids[:-1], out=is_first[1:])
+    firsts = is_first.nonzero()[0]
+    src_rids = sorted_rids[firsts]
+    picked = order[firsts]  # positions in the concatenation
+    src_row = all_rows[picked]
+    src_opt = np.arange(len(counts)).repeat(counts)[picked]
 
-    Returns the feasible matches already sorted by
-    ``(total_walk_m, eta_pickup_s, ride_id)`` and cut to ``k`` — ranking on
-    the scalar key arrays means only the surviving ``k`` matches are ever
-    constructed.
-    """
-    region = engine.region
-    idx = np.nonzero(found)[0]
-    if not len(idx):
-        return []
-    rids = src_rids[idx]
-    e_src = src_eta[idx]
-    e_dst = dst_eta[idx]
-    so = src_opt[idx]
-    do = dst_opt[idx]
-    rs = src_row[idx]
-    rd = dst_row[idx]
+    # Destination pass: only R1 rides can survive the intersection, so probe
+    # R1 against each destination slab's rid-sorted view.  A ride keeps its
+    # first hit in option order (the smallest walk): options are probed last
+    # to first, each overwriting what a later one found.  A ride nothing hits
+    # keeps its source row, which fails "pickup strictly before drop-off".
+    eta = arena.eta
+    dst_row = src_row.copy()
+    dst_opt = np.zeros(len(src_rids), dtype=np.intp)
+    for oi in reversed(range(len(dst_options))):
+        slab = flat.slab(dst_options[oi].cluster_id)
+        if slab.n == 0:
+            continue
+        # mode="clip" sends a past-the-end position to the last row, which
+        # the ride-id comparison then rejects.
+        rows = slab.rid_rows.take(slab.rid_sorted.searchsorted(src_rids), mode="clip")
+        hit = arena.rids[rows] == src_rids
+        hit &= eta[rows] >= window_start
+        np.putmask(dst_row, hit, rows)
+        np.putmask(dst_opt, hit, oi)
+    return src_rids, src_row, src_opt, dst_row, dst_opt
 
-    src_walk = np.array([o.walk_m for o in source_options], dtype=np.float64)
-    dst_walk = np.array([o.walk_m for o in destination_options], dtype=np.float64)
-    src_cl = np.array([o.cluster_id for o in source_options], dtype=np.int64)
-    dst_cl = np.array([o.cluster_id for o in destination_options], dtype=np.int64)
 
-    keep = e_src < e_dst                         # pickup strictly before drop-off
-    keep &= src_cl[so] != dst_cl[do]             # an actual ride leg exists
-    keep &= (src_walk[so] + dst_walk[do]) <= request.walk_threshold_m
+def _feasible(engine, flat, request, src, dst, src_rids, src_row, src_opt,
+              dst_row, dst_opt):
+    """Feasibility over R1 ∩ R2.  Returns the columns ``_rank`` sorts and
+    builds from — ``(ride ids, source option, destination option, pickup
+    ETA, drop-off ETA, total walk, detour, feasible mask, fallbacks)`` — or
+    None when nothing survives."""
+    arena = flat._arena
+    eta = arena.eta
+    walk = src.walk_m[src_opt] + dst.walk_m[dst_opt]
+    keep = eta[src_row] < eta[dst_row]          # pickup strictly before drop-off
+    keep &= src.cluster_id[src_opt] != dst.cluster_id[dst_opt]  # a ride leg exists
+    keep &= walk <= request.walk_threshold_m
 
     # Seats and detour budget read *live* from the ride objects, exactly as
     # the legacy filter does — R1 ∩ R2 is small, so this Python loop is off
     # the hot path, and a seat poked to zero between search calls (without
-    # going through booking's reindex seam) is honoured immediately.  Rows
-    # already dead to the vector checks above skip the dict lookups.
-    keep_l = keep.tolist()
-    limits_l = [0.0] * len(keep_l)
+    # going through booking's reindex seam) is honoured immediately.
+    cand = keep.nonzero()[0]
     rides = engine.rides
     entries = engine.ride_entries
-    for t, rid in enumerate(rids.tolist()):
-        if not keep_l[t]:
-            continue
-        ride = rides.get(rid)
-        if ride is None or rid not in entries or ride.seats_available < 1:
-            keep_l[t] = False
-        else:
-            limits_l[t] = ride.detour_limit_m
-    keep = np.array(keep_l, dtype=bool)
-    all_limits = np.array(limits_l, dtype=np.float64)
-    if not keep.any():
-        return []
+    live = [
+        (t, ride.detour_limit_m)
+        for t, rid in zip(cand.tolist(), src_rids[cand].tolist())
+        if (ride := rides.get(rid)) is not None
+        and rid in entries
+        and ride.seats_available >= 1
+    ]
+    if not live:
+        return None
+    sel, limits = zip(*live)
 
-    sel = np.nonzero(keep)[0]
-    rids, e_src, e_dst = rids[sel], e_src[sel], e_dst[sel]
-    so, do, rs, rd = so[sel], do[sel], rs[sel], rd[sel]
-    limits = all_limits[sel]
+    # The one gather of the precomputed per-(cluster, ride) columns.
+    sel = np.array(sel, dtype=np.intp)
+    rids, so, do, walk = src_rids[sel], src_opt[sel], dst_opt[sel], walk[sel]
+    rs, rd = src_row[sel], dst_row[sel]
+    Fs, Fd = arena.F.take(rs, axis=0), arena.F.take(rd, axis=0)
+    Is, Id = arena.I.take(rs, axis=0), arena.I.take(rd, axis=0)
+    seg_e, seg_l = Is[:, I_SEG_E], Id[:, I_SEG_L]
+    sp_a, sp_b, sd_a, sd_b = Is[:, I_SP_A], Is[:, I_SP_B], Id[:, I_SD_A], Id[:, I_SD_B]
+    sp_len, sd_len = Fs[:, F_SP_LEN], Fd[:, F_SD_LEN]
 
-    # Gather the precomputed per-(cluster, ride) feasibility columns,
-    # grouped by option so each group is one fancy-indexed slab read.
-    n = len(rids)
-    d_src = np.zeros(n, dtype=np.float64)
-    d_dst = np.zeros(n, dtype=np.float64)
-    seg_e = np.full(n, -1, dtype=np.int64)
-    seg_l = np.full(n, -1, dtype=np.int64)
-    sp_a = np.zeros(n, dtype=np.int64)
-    sp_b = np.zeros(n, dtype=np.int64)
-    sd_a = np.zeros(n, dtype=np.int64)
-    sd_b = np.zeros(n, dtype=np.int64)
-    sp_len = np.zeros(n, dtype=np.float64)
-    sd_len = np.zeros(n, dtype=np.float64)
-    for oi in np.unique(so):
-        mask = so == oi
-        slab = flat.slab(source_options[oi].cluster_id)
-        rows = rs[mask]
-        d_src[mask] = slab.fdata[rows, F_DETOUR]
-        sp_len[mask] = slab.fdata[rows, F_SP_LEN]
-        seg_e[mask] = slab.idata[rows, I_SEG_E]
-        sp_a[mask] = slab.idata[rows, I_SP_A]
-        sp_b[mask] = slab.idata[rows, I_SP_B]
-    for oi in np.unique(do):
-        mask = do == oi
-        slab = flat.slab(destination_options[oi].cluster_id)
-        rows = rd[mask]
-        d_dst[mask] = slab.fdata[rows, F_DETOUR]
-        sd_len[mask] = slab.fdata[rows, F_SD_LEN]
-        seg_l[mask] = slab.idata[rows, I_SEG_L]
-        sd_a[mask] = slab.idata[rows, I_SD_A]
-        sd_b[mask] = slab.idata[rows, I_SD_B]
-
-    valid = (seg_e >= 0) & (seg_l >= 0)          # segment_for found a segment
-    if not valid.any():
-        return []
-    sel2 = np.nonzero(valid)[0]
-    if len(sel2) != n:
-        rids, e_src, e_dst, so, do = (
-            rids[sel2], e_src[sel2], e_dst[sel2], so[sel2], do[sel2]
-        )
-        limits, d_src, d_dst = limits[sel2], d_src[sel2], d_dst[sel2]
-        seg_e, seg_l = seg_e[sel2], seg_l[sel2]
-        sp_a, sp_b, sd_a, sd_b = sp_a[sel2], sp_b[sel2], sd_a[sel2], sd_b[sel2]
-        sp_len, sd_len = sp_len[sel2], sd_len[sel2]
-        n = len(sel2)
-
-    coarse = d_src + d_dst
+    # "None" is -1, the only negative value, and an OR of ints is negative
+    # iff one of them is.
+    valid = (seg_e | seg_l) >= 0                 # segment_for found a segment
+    coarse = Fs[:, F_DETOUR] + Fd[:, F_DETOUR]
     # Rare: the latest drop-off segment precedes the earliest pickup
     # segment; those rows retry with at_least through the exact scalar path.
-    fallback = seg_l < seg_e
+    fallback = valid & (seg_l < seg_e)
 
     # Landmark-level splice estimate — same float64 operation order as
     # _splice_estimate, so the values are bit-identical.
-    lm_ok = (sp_a >= 0) & (sp_b >= 0) & (sd_a >= 0) & (sd_b >= 0)
-    # Mask invalid landmark ids to 0 BEFORE the gather (negative indices
+    lm_ok = (sp_a | sp_b | sd_a | sd_b) >= 0
+    # Clamp unknown landmark ids to 0 BEFORE the gather (negative indices
     # would silently wrap); lm_ok discards those rows afterwards.
-    ia = np.where(lm_ok, sp_a, 0)
-    ib = np.where(lm_ok, sp_b, 0)
-    ic = np.where(lm_ok, sd_a, 0)
-    ie = np.where(lm_ok, sd_b, 0)
-    src_lm = np.array([o.landmark_id for o in source_options], dtype=np.int64)
-    dst_lm = np.array([o.landmark_id for o in destination_options], dtype=np.int64)
-    p = src_lm[so]
-    d = dst_lm[do]
-    D = region.landmark_matrix.values
+    ia = np.maximum(sp_a, 0)
+    ib = np.maximum(sp_b, 0)
+    ic = np.maximum(sd_a, 0)
+    ie = np.maximum(sd_b, 0)
+    p = src.landmark_id[so]
+    d = dst.landmark_id[do]
+    D = engine.region.landmark_matrix.values
+    to_pickup = D[ia, p]
     est = np.where(
         seg_e == seg_l,
-        D[ia, p] + D[p, d] + D[d, ib] - sp_len,
-        (D[ia, p] + D[p, ib] - sp_len) + (D[ic, d] + D[d, ie] - sd_len),
+        to_pickup + D[p, d] + D[d, ib] - sp_len,
+        (to_pickup + D[p, ib] - sp_len) + (D[ic, d] + D[d, ie] - sd_len),
     )
-    bad = np.isinf(est) | np.isnan(est)
-    est = np.maximum(0.0, est)
-    detour = np.where(lm_ok & ~bad, est, coarse)
-    final = (detour <= limits) & ~fallback
+    lm_ok &= np.isfinite(est)
+    detour = np.where(lm_ok, np.maximum(0.0, est), coarse)
+    final = valid & ~fallback & (detour <= np.array(limits, dtype=np.float64))
 
-    request_id = request.request_id
-    # Batch-convert to Python scalars once (C speed) so the build loop
-    # touches no numpy scalars; _build_match fills the instance dict
-    # directly instead of paying the frozen-dataclass per-field setattr.
-    rid_l = rids.tolist()
-    es_l = e_src.tolist()
-    ed_l = e_dst.tolist()
-    so_l = so.tolist()
-    do_l = do.tolist()
-    det_l = detour.tolist()
-    walk_tot = src_walk[so] + dst_walk[do]
-    walk_l = walk_tot.tolist()
+    e_src, e_dst = Fs[:, F_ETA], Fd[:, F_ETA]
+    fallbacks = []
+    for j in fallback.nonzero()[0].tolist():
+        # Segment-order retries go through the exact legacy scalar path;
+        # they are rare, so building them eagerly is fine.
+        from ..core.search import _build_match, _splice_estimate
 
-    # Segment-order retries go through the exact legacy scalar path; they
-    # are rare, so building them eagerly is fine.
-    fb_matches: list = []
-    fb_keys: list = []
-    if fallback.any():
-        for j in np.nonzero(fallback)[0].tolist():
-            ride_id = rid_l[j]
-            ride = engine.rides.get(ride_id)
-            entry = engine.ride_entries.get(ride_id)
-            if ride is None or entry is None:
-                continue
-            o_s = source_options[so_l[j]]
-            o_d = destination_options[do_l[j]]
-            segment_pickup = int(seg_e[j])
-            segment_dropoff = entry.segment_for(
-                o_d.cluster_id, earliest=False, at_least=segment_pickup
-            )
-            if segment_dropoff is None:
-                continue
-            det = _splice_estimate(
-                region, entry, segment_pickup, segment_dropoff,
-                o_s.landmark_id, o_d.landmark_id,
-            )
-            if det is None:
-                det = float(coarse[j])
-            if det > ride.detour_limit_m:
-                continue
-            fb_matches.append(
-                _build_match(
-                    ride_id,
-                    request_id,
-                    o_s.cluster_id,
-                    o_s.landmark_id,
-                    o_s.walk_m,
-                    o_d.cluster_id,
-                    o_d.landmark_id,
-                    o_d.walk_m,
-                    es_l[j],
-                    ed_l[j],
-                    det,
-                )
-            )
-            fb_keys.append((walk_l[j], es_l[j], ride_id))
-
-    # Rank + top-k cut on the scalar key arrays so only the k survivors
-    # are ever constructed.  Each ride id appears at most once (R1 is a
-    # np.unique over rides), so (walk, eta, ride_id) is a total order and
-    # np.lexsort agrees exactly with the legacy tuple sort.
-    vec = np.nonzero(final)[0]
-    n_vec = len(vec)
-    w_keys = walk_tot[vec]
-    e_keys = e_src[vec]
-    r_keys = rids[vec]
-    if fb_keys:
-        w_keys = np.concatenate(
-            [w_keys, np.array([key[0] for key in fb_keys], dtype=np.float64)]
+        ride_id = int(rids[j])
+        entry = entries[ride_id]
+        o_s = src.options[so[j]]
+        o_d = dst.options[do[j]]
+        segment_pickup = int(seg_e[j])
+        segment_dropoff = entry.segment_for(
+            o_d.cluster_id, earliest=False, at_least=segment_pickup
         )
-        e_keys = np.concatenate(
-            [e_keys, np.array([key[1] for key in fb_keys], dtype=np.float64)]
-        )
-        r_keys = np.concatenate(
-            [r_keys, np.array([key[2] for key in fb_keys], dtype=np.int64)]
-        )
-    order = np.lexsort((r_keys, e_keys, w_keys))
-    if k is not None:
-        order = order[:k]
-
-    matches = []
-    vec_l = vec.tolist()
-    for t in order.tolist():
-        if t >= n_vec:
-            matches.append(fb_matches[t - n_vec])
+        if segment_dropoff is None:
             continue
-        j = vec_l[t]
-        o_s = source_options[so_l[j]]
-        o_d = destination_options[do_l[j]]
-        matches.append(
-            _build_match(
-                rid_l[j],
-                request_id,
-                o_s.cluster_id,
-                o_s.landmark_id,
-                o_s.walk_m,
-                o_d.cluster_id,
-                o_d.landmark_id,
-                o_d.walk_m,
-                es_l[j],
-                ed_l[j],
-                det_l[j],
-            )
+        det = _splice_estimate(
+            engine.region, entry, segment_pickup, segment_dropoff,
+            o_s.landmark_id, o_d.landmark_id,
         )
-    return matches
+        if det is None:
+            det = float(coarse[j])
+        if det > rides[ride_id].detour_limit_m:
+            continue
+        match = _build_match(
+            ride_id, request.request_id,
+            o_s.cluster_id, o_s.landmark_id, o_s.walk_m,
+            o_d.cluster_id, o_d.landmark_id, o_d.walk_m,
+            float(e_src[j]), float(e_dst[j]), det,
+        )
+        fallbacks.append((float(walk[j]), match))
+    return rids, so, do, e_src, e_dst, walk, detour, final, fallbacks
+
+
+def _rank(request_id, src_options, dst_options, k, feasible) -> list:
+    """Sort by ``(total_walk_m, eta_pickup_s, ride_id)``, cut to ``k`` and
+    build the survivors.  Each ride id appears at most once (R1 is deduped
+    by ride), so the key is a total order and ``np.lexsort`` agrees exactly
+    with the legacy tuple sort."""
+    from ..core.search import _build_match
+
+    if feasible is None:
+        return []
+    rids, so, do, e_src, e_dst, walk, detour, final, fallbacks = feasible
+    vec = final.nonzero()[0]
+    n_vec = len(vec)
+    w_keys, e_keys, r_keys = walk[vec], e_src[vec], rids[vec]
+    if fallbacks:
+        w_keys = np.append(w_keys, [w for w, _match in fallbacks])
+        e_keys = np.append(e_keys, [m.eta_pickup_s for _w, m in fallbacks])
+        r_keys = np.append(r_keys, [m.ride_id for _w, m in fallbacks])
+    order = np.lexsort((r_keys, e_keys, w_keys))[:k]
+
+    # Batch-convert the <= k survivors to Python scalars once (C speed) so
+    # the build loop touches no numpy scalars; _build_match fills the
+    # instance dict directly instead of paying the frozen-dataclass
+    # per-field setattr.
+    top = vec[order[order < n_vec]] if fallbacks else vec[order]
+    built = [
+        _build_match(
+            ride_id, request_id,
+            o_s.cluster_id, o_s.landmark_id, o_s.walk_m,
+            o_d.cluster_id, o_d.landmark_id, o_d.walk_m,
+            eta_pickup, eta_dropoff, det,
+        )
+        for ride_id, o_s, o_d, eta_pickup, eta_dropoff, det in zip(
+            rids[top].tolist(),
+            map(src_options.__getitem__, so[top].tolist()),
+            map(dst_options.__getitem__, do[top].tolist()),
+            e_src[top].tolist(), e_dst[top].tolist(), detour[top].tolist(),
+        )
+    ]
+    if not fallbacks:
+        return built
+    vector = iter(built)
+    return [
+        fallbacks[t - n_vec][1] if t >= n_vec else next(vector)
+        for t in order.tolist()
+    ]

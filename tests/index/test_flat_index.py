@@ -1,6 +1,7 @@
-"""The flat struct-of-arrays search core: slab mechanics, the
-spatio-temporal window hash, and strict-mirror maintenance through every
-engine mutation seam (create / book / track / cancel / restore / heal)."""
+"""The flat struct-of-arrays search core: slab mechanics over the row
+arena, the two-bisect ETA window, and strict-mirror maintenance through
+every engine mutation seam (create / book / track / cancel / restore /
+heal)."""
 
 from __future__ import annotations
 
@@ -14,12 +15,25 @@ from repro.index.flat_index import (
     F_DETOUR,
     F_ETA,
     FlatSearchIndex,
-    _ClusterSlab,
 )
 from repro.resilience.audit import InvariantAuditor
 from repro.resilience.snapshot import restore_ride, snapshot_ride
 
-SLICE_S = FlatSearchIndex.DEFAULT_SLICE_S
+#: The width of the bucket hash the windows used to go through; ETAs on
+#: its multiples stay in the brute-force comparison as edge values.
+SLICE_S = 600.0
+
+
+def _slab():
+    """A slab of a one-cluster index (slabs live in their index's arena)."""
+    return FlatSearchIndex(1).slab(0)
+
+
+def _window(slab, start_s, end_s):
+    """``slab.window`` as (ride ids, ETAs, storage rows): global rows are
+    read back through the arena and re-based onto the slab's region."""
+    rows, etas = slab.window(start_s, end_s)
+    return slab.arena.rids[rows], etas, rows - slab.base
 
 
 def _fvals(eta, detour=100.0):
@@ -31,7 +45,7 @@ _IVALS = (0, 1, 2, 3, 4, 5)
 
 class TestSlabMechanics:
     def test_put_grow_and_lookup(self):
-        slab = _ClusterSlab()
+        slab = _slab()
         for rid in range(50):  # force several capacity doublings
             slab.put(rid, _fvals(float(rid)), _IVALS)
         assert slab.n == 50
@@ -41,7 +55,7 @@ class TestSlabMechanics:
             assert slab.fdata[row, F_ETA] == float(rid)
 
     def test_swap_remove_keeps_row_map_consistent(self):
-        slab = _ClusterSlab()
+        slab = _slab()
         for rid in range(10):
             slab.put(rid, _fvals(float(rid)), _IVALS)
         assert slab.remove(3)
@@ -54,7 +68,7 @@ class TestSlabMechanics:
             assert slab.fdata[row, F_ETA] == float(rid)
 
     def test_put_existing_updates_in_place(self):
-        slab = _ClusterSlab()
+        slab = _slab()
         slab.put(7, _fvals(100.0), _IVALS)
         slab.put(7, _fvals(250.0, detour=9.0), _IVALS)
         assert slab.n == 1
@@ -63,9 +77,9 @@ class TestSlabMechanics:
         assert slab.fdata[row, F_DETOUR] == 9.0
 
     def test_eta_change_dirties_update_feasibility_does_not(self):
-        slab = _ClusterSlab()
+        slab = _slab()
         slab.put(1, _fvals(10.0), _IVALS)
-        slab.rebuild(SLICE_S)
+        slab.rebuild()
         assert not slab.dirty
         # Same ETA: clean.
         slab.put(1, _fvals(10.0, detour=5.0), _IVALS)
@@ -79,18 +93,21 @@ class TestSlabMechanics:
 
     def test_sorted_views_match_contents(self):
         rng = random.Random(4)
-        slab = _ClusterSlab()
+        slab = _slab()
         for rid in rng.sample(range(1000), 60):
             slab.put(rid, _fvals(rng.uniform(0, 5000)), _IVALS)
-        slab.rebuild(SLICE_S)
+        slab.rebuild()
         assert list(slab.rid_sorted) == sorted(slab.rows)
         assert list(slab.eta_sorted) == sorted(
             float(slab.fdata[r, F_ETA]) for r in slab.rows.values()
         )
-        # eta_order values are storage rows: gathering ETAs through them
-        # must reproduce the sorted view.
+        # eta_rows values are global rows: gathering ETAs through them
+        # must reproduce the sorted view, from the arena and from the slab.
         np.testing.assert_array_equal(
-            slab.fdata[slab.eta_order, F_ETA], slab.eta_sorted
+            slab.arena.F[slab.eta_rows, F_ETA], slab.eta_sorted
+        )
+        np.testing.assert_array_equal(
+            slab.fdata[slab.eta_rows - slab.base, F_ETA], slab.eta_sorted
         )
 
 
@@ -98,7 +115,7 @@ class TestWindowQuery:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_window_matches_brute_force(self, seed):
         rng = random.Random(seed)
-        slab = _ClusterSlab()
+        slab = _slab()
         etas = {}
         for rid in range(200):
             # Cluster ETAs around bucket edges: multiples of the slice
@@ -111,7 +128,7 @@ class TestWindowQuery:
         for _ in range(80):
             start = rng.uniform(-100, 6100)
             end = rng.choice([start + rng.uniform(0, 2500), float("inf")])
-            rids, got_etas, rows = slab.window(start, end, SLICE_S)
+            rids, got_etas, rows = _window(slab, start, end)
             expected = sorted(
                 (eta, rid) for rid, eta in etas.items() if start <= eta <= end
             )
@@ -120,22 +137,22 @@ class TestWindowQuery:
             assert [int(slab.rids[r]) for r in rows] == rids.tolist()
 
     def test_empty_and_inverted_windows(self):
-        slab = _ClusterSlab()
-        rids, etas, rows = slab.window(0.0, 100.0, SLICE_S)
+        slab = _slab()
+        rids, etas, rows = _window(slab, 0.0, 100.0)
         assert len(rids) == 0
         slab.put(1, _fvals(50.0), _IVALS)
-        rids, _, _ = slab.window(200.0, 100.0, SLICE_S)  # end < start
+        rids, _, _ = _window(slab, 200.0, 100.0)  # end < start
         assert len(rids) == 0
-        rids, _, _ = slab.window(50.0, 50.0, SLICE_S)  # inclusive point hit
+        rids, _, _ = _window(slab, 50.0, 50.0)  # inclusive point hit
         assert rids.tolist() == [1]
 
     def test_mutations_between_queries_rebuild_lazily(self):
-        slab = _ClusterSlab()
+        slab = _slab()
         slab.put(1, _fvals(100.0), _IVALS)
-        assert slab.window(0.0, 1000.0, SLICE_S)[0].tolist() == [1]
+        assert _window(slab, 0.0, 1000.0)[0].tolist() == [1]
         slab.put(2, _fvals(200.0), _IVALS)
         slab.remove(1)
-        assert slab.window(0.0, 1000.0, SLICE_S)[0].tolist() == [2]
+        assert _window(slab, 0.0, 1000.0)[0].tolist() == [2]
 
 
 def _populate(engine, city, rng, n=25):
