@@ -27,6 +27,7 @@ from typing import Any, Dict, List, Optional
 from repro.exceptions import XARError
 from repro.obs import MetricsRegistry
 from repro.obs.registry import QUEUE_DEPTH_BUCKETS, SWAP_GAIN_BUCKETS_M
+from repro.sim.adapters import DelegatingAdapter
 
 from .graph import build_candidate_graph
 from .solver import solve_assignment
@@ -54,7 +55,7 @@ class BatchConfig:
     max_passes: int = 8
 
 
-class BatchMatcher:
+class BatchMatcher(DelegatingAdapter):
     """Windowed batch assignment facade with swap improvement."""
 
     def __init__(
@@ -119,23 +120,8 @@ class BatchMatcher:
         return f"Batch({self.inner.name})"
 
     # ------------------------------------------------------------------
-    # EngineAdapter surface
+    # EngineAdapter surface: search is windowed, book is accounted
     # ------------------------------------------------------------------
-    def create(
-        self,
-        source,
-        destination,
-        depart_s: float,
-        seats: Optional[int] = None,
-        detour_limit_m: Optional[float] = None,
-        shift_end_s: Optional[float] = None,
-    ):
-        return self.inner.create(
-            source, destination, depart_s,
-            seats=seats, detour_limit_m=detour_limit_m,
-            shift_end_s=shift_end_s,
-        )
-
     def search(self, request, k: Optional[int] = None) -> List[Any]:
         """Window the request; block until its batch is solved.
 
@@ -162,24 +148,6 @@ class BatchMatcher:
         self._bump("committed")
         self._c_commits.labels(result="committed").inc()
         return record
-
-    def track_all(self, now_s: float) -> int:
-        return self.inner.track_all(now_s)
-
-    def cancel(self, ride) -> None:
-        self.inner.cancel(ride)
-
-    def cancel_booking(self, request_id: int, ride_id: int):
-        return self.inner.cancel_booking(request_id, ride_id)
-
-    def active_rides(self):
-        return self.inner.active_rides()
-
-    def rollback_count(self) -> int:
-        return self.inner.rollback_count()
-
-    def index_stats(self) -> Dict[str, int]:
-        return self.inner.index_stats()
 
     # ------------------------------------------------------------------
     # Extras used by loadgen / CLI when present on the inner target

@@ -178,7 +178,6 @@ def _simulate(args: argparse.Namespace) -> int:
         adapter = XARAdapter(XAREngine(
             region,
             optimize_insertion=args.optimize,
-            use_flat_index=not args.legacy_search,
         ))
     else:
         adapter = TShareAdapter(TShareEngine(region.network))
@@ -223,11 +222,6 @@ def _loadtest(args: argparse.Namespace) -> int:
     ):
         raise SystemExit("--matcher batch wraps the in-process thread-shard "
                          "router; drop --procs/--remote")
-
-    if args.legacy_search and (args.procs or args.remote):
-        raise SystemExit("--legacy-search pins the in-process thread-shard "
-                         "engines to the pre-flat search path; drop "
-                         "--procs/--remote")
 
     reshard = None
     if getattr(args, "reshard", 0):
@@ -286,7 +280,6 @@ def _loadtest(args: argparse.Namespace) -> int:
             queue_depth=args.queue_depth,
             fanout=args.fanout,
             resilient=args.resilient,
-            use_flat_index=not args.legacy_search,
             seed=args.seed,
             durability=durability,
             reshard=reshard,
@@ -1011,10 +1004,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=["xar", "tshare"], default="xar")
     p.add_argument("--optimize", action="store_true",
                    help="XAR insertion optimization at booking")
-    p.add_argument("--legacy-search", action="store_true", dest="legacy_search",
-                   help="use the pre-flat per-object search path instead of "
-                        "the flat struct-of-arrays core (same results, "
-                        "slower; for A/B comparison)")
     p.add_argument("--faults", default="",
                    help="inject faults, e.g. "
                         "'router=0.05,dropout=0.1,cancel=0.02,corrupt=0.01'")
@@ -1057,10 +1046,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-create", action="store_true", dest="no_create",
                    help="do not create rides from unmatched requests (fixed "
                         "supply: matcher comparisons at equal supply)")
-    p.add_argument("--legacy-search", action="store_true", dest="legacy_search",
-                   help="pin every shard engine to the pre-flat per-object "
-                        "search path (same results, slower; for A/B "
-                        "comparison — in-process shards only)")
     p.add_argument("--queue-depth", type=int, default=128, dest="queue_depth",
                    help="per-shard request queue bound (admission control)")
     p.add_argument("--fanout", choices=["local", "all"], default="local",

@@ -34,7 +34,7 @@ from ..core.request import RideRequest
 from ..exceptions import XARError
 from ..geo import GeoPoint
 from ..obs import MetricsRegistry
-from ..sim.adapters import XARAdapter
+from ..sim.adapters import DelegatingAdapter, XARAdapter
 from .checkpoint import write_checkpoint
 from .wal import WriteAheadLog
 
@@ -65,7 +65,7 @@ def _point(point: GeoPoint) -> List[float]:
     return [point.lat, point.lon]
 
 
-def _request_record(request: RideRequest) -> Dict[str, Any]:
+def request_record(request: RideRequest) -> Dict[str, Any]:
     return {
         "request_id": request.request_id,
         "source": _point(request.source),
@@ -77,7 +77,7 @@ def _request_record(request: RideRequest) -> Dict[str, Any]:
     }
 
 
-def _match_record(match) -> Dict[str, Any]:
+def match_record(match) -> Dict[str, Any]:
     return {
         "ride_id": match.ride_id,
         "request_id": match.request_id,
@@ -93,12 +93,13 @@ def _match_record(match) -> Dict[str, Any]:
     }
 
 
-class DurableAdapter:
+class DurableAdapter(DelegatingAdapter):
     """WAL + checkpoint decorator over :class:`XARAdapter`.
 
-    Implements the full :class:`~repro.sim.adapters.EngineAdapter` surface;
-    the wrapped adapter stays reachable as ``.inner`` and the raw engine as
-    ``.engine`` (auditor/simulator convention).
+    Overrides the five logged mutations; reads (search, introspection) are
+    the base's plain forwards and bypass the log.  The wrapped adapter stays
+    reachable as ``.inner`` and the raw engine as ``.engine``
+    (auditor/simulator convention).
     """
 
     def __init__(
@@ -129,10 +130,6 @@ class DurableAdapter:
                 "Engine checkpoints written",
                 labels=("shard",),
             ).labels(shard=str(shard_id))
-
-    @property
-    def engine(self):
-        return self.inner.engine
 
     # ------------------------------------------------------------------
     # Logged mutations
@@ -202,8 +199,8 @@ class DurableAdapter:
         record = {
             "kind": "op",
             "op": "book",
-            "request": _request_record(request),
-            "match": _match_record(match),
+            "request": request_record(request),
+            "match": match_record(match),
         }
         return self._logged(
             record,
@@ -235,21 +232,6 @@ class DurableAdapter:
     def track_all(self, now_s: float) -> int:
         record = {"kind": "op", "op": "track", "now_s": now_s}
         return self._logged(record, lambda: self.inner.track_all(now_s))
-
-    # ------------------------------------------------------------------
-    # Unlogged reads
-    # ------------------------------------------------------------------
-    def search(self, request: RideRequest, k: Optional[int] = None):
-        return self.inner.search(request, k)
-
-    def active_rides(self):
-        return self.inner.active_rides()
-
-    def rollback_count(self) -> int:
-        return self.inner.rollback_count()
-
-    def index_stats(self) -> Dict[str, int]:
-        return self.inner.index_stats()
 
     # ------------------------------------------------------------------
     # Checkpointing / lifecycle

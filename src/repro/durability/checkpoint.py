@@ -40,7 +40,7 @@ CHECKPOINT_VERSION = 1
 # ----------------------------------------------------------------------
 # Serialization
 # ----------------------------------------------------------------------
-def _ride_state(ride: Ride) -> Dict[str, Any]:
+def ride_state(ride: Ride) -> Dict[str, Any]:
     return {
         "ride_id": ride.ride_id,
         "route": ride.route,
@@ -75,14 +75,14 @@ def engine_state(engine: XAREngine) -> Dict[str, Any]:
     a consistent point-in-time cut.
     """
     return {
-        "rides": [_ride_state(r) for r in engine.rides.values()],
+        "rides": [ride_state(r) for r in engine.rides.values()],
         "completed_rides": [
-            _ride_state(r) for r in engine.completed_rides.values()
+            ride_state(r) for r in engine.completed_rides.values()
         ],
         "tracked_to": sorted(
             [ride_id, t] for ride_id, t in engine.tracked_to.items()
         ),
-        "bookings": [_booking_state(b) for b in engine.bookings],
+        "bookings": [booking_state(b) for b in engine.bookings],
         "rollbacks": [
             {
                 "request_id": r.request_id,
@@ -92,21 +92,12 @@ def engine_state(engine: XAREngine) -> Dict[str, Any]:
             }
             for r in engine.rollbacks
         ],
-        "cancellations": [
-            {
-                "request_id": c.request_id,
-                "ride_id": c.ride_id,
-                "route_delta_m": c.route_delta_m,
-                "detour_restored_m": c.detour_restored_m,
-                "shortest_paths_computed": c.shortest_paths_computed,
-            }
-            for c in engine.cancellations
-        ],
+        "cancellations": [cancellation_state(c) for c in engine.cancellations],
         "counters": engine.counter_state(),
     }
 
 
-def _booking_state(record: BookingRecord) -> Dict[str, Any]:
+def booking_state(record: BookingRecord) -> Dict[str, Any]:
     return {
         "request_id": record.request_id,
         "ride_id": record.ride_id,
@@ -118,6 +109,16 @@ def _booking_state(record: BookingRecord) -> Dict[str, Any]:
         "eta_dropoff_s": record.eta_dropoff_s,
         "detour_estimate_m": record.detour_estimate_m,
         "detour_actual_m": record.detour_actual_m,
+        "shortest_paths_computed": record.shortest_paths_computed,
+    }
+
+
+def cancellation_state(record: CancellationRecord) -> Dict[str, Any]:
+    return {
+        "request_id": record.request_id,
+        "ride_id": record.ride_id,
+        "route_delta_m": record.route_delta_m,
+        "detour_restored_m": record.detour_restored_m,
         "shortest_paths_computed": record.shortest_paths_computed,
     }
 
@@ -237,7 +238,7 @@ def read_checkpoint(path: str, *, expected_digest: str = "") -> Dict[str, Any]:
     return payload
 
 
-def _restore_ride(region: DiscretizedRegion, state: Dict[str, Any]) -> Ride:
+def restore_ride(region: DiscretizedRegion, state: Dict[str, Any]) -> Ride:
     route = [int(n) for n in state["route"]]
     shift_end = state.get("shift_end_s")
     ride = Ride(
@@ -296,12 +297,12 @@ def restore_engine_state(engine: XAREngine, state: Dict[str, Any]) -> None:
     region = engine.region
     with engine.lock:
         tracked_to = {int(rid): float(t) for rid, t in state["tracked_to"]}
-        for ride_state in state["rides"]:
-            ride = _restore_ride(region, ride_state)
+        for saved in state["rides"]:
+            ride = restore_ride(region, saved)
             engine.rides[ride.ride_id] = ride
             engine._index_ride(ride)
-        for ride_state in state["completed_rides"]:
-            ride = _restore_ride(region, ride_state)
+        for saved in state["completed_rides"]:
+            ride = restore_ride(region, saved)
             engine.completed_rides[ride.ride_id] = ride
         engine.tracked_to.update(tracked_to)
         for ride_id, tracked in tracked_to.items():

@@ -60,7 +60,7 @@ class RecoveryResult:
     duration_s: float
 
 
-def _request_from(state: Dict[str, Any]) -> RideRequest:
+def request_from(state: Dict[str, Any]) -> RideRequest:
     max_detour = state.get("max_detour_m")
     return RideRequest(
         request_id=int(state["request_id"]),
@@ -73,7 +73,7 @@ def _request_from(state: Dict[str, Any]) -> RideRequest:
     )
 
 
-def _match_from(state: Dict[str, Any]) -> MatchOption:
+def match_from(state: Dict[str, Any]) -> MatchOption:
     return MatchOption(
         ride_id=int(state["ride_id"]),
         request_id=int(state["request_id"]),
@@ -115,8 +115,8 @@ def replay_record(engine: XAREngine, record: Dict[str, Any]) -> None:
             ),
         )
     elif op == "book":
-        request = _request_from(record["request"])
-        match = _match_from(record["match"])
+        request = request_from(record["request"])
+        match = match_from(record["match"])
         engine.book(request, match)
         # Keep the request-id allocator ahead of every replayed request so a
         # post-recovery make_request cannot reuse a logged id.

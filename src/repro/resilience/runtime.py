@@ -44,6 +44,7 @@ from ..exceptions import (
 )
 from ..geo import GeoPoint
 from ..obs import MetricsRegistry
+from ..sim.adapters import DelegatingAdapter, raw_engine
 from .fallback import grid_scan_search
 
 #: Numeric encoding of breaker states for the ``xar_breaker_state`` gauge.
@@ -173,7 +174,7 @@ class ResilienceStats:
         return out
 
 
-class ResilientEngine:
+class ResilientEngine(DelegatingAdapter):
     """Fault-tolerant façade over an engine adapter (EngineAdapter-shaped)."""
 
     def __init__(
@@ -332,7 +333,7 @@ class ResilientEngine:
         raise last_error  # pragma: no cover - loop always returns or raises
 
     # ------------------------------------------------------------------
-    # EngineAdapter protocol
+    # EngineAdapter protocol: the ops run under retry / deadline / breaker
     # ------------------------------------------------------------------
     def create(
         self,
@@ -429,25 +430,12 @@ class ResilientEngine:
             enforce_deadline=False,
         )
 
-    def cancel(self, ride: Any) -> None:
-        self.inner.cancel(ride)
-
-    def active_rides(self) -> List[Any]:
-        return self.inner.active_rides()
-
     # ------------------------------------------------------------------
     # Introspection / composition
     # ------------------------------------------------------------------
     def raw_engine(self) -> Optional[Any]:
         """The underlying XAREngine, unwrapped through adapter layers."""
-        seen = set()
-        node: Any = self.inner
-        while node is not None and id(node) not in seen:
-            seen.add(id(node))
-            if hasattr(node, "cluster_index") and hasattr(node, "rides"):
-                return node
-            node = getattr(node, "engine", None) or getattr(node, "inner", None)
-        return None
+        return raw_engine(self.inner)
 
     def resilience_stats(self) -> Dict[str, Any]:
         """Counters for the simulation report."""

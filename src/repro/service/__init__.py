@@ -1,6 +1,8 @@
 """Sharded concurrent ride-matching service.
 
-One router core (:mod:`~repro.service.core`) over a routing table
+One op table (:mod:`~repro.service.ops`: every operation's wire shape,
+routing kind and retry rule, declared once), one router core
+(:mod:`~repro.service.core`) over a routing table
 (:mod:`~repro.service.routing`), a shard transport — worker threads
 (:mod:`~repro.service.transport`) or supervised subprocesses
 (:mod:`~repro.service.proc`) — and one reshard machine

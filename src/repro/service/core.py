@@ -191,9 +191,8 @@ class RouterCore:
     # ------------------------------------------------------------------
     # Single-slot operations: resolve, guard, re-resolve
     # ------------------------------------------------------------------
-    def _routed(self, resolve: Callable[[], int],
-                call: Callable[..., Any], *args: Any) -> Any:
-        """Run one single-slot operation wherever routing points *now*.
+    def _routed(self, op: str, resolve: Callable[[], int], *args: Any) -> Any:
+        """Run one single-slot table op wherever routing points *now*.
 
         The transport gets a guard that re-resolves right before the op
         applies; :class:`Rerouted` means it failed (a reshard swapped the
@@ -206,7 +205,7 @@ class RouterCore:
             slot = resolve()
             guard = (lambda slot=slot: resolve() == slot) if guarded else None
             try:
-                return call(slot, guard, *args)
+                return self.transport.call(op, slot, guard, *args)
             except Rerouted:
                 continue
 
@@ -220,35 +219,32 @@ class RouterCore:
         shift_end_s: Optional[float] = None,
     ) -> Any:
         return self._routed(
-            lambda: self.table.slot_of_point(source),
-            self.transport.create,
+            "create", lambda: self.table.slot_of_point(source),
             source, destination, depart_s, seats, detour_limit_m, shift_end_s,
         )
 
     def book(self, request: RideRequest, match: MatchOption) -> BookingRecord:
         return self._routed(
-            lambda: self.table.shard_of_ride(match.ride_id),
-            self.transport.book, request, match,
+            "book", lambda: self.table.shard_of_ride(match.ride_id),
+            request, match,
         )
 
     def cancel(self, ride: Any) -> None:
         self._routed(
-            lambda: self.table.shard_of_ride(ride.ride_id),
-            self.transport.cancel, ride,
+            "cancel", lambda: self.table.shard_of_ride(ride.ride_id), ride,
         )
 
     def cancel_booking(self, request_id: int, ride_id: int) -> Any:
         """Cancel one passenger's booking on the ride's home slot."""
         return self._routed(
-            lambda: self.table.shard_of_ride(ride_id),
-            self.transport.cancel_booking, request_id, ride_id,
+            "cancel_booking", lambda: self.table.shard_of_ride(ride_id),
+            request_id, ride_id,
         )
 
     def find_ride(self, ride_id: int) -> Any:
         """Resolve a ride (live or completed) on its home slot."""
         return self._routed(
-            lambda: self.table.shard_of_ride(ride_id),
-            self.transport.find_ride, ride_id,
+            "find_ride", lambda: self.table.shard_of_ride(ride_id), ride_id,
         )
 
     # ------------------------------------------------------------------
@@ -330,13 +326,15 @@ class RouterCore:
             self._c_ticks.labels(outcome="applied").inc()
         return sum(sweep() for sweep in sweeps)
 
-    def _gather(self, read: Callable[[int], Any]) -> List[Any]:
-        return [read(slot) for slot in self.table.active_slots()]
+    def _gather(self, op: str, *args: Any) -> List[Any]:
+        """A per-slot table op, asked of every active slot in slot order."""
+        return [self.transport.call(op, slot, None, *args)
+                for slot in self.table.active_slots()]
 
     def active_rides(self) -> List[Any]:
         return [
             ride
-            for rides in self._gather(self.transport.active_rides)
+            for rides in self._gather("active_rides")
             for ride in rides
         ]
 
@@ -344,16 +342,16 @@ class RouterCore:
         """All slots' booking ledgers, concatenated slot-by-slot."""
         return [
             record
-            for ledger in self._gather(self.transport.bookings)
+            for ledger in self._gather("bookings")
             for record in ledger
         ]
 
     def rollback_count(self) -> int:
-        return sum(self._gather(self.transport.rollback_count))
+        return sum(self._gather("rollback_count"))
 
     def index_stats(self) -> Dict[str, int]:
         totals: Dict[str, int] = {}
-        for stats in self._gather(self.transport.index_stats):
+        for stats in self._gather("index_stats"):
             for key, value in stats.items():
                 totals[key] = totals.get(key, 0) + value
         return totals
@@ -370,7 +368,8 @@ class RouterCore:
         per_shard: Dict[int, int] = {}
         healed = 0
         for slot in self.table.active_slots():
-            per_shard[slot], actions = self.transport.audit(slot, heal)
+            per_shard[slot], actions = self.transport.call(
+                "audit", slot, None, heal)
             healed += actions
         return {
             "violations": sum(per_shard.values()),
@@ -378,16 +377,19 @@ class RouterCore:
             "healed": healed,
         }
 
-    def _slot_stats(self, slot: int) -> Dict[str, Any]:
-        return {
-            "shard_id": slot,
-            "clusters": len(self.shard_map.clusters_of_shard(slot)),
-            **self.transport.stats(slot),
-        }
+    def _slot_stats(self) -> List[Dict[str, Any]]:
+        return [
+            {
+                "shard_id": slot,
+                "clusters": len(self.shard_map.clusters_of_shard(slot)),
+                **self.transport.stats(slot),
+            }
+            for slot in self.table.active_slots()
+        ]
 
     def stats(self) -> Dict[str, Any]:
         """Service-level counters: queue/shed stats, rides, bookings."""
-        shard_stats = self._gather(self._slot_stats)
+        shard_stats = self._slot_stats()
         return {
             "name": self.name,
             "n_shards": len(shard_stats),
@@ -423,7 +425,7 @@ class RouterCore:
                     slot = int(labels.get("shard", "-1"))
                     p95[slot] = max(p95.get(slot, 0.0), quantile)
         loads: Dict[int, Dict[str, float]] = {}
-        for stats in self._gather(self._slot_stats):
+        for stats in self._slot_stats():
             loads[stats["shard_id"]] = {
                 "ops": float(sum(stats.get("completed", {}).values())),
                 "queue": float(stats.get("depth", 0)),

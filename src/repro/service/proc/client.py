@@ -27,11 +27,8 @@ import http.client
 import json
 import threading
 import urllib.parse
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
-from ...core.booking import BookingRecord
-from ...core.request import RideRequest
-from ...core.search import MatchOption
 from ...discretization import DiscretizedRegion
 from ...exceptions import (
     DeadlineExceededError,
@@ -39,13 +36,20 @@ from ...exceptions import (
     ShardOverloadError,
     WorkerCrashError,
 )
-from ...geo import GeoPoint
-from . import codec
+from ..ops import ROUTES, Op
 from .rpc import raise_remote_error
 
 
 class HttpServiceClient:
-    """EngineAdapter-shaped HTTP client for the gateway."""
+    """EngineAdapter-shaped HTTP client for the gateway.
+
+    The op methods (``create``, ``search``, ``book``, ``track_all``,
+    ``cancel``, ``cancel_booking``, ``active_rides``, ``rollback_count``,
+    ``index_stats``, ``stats``) are not written out: each is grown from its
+    op-table entry (:data:`repro.service.ops.ROUTES`) below the class, so
+    the bodies it sends and reads are the records the gateway decodes and
+    encodes.
+    """
 
     def __init__(
         self,
@@ -130,67 +134,8 @@ class HttpServiceClient:
                            operation=str(body.get("operation") or path))
 
     # ------------------------------------------------------------------
-    # EngineAdapter protocol
-    # ------------------------------------------------------------------
-    def create(
-        self,
-        source: GeoPoint,
-        destination: GeoPoint,
-        depart_s: float,
-        seats: Optional[int] = None,
-        detour_limit_m: Optional[float] = None,
-        shift_end_s: Optional[float] = None,
-    ) -> Any:
-        result = self._request("POST", "/v1/create", {
-            "source": [source.lat, source.lon],
-            "destination": [destination.lat, destination.lon],
-            "depart_s": depart_s,
-            "seats": seats,
-            "detour_limit_m": detour_limit_m,
-            "shift_end_s": shift_end_s,
-        })
-        return codec.ride_from(self.region, result["ride"])
-
-    def search(self, request: RideRequest,
-               k: Optional[int] = None) -> List[MatchOption]:
-        result = self._request("POST", "/v1/search", {
-            "request": codec.request_record(request),
-            "k": k,
-        })
-        return codec.matches_from(result["matches"])
-
-    def book(self, request: RideRequest, match: MatchOption) -> BookingRecord:
-        result = self._request("POST", "/v1/book", {
-            "request": codec.request_record(request),
-            "match": codec.match_record(match),
-        })
-        return codec.booking_from(result["booking"])
-
-    def track_all(self, now_s: float) -> int:
-        return int(self._request(
-            "POST", "/v1/track", {"now_s": now_s})["affected"])
-
-    def cancel(self, ride: Any) -> None:
-        self._request("POST", "/v1/cancel", {"ride_id": ride.ride_id})
-
-    def active_rides(self) -> List[Any]:
-        result = self._request("GET", "/v1/rides")
-        return [codec.ride_from(self.region, state)
-                for state in result["rides"]]
-
-    def rollback_count(self) -> int:
-        return int(self._request("GET", "/v1/rollbacks")["count"])
-
-    def index_stats(self) -> Dict[str, int]:
-        return {k: int(v) for k, v in
-                self._request("GET", "/v1/index-stats")["stats"].items()}
-
-    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def stats(self) -> Dict[str, Any]:
-        return self._request("GET", "/v1/stats")
-
     def healthz(self) -> Dict[str, Any]:
         return self._request("GET", "/healthz")
 
@@ -202,3 +147,22 @@ class HttpServiceClient:
             except OSError:
                 pass
             self._local.conn = None
+
+
+def _op_method(op: Op):
+    verb, route = op.http
+
+    def method(self, *args, **kwargs):
+        values = op.args.bind(args, kwargs)
+        body = self._request(
+            verb, route, op.args.encode(values) if verb == "POST" else None)
+        return op.decode_result(body, self.region)
+
+    method.__name__ = method.__qualname__ = op.method
+    method.__doc__ = (f"``{verb} {route}``: the ``{op.name}`` op "
+                      "(arguments by position or JSON key).")
+    return method
+
+
+for _op in ROUTES.values():
+    setattr(HttpServiceClient, _op.method, _op_method(_op))

@@ -4,16 +4,15 @@ The gateway fronts any EngineAdapter-shaped service (:class:`ProcRouter`,
 the thread-mode :class:`~repro.service.router.ShardRouter`, a bare engine
 adapter) with a small HTTP/1.1 surface::
 
-    POST /v1/search   {"request": {...}, "k": 5}       -> {"matches": [...]}
-    POST /v1/book     {"request": {...}, "match": {..}} -> {"booking": {...}}
-    POST /v1/create   {"source": [lat,lon], ...}        -> {"ride": {...}}
-    POST /v1/track    {"now_s": 120.0}                  -> {"affected": 3}
-    GET  /healthz                                       -> {"ok": true, ...}
-    GET  /v1/stats                                      -> service.stats()
-    GET  /metrics                                       -> Prometheus text
+    POST /v1/create  /v1/search  /v1/book  /v1/track
+         /v1/cancel  /v1/cancel_booking
+    GET  /v1/rides   /v1/rollbacks  /v1/index-stats  /v1/stats
+    GET  /healthz    /metrics (Prometheus text)
 
-Bodies reuse the WAL/RPC record shapes from :mod:`.codec` — one wire format
-end to end.
+The ``/v1`` routes are the op table's (:data:`repro.service.ops.ROUTES`):
+each names the service method it calls, and its request and response bodies
+are the op's argument and result records — the shapes the shard RPC and the
+WAL carry, one wire format end to end.
 
 Admission control sheds *before* any work is queued, cheapest check first,
 and counts every refusal in ``xar_gateway_shed_total{reason}``:
@@ -42,7 +41,6 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Any, BinaryIO, Callable, Deque, Dict, Optional, Tuple
 
 from ...exceptions import (
@@ -51,9 +49,8 @@ from ...exceptions import (
     WorkerCrashError,
     XARError,
 )
-from ...geo import GeoPoint
 from ...obs import DEFAULT_LATENCY_BUCKETS_S, MetricsRegistry, to_prometheus_text
-from . import codec
+from ..ops import ROUTES
 
 SHED_REASONS = ("draining", "capacity", "deadline")
 
@@ -278,18 +275,11 @@ class Gateway:
                 }
             if path == "/metrics":
                 return 200, to_prometheus_text(self.metrics)
-            if path == "/v1/stats":
-                return 200, self._unmetered(self.service.stats)
-            if path == "/v1/rides":
-                rides = self._unmetered(self.service.active_rides)
-                return 200, {"rides": [codec.ride_record(r) for r in rides]}
-            if path == "/v1/rollbacks":
-                return 200, {
-                    "count": self._unmetered(self.service.rollback_count)}
-            if path == "/v1/index-stats":
-                return 200, {
-                    "stats": self._unmetered(self.service.index_stats)}
-            return 404, {"error": "NotFound", "message": path}
+            op = ROUTES.get((method, path))
+            if op is None:
+                return 404, {"error": "NotFound", "message": path}
+            return 200, op.encode_result(
+                self._unmetered(getattr(self.service, op.method)))
         if method != "POST":
             return 404, {"error": "NotFound", "message": f"{method} {path}"}
 
@@ -320,38 +310,12 @@ class Gateway:
 
     def _serve(self, path: str, args: Dict[str, Any]) -> Tuple[int, Any]:
         """An admitted POST: decode, call the service, encode."""
-        service = self.service
-        if path == "/v1/search":
-            request = codec.request_from(args["request"])
-            k = None if args.get("k") is None else int(args["k"])
-            matches = self._call(lambda: service.search(request, k))
-            return 200, {"matches": codec.matches_record(matches)}
-        if path == "/v1/book":
-            request = codec.request_from(args["request"])
-            match = codec.match_from(args["match"])
-            booking = self._call(lambda: service.book(request, match))
-            return 200, {"booking": codec.booking_record(booking)}
-        if path == "/v1/create":
-            ride = self._call(lambda: service.create(
-                GeoPoint(*[float(c) for c in args["source"]]),
-                GeoPoint(*[float(c) for c in args["destination"]]),
-                float(args["depart_s"]),
-                seats=None if args.get("seats") is None
-                else int(args["seats"]),
-                detour_limit_m=codec.optional_float(
-                    args.get("detour_limit_m")),
-                shift_end_s=codec.optional_float(args.get("shift_end_s")),
-            ))
-            return 200, {"ride": codec.ride_record(ride)}
-        if path == "/v1/track":
-            affected = self._call(
-                lambda: service.track_all(float(args["now_s"])))
-            return 200, {"affected": affected}
-        if path == "/v1/cancel":
-            handle = SimpleNamespace(ride_id=int(args["ride_id"]))
-            self._call(lambda: service.cancel(handle))
-            return 200, {}
-        return 404, {"error": "NotFound", "message": path}
+        op = ROUTES.get(("POST", path))
+        if op is None:
+            return 404, {"error": "NotFound", "message": path}
+        values = op.args.decode(args)
+        method = getattr(self.service, op.method)
+        return 200, op.encode_result(self._call(lambda: method(*values)))
 
     def _call(self, fn: Callable[[], Any]) -> Any:
         """An admitted service call; its time feeds the RTT estimator."""

@@ -35,9 +35,9 @@ crash.  Fan-outs (a search of several slots, every tracking tick) use
 when the caller gathers, so the children work at the same time.
 
 The supervisor **is** the UNIX-socket
-:class:`~repro.service.transport.ShardTransport`: typed per-slot operations
-marshal through :mod:`~repro.service.proc.codec` into ``rpc`` calls, and the
-reshard steps map onto the process lifecycle — ``drain`` stops a child and
+:class:`~repro.service.transport.ShardTransport`: a table op
+(:mod:`~repro.service.ops`) marshals through its own records into one
+``rpc`` call, and the reshard steps map onto the process lifecycle — ``drain`` stops a child and
 parks it in ``RESHARDING`` where callers wait, ``snapshot`` recovers its
 engine offline in the parent (a reshard after SIGKILL is just recovery +
 carve), ``start`` spawns a child on a spec's files.
@@ -73,12 +73,11 @@ from ...exceptions import (
     XARError,
 )
 from ...obs import DEFAULT_LATENCY_BUCKETS_S, MetricsRegistry
+from ..ops import OPS
 from ..sharding import derive_seed
 from ..stack import Rerouted, ShardSpec, StackConfig, make_engine
-from . import codec
 from .rpc import (
     RetryPolicy,
-    book_idempotency_key,
     raise_remote_error,
     read_frame,
     write_frame,
@@ -97,6 +96,8 @@ RESHARDING = "resharding"
 
 STATE_CODES = {STARTING: 0, LIVE: 1, RESTARTING: 2, QUARANTINED: 3,
                STOPPED: 4, RESHARDING: 5}
+
+_SEARCH, _TRACK = OPS["search"], OPS["track"]
 
 #: What a best-effort call (stats probe, tick sweep) raises when its shard
 #: cannot serve it now; the caller reports the shard absent instead.
@@ -846,52 +847,18 @@ class ShardSupervisor:
             process.kill()
 
     # ------------------------------------------------------------------
-    # Data path (typed ops marshalled through the codec)
+    # Data path (table ops marshalled through their records)
     # ------------------------------------------------------------------
-    def create(self, slot, guard, source, destination, depart_s, seats,
-               detour_limit_m, shift_end_s):
-        result = self.shards[slot].rpc("create", {
-            "source": [source.lat, source.lon],
-            "destination": [destination.lat, destination.lon],
-            "depart_s": depart_s,
-            "seats": seats,
-            "detour_limit_m": detour_limit_m,
-            "shift_end_s": shift_end_s,
-        }, guard=guard)
-        return codec.ride_from(self.region, result["ride"])
-
-    def book(self, slot, guard, request, match):
-        """Carries an idempotency key, so a booking whose connection died
-        mid-call is retried safely: the recovered shard's ledger (rebuilt
-        by WAL replay) answers the duplicate with the original record."""
+    def call(self, op, slot, guard, *args, **options):
+        """One table op on one slot's child.  A non-mutating op may be
+        re-sent after a transport failure, a mutation only under its
+        idempotency key: the recovered shard's ledger (rebuilt by WAL
+        replay) answers the duplicate with the original record."""
+        spec = OPS[op]
         result = self.shards[slot].rpc(
-            "book",
-            {"request": codec.request_record(request),
-             "match": codec.match_record(match)},
-            idem=book_idempotency_key(request.request_id, match.ride_id),
-            guard=guard,
-        )
-        return codec.booking_from(result["booking"])
-
-    def cancel(self, slot, guard, ride):
-        self.shards[slot].rpc("cancel", {"ride_id": ride.ride_id},
-                              guard=guard)
-
-    def cancel_booking(self, slot, guard, request_id, ride_id):
-        """Idempotent like ``book``: a retry whose first attempt died
-        mid-call is answered from the recovered cancellation ledger."""
-        result = self.shards[slot].rpc(
-            "cancel_booking",
-            {"request_id": request_id, "ride_id": ride_id},
-            idem=f"cancel_booking:{request_id}:{ride_id}",
-            guard=guard,
-        )
-        return codec.cancellation_from(result["cancellation"])
-
-    def find_ride(self, slot, guard, ride_id):
-        result = self.shards[slot].rpc(
-            "find_ride", {"ride_id": ride_id}, readonly=True, guard=guard)
-        return codec.ride_from(self.region, result["ride"])
+            op, spec.args.encode(args), readonly=not spec.mutates,
+            idem=spec.idem_key(args), guard=guard, **options)
+        return spec.decode_result(result, self.region)
 
     def search_many(self, slots, request, k):
         """One gatherable per slot, in ``slots`` order.
@@ -905,7 +872,7 @@ class ShardSupervisor:
         concurrent fan-outs cannot hold one shard's last channel each while
         waiting for the other's.
         """
-        args = {"request": codec.request_record(request), "k": k}
+        args = _SEARCH.args.encode((request, k))
         options = dict(deadline_s=self.search_deadline_s, readonly=True,
                        wait_live_s=0.0)
         if len(slots) == 1:
@@ -934,13 +901,13 @@ class ShardSupervisor:
         lost connection safe; a slot that still sheds then contributes 0,
         like a thread shard that crashed mid-sweep."""
         wait = self.shards[slot].start(
-            "track", {"now_s": now_s}, idem=f"track:{now_s}",
-            wait_live_s=0.0,
+            "track", _TRACK.args.encode((now_s,)),
+            idem=_TRACK.idem_key((now_s,)), wait_live_s=0.0,
         )
 
         def sweep() -> int:
             try:
-                return int(wait()["affected"])
+                return _TRACK.decode_result(wait())
             except _UNAVAILABLE:
                 return 0
 
@@ -949,30 +916,10 @@ class ShardSupervisor:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def active_rides(self, slot):
-        result = self.shards[slot].rpc("active_rides", readonly=True)
-        return [codec.ride_from(self.region, state)
-                for state in result["rides"]]
-
-    def bookings(self, slot):
-        result = self.shards[slot].rpc("bookings", readonly=True)
-        return [codec.booking_from(state) for state in result["bookings"]]
-
-    def index_stats(self, slot):
-        return self.shards[slot].rpc("index_stats", readonly=True)["stats"]
-
-    def rollback_count(self, slot):
-        return int(
-            self.shards[slot].rpc("rollback_count", readonly=True)["count"])
-
-    def audit(self, slot, heal):
-        result = self.shards[slot].rpc("audit", {"heal": heal})
-        return int(result["violations"]), int(result["healed"])
-
     def stats(self, slot):
         shard = self.shards[slot]
         try:
-            snapshot = shard.rpc("stats", readonly=True, deadline_s=5.0,
+            snapshot = self.call("stats", slot, None, deadline_s=5.0,
                                  wait_live_s=0.0)
         except _UNAVAILABLE:
             snapshot = {"unreachable": True}
@@ -1057,7 +1004,7 @@ class ShardSupervisor:
 
 
 def _matches(wait: Callable[[], Any]) -> List[Any]:
-    return codec.matches_from(wait()["matches"])
+    return _SEARCH.decode_result(wait())
 
 
 def _raise(exc: BaseException) -> Any:

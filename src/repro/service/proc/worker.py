@@ -42,10 +42,9 @@ from ...exceptions import (
     WorkerCrashError,
     XARError,
 )
-from ...geo import GeoPoint
 from ...obs import MetricsRegistry
+from ..ops import OPS
 from ..stack import ShardSpec, ShardStack, StackConfig
-from . import codec
 from .rpc import error_response, read_frame, write_frame
 
 #: Exit code for simulated/real worker crashes (parent classifies by it).
@@ -105,110 +104,13 @@ class ShardProcess:
         return {"id": request_id, "ok": True, "result": result}
 
     def _execute(self, op: str, args: Dict[str, Any]) -> Any:
-        """Decode, run the stack's local operation, encode."""
+        """Decode, run the stack's local operation, encode — all three from
+        the op's declaration (:mod:`~repro.service.ops`).  Hand-written are
+        only the ops about the process itself and the in-job safety checks
+        of :data:`_IN_JOB`."""
         stack = self.stack
-        engine = stack.engine
         if op == "ping":
-            return {"pid": os.getpid(), "generation": self.generation}
-        if op == "search":
-            k = args.get("k")
-            matches = stack.search(codec.request_from(args["request"]),
-                                   None if k is None else int(k))
-            return {"matches": codec.matches_record(matches)}
-        if op == "create":
-            ride = stack.mutate("create", lambda adapter: adapter.create(
-                _point(args["source"]),
-                _point(args["destination"]),
-                float(args["depart_s"]),
-                seats=None if args.get("seats") is None
-                else int(args["seats"]),
-                detour_limit_m=codec.optional_float(
-                    args.get("detour_limit_m")),
-                shift_end_s=codec.optional_float(args.get("shift_end_s")),
-            ))
-            return {"ride": codec.ride_record(ride)}
-        if op == "book":
-            request = codec.request_from(args["request"])
-            match = codec.match_from(args["match"])
-
-            def do_book(adapter):
-                # Idempotent by ledger: a retried book whose first attempt
-                # crashed mid-apply finds the booking WAL replay completed
-                # and returns it verbatim — recovery, not the client, is
-                # the dedupe source of truth.
-                with engine.lock:
-                    for existing in engine.bookings:
-                        if (existing.request_id == request.request_id
-                                and existing.ride_id == match.ride_id):
-                            return existing, True
-                return adapter.book(request, match), False
-
-            record, deduped = stack.mutate("book", do_book)
-            return {"booking": codec.booking_record(record),
-                    "deduped": deduped}
-        if op == "cancel":
-            ride_id = int(args["ride_id"])
-
-            def do_cancel(adapter):
-                with engine.lock:
-                    ride = engine.rides.get(ride_id)
-                if ride is None:
-                    raise UnknownRideError(ride_id)
-                return adapter.cancel(ride)
-
-            stack.mutate("cancel", do_cancel)
-            return {}
-        if op == "cancel_booking":
-            req_id = int(args["request_id"])
-            ride_id = int(args["ride_id"])
-
-            def do_cancel_booking(adapter):
-                # Idempotent by ledger, like book: a retried cancellation
-                # whose first attempt crashed mid-apply finds the WAL replay
-                # already balanced the ledgers and returns the original
-                # record instead of un-splicing twice.
-                with engine.lock:
-                    booked = sum(
-                        1 for b in engine.bookings
-                        if b.request_id == req_id and b.ride_id == ride_id
-                    )
-                    cancelled = [
-                        c for c in engine.cancellations
-                        if c.request_id == req_id and c.ride_id == ride_id
-                    ]
-                    if cancelled and len(cancelled) >= booked:
-                        return cancelled[-1], True
-                return adapter.cancel_booking(req_id, ride_id), False
-
-            record, deduped = stack.mutate("cancel_booking",
-                                           do_cancel_booking)
-            return {"cancellation": codec.cancellation_record(record),
-                    "deduped": deduped}
-        if op == "track":
-            return {"affected": stack.track(float(args["now_s"])).result()}
-        if op == "active_rides":
-            # Encoded on the worker thread: rides are mutable, and there no
-            # booking can splice one mid-serialisation.
-            return {"rides": stack.admin(lambda: [
-                codec.ride_record(ride)
-                for ride in stack.adapter.active_rides()
-            ])}
-        if op == "bookings":
-            return {"bookings": [codec.booking_record(record)
-                                 for record in stack.bookings()]}
-        if op == "find_ride":
-            return {"ride": codec.ride_record(
-                stack.find_ride(int(args["ride_id"])))}
-        if op == "audit":
-            violations, healed = stack.audit(bool(args.get("heal")))
-            return {"violations": violations, "healed": healed}
-        if op == "stats":
-            return {**stack.stats(), "pid": os.getpid(),
-                    "generation": self.generation}
-        if op == "rollback_count":
-            return {"count": stack.rollback_count()}
-        if op == "index_stats":
-            return {"stats": stack.index_stats()}
+            return self._life()
         if op == "crash":
             if str(args.get("mode", "exit")) == "mid_book":
                 stack.arm_mid_book_crash()
@@ -221,7 +123,30 @@ class ShardProcess:
             # failure the supervisor's hang detector must catch.
             self._hang_heartbeats.set()
             return {"hung": True}
-        raise RpcError(f"unknown rpc op {op!r}")
+        spec = OPS.get(op)
+        if spec is None:
+            raise RpcError(f"unknown rpc op {op!r}")
+        values = spec.args.decode(args)
+        checked = _IN_JOB.get(op)
+        if checked is not None:
+            engine = stack.engine
+            record, extra = stack.mutate(
+                op, lambda adapter: checked(engine, adapter, *values))
+            return {**spec.encode_result(record), **extra}
+        if op == "active_rides":
+            # Encoded on the worker thread: rides are mutable, and there no
+            # booking can splice one mid-serialisation.
+            return stack.admin(
+                lambda: spec.encode_result(stack.adapter.active_rides()))
+        result = spec.encode_result(stack.run(spec, values))
+        if spec.result is None:
+            # A free-form snapshot (stats) says which life of the shard
+            # took it.
+            result = {**result, **self._life()}
+        return result
+
+    def _life(self) -> Dict[str, Any]:
+        return {"pid": os.getpid(), "generation": self.generation}
 
     # ------------------------------------------------------------------
     # Connection loops
@@ -279,8 +204,53 @@ class ShardProcess:
         os._exit(0)
 
 
-def _point(coords) -> GeoPoint:
-    return GeoPoint(float(coords[0]), float(coords[1]))
+def _book_once(engine, adapter, request, match):
+    """Idempotent by ledger: a retried book whose first attempt crashed
+    mid-apply finds the booking WAL replay completed and returns it
+    verbatim — recovery, not the client, is the dedupe source of truth."""
+    with engine.lock:
+        for existing in engine.bookings:
+            if (existing.request_id == request.request_id
+                    and existing.ride_id == match.ride_id):
+                return existing, {"deduped": True}
+    return adapter.book(request, match), {"deduped": False}
+
+
+def _cancel_booking_once(engine, adapter, request_id, ride_id):
+    """Idempotent by ledger, like book: a retried cancellation whose first
+    attempt crashed mid-apply finds the WAL replay already balanced the
+    ledgers and returns the original record instead of un-splicing twice."""
+    with engine.lock:
+        booked = sum(
+            1 for b in engine.bookings
+            if b.request_id == request_id and b.ride_id == ride_id
+        )
+        cancelled = [
+            c for c in engine.cancellations
+            if c.request_id == request_id and c.ride_id == ride_id
+        ]
+        if cancelled and len(cancelled) >= booked:
+            return cancelled[-1], {"deduped": True}
+    return adapter.cancel_booking(request_id, ride_id), {"deduped": False}
+
+
+def _cancel_known(engine, adapter, handle):
+    """A ride crosses the wire as its id: resolve it here, so a cancel of a
+    ride this shard does not hold is refused before anything is logged."""
+    with engine.lock:
+        ride = engine.rides.get(handle.ride_id)
+    if ride is None:
+        raise UnknownRideError(handle.ride_id)
+    return adapter.cancel(ride), {}
+
+
+#: Mutations whose worker job checks the shard's own state before applying:
+#: ``(engine, adapter, *args) -> (result, extra reply keys)``.
+_IN_JOB = {
+    "book": _book_once,
+    "cancel_booking": _cancel_booking_once,
+    "cancel": _cancel_known,
+}
 
 
 def _close_quietly(sock: socket.socket) -> None:

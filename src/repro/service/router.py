@@ -49,7 +49,6 @@ class ShardRouter(RouterCore):
         fanout_radius_m: Optional[float] = None,
         resilient: bool = False,
         optimize_insertion: bool = False,
-        use_flat_index: bool = True,
         seed: int = 0,
         engine_factory: Optional[Callable[[int, int], XAREngine]] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -81,7 +80,6 @@ class ShardRouter(RouterCore):
                 queue_depth=queue_depth,
                 resilient=resilient,
                 optimize_insertion=optimize_insertion,
-                use_flat_index=use_flat_index,
                 seed=seed,
                 **flush_policy,
             ),

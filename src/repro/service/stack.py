@@ -13,8 +13,9 @@ logged too), then the optional resilient runtime; and a
 A :class:`ShardSpec` says *which* shard (slot, lane, files), a
 :class:`StackConfig` *how* every shard of the service is built.  The stack
 also carries the operation bodies that are the same wherever the shard runs
-(audit sweep, stats snapshot, lock-protected ride lookup, …): the thread
-transport adds failover around them, the subprocess adds RPC decoding.
+(audit sweep, stats snapshot, lock-protected ride lookup, …) behind one
+:meth:`ShardStack.run`: the thread transport adds failover around it, the
+subprocess adds RPC decoding.
 :func:`write_shard_files` is the reshard machine's child-file writer.
 """
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core import XAREngine
 from ..core.booking import BookingRecord
@@ -41,6 +42,7 @@ from ..exceptions import UnknownRideError, WorkerCrashError
 from ..obs import MetricsRegistry
 from ..resilience import InvariantAuditor, ResilienceConfig, ResilientEngine
 from ..sim.adapters import XARAdapter
+from .ops import Op
 from .shard import ENGINE_TURN, ShardWorker
 from .sharding import derive_seed
 
@@ -81,7 +83,6 @@ class StackConfig:
     checkpoint_every: int = 0
     resilient: bool = False
     optimize_insertion: bool = False
-    use_flat_index: bool = True
     seed: int = 0
 
 
@@ -92,7 +93,6 @@ def make_engine(region: DiscretizedRegion, spec: ShardSpec,
     return XAREngine(
         region,
         optimize_insertion=config.optimize_insertion,
-        use_flat_index=config.use_flat_index,
         ride_id_start=spec.ride_id_start,
         ride_id_step=spec.ride_id_step,
         metrics=metrics,
@@ -271,6 +271,19 @@ class ShardStack:
     # ------------------------------------------------------------------
     # Local operations (no routing, no failover: the transports add those)
     # ------------------------------------------------------------------
+    def run(self, op: Op, args: Sequence[Any],
+            guard: Optional[Callable[[], bool]] = None) -> Any:
+        """The local body of a table op (:mod:`~repro.service.ops`): an
+        adapter job calls the op's adapter method on the worker thread, any
+        other op is this stack's method of the op's name (a routed one
+        takes the guard)."""
+        if op.adapter_job:
+            return self.mutate(
+                op.name,
+                lambda adapter: getattr(adapter, op.method)(*args), guard)
+        method = getattr(self, op.name)
+        return method(*args, guard) if op.routed else method(*args)
+
     def mutate(self, operation: str, apply: Callable[[Any], Any],
                guard: Optional[Callable[[], bool]] = None) -> Any:
         """Run one mutation on the worker thread against the current adapter.

@@ -1,7 +1,7 @@
 """Shard transports: how the router core reaches a slot's shard stack.
 
-A transport owns the slot table of live shards and answers per-slot typed
-operations; it knows nothing about routing.  :class:`ThreadTransport` keeps
+A transport owns the slot table of live shards and answers the table ops
+(:mod:`~repro.service.ops`) per slot; it knows nothing about routing.  :class:`ThreadTransport` keeps
 every slot as a :class:`~repro.service.stack.ShardStack` in this process and
 recovers a dead worker **in place** from its WAL, from the caller that trips
 over it; :class:`~repro.service.proc.supervisor.ShardSupervisor` runs the
@@ -26,6 +26,7 @@ from ..exceptions import (
     WorkerCrashError,
 )
 from ..obs import MetricsRegistry
+from .ops import OPS
 from .stack import Rerouted, ShardSpec, ShardStack, StackConfig
 
 #: The core's routing re-check ("does routing still point at this slot?").
@@ -35,13 +36,16 @@ Guard = Optional[Callable[[], bool]]
 class ShardTransport(Protocol):
     """What the router core and the reshard machine need from a fleet.
 
-    *Data path*: the guarded ops evaluate ``guard`` at the last moment before
-    applying and raise :class:`~repro.service.stack.Rerouted` when it fails —
-    or when the shard died before the op started; ``search_many`` and
-    ``track`` are the fan-out shape — one callable per slot that waits for
-    (or, in one interpreter, runs) that slot's part and raises what it
-    raised, shed (:class:`~repro.exceptions.ShardOverloadError`) included;
-    ``track`` itself raises when the slot cannot accept the tick.
+    *Data path*: ``call`` runs one table op (by RPC name, positional
+    arguments in its record's order) on one slot; a routed op evaluates
+    ``guard`` at the last moment before applying and raises
+    :class:`~repro.service.stack.Rerouted` when it fails — or when the shard
+    died before the op started.  ``search_many`` and ``track`` are the
+    fan-out shape — one callable per slot that waits for (or, in one
+    interpreter, runs) that slot's part and raises what it raised, shed
+    (:class:`~repro.exceptions.ShardOverloadError`) included; ``track``
+    itself raises when the slot cannot accept the tick.  ``stats`` is the
+    best-effort probe: it answers for a slot that is down, too.
     *Reshard steps*:
     ``drain`` parks a source (``force`` = no graceful stop), ``snapshot``
     makes its WAL durable and serialises its engine, ``start`` boots a slot
@@ -53,20 +57,10 @@ class ShardTransport(Protocol):
     lock: Any  #: serialises failovers and reshard actions (re-entrant)
     load_metric: str  #: histogram whose per-shard p95 is the load signal
 
-    def create(self, slot, guard, source, destination, depart_s, seats,
-               detour_limit_m, shift_end_s): ...
-    def book(self, slot, guard, request, match): ...
-    def cancel(self, slot, guard, ride): ...
-    def cancel_booking(self, slot, guard, request_id, ride_id): ...
-    def find_ride(self, slot, guard, ride_id): ...
+    def call(self, op: str, slot, guard, *args) -> Any: ...
     def search_many(self, slots, request, k) -> List[Callable[[], Any]]: ...
     def track(self, slot, now_s) -> Callable[[], int]: ...
 
-    def active_rides(self, slot): ...
-    def bookings(self, slot): ...
-    def index_stats(self, slot): ...
-    def rollback_count(self, slot): ...
-    def audit(self, slot, heal) -> Tuple[int, int]: ...
     def stats(self, slot) -> Dict[str, Any]: ...
     def states(self) -> Dict[int, str]: ...
     def recoveries(self) -> Dict[int, Dict[str, Any]]: ...
@@ -84,7 +78,8 @@ class ShardTransport(Protocol):
 #: Routed mutations: their jobs carry the routing guard, so they are safe to
 #: requeue on a *different* slot's worker during a merge (they bounce back
 #: to re-resolve, never touch the wrong adapter).
-_ROUTED_OPS = ("create", "book", "cancel", "cancel_booking")
+_ROUTED_OPS = tuple(
+    op.name for op in OPS.values() if op.routed and op.adapter_job)
 
 
 class ThreadTransport:
@@ -147,15 +142,17 @@ class ThreadTransport:
             self._failover(shard)
         return shard
 
-    def _with_failover(self, slot: int,
-                       attempt: Callable[[ShardStack], Any]) -> Any:
+    def _with_failover(self, slot: int, attempt: Callable[[ShardStack], Any],
+                       *, reroute: bool = False) -> Any:
         """Run ``attempt`` on a live shard, recovering it first if needed.
 
-        A crash *detected at submission* (``mid_op=False``: the op never
-        started) is retried once on the recovered shard; a crash
-        *mid-operation* re-raises after failover — the op may already be in
-        the WAL, and recovery has replayed it, so a blind retry would
-        double-apply.
+        A crash *mid-operation* re-raises after failover — the op may
+        already be in the WAL, and recovery has replayed it, so a blind
+        retry would double-apply.  A crash *detected at submission*
+        (``mid_op=False``: the op never started — the worker was dead or
+        being retired) is retried once on the recovered shard; a routed
+        mutation (``reroute``) goes back to the core instead, which
+        re-resolves — routing may have moved — and resubmits.
         """
         shard = self._live(slot)
         try:
@@ -164,6 +161,8 @@ class ThreadTransport:
             self._failover(shard)
             if exc.mid_op:
                 raise
+            if reroute:
+                raise Rerouted() from None
             return attempt(shard)
 
     def _drop(self, slot: int, job: Any) -> None:
@@ -232,42 +231,13 @@ class ThreadTransport:
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------
-    def _mutate(self, slot: int, guard: Guard, operation: str,
-                apply: Callable[[Any], Any]) -> Any:
-        shard = self._live(slot)
-        try:
-            return shard.mutate(operation, apply, guard)
-        except WorkerCrashError as exc:
-            self._failover(shard)
-            if exc.mid_op:
-                raise
-            # Never started (the worker was dead or being retired): the
-            # core re-resolves — routing may have moved — and resubmits.
-            raise Rerouted() from None
-
-    def create(self, slot, guard, source, destination, depart_s, seats,
-               detour_limit_m, shift_end_s):
-        return self._mutate(slot, guard, "create", lambda adapter: adapter.create(
-            source, destination, depart_s, seats=seats,
-            detour_limit_m=detour_limit_m, shift_end_s=shift_end_s,
-        ))
-
-    def book(self, slot, guard, request, match):
-        return self._mutate(slot, guard, "book",
-                            lambda adapter: adapter.book(request, match))
-
-    def cancel(self, slot, guard, ride):
-        return self._mutate(slot, guard, "cancel",
-                            lambda adapter: adapter.cancel(ride))
-
-    def cancel_booking(self, slot, guard, request_id, ride_id):
-        return self._mutate(
-            slot, guard, "cancel_booking",
-            lambda adapter: adapter.cancel_booking(request_id, ride_id),
-        )
-
-    def find_ride(self, slot, guard, ride_id):
-        return self._live(slot).find_ride(ride_id, guard)
+    def call(self, op, slot, guard, *args):
+        """One table op on one slot: its local body
+        (:meth:`ShardStack.run`) behind the failover rule."""
+        spec = OPS[op]
+        return self._with_failover(
+            slot, lambda shard: shard.run(spec, args, guard),
+            reroute=spec.adapter_job)
 
     def search_many(self, slots, request, k):
         """Inline reads, run one after the other as they are gathered: a
@@ -299,21 +269,6 @@ class ThreadTransport:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def active_rides(self, slot):
-        return self._with_failover(slot, ShardStack.active_rides)
-
-    def bookings(self, slot):
-        return self._with_failover(slot, ShardStack.bookings)
-
-    def index_stats(self, slot):
-        return self._with_failover(slot, ShardStack.index_stats)
-
-    def rollback_count(self, slot):
-        return self.shards[slot].rollback_count()
-
-    def audit(self, slot, heal):
-        return self._with_failover(slot, lambda shard: shard.audit(heal))
-
     def stats(self, slot):
         return self.shards[slot].stats()
 

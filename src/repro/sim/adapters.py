@@ -12,9 +12,11 @@ system explicit:
 Adapters compose: :class:`repro.sim.faults.FaultInjectingAdapter` injects
 fault policies around any adapter, and
 :class:`repro.resilience.ResilientEngine` wraps one with retries, deadlines,
-circuit breaking and tiered degradation.  Decorators expose the wrapped
-adapter as ``.inner`` and the raw engine keeps being reachable through the
-``.engine`` attribute chain (the simulator and auditor rely on this).
+circuit breaking and tiered degradation.  Every decorator subclasses
+:class:`DelegatingAdapter`: the wrapped adapter is ``.inner``, each protocol
+member forwards to it unless the decorator overrides it, and the raw engine
+stays reachable through the ``.engine`` attribute chain
+(:func:`raw_engine`; the simulator and auditor rely on this).
 """
 
 from __future__ import annotations
@@ -147,6 +149,71 @@ class XARAdapter:
 
     def index_stats(self) -> Dict[str, int]:
         return self.engine.index_stats()
+
+
+class DelegatingAdapter:
+    """Base of every adapter decorator: forwards the whole
+    :class:`EngineAdapter` surface to ``.inner``, so a subclass keeps only
+    the methods it changes and a member added to the protocol is added here
+    once.  Subclasses set ``.inner`` and ``.name``."""
+
+    inner: Any
+    name: str
+
+    @property
+    def engine(self) -> Any:
+        return self.inner.engine
+
+    def create(
+        self,
+        source: GeoPoint,
+        destination: GeoPoint,
+        depart_s: float,
+        seats: Optional[int] = None,
+        detour_limit_m: Optional[float] = None,
+        shift_end_s: Optional[float] = None,
+    ) -> Any:
+        return self.inner.create(
+            source, destination, depart_s,
+            seats=seats, detour_limit_m=detour_limit_m,
+            shift_end_s=shift_end_s,
+        )
+
+    def search(self, request: RideRequest, k: Optional[int] = None) -> List[Any]:
+        return self.inner.search(request, k)
+
+    def book(self, request: RideRequest, match: Any) -> Any:
+        return self.inner.book(request, match)
+
+    def track_all(self, now_s: float) -> int:
+        return self.inner.track_all(now_s)
+
+    def cancel(self, ride: Any) -> None:
+        self.inner.cancel(ride)
+
+    def cancel_booking(self, request_id: int, ride_id: int) -> Any:
+        return self.inner.cancel_booking(request_id, ride_id)
+
+    def active_rides(self) -> List[Any]:
+        return self.inner.active_rides()
+
+    def rollback_count(self) -> int:
+        return self.inner.rollback_count()
+
+    def index_stats(self) -> Dict[str, int]:
+        return self.inner.index_stats()
+
+
+def raw_engine(adapter: Any) -> Optional[Any]:
+    """Unwrap an adapter stack down to the XAREngine, if there is one."""
+    seen = set()
+    node: Any = adapter
+    while node is not None and id(node) not in seen:
+        seen.add(id(node))
+        if hasattr(node, "cluster_index") and hasattr(node, "rides"):
+            return node
+        node = getattr(node, "engine", None) or getattr(node, "inner", None)
+    return None
 
 
 class TShareAdapter:

@@ -44,6 +44,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from ..core.request import RideRequest
 from ..exceptions import NoPathError, TransientFaultError, WorkerCrashError
 from ..geo import GeoPoint
+from .adapters import DelegatingAdapter, raw_engine
 
 
 @dataclass
@@ -359,7 +360,7 @@ class TornWrite(FaultPolicy):
         return size - tear_at
 
 
-class FaultInjectingAdapter:
+class FaultInjectingAdapter(DelegatingAdapter):
     """EngineAdapter decorator threading fault policies through every op."""
 
     def __init__(
@@ -398,17 +399,10 @@ class FaultInjectingAdapter:
         return {policy.name: policy.injections for policy in self.policies}
 
     def raw_engine(self) -> Optional[Any]:
-        seen = set()
-        node: Any = self.inner
-        while node is not None and id(node) not in seen:
-            seen.add(id(node))
-            if hasattr(node, "cluster_index") and hasattr(node, "rides"):
-                return node
-            node = getattr(node, "engine", None) or getattr(node, "inner", None)
-        return None
+        return raw_engine(self.inner)
 
     # ------------------------------------------------------------------
-    # EngineAdapter protocol
+    # EngineAdapter protocol: the ops a policy can fail, stall or drop
     # ------------------------------------------------------------------
     def create(
         self,
@@ -421,34 +415,25 @@ class FaultInjectingAdapter:
     ) -> Any:
         for policy, ctx in zip(self.policies, self._contexts):
             policy.before_create(ctx)
-        return self.inner.create(
-            source, destination, depart_s,
-            seats=seats, detour_limit_m=detour_limit_m,
-            shift_end_s=shift_end_s,
-        )
+        return super().create(source, destination, depart_s, seats,
+                              detour_limit_m, shift_end_s)
 
     def search(self, request: RideRequest, k: Optional[int] = None) -> List[Any]:
         for policy, ctx in zip(self.policies, self._contexts):
             policy.before_search(ctx)
-        return self.inner.search(request, k)
+        return super().search(request, k)
 
     def book(self, request: RideRequest, match: Any) -> Any:
         for policy, ctx in zip(self.policies, self._contexts):
             policy.before_book(ctx)
-        return self.inner.book(request, match)
+        return super().book(request, match)
 
     def track_all(self, now_s: float) -> int:
         for policy, ctx in zip(self.policies, self._contexts):
             ctx.now_s = now_s
             if not policy.allow_track(ctx):
                 return 0
-        return self.inner.track_all(now_s)
-
-    def cancel(self, ride: Any) -> None:
-        self.inner.cancel(ride)
-
-    def active_rides(self) -> List[Any]:
-        return self.inner.active_rides()
+        return super().track_all(now_s)
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self.inner, name)

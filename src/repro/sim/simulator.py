@@ -15,12 +15,12 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional
+from typing import Iterable, Optional
 
 from ..core.booking import BookingRecord
 from ..core.request import RideRequest
 from ..exceptions import XARError
-from .adapters import EngineAdapter
+from .adapters import EngineAdapter, raw_engine
 from .metrics import OperationTimings, SimulationReport
 
 
@@ -50,18 +50,6 @@ class SimulatorConfig:
     audit_heal: bool = True
 
 
-def _raw_engine(adapter: Any) -> Optional[Any]:
-    """Unwrap an adapter stack down to the XAREngine, if there is one."""
-    seen = set()
-    node: Any = adapter
-    while node is not None and id(node) not in seen:
-        seen.add(id(node))
-        if hasattr(node, "cluster_index") and hasattr(node, "rides"):
-            return node
-        node = getattr(node, "engine", None) or getattr(node, "inner", None)
-    return None
-
-
 class RideShareSimulator:
     """Replays request streams against any :class:`EngineAdapter`."""
 
@@ -86,7 +74,7 @@ class RideShareSimulator:
         auditor = None
         audit_stats = {"sweeps": 0, "violations_found": 0, "healed": 0}
         if config.audit_every_s > 0:
-            engine = _raw_engine(self.adapter)
+            engine = raw_engine(self.adapter)
             if engine is not None:
                 from ..resilience.audit import InvariantAuditor
 
@@ -223,7 +211,7 @@ class RideShareSimulator:
                 "search_failures": n_search_failures,
                 "create_failures": n_create_failures,
             }
-        engine = _raw_engine(self.adapter)
+        engine = raw_engine(self.adapter)
         if engine is not None and hasattr(engine, "rollbacks"):
             report.n_rollbacks = len(engine.rollbacks)
         return report

@@ -61,7 +61,7 @@ from ..obs import MetricsRegistry
 from ..resilience import ResilienceConfig, ResilientEngine
 from ..resilience.audit import InvariantAuditor
 from ..service import ReshardConfig, ShardRouter
-from ..sim.adapters import XARAdapter
+from ..sim.adapters import DelegatingAdapter, XARAdapter
 from .oracle import OracleAdapter, OracleEngine
 
 #: Façade names the harness understands (``shardN`` for any N >= 1).
@@ -166,12 +166,13 @@ class Facade:
             self._closer()
 
 
-class _DurableTarget:
+class _DurableTarget(DelegatingAdapter):
     """A WAL-backed single engine that the harness can crash and recover.
 
-    Implements the :class:`~repro.sim.adapters.EngineAdapter` surface over
-    an :class:`XARAdapter` + :class:`DurableAdapter` stack rooted in a
-    private directory.  Two crash shapes are supported:
+    Delegates the :class:`~repro.sim.adapters.EngineAdapter` surface to an
+    :class:`XARAdapter` + :class:`DurableAdapter` stack (``.inner``, rebuilt
+    by every recovery) rooted in a private directory; only ``book`` is
+    overridden.  Two crash shapes are supported:
 
     * :meth:`crash` — a clean between-ops crash: drop the WAL handle
       without the final fsync (as a dying process would) and rebuild the
@@ -215,24 +216,20 @@ class _DurableTarget:
             region_digest=self._digest,
             fsync_every=self.fsync_every,
         )
-        self.adapter = DurableAdapter(
+        self.inner = DurableAdapter(
             XARAdapter(engine),
             wal,
             checkpoint_path=self._checkpoint_path,
             checkpoint_every=self.checkpoint_every,
             digest=self._digest,
         )
-        self.name = f"{self.adapter.name}+crashy"
-
-    @property
-    def engine(self) -> XAREngine:
-        return self.adapter.engine
+        self.name = f"{self.inner.name}+crashy"
 
     # -- crash / recovery ------------------------------------------------
     def crash(self) -> None:
         """Kill the process between ops, then recover from disk."""
         self.engine.fault_hook = None
-        self.adapter.abandon()
+        self.inner.abandon()
         self.recover()
 
     def arm_mid_book(self) -> None:
@@ -262,25 +259,14 @@ class _DurableTarget:
             self.on_recovered(result.engine)
         return result
 
-    # -- EngineAdapter surface -------------------------------------------
-    def create(self, source, destination, depart_s, seats=None,
-               detour_limit_m=None, shift_end_s=None):
-        return self.adapter.create(
-            source, destination, depart_s, seats, detour_limit_m,
-            shift_end_s=shift_end_s,
-        )
-
-    def search(self, request, k=None):
-        return self.adapter.search(request, k)
-
     def book(self, request, match):
         try:
-            return self.adapter.book(request, match)
+            return self.inner.book(request, match)
         except WorkerCrashError:
             # The op record is on disk but the abort (if any) is not;
             # recovery replays the booking and lands on whichever outcome
             # the live engine would have reached.
-            self.adapter.abandon()
+            self.inner.abandon()
             self.recover()
             engine = self.engine
             for record in reversed(engine.bookings):
@@ -293,28 +279,10 @@ class _DurableTarget:
                 f"request {request.request_id} vanished during recovery"
             )
 
-    def cancel(self, ride) -> None:
-        self.adapter.cancel(ride)
-
-    def cancel_booking(self, request_id: int, ride_id: int):
-        return self.adapter.cancel_booking(request_id, ride_id)
-
-    def track_all(self, now_s: float) -> int:
-        return self.adapter.track_all(now_s)
-
-    def active_rides(self):
-        return self.adapter.active_rides()
-
-    def rollback_count(self) -> int:
-        return self.adapter.rollback_count()
-
-    def index_stats(self):
-        return self.adapter.index_stats()
-
     def close(self) -> None:
         try:
             self.engine.fault_hook = None
-            self.adapter.close()
+            self.inner.close()
         except Exception:  # noqa: BLE001 - best effort on teardown
             pass
         shutil.rmtree(self.directory, ignore_errors=True)

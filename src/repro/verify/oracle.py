@@ -46,6 +46,7 @@ from ..exceptions import RideError, UnknownRideError, XARError
 from ..geo import GeoPoint
 from ..index import RideIndexEntry
 from ..roadnet import astar
+from ..sim.adapters import XARAdapter
 
 
 class _NullClusterIndex:
@@ -575,52 +576,8 @@ class OracleEngine:
         }
 
 
-class OracleAdapter:
-    """EngineAdapter façade over :class:`OracleEngine`."""
+class OracleAdapter(XARAdapter):
+    """EngineAdapter façade over :class:`OracleEngine`, which answers every
+    method :class:`~repro.sim.adapters.XARAdapter` calls on its engine."""
 
     name = "Oracle"
-
-    def __init__(self, engine: OracleEngine):
-        self.engine = engine
-
-    def create(
-        self,
-        source: GeoPoint,
-        destination: GeoPoint,
-        depart_s: float,
-        seats: Optional[int] = None,
-        detour_limit_m: Optional[float] = None,
-        shift_end_s: Optional[float] = None,
-    ):
-        return self.engine.create_ride(
-            source,
-            destination,
-            departure_s=depart_s,
-            seats=seats,
-            detour_limit_m=detour_limit_m,
-            shift_end_s=shift_end_s,
-        )
-
-    def search(self, request: RideRequest, k: Optional[int] = None):
-        return self.engine.search(request, k)
-
-    def book(self, request: RideRequest, match):
-        return self.engine.book(request, match)
-
-    def track_all(self, now_s: float) -> int:
-        return self.engine.track_all(now_s)
-
-    def cancel(self, ride) -> None:
-        self.engine.remove_ride(ride.ride_id)
-
-    def cancel_booking(self, request_id: int, ride_id: int):
-        return self.engine.cancel_booking(request_id, ride_id)
-
-    def active_rides(self):
-        return list(self.engine.rides.values())
-
-    def rollback_count(self) -> int:
-        return len(self.engine.rollbacks)
-
-    def index_stats(self) -> Dict[str, int]:
-        return self.engine.index_stats()

@@ -80,7 +80,7 @@ class Fleet:
     @staticmethod
     def holds(service, slot, ride_id):
         try:
-            service.transport.find_ride(slot, None, ride_id)
+            service.transport.call("find_ride", slot, None, ride_id)
         except UnknownRideError:
             return False
         return True

@@ -20,7 +20,7 @@ import pytest
 
 from repro.exceptions import ShardOverloadError, UnknownRideError
 from repro.service import Gateway, GatewayConfig, HttpServiceClient, ShardRouter
-from repro.service.proc import codec
+from repro.service.ops import OPS
 from repro.service.proc.gateway import MAX_LINE_BYTES
 
 from .conftest import await_until, make_request, seed_fleet
@@ -122,7 +122,7 @@ class TestAdmissionControl:
             client.track_all(float(i + 1))
         request = make_request(small_region, 60_001, small_city.position(0),
                                small_city.position(10))
-        payload = {"request": codec.request_record(request), "k": None}
+        payload = OPS["search"].args.encode((request, None))
         with pytest.raises(ShardOverloadError) as err:
             client._request("POST", "/v1/search", payload, deadline_ms=0.001)
         assert err.value.operation == "deadline"

@@ -3,9 +3,10 @@
 The protocol is ``@runtime_checkable``, so ``isinstance`` verifies the whole
 simulator-facing surface — including the introspection methods
 (``rollback_count``/``index_stats``) that had previously drifted between the
-XAR and T-Share adapters.  Decorators (fault injector, resilient runtime)
-must keep conforming through delegation, and the sharded service router
-conforms directly.
+XAR and T-Share adapters.  Decorators (fault injector, resilient runtime,
+WAL, batch window, the differential harness's crashable target) conform
+through :class:`~repro.sim.adapters.DelegatingAdapter`, the sharded service
+routers conform directly, and the HTTP client through the op table.
 """
 
 from __future__ import annotations
@@ -15,8 +16,14 @@ import pytest
 from repro.baselines import TShareEngine
 from repro.batch import BatchConfig, BatchMatcher
 from repro.core import XAREngine
+from repro.durability import DurableAdapter, WriteAheadLog
 from repro.resilience import ResilienceConfig, ResilientEngine
-from repro.service import ShardRouter
+from repro.service import (
+    HttpServiceClient,
+    ProcRouter,
+    ShardRouter,
+    SupervisorConfig,
+)
 from repro.sim import (
     EngineAdapter,
     FaultInjectingAdapter,
@@ -24,7 +31,9 @@ from repro.sim import (
     XARAdapter,
     default_fault_policies,
 )
+from repro.sim.adapters import DelegatingAdapter
 from repro.verify import OracleAdapter, OracleEngine
+from repro.verify.differential import _DurableTarget
 
 #: Every protocol member an adapter must expose.
 PROTOCOL_MEMBERS = (
@@ -42,7 +51,7 @@ PROTOCOL_MEMBERS = (
 
 
 @pytest.fixture
-def adapters(region):
+def adapters(region, tmp_path):
     xar = XARAdapter(XAREngine(region))
     tshare = TShareAdapter(TShareEngine(region.network))
     faulty = FaultInjectingAdapter(
@@ -55,6 +64,11 @@ def adapters(region):
     batch = BatchMatcher(
         XARAdapter(XAREngine(region)), BatchConfig(window_s=0.0, max_batch=4)
     )
+    durable = DurableAdapter(
+        XARAdapter(XAREngine(region)),
+        WriteAheadLog.open(str(tmp_path / "shard0.wal")),
+    )
+    crashable = _DurableTarget(region, str(tmp_path / "crashable"))
     yield {
         "XARAdapter": xar,
         "TShareAdapter": tshare,
@@ -62,8 +76,12 @@ def adapters(region):
         "ResilientEngine": resilient,
         "OracleAdapter": oracle,
         "BatchMatcher": batch,
+        "DurableAdapter": durable,
+        "_DurableTarget": crashable,
     }
     batch.close()
+    durable.close()
+    crashable.close()
 
 
 def test_every_adapter_satisfies_the_protocol(adapters):
@@ -93,6 +111,34 @@ def test_shard_router_conforms(region):
         assert isinstance(service, EngineAdapter)
         assert service.rollback_count() == 0
         assert service.index_stats()["rides"] == 0
+
+
+def test_proc_router_and_http_client_conform(region, tmp_path):
+    """The remote façades: the HTTP client's surface is grown from the op
+    table, so a protocol member without a route fails here."""
+    client = HttpServiceClient("http://127.0.0.1:9", region)
+    assert isinstance(client, EngineAdapter)
+    config = SupervisorConfig(n_shards=1, run_dir=str(tmp_path / "run"))
+    with ProcRouter(region, config) as service:
+        assert isinstance(service, EngineAdapter)
+        assert service.rollback_count() == 0
+        assert service.index_stats()["rides"] == 0
+
+
+def test_decorators_only_override_what_they_change():
+    """Every decorator is a DelegatingAdapter, and none re-declares a plain
+    forward: what a subclass defines, it changes."""
+    overridden = {
+        FaultInjectingAdapter: {"create", "search", "book", "track_all"},
+        ResilientEngine: {"create", "search", "book", "track_all"},
+        DurableAdapter: {"create", "book", "cancel", "cancel_booking",
+                         "track_all"},
+        BatchMatcher: {"name", "search", "book"},
+        _DurableTarget: {"book"},
+    }
+    for cls, expected in overridden.items():
+        assert issubclass(cls, DelegatingAdapter), cls
+        assert {m for m in PROTOCOL_MEMBERS if m in vars(cls)} == expected, cls
 
 
 def test_create_accepts_seats_and_detour_kwargs(adapters, region):
