@@ -140,6 +140,7 @@ def _info(args: argparse.Namespace) -> int:
     print(f"grid side    : {config.grid_side_m:.0f} m "
           f"({region.grid.cell_count()} implicit cells)")
     print(f"walk limit W : {config.max_walk_m:.0f} m")
+    print(f"digest       : {region_digest(region)}")
     return 0
 
 

@@ -2,8 +2,9 @@
 
 The clustering algorithms and the in-memory index both consume an n x n
 matrix of landmark-to-landmark *driving* distances.  Preprocessing fills it
-with one Dijkstra per landmark, restricted to the landmark node set as
-targets (Section VI stores exactly this: "distances between landmarks").
+with one many-source shortest-path run over every landmark at once, keeping
+only the landmark columns (Section VI stores exactly this: "distances between
+landmarks").
 
 Road graphs are directed, so raw distances are asymmetric; the theory
 (Theorem 6) needs a metric.  We symmetrise with ``max(d_ij, d_ji)``, the
@@ -13,12 +14,17 @@ both directions of real driving.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..landmarks import Landmark
-from ..roadnet import RoadNetwork, dijkstra_all
+from ..roadnet import RoadNetwork
+from ..roadnet.shortest_path import many_source_distances
+
+#: Rows per band of the in-place passes over a whole matrix (symmetrising,
+#: validating): their scratch is a band, not a second n x n array.
+_BAND_ROWS = 256
 
 
 class DistanceMatrix:
@@ -33,10 +39,14 @@ class DistanceMatrix:
             raise ValueError(f"distance matrix must be square, got {array.shape}")
         if (np.diag(array) != 0.0).any():
             raise ValueError("distance matrix diagonal must be zero")
-        finite = array[np.isfinite(array)]
-        if (finite < 0).any():
+        bands = range(0, array.shape[0], _BAND_ROWS)
+        # -inf passes this check (and NaN fails the symmetry one), as ever.
+        if any(_finite_negative(array[top:top + _BAND_ROWS]) for top in bands):
             raise ValueError("distances must be non-negative")
-        if not np.array_equal(array, array.T):
+        if not all(
+            np.array_equal(array[top:top + _BAND_ROWS], array[:, top:top + _BAND_ROWS].T)
+            for top in bands
+        ):
             raise ValueError("distance matrix must be symmetric")
         # Kernels index this array directly and thread shards share it:
         # hand out a view nobody can write through (the caller's own array,
@@ -79,28 +89,27 @@ class DistanceMatrix:
 def landmark_distance_matrix(
     network: RoadNetwork,
     landmarks: Sequence[Landmark],
-    symmetrise: str = "max",
 ) -> DistanceMatrix:
-    """Driving-distance matrix between landmark road nodes.
-
-    ``symmetrise`` is ``"max"`` (conservative, default) or ``"mean"``.
-    Unreachable pairs become ``inf`` (they can never share a cluster).
-    """
-    if symmetrise not in ("max", "mean"):
-        raise ValueError(f"symmetrise must be 'max' or 'mean', got {symmetrise!r}")
-    n = len(landmarks)
+    """Driving-distance matrix between landmark road nodes, symmetrised with
+    ``max(d_ij, d_ji)``.  Unreachable pairs become ``inf`` (they can never
+    share a cluster)."""
     nodes = [lm.node for lm in landmarks]
-    node_set = set(nodes)
-    raw = np.full((n, n), np.inf, dtype=np.float64)
-    for i, source in enumerate(nodes):
-        dist = dijkstra_all(network, source, targets=set(node_set))
-        for j, target in enumerate(nodes):
-            if target in dist:
-                raw[i, j] = dist[target]
-    np.fill_diagonal(raw, 0.0)
-    if symmetrise == "max":
-        sym = np.maximum(raw, raw.T)
-    else:
-        sym = (raw + raw.T) / 2.0
-    np.fill_diagonal(sym, 0.0)
-    return DistanceMatrix(sym)
+    matrix = many_source_distances(network, nodes, targets=nodes)
+    np.fill_diagonal(matrix, 0.0)
+    _symmetrise_max(matrix)
+    return DistanceMatrix(matrix)
+
+
+def _finite_negative(band: np.ndarray) -> bool:
+    return bool(((band < 0.0) & np.isfinite(band)).any())
+
+
+def _symmetrise_max(matrix: np.ndarray) -> None:
+    """``matrix = max(matrix, matrix.T)`` in place, one band of rows at a
+    time: the scratch is a band, never a second full matrix."""
+    n = matrix.shape[0]
+    for top in range(0, n, _BAND_ROWS):
+        bottom = min(top + _BAND_ROWS, n)
+        band = np.maximum(matrix[top:bottom, top:], matrix[top:, top:bottom].T)
+        matrix[top:bottom, top:] = band
+        matrix[top:, top:bottom] = band.T

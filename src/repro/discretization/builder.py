@@ -7,7 +7,8 @@ Steps, mirroring Section III / IV:
 3. associate every road node — hence every grid — with its nearest landmark
    within driving distance Δ, using one multi-source Dijkstra over the
    reversed graph (distance measured *from* the grid *to* the landmark),
-4. fill the landmark driving-distance matrix (one Dijkstra per landmark),
+4. fill the landmark driving-distance matrix (one many-source shortest-path
+   run over all landmarks at once, ``many_source_distances``),
 5. run GREEDYSEARCH for the target δ to form clusters (Theorem 6 guarantees
    k_ALG ≤ k_OPT and intra-cluster ≤ 4δ = ε).
 

@@ -1,8 +1,10 @@
 """Discretized-region persistence.
 
-Building a region costs one Dijkstra per landmark (the distance matrix) —
-seconds to minutes depending on city size.  Saving the built region to a
-directory and reloading skips all of it.  Layout::
+Building a region costs one many-source shortest-path run over every
+landmark (the distance matrix) — tens of milliseconds for the benchmark city,
+seconds at a few thousand landmarks, and its L x L matrix grows with the
+square of the landmark count.  Saving the built region to a directory and
+reloading skips all of it.  Layout::
 
     <dir>/network.json        road network (repro.roadnet.io format)
     <dir>/region.json         config, landmarks, clusters, node→landmark map
@@ -89,7 +91,8 @@ def region_digest(region: DiscretizedRegion) -> str:
     hasher = hashlib.sha256()
     payload = json.dumps(_region_payload(region), sort_keys=True)
     hasher.update(payload.encode("utf-8"))
-    hasher.update(np.ascontiguousarray(region.landmark_matrix.values).tobytes())
+    # The buffer itself, not a ``tobytes`` copy of it (L^2 floats).
+    hasher.update(np.ascontiguousarray(region.landmark_matrix.values))
     return hasher.hexdigest()
 
 

@@ -123,18 +123,21 @@ class DiscretizedRegion:
     # Construction helpers
     # ------------------------------------------------------------------
     def _build_cluster_matrix(self) -> np.ndarray:
-        """k x k matrix of cluster distances = min landmark cross distance."""
-        k = len(self.clusters)
-        matrix = np.zeros((k, k), dtype=np.float64)
-        index_arrays = [
+        """k x k matrix of cluster distances = min landmark cross distance.
+
+        Row i is cluster i's landmark rows reduced to one row minimum, whose
+        columns, put in cluster order, are reduced per cluster.  ``min`` is
+        exact, so the order of reduction cannot move a bit, and the scratch
+        is one cluster's rows: no L x L (or k x L) copy is ever made."""
+        members = [
             np.asarray(cluster.landmark_ids, dtype=np.intp) for cluster in self.clusters
         ]
         values = self.landmark_matrix.values
-        for i in range(k):
-            for j in range(i + 1, k):
-                d = float(values[np.ix_(index_arrays[i], index_arrays[j])].min())
-                matrix[i, j] = d
-                matrix[j, i] = d
+        order = np.concatenate(members)
+        starts = np.cumsum([0] + [ids.size for ids in members[:-1]])
+        matrix = np.empty((len(members), len(members)), dtype=np.float64)
+        for i, ids in enumerate(members):
+            np.minimum.reduceat(values[ids].min(axis=0)[order], starts, out=matrix[i])
         # The reachability kernel indexes it directly and thread shards
         # share one region: nobody gets to write to it.
         matrix.setflags(write=False)

@@ -10,20 +10,21 @@ they dominate those operations' cost (Fig. 4b/4c).  ALT accelerates them:
   ``max_L |d(L, t) - d(L, v)|, |d(v, L) - d(t, L)|`` — admissible and usually
   much tighter than the haversine bound, so far fewer nodes settle.
 
-Preprocessing costs 2 Dijkstras per routing landmark; the tables live beside
-the road network for the lifetime of the engine.
+Preprocessing is two many-source runs over all routing landmarks at once, one
+on the graph and one on its reverse; the tables live beside the road network
+for the lifetime of the engine.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..exceptions import NoPathError, RoadNetworkError
 from .graph import RoadNetwork
-from .shortest_path import dijkstra_all
+from .shortest_path import many_source_distances
 
 
 class ALTRouter:
@@ -41,32 +42,12 @@ class ALTRouter:
         self.landmarks = self._pick_landmarks(
             min(n_landmarks, len(nodes)), seed_node if seed_node is not None else nodes[0]
         )
-        n = len(nodes)
-        k = len(self.landmarks)
         #: to_landmark[l][i]   = d(node_i -> landmark_l)
         #: from_landmark[l][i] = d(landmark_l -> node_i)
-        self._to_landmark = np.full((k, n), np.inf)
-        self._from_landmark = np.full((k, n), np.inf)
-        for l_index, landmark in enumerate(self.landmarks):
-            forward = dijkstra_all(network, landmark)
-            for node, dist in forward.items():
-                self._from_landmark[l_index, self._node_index[node]] = dist
-            backward = self._reverse_dijkstra(landmark)
-            for node, dist in backward.items():
-                self._to_landmark[l_index, self._node_index[node]] = dist
-
-    def _reverse_dijkstra(self, source: int) -> Dict[int, float]:
-        dist: Dict[int, float] = {}
-        heap: List[Tuple[float, int]] = [(0.0, source)]
-        while heap:
-            d, node = heapq.heappop(heap)
-            if node in dist:
-                continue
-            dist[node] = d
-            for edge in self.network.in_edges(node):
-                if edge.source not in dist:
-                    heapq.heappush(heap, (d + edge.length_m, edge.source))
-        return dist
+        self._to_landmark = many_source_distances(
+            network, self.landmarks, targets=nodes, reverse=True
+        )
+        self._from_landmark = many_source_distances(network, self.landmarks, targets=nodes)
 
     def _pick_landmarks(self, k: int, first: int) -> List[int]:
         """Farthest-point spread in great-circle distance (cheap, effective)."""

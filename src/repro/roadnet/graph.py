@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..exceptions import RoadNetworkError
 from ..geo import BoundingBox, GeoPoint, GridIndex
@@ -207,10 +209,13 @@ class FrozenAdjacency:
     * ``coords[i]`` — ``(lat, lon, cos(radians(lat)))``: the per-node half
       of the haversine formula, hoisted out of the A* heuristic;
     * ``hops[(a, b)]`` — ``(length_m, travel_s)`` of the *first* edge
-      ``a -> b`` by node id (parallel edges keep first-match semantics).
+      ``a -> b`` by node id (parallel edges keep first-match semantics);
+    * ``csr()`` / ``csr(reverse=True)`` — the out- (in-) edges as
+      compressed sparse rows, built on first use: what the many-source
+      kernel gathers through.
     """
 
-    __slots__ = ("ids", "index", "out", "coords", "hops")
+    __slots__ = ("ids", "index", "out", "coords", "hops", "_csr")
 
     def __init__(
         self,
@@ -236,6 +241,48 @@ class FrozenAdjacency:
             for pos in map(positions.__getitem__, ids)
         ]
         self.hops = hops
+        self._csr: Dict[bool, EdgeRows] = {}
+
+    def csr(self, reverse: bool = False) -> "EdgeRows":
+        """Edges grouped by tail (head, with ``reverse``) in dense order.
+
+        Published with one dict assignment once complete, so threads racing
+        the lazy build each get a complete structure."""
+        rows = self._csr.get(reverse)
+        if rows is None:
+            rows = self._csr[reverse] = EdgeRows.of(self.out, reverse)
+        return rows
+
+
+class EdgeRows(NamedTuple):
+    """A graph's edges as compressed sparse rows over dense node indices:
+    row ``i`` is ``offsets[i]:offsets[i + 1]`` of ``target`` (the other
+    endpoint), ``length_m`` and ``travel_s``, in the order of ``out``."""
+
+    offsets: np.ndarray
+    target: np.ndarray
+    length_m: np.ndarray
+    travel_s: np.ndarray
+
+    @classmethod
+    def of(cls, out: List[Tuple[Tuple[int, float, float], ...]],
+           reverse: bool) -> "EdgeRows":
+        n = len(out)
+        tail = np.repeat(np.arange(n, dtype=np.intp), [len(edges) for edges in out])
+        flat = [edge for edges in out for edge in edges]
+        head = np.array([edge[0] for edge in flat], dtype=np.intp)
+        length_m = np.array([edge[1] for edge in flat], dtype=np.float64)
+        travel_s = np.array([edge[2] for edge in flat], dtype=np.float64)
+        if reverse:
+            order = np.argsort(head, kind="stable")
+            tail, head = head[order], tail[order]
+            length_m, travel_s = length_m[order], travel_s[order]
+        offsets = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(tail, minlength=n), out=offsets[1:])
+        columns = cls(offsets, head, length_m, travel_s)
+        for column in columns:  # thread shards share one network
+            column.setflags(write=False)
+        return columns
 
 
 class _NodeSpatialHash:

@@ -102,8 +102,8 @@ def twin_city(
 
 
 #: Session-level region cache: scenario sweeps reuse regions across specs
-#: with identical city sections (the region build runs Dijkstras over the
-#: landmark set, by far the most expensive step of a scenario).
+#: with identical city sections (the region build runs shortest paths from
+#: the whole landmark set).
 _REGION_CACHE: Dict[Tuple, DiscretizedRegion] = {}
 
 

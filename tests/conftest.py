@@ -1,6 +1,6 @@
 """Shared fixtures: one small city + discretized region per test session.
 
-Region building runs Dijkstras over the whole landmark set, so the expensive
+Region building runs shortest paths from the whole landmark set, so the expensive
 fixtures are session-scoped and *read-only by convention* — tests that mutate
 engine state build their own engine from the shared region (cheap).
 """

@@ -3,7 +3,10 @@
 These are the loop bodies of ``dijkstra_all`` / ``dijkstra_path`` / ``astar``,
 ``build_ride_entry`` and ``_feasibility_row`` exactly as they stood before
 the write path was flattened (per-edge attribute lookups, a Python loop per
-(visit, candidate) pair, two ``segment_for`` scans per slab row).  They are
+(visit, candidate) pair, two ``segment_for`` scans per slab row), and the
+region builder's matrices as they stood before they were built in arrays
+(one Dijkstra per landmark, an L-long inner loop per source, a C² loop of
+``np.ix_`` gathers; ALT's two Dijkstras per routing landmark).  They are
 slow and obviously correct; the property tests require the production
 kernels to equal them with ``==`` — on floats, on node paths, and on the
 *insertion order* of ``entry.reachable`` — so they must not be "improved".
@@ -13,6 +16,8 @@ from __future__ import annotations
 
 import heapq
 from typing import Dict, List, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.exceptions import NoPathError
 from repro.index import PassThrough, ReachableInfo, RideIndexEntry, SegmentMeta
@@ -115,6 +120,70 @@ def _trace(parent: Dict[int, int], source: int, target: int) -> List[int]:
         path.append(parent[path[-1]])
     path.reverse()
     return path
+
+
+def ref_reverse_dijkstra(network, source: int) -> Dict[int, float]:
+    """Length-weighted distances *to* ``source`` over in-edges (ALT's)."""
+    dist: Dict[int, float] = {}
+    heap: List[Tuple[float, int]] = [(0.0, source)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if node in dist:
+            continue
+        dist[node] = d
+        for edge in network.in_edges(node):
+            if edge.source not in dist:
+                heapq.heappush(heap, (d + edge.length_m, edge.source))
+    return dist
+
+
+def ref_alt_tables(network, landmarks: List[int], nodes: List[int]):
+    """``(to_landmark, from_landmark)``, k x n over ``nodes`` in order."""
+    node_index = {node: i for i, node in enumerate(nodes)}
+    to_landmark = np.full((len(landmarks), len(nodes)), np.inf)
+    from_landmark = np.full((len(landmarks), len(nodes)), np.inf)
+    for l_index, landmark in enumerate(landmarks):
+        forward = ref_dijkstra_all(network, landmark)
+        for node, dist in forward.items():
+            from_landmark[l_index, node_index[node]] = dist
+        backward = ref_reverse_dijkstra(network, landmark)
+        for node, dist in backward.items():
+            to_landmark[l_index, node_index[node]] = dist
+    return to_landmark, from_landmark
+
+
+def ref_landmark_distance_matrix(network, landmarks) -> np.ndarray:
+    """The landmark matrix, max-symmetrised (the values of the
+    ``DistanceMatrix`` the builder hands on), with ``ref_dijkstra_all``
+    standing in for the ``dijkstra_all`` it equals."""
+    n = len(landmarks)
+    nodes = [lm.node for lm in landmarks]
+    node_set = set(nodes)
+    raw = np.full((n, n), np.inf, dtype=np.float64)
+    for i, source in enumerate(nodes):
+        dist = ref_dijkstra_all(network, source, targets=set(node_set))
+        for j, target in enumerate(nodes):
+            if target in dist:
+                raw[i, j] = dist[target]
+    np.fill_diagonal(raw, 0.0)
+    sym = np.maximum(raw, raw.T)
+    np.fill_diagonal(sym, 0.0)
+    return sym
+
+
+def ref_cluster_matrix(values: np.ndarray, clusters) -> np.ndarray:
+    """k x k cluster distances from the landmark matrix ``values``."""
+    k = len(clusters)
+    matrix = np.zeros((k, k), dtype=np.float64)
+    index_arrays = [
+        np.asarray(cluster.landmark_ids, dtype=np.intp) for cluster in clusters
+    ]
+    for i in range(k):
+        for j in range(i + 1, k):
+            d = float(values[np.ix_(index_arrays[i], index_arrays[j])].min())
+            matrix[i, j] = d
+            matrix[j, i] = d
+    return matrix
 
 
 def ref_find_edge(network, source: int, target: int):

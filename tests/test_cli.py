@@ -39,6 +39,14 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "landmarks" in out and "clusters" in out and "eps" in out
 
+    def test_info_prints_the_region_digest(self, region_dir, capsys):
+        from repro.discretization import load_region, region_digest
+
+        assert main(["info", str(region_dir)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        digest = region_digest(load_region(region_dir))
+        assert f"digest       : {digest}" in lines
+
     def test_simulate_xar(self, region_dir, capsys):
         assert main([
             "simulate", str(region_dir), "--requests", "60",
