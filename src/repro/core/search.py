@@ -90,7 +90,7 @@ def _build_match(
     return match
 
 
-#: Destination pass: probing one R1 ride's stored ETA (a by-ride bisect)
+#: Destination pass: probing one R1 ride's stored ETA (a dict lookup)
 #: costs roughly this many ETA-tail scan iterations; the intersection picks
 #: whichever strategy touches less.  Either strategy yields identical
 #: candidates — this is purely a work bound.

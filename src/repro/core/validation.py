@@ -7,7 +7,7 @@ violation, or returns a small summary dict when everything holds.
 
 Invariants checked (see docs/ARCHITECTURE.md):
 
-1. every cluster's two sorted lists contain the same ⟨ride, eta⟩ multiset;
+1. every cluster's built sorted views list exactly its ⟨ride, eta⟩ entries;
 2. every ride index entry belongs to a live ride, and vice versa;
 3. every cluster-index entry is backed by the ride's reachable set, and
    every reachable cluster appears in the cluster index;
@@ -35,7 +35,7 @@ class EngineInvariantError(XARError):
 def validate_engine(engine: "XAREngine") -> Dict[str, int]:
     """Check all invariants; raise :class:`EngineInvariantError` on the
     first violation, else return counters of what was inspected."""
-    # 1. Dual-list consistency (raises AssertionError internally; convert).
+    # 1. Sorted-view consistency (raises AssertionError internally; convert).
     try:
         engine.cluster_index.check_consistency()
     except AssertionError as exc:

@@ -3,17 +3,22 @@
 Each cluster C keeps tuples ⟨r, t⟩ — ride r can serve requests near C with an
 estimated arrival time t — "in two different lists, one sorted in
 non-decreasing order by the time of arrival, and the other sorted by the
-unique ride identification numbers".
+unique ride identification numbers".  Here both lists are views of one
+``ride id -> ETA`` dict per cluster, built on the first read after a write
+and dropped by the next (like the flat index's slab views), so every write
+is a dict operation.  One entry is kept per (cluster, ride): when several
+pass-through clusters make the same ride potential for C, the earliest ETA
+wins.
 
-The ETA-sorted list answers the search window query in O(log n + answer);
-the id-sorted list makes removal and membership checks O(log n).  One entry
-is kept per (cluster, ride): when several pass-through clusters make the
-same ride potential for C, the earliest ETA wins.
+Tie rule: a write that changes a ride's ETA re-inserts its dict key, and the
+ETA view is a stable sort of the dict, so equal ETAs are listed in the order
+they were set — where ``bisect_right`` insertion into a sorted list puts them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .sorted_list import SortedKeyList
@@ -27,31 +32,20 @@ class PotentialRide:
     eta_s: float
 
 
-class _ClusterLists:
-    """The two sorted orders over one cluster's potential rides."""
-
-    __slots__ = ("by_eta", "by_ride")
-
-    def __init__(self):
-        self.by_eta: SortedKeyList[PotentialRide] = SortedKeyList(
-            key=lambda entry: entry.eta_s
-        )
-        self.by_ride: SortedKeyList[PotentialRide] = SortedKeyList(
-            key=lambda entry: entry.ride_id
-        )
-
-
 class ClusterRideIndex:
-    """All clusters' potential-ride lists, with consistent dual ordering."""
+    """All clusters' potential rides: one dict each, two lazy sorted views."""
 
     def __init__(self, n_clusters: int):
         if n_clusters < 0:
             raise ValueError(f"n_clusters must be >= 0, got {n_clusters!r}")
-        self._lists: List[_ClusterLists] = [_ClusterLists() for _c in range(n_clusters)]
+        #: cluster -> ride id -> ETA, in last-write order.
+        self._etas: List[Dict[int, float]] = [{} for _c in range(n_clusters)]
+        #: cluster -> (ETA-sorted, ride-sorted) views; None until read after a write.
+        self._views: List[Optional[Tuple[SortedKeyList, list]]] = [None] * n_clusters
 
     @property
     def n_clusters(self) -> int:
-        return len(self._lists)
+        return len(self._etas)
 
     def add(self, cluster_id: int, ride_id: int, eta_s: float) -> None:
         """Insert (or improve) ride's entry at a cluster.
@@ -59,16 +53,9 @@ class ClusterRideIndex:
         If the ride is already potential for this cluster, the entry is
         replaced only when the new ETA is earlier.
         """
-        lists = self._lists[cluster_id]
-        existing = lists.by_ride.find_by_key(ride_id)
-        if existing is not None:
-            if eta_s >= existing.eta_s:
-                return
-            lists.by_ride.remove(existing)
-            lists.by_eta.remove(existing)
-        entry = PotentialRide(ride_id=ride_id, eta_s=eta_s)
-        lists.by_eta.add(entry)
-        lists.by_ride.add(entry)
+        existing = self._etas[cluster_id].get(ride_id)
+        if existing is None or eta_s < existing:
+            self.update(cluster_id, ride_id, eta_s)
 
     def update(self, cluster_id: int, ride_id: int, eta_s: float) -> None:
         """Insert or *replace* ride's entry at a cluster, whatever the ETA.
@@ -81,77 +68,79 @@ class ClusterRideIndex:
         the index forever.  Reindex paths must use ``update`` so the stored
         ETA always matches the recomputed schedule.
         """
-        lists = self._lists[cluster_id]
-        existing = lists.by_ride.find_by_key(ride_id)
-        if existing is not None:
-            if eta_s == existing.eta_s:
-                return
-            lists.by_ride.remove(existing)
-            lists.by_eta.remove(existing)
-        entry = PotentialRide(ride_id=ride_id, eta_s=eta_s)
-        lists.by_eta.add(entry)
-        lists.by_ride.add(entry)
+        etas = self._etas[cluster_id]
+        if etas.get(ride_id) == eta_s:
+            return
+        etas.pop(ride_id, None)
+        etas[ride_id] = eta_s
+        self._views[cluster_id] = None
 
     def remove(self, cluster_id: int, ride_id: int) -> bool:
         """Remove ride's entry at a cluster; True if it existed."""
-        lists = self._lists[cluster_id]
-        existing = lists.by_ride.find_by_key(ride_id)
-        if existing is None:
+        if self._etas[cluster_id].pop(ride_id, None) is None:
             return False
-        lists.by_ride.remove(existing)
-        lists.by_eta.remove(existing)
+        self._views[cluster_id] = None
         return True
 
     def purge_ride(self, ride_id: int) -> int:
         """Remove a ride's entries from *every* cluster list; returns count.
 
-        The entry-driven :meth:`remove` path is O(log n) but trusts the
-        ride's index entry to name the clusters it lives in; ``purge_ride``
-        is the belt-and-braces sweep used by withdrawal and self-healing so
-        that a corrupted or stale entry can never leave a cancelled ride
+        The entry-driven :meth:`remove` path trusts the ride's index entry
+        to name the clusters it lives in; ``purge_ride`` is the
+        belt-and-braces sweep used by withdrawal and self-healing so that a
+        corrupted or stale entry can never leave a cancelled ride
         discoverable.
         """
         purged = 0
-        for cluster_id in range(len(self._lists)):
-            if self.remove(cluster_id, ride_id):
+        for cluster_id, etas in enumerate(self._etas):
+            if ride_id in etas:
+                del etas[ride_id]
+                self._views[cluster_id] = None
                 purged += 1
         return purged
 
     def eta(self, cluster_id: int, ride_id: int) -> Optional[float]:
         """The stored ETA of a ride at a cluster, if potential there."""
-        existing = self._lists[cluster_id].by_ride.find_by_key(ride_id)
-        return existing.eta_s if existing is not None else None
+        return self._etas[cluster_id].get(ride_id)
+
+    def _sorted_views(self, cluster_id: int) -> Tuple[SortedKeyList, list]:
+        views = self._views[cluster_id]
+        if views is None:
+            entries = [PotentialRide(r, t) for r, t in self._etas[cluster_id].items()]
+            views = self._views[cluster_id] = (
+                SortedKeyList(attrgetter("eta_s"), entries),
+                sorted(entries, key=attrgetter("ride_id")),
+            )
+        return views
 
     def rides_in_window(
         self, cluster_id: int, start_s: float, end_s: float
     ) -> Iterator[PotentialRide]:
         """Binary search on the ETA-sorted list (the paper's Step 1 lookup)."""
-        return self._lists[cluster_id].by_eta.irange(start_s, end_s)
+        return self._sorted_views(cluster_id)[0].irange(start_s, end_s)
 
-    def count_in_window(
-        self, cluster_id: int, start_s: float, end_s: float
-    ) -> int:
+    def count_in_window(self, cluster_id: int, start_s: float, end_s: float) -> int:
         """How many potential rides fall in the ETA window — two bisects,
         no iteration.  Lets the search choose between scanning a window and
         probing a candidate set without paying for the scan first."""
-        return self._lists[cluster_id].by_eta.count_in_range(start_s, end_s)
+        return self._sorted_views(cluster_id)[0].count_in_range(start_s, end_s)
 
     def potential_count(self, cluster_id: int) -> int:
-        return len(self._lists[cluster_id].by_ride)
+        return len(self._etas[cluster_id])
 
     def all_rides(self, cluster_id: int) -> Iterator[PotentialRide]:
-        return iter(self._lists[cluster_id].by_ride)
+        return iter(self._sorted_views(cluster_id)[1])
 
     def total_entries(self) -> int:
         """Total ⟨r, t⟩ tuples across clusters (a memory-footprint proxy)."""
-        return sum(len(lists.by_ride) for lists in self._lists)
+        return sum(map(len, self._etas))
 
     def check_consistency(self) -> None:
-        """Debug invariant: both orders contain identical entry sets."""
-        for cluster_id, lists in enumerate(self._lists):
-            a = sorted((e.ride_id, e.eta_s) for e in lists.by_eta)
-            b = sorted((e.ride_id, e.eta_s) for e in lists.by_ride)
-            if a != b:
-                raise AssertionError(
-                    f"cluster {cluster_id} dual lists diverged: {a} != {b}"
-                )
+        """Debug invariant: views built since their cluster's last write list
+        exactly that cluster's entries, in their order."""
+        for cluster_id, views in enumerate(self._views):
+            entries = self._etas[cluster_id].items()
+            if views is not None and [
+                [(entry.ride_id, entry.eta_s) for entry in view] for view in views
+            ] != [sorted(entries, key=itemgetter(1)), sorted(entries)]:
+                raise AssertionError(f"cluster {cluster_id} sorted view diverged")

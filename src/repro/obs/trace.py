@@ -128,8 +128,11 @@ class Tracer:
         self.registry = registry
         self.labels = dict(labels or {})
         self.clock = clock
-        self._recent: "deque[Dict[str, Any]]" = deque(maxlen=keep)
+        #: ``(op, seconds, stages)`` of the last ``keep`` finished spans.
+        self._recent: "deque[Tuple[str, float, Tuple]]" = deque(maxlen=keep)
         self._recent_lock = threading.Lock()
+        #: Histogram children, resolved once per ``op`` / ``(op, stage)``.
+        self._children: Dict[Any, Any] = {}
         if registry is not None:
             extra = tuple(sorted(self.labels))
             self._h_op = registry.histogram(
@@ -157,21 +160,30 @@ class Tracer:
 
     # -- sink ----------------------------------------------------------
     def _observe_stage(self, op: str, stage: str, seconds: float) -> None:
-        self._h_stage.labels(op=op, stage=stage, **self.labels).observe(seconds)
+        child = self._children.get((op, stage)) or self._bind(
+            (op, stage), self._h_stage, op=op, stage=stage
+        )
+        child.observe(seconds)
 
     def _observe_op(self, op: str, seconds: float, span: Span) -> None:
-        self._h_op.labels(op=op, **self.labels).observe(seconds)
+        (self._children.get(op) or self._bind(op, self._h_op, op=op)).observe(seconds)
         with self._recent_lock:
-            self._recent.append({
-                "op": op,
-                "duration_s": seconds,
-                "stages": [
-                    {"stage": name, "duration_s": d} for name, d in span.stages
-                ],
-                **({"labels": dict(self.labels)} if self.labels else {}),
-            })
+            self._recent.append((op, seconds, tuple(span.stages)))
+
+    def _bind(self, key: Any, family: Any, **labels: str) -> Any:
+        child = self._children[key] = family.labels(**labels, **self.labels)
+        return child
 
     def recent_spans(self) -> List[Dict[str, Any]]:
         """The last ``keep`` finished spans, oldest first."""
         with self._recent_lock:
-            return list(self._recent)
+            recent = list(self._recent)
+        return [
+            {
+                "op": op,
+                "duration_s": seconds,
+                "stages": [{"stage": name, "duration_s": d} for name, d in stages],
+                **({"labels": dict(self.labels)} if self.labels else {}),
+            }
+            for op, seconds, stages in recent
+        ]

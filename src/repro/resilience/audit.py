@@ -20,7 +20,7 @@ Invariants swept:
   (extra == *ghost* entry: a dead or re-routed ride still discoverable);
 * every reachable cluster keeps at least one supporting pass-through
   cluster that is still on the ride's pass-through list;
-* the cluster index's dual sort orders agree;
+* the cluster index's built sorted views list exactly its entries;
 * the flat search core (when enabled) strictly mirrors the cluster index
   and the live rides' seat/detour budgets.
 
@@ -329,7 +329,6 @@ class InvariantAuditor:
                 "lost-index-entry",
                 "unsupported-reachable",
                 "unindexed-ride",
-                "dual-list-divergence",
             ):
                 if violation.ride_id is not None:
                     reindex.add(violation.ride_id)

@@ -70,12 +70,14 @@ class TestCorruptionDetection:
             validate_engine(replayed)
 
     def test_dual_list_divergence(self, replayed):
-        # Corrupt one cluster's by-eta list directly.
-        for cluster_id in range(replayed.cluster_index.n_clusters):
-            lists = replayed.cluster_index._lists[cluster_id]
-            if len(lists.by_eta):
-                entry = lists.by_eta[0]
-                lists.by_eta.remove(entry)
+        # Build one cluster's ETA view by reading it, then corrupt the view
+        # directly: it no longer lists what the cluster holds.
+        index = replayed.cluster_index
+        for cluster_id in range(index.n_clusters):
+            window = list(index.rides_in_window(cluster_id, 0.0, float("inf")))
+            if window:
+                by_eta, _by_ride = index._views[cluster_id]
+                by_eta.remove(window[0])
                 break
-        with pytest.raises(EngineInvariantError):
+        with pytest.raises(EngineInvariantError, match="sorted view diverged"):
             validate_engine(replayed)

@@ -74,3 +74,25 @@ def test_repeated_stage_contributes_multiple_entries():
     span.finish()
     family = registry.get(STAGE_DURATION)
     assert family.labels(op="search", stage="cluster_lookup").count == 2
+
+
+def test_recent_spans_carry_stages_and_labels():
+    tracer = Tracer(
+        MetricsRegistry(),
+        labels={"shard": "1"},
+        clock=_fake_clock([0.0, 1.0, 3.0, 10.0]),
+    )
+    span = tracer.span("search")
+    with span.stage("snap"):
+        pass
+    span.finish()
+    expected = {
+        "op": "search",
+        "duration_s": 10.0,
+        "stages": [{"stage": "snap", "duration_s": 2.0}],
+        "labels": {"shard": "1"},
+    }
+    assert tracer.recent_spans() == [expected]
+    # Each read hands out fresh dicts: mutating one leaves the record intact.
+    tracer.recent_spans()[0]["labels"]["shard"] = "9"
+    assert tracer.recent_spans() == [expected]

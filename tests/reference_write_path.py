@@ -6,21 +6,31 @@ the write path was flattened (per-edge attribute lookups, a Python loop per
 (visit, candidate) pair, two ``segment_for`` scans per slab row), and the
 region builder's matrices as they stood before they were built in arrays
 (one Dijkstra per landmark, an L-long inner loop per source, a C² loop of
-``np.ix_`` gathers; ALT's two Dijkstras per routing landmark).  They are
-slow and obviously correct; the property tests require the production
-kernels to equal them with ``==`` — on floats, on node paths, and on the
-*insertion order* of ``entry.reachable`` — so they must not be "improved".
+``np.ix_`` gathers; ALT's two Dijkstras per routing landmark), and the
+per-cluster potential-ride index as it stood before its two sorted lists
+became views of one dict (``RefClusterRideIndex``: both lists maintained
+on every write).  They are slow and obviously correct; the property tests
+require the production kernels to equal them with ``==`` — on floats, on
+node paths, on the *insertion order* of ``entry.reachable`` and on the order
+of equal ETAs in a window — so they must not be "improved".
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.exceptions import NoPathError
-from repro.index import PassThrough, ReachableInfo, RideIndexEntry, SegmentMeta
+from repro.index import (
+    PassThrough,
+    PotentialRide,
+    ReachableInfo,
+    RideIndexEntry,
+    SegmentMeta,
+)
+from repro.index.sorted_list import SortedKeyList
 
 
 # ----------------------------------------------------------------------
@@ -349,3 +359,105 @@ def ref_feasibility_row(entry, cluster_id: int, eta_s: float):
             sd_b,
         ),
     )
+
+
+# ----------------------------------------------------------------------
+# index.cluster_index
+# ----------------------------------------------------------------------
+class _ClusterLists:
+    """The two sorted orders over one cluster's potential rides."""
+
+    __slots__ = ("by_eta", "by_ride")
+
+    def __init__(self):
+        self.by_eta: SortedKeyList[PotentialRide] = SortedKeyList(
+            key=lambda entry: entry.eta_s
+        )
+        self.by_ride: SortedKeyList[PotentialRide] = SortedKeyList(
+            key=lambda entry: entry.ride_id
+        )
+
+
+class RefClusterRideIndex:
+    """All clusters' potential-ride lists, with consistent dual ordering."""
+
+    def __init__(self, n_clusters: int):
+        if n_clusters < 0:
+            raise ValueError(f"n_clusters must be >= 0, got {n_clusters!r}")
+        self._lists: List[_ClusterLists] = [_ClusterLists() for _c in range(n_clusters)]
+
+    @property
+    def n_clusters(self) -> int:
+        return len(self._lists)
+
+    def add(self, cluster_id: int, ride_id: int, eta_s: float) -> None:
+        lists = self._lists[cluster_id]
+        existing = lists.by_ride.find_by_key(ride_id)
+        if existing is not None:
+            if eta_s >= existing.eta_s:
+                return
+            lists.by_ride.remove(existing)
+            lists.by_eta.remove(existing)
+        entry = PotentialRide(ride_id=ride_id, eta_s=eta_s)
+        lists.by_eta.add(entry)
+        lists.by_ride.add(entry)
+
+    def update(self, cluster_id: int, ride_id: int, eta_s: float) -> None:
+        lists = self._lists[cluster_id]
+        existing = lists.by_ride.find_by_key(ride_id)
+        if existing is not None:
+            if eta_s == existing.eta_s:
+                return
+            lists.by_ride.remove(existing)
+            lists.by_eta.remove(existing)
+        entry = PotentialRide(ride_id=ride_id, eta_s=eta_s)
+        lists.by_eta.add(entry)
+        lists.by_ride.add(entry)
+
+    def remove(self, cluster_id: int, ride_id: int) -> bool:
+        lists = self._lists[cluster_id]
+        existing = lists.by_ride.find_by_key(ride_id)
+        if existing is None:
+            return False
+        lists.by_ride.remove(existing)
+        lists.by_eta.remove(existing)
+        return True
+
+    def purge_ride(self, ride_id: int) -> int:
+        purged = 0
+        for cluster_id in range(len(self._lists)):
+            if self.remove(cluster_id, ride_id):
+                purged += 1
+        return purged
+
+    def eta(self, cluster_id: int, ride_id: int) -> Optional[float]:
+        existing = self._lists[cluster_id].by_ride.find_by_key(ride_id)
+        return existing.eta_s if existing is not None else None
+
+    def rides_in_window(
+        self, cluster_id: int, start_s: float, end_s: float
+    ) -> Iterator[PotentialRide]:
+        return self._lists[cluster_id].by_eta.irange(start_s, end_s)
+
+    def count_in_window(
+        self, cluster_id: int, start_s: float, end_s: float
+    ) -> int:
+        return self._lists[cluster_id].by_eta.count_in_range(start_s, end_s)
+
+    def potential_count(self, cluster_id: int) -> int:
+        return len(self._lists[cluster_id].by_ride)
+
+    def all_rides(self, cluster_id: int) -> Iterator[PotentialRide]:
+        return iter(self._lists[cluster_id].by_ride)
+
+    def total_entries(self) -> int:
+        return sum(len(lists.by_ride) for lists in self._lists)
+
+    def check_consistency(self) -> None:
+        for cluster_id, lists in enumerate(self._lists):
+            a = sorted((e.ride_id, e.eta_s) for e in lists.by_eta)
+            b = sorted((e.ride_id, e.eta_s) for e in lists.by_ride)
+            if a != b:
+                raise AssertionError(
+                    f"cluster {cluster_id} dual lists diverged: {a} != {b}"
+                )

@@ -25,11 +25,20 @@ def test_heartbeat_reports_current_queue_depth_not_the_lifetime_peak(
     worker = child.stack.worker
     parent_end, child_end = socket.socketpair()
     parent_end.settimeout(5.0)
+    running = threading.Event()
     release = threading.Event()
     beats = threading.Thread(
         target=child.heartbeat_loop, args=(child_end, 0.01), daemon=True)
+
+    def block():
+        running.set()
+        release.wait(5)
+
     try:
-        blocker = worker.submit("admin", lambda: release.wait(5))
+        blocker = worker.submit("admin", block)
+        # The worker must have taken the blocker off the queue before the
+        # two queued jobs are counted; otherwise the depth reads 3.
+        assert running.wait(5)
         queued = [worker.submit("admin", lambda: None) for _ in range(2)]
         beats.start()
         frame = read_frame(parent_end)
