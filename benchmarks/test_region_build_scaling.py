@@ -6,7 +6,10 @@ the offline build on three Manhattan lattices (20 x 60, 40 x 120, 60 x 200:
 L = 203 / 805 / 2019 landmarks) stage by stage — city, POIs, landmarks,
 grid association, landmark matrix, greedy clustering, cluster matrix — each
 size in a fresh interpreter, so the peak resident set (``VmHWM``) read after
-each stage is that build's alone.  The child builds twice and the digests
+each stage is that build's alone.  After the build it times the landmark
+shortest-path trees, which a region builds on its first booking splice
+(L x n slots of one byte where no node has more than 254 in-edges, beside
+the landmark matrix's L² x 8 bytes).  The child builds twice and the digests
 must repeat (and equal the pins of ``tests/discretization/test_region_pin.py``
 where one exists).
 
@@ -30,7 +33,7 @@ import pytest
 SIZES = ((20, 60), (40, 120), (60, 200))
 STAGES = (
     "city", "pois", "landmarks", "association", "landmark_matrix",
-    "clustering", "cluster_matrix", "total",
+    "clustering", "cluster_matrix", "total", "landmark_trees",
 )
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -87,6 +90,7 @@ def staged_build(avenues: int, streets: int) -> dict:
     finally:
         for owner, name, original in saved:
             setattr(owner, name, original)
+    trees = timed("landmark_trees", region.path_trees)()
     digest = region_digest(region)
     again = region_digest(build_region(
         manhattan_city(n_avenues=avenues, n_streets=streets), XARConfig.validated()
@@ -96,6 +100,8 @@ def staged_build(avenues: int, streets: int) -> dict:
         "nodes": region.network.node_count,
         "landmarks": region.n_landmarks,
         "clusters": region.n_clusters,
+        "bytes": {"landmark_matrix": region.landmark_matrix.values.nbytes,
+                  "landmark_trees": trees.nbytes},
         "seconds": seconds,
         "peak_rss_mb": rss_mb,
         "digest": digest,
@@ -146,6 +152,10 @@ def test_region_build_scaling(report):
     lines.append(f"{'(start RSS)':16s}" + "".join(
         f"{run['peak_rss_mb']['start']:>17.0f} MB" for run in runs
     ))
+    for name, formula in (("landmark_matrix", "L^2 x 8"), ("landmark_trees", "L x n x 1")):
+        lines.append(f"{'(' + name + ')':16s}" + "".join(
+            f"{run['bytes'][name] / 2**20:>17.2f} MB" for run in runs
+        ) + f"   = {formula} bytes")
     report("BENCH_region_build", lines)
     (RESULTS_DIR / "BENCH_region_build.json").write_text(
         json.dumps({"experiment": "region_build_scaling", "runs": runs}, indent=2) + "\n"

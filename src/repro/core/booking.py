@@ -3,6 +3,9 @@
 Booking is the only runtime operation allowed to compute shortest paths, and
 it is bounded: at most 4 computations per booking (3 when pickup and drop lie
 on the same segment), run "in the back-end after the booking is confirmed".
+A path that starts at a landmark node (every pickup and drop-off is one) is
+read from the region's landmark shortest-path trees rather than searched;
+it is the same path, and it still counts toward the bound.
 
 Steps (mirroring the paper):
 
@@ -150,21 +153,8 @@ def book_ride(
                         "ride cannot drop off after picking up within its route"
                     )
 
-        network = engine.region.network
         old_length = ride.length_m
         sp_count = 0
-
-        def shortest(a: int, b: int) -> List[int]:
-            nonlocal sp_count
-            if a == b:
-                return [a]
-            sp_count += 1
-            if engine.router is not None:
-                _dist, path = engine.router.shortest_path(a, b)
-            else:
-                _dist, path = dijkstra_path(network, a, b)
-            return path
-
         route = ride.route
         vias = list(ride.via_points)
 
@@ -185,7 +175,8 @@ def book_ride(
                 waypoints = [route[start]] + [node for node, _label in inserts] + [route[end]]
                 pieces: List[List[int]] = []
                 for a, b in zip(waypoints, waypoints[1:]):
-                    pieces.append(shortest(a, b))
+                    sp_count += a != b
+                    pieces.append(_splice_path(engine, a, b))
                 sub_route = pieces[0]
                 insert_positions: List[Tuple[int, str]] = []
                 for piece, (node, label) in zip(pieces[1:], inserts):
@@ -336,20 +327,7 @@ def cancel_booking_ride(
                 f"{request_id}, expected a pickup/dropoff pair"
             )
 
-        network = engine.region.network
         sp_count = 0
-
-        def shortest(a: int, b: int) -> List[int]:
-            nonlocal sp_count
-            if a == b:
-                return [a]
-            sp_count += 1
-            if engine.router is not None:
-                _dist, path = engine.router.shortest_path(a, b)
-            else:
-                _dist, path = dijkstra_path(network, a, b)
-            return path
-
         first = kept[0][1]
         new_route: List[int] = [first.node]
         new_vias: List[ViaPoint] = [
@@ -365,7 +343,8 @@ def cancel_booking_ride(
                 # A removed via-point sat here; re-route the junction.  The
                 # old adjacent segments were shortest paths, so one SP between
                 # the surviving endpoints restores the invariant.
-                piece = shortest(via_a.node, via_b.node)
+                sp_count += via_a.node != via_b.node
+                piece = _splice_path(engine, via_a.node, via_b.node)
             new_route.extend(piece[1:])
             new_vias.append(
                 ViaPoint(node=via_b.node, route_index=len(new_route) - 1,
@@ -403,6 +382,27 @@ def cancel_booking_ride(
     )
     engine.cancellations.append(record)
     return record
+
+
+def _splice_path(engine: "XAREngine", a: int, b: int) -> List[int]:
+    """The shortest path ``a .. b`` a splice inserts.
+
+    The engine's router, when it has one, answers first (the ALT ablation's
+    routes are its own).  Otherwise a path that starts at a landmark node is
+    read from the region's shortest-path trees, and only the rest is
+    searched with ``dijkstra_path`` — looked up here at call time, so a
+    wrapper installed on this module sees every search.  Callers count
+    ``a != b`` as one shortest-path computation either way.
+    """
+    if a == b:
+        return [a]
+    if engine.router is not None:
+        return engine.router.shortest_path(a, b)[1]
+    region = engine.region
+    path = region.path_trees().path(a, b)
+    if path is None:
+        path = dijkstra_path(region.network, a, b)[1]
+    return path
 
 
 def _best_segment_pair(

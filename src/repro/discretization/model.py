@@ -20,6 +20,7 @@ from ..exceptions import DiscretizationError, UncoveredLocationError
 from ..geo import GeoPoint, GridCell, GridIndex
 from ..landmarks import Landmark
 from ..roadnet import RoadNetwork
+from ..roadnet.shortest_path import PathTrees, shortest_path_trees
 from ..clustering import DistanceMatrix
 
 
@@ -118,6 +119,8 @@ class DiscretizedRegion:
         #: (cell, threshold or None for the system W) -> walkable list.
         self._walkable_cache: Dict[Tuple[GridCell, Optional[float]], WalkColumns] = {}
         self._landmark_buckets = self._bucket_landmarks()
+        #: Shortest-path trees of the landmark nodes, built on first use.
+        self._path_trees: Optional[PathTrees] = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -296,6 +299,24 @@ class DiscretizedRegion:
     def cluster_matrix(self) -> np.ndarray:
         """The k x k cluster distance matrix (read-only: writes raise)."""
         return self._cluster_matrix
+
+    # ------------------------------------------------------------------
+    # Landmark shortest-path trees (what a booking splice reads)
+    # ------------------------------------------------------------------
+    def path_trees(self) -> PathTrees:
+        """The shortest-path tree of every landmark node, built on first use.
+
+        Structural precompute, like the landmark matrix: fixed by the graph
+        and the landmark set, never by a query.  Built completely before it
+        is published with one attribute assignment, so threads racing the
+        lazy build each get a complete structure."""
+        trees = self._path_trees
+        if trees is None:
+            trees = shortest_path_trees(
+                self.network, [landmark.node for landmark in self.landmarks]
+            )
+            self._path_trees = trees
+        return trees
 
     def require_covered(self, point: GeoPoint) -> None:
         """Raise :class:`UncoveredLocationError` if the point can neither be

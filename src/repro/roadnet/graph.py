@@ -17,6 +17,7 @@ import numpy as np
 
 from ..exceptions import RoadNetworkError
 from ..geo import BoundingBox, GeoPoint, GridIndex
+from ..geo.point import EARTH_RADIUS_M
 
 
 @dataclass(frozen=True)
@@ -210,12 +211,16 @@ class FrozenAdjacency:
       of the haversine formula, hoisted out of the A* heuristic;
     * ``hops[(a, b)]`` — ``(length_m, travel_s)`` of the *first* edge
       ``a -> b`` by node id (parallel edges keep first-match semantics);
+    * ``bound_scale`` — the largest ``c <= 1`` with ``c x great-circle <=
+      length_m`` on every edge: scaled by it, the great-circle distance is a
+      consistent A* heuristic even where a road undercuts it (1.0 whenever
+      no edge is shorter than its great circle);
     * ``csr()`` / ``csr(reverse=True)`` — the out- (in-) edges as
       compressed sparse rows, built on first use: what the many-source
       kernel gathers through.
     """
 
-    __slots__ = ("ids", "index", "out", "coords", "hops", "_csr")
+    __slots__ = ("ids", "index", "out", "coords", "hops", "bound_scale", "_csr")
 
     def __init__(
         self,
@@ -241,6 +246,7 @@ class FrozenAdjacency:
             for pos in map(positions.__getitem__, ids)
         ]
         self.hops = hops
+        self.bound_scale = _bound_scale(out, self.coords)
         self._csr: Dict[bool, EdgeRows] = {}
 
     def csr(self, reverse: bool = False) -> "EdgeRows":
@@ -252,6 +258,28 @@ class FrozenAdjacency:
         if rows is None:
             rows = self._csr[reverse] = EdgeRows.of(self.out, reverse)
         return rows
+
+
+def _bound_scale(out: List[Tuple[Tuple[int, float, float], ...]],
+                 coords: List[Tuple[float, float, float]]) -> float:
+    """``min(1, min length_m / great-circle)`` over edges whose great circle
+    is > 0.  The great circle is ``haversine_m``'s float for float (with
+    cos(lat) hoisted, as in A*), so a graph whose lengths are the defaults
+    ``add_edge`` measures scales by exactly 1.0."""
+    radians, sin, sqrt, asin = math.radians, math.sin, math.sqrt, math.asin
+    diameter = 2.0 * EARTH_RADIUS_M
+    scale = 1.0
+    for (lat, lon, cos_lat), edges in zip(coords, out):
+        for j, length_m, _travel_s in edges:
+            to_lat, to_lon, to_cos = coords[j]
+            a = (
+                sin(radians(to_lat - lat) / 2.0) ** 2
+                + cos_lat * to_cos * sin(radians(to_lon - lon) / 2.0) ** 2
+            )
+            crow = diameter * asin(min(1.0, sqrt(a)))
+            if crow > 0.0:
+                scale = min(scale, length_m / crow)
+    return scale
 
 
 class EdgeRows(NamedTuple):

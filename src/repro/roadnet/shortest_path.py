@@ -8,6 +8,8 @@ those operations use:
 * :func:`many_source_distances` — many-to-many distances as one array,
   every source at once (the landmark matrix and the ALT tables),
 * :func:`dijkstra_path` — one-to-one distance + node path,
+* :func:`shortest_path_trees` — :func:`dijkstra_path`'s paths from many
+  roots at once, as parent slots (the booking splice from a landmark),
 * :func:`bidirectional_dijkstra` — faster one-to-one distance queries,
 * :func:`astar` — haversine-guided one-to-one path search,
 * :func:`multi_source_nearest` — nearest-source labelling used by the
@@ -188,6 +190,155 @@ def _settle(labels, stamps, frontier, n, offsets, target, weights) -> None:
         frontier = pos[stamps[pos] == order]
 
 
+#: Roots per block of :func:`shortest_path_trees`.  Set by the peak, not the
+#: speed: on the benchmark city (2-vCPU box) the build's transient peak is
+#: 1.4 MB at 8 roots (118 ms), 2.4 MB at 16 (95 ms) and 4.4 MB at 32 (90 ms),
+#: and a shard pays it on top of its supply at its first booking.
+_TREE_BLOCK = 8
+
+
+class PathTrees:
+    """Shortest-path trees from many roots, stored as in-edge slots.
+
+    ``slots[r, v]`` is the position, within ``v``'s in-edge row of
+    ``csr(reverse=True)``, of the edge from ``v``'s parent in root ``r``'s
+    tree; the dtype's largest value marks the root and unreachable nodes.
+    Every array is read-only: thread shards share one region.
+    """
+
+    __slots__ = ("roots", "slots", "_row", "_start", "_flat", "_n", "_offsets",
+                 "_tails", "_ids", "_index", "_none")
+
+    def __init__(self, frozen, roots: np.ndarray, slots: np.ndarray):
+        rows = frozen.csr(reverse=True)
+        roots.setflags(write=False)
+        slots.setflags(write=False)
+        self.roots = roots
+        self.slots = slots
+        self._start = roots.tolist()
+        self._row = {frozen.ids[root]: r for r, root in enumerate(self._start)}
+        # The walk reads one slot per hop: plain lists and a flat memoryview
+        # index an order of magnitude faster than numpy scalars.
+        self._flat = memoryview(slots.reshape(-1))
+        self._n = slots.shape[1]
+        self._offsets = rows.offsets.tolist()
+        self._tails = rows.target.tolist()
+        self._ids = frozen.ids
+        self._index = frozen.index
+        self._none = np.iinfo(slots.dtype).max
+
+    @property
+    def nbytes(self) -> int:
+        return self.slots.nbytes
+
+    def path(self, source: int, target: int) -> Optional[List[int]]:
+        """The node path ``source .. target`` that :func:`dijkstra_path`
+        returns, or ``None`` when ``source`` is not one of the roots.
+
+        Raises :class:`~repro.exceptions.NoPathError` if unreachable."""
+        row = self._row.get(source)
+        if row is None:
+            return None
+        goal = self._index.get(target)
+        if goal is None:
+            raise RoadNetworkError(f"unknown target node {target}")
+        flat, offsets, tails, ids = self._flat, self._offsets, self._tails, self._ids
+        start, base, none = self._start[row], row * self._n, self._none
+        path = [target]
+        i = goal
+        while i != start:
+            slot = flat[base + i]
+            if slot == none:
+                raise NoPathError(source, target)
+            i = tails[offsets[i] + slot]
+            path.append(ids[i])
+        path.reverse()
+        return path
+
+
+def shortest_path_trees(network: RoadNetwork, roots: Sequence[int]) -> PathTrees:
+    """The shortest-path tree of every root, each path equal to
+    :func:`dijkstra_path`'s node list (length-weighted).
+
+    Labels come from :func:`many_source_distances`, ``_TREE_BLOCK`` roots at
+    a time.  A node's parent is then read off the labels: Dijkstra sets it
+    on the last strict improvement, i.e. to the first *tight* in-neighbour
+    (``fl(d[u] + w) == d[v]``) it settles.  When every tight edge climbs
+    (``d[u] < d[v]``), each node is queued at its final label before
+    anything at or above that label pops, so Dijkstra settles in
+    ``(label, dense index)`` order and the parent is the least such
+    in-neighbour.  A root with a tight edge on a tie (``d[u] == d[v]``:
+    zero-length edges, or a weight lost to rounding) may settle out of that
+    order; its tree comes from an exact Dijkstra instead.
+    """
+    frozen = network.frozen()
+    rows = frozen.csr(reverse=True)
+    tails, n = rows.target, len(frozen.ids)
+    degree = np.diff(rows.offsets)
+    heads = np.repeat(np.arange(n), degree)
+    slot = np.arange(tails.size) - rows.offsets[heads]
+    has_in = degree > 0
+    firsts = rows.offsets[:-1][has_in]
+    width = int(degree.max(initial=0)) + 1
+    dtype = next(t for t in (np.uint8, np.uint16, np.uint32) if width <= np.iinfo(t).max)
+    none = np.iinfo(dtype).max
+    starts = _dense(frozen, roots, "root")
+    slots = np.full((starts.size, n), none, dtype=dtype)
+    if not firsts.size:  # no edges: every tree is its root alone
+        return PathTrees(frozen, starts, slots)
+    missing = n * width  # above every rank * width + slot
+    for first in range(0, starts.size, _TREE_BLOCK):
+        chunk = starts[first:first + _TREE_BLOCK]
+        d = many_source_distances(network, roots[first:first + _TREE_BLOCK])
+        # In place where it can be: these (block x edges) arrays are the
+        # build's peak memory.
+        dv = d[:, heads]
+        du = d[:, tails]
+        tie = du == dv
+        du += rows.length_m
+        tight = du == dv
+        tight &= np.isfinite(dv)
+        tie &= tight
+        del du, dv
+        order = np.argsort(d, axis=1, kind="stable")  # ties by dense index
+        rank = np.empty_like(order)
+        np.put_along_axis(rank, order, np.arange(n), axis=1)
+        key = rank[:, tails]
+        key *= width
+        key += slot
+        key[~tight] = missing
+        for r in np.flatnonzero(tie.any(axis=1)):
+            parent = np.array(_dijkstra_parents(frozen, int(chunk[r])))
+            key[r] = np.where(tails == parent[heads], slot, missing)
+        best = np.minimum.reduceat(key, firsts, axis=1)
+        slots[first:first + chunk.size, has_in] = np.where(
+            best < missing, best % width, none)
+    return PathTrees(frozen, starts, slots)
+
+
+def _dijkstra_parents(frozen, start: int) -> List[int]:
+    """Dense parent of every node in an exhaustive length-weighted
+    :func:`dijkstra_path` from dense ``start`` (-1: the root and unreachable
+    nodes)."""
+    out = frozen.out
+    pop, push = heapq.heappop, heapq.heappush
+    seen = [_INF] * len(out)
+    seen[start] = 0.0
+    parent = [-1] * len(out)
+    heap: List[Tuple[float, int]] = [(0.0, start)]
+    while heap:
+        d, i = pop(heap)
+        if d > seen[i]:
+            continue
+        for j, length_m, _travel_s in out[i]:
+            nd = d + length_m
+            if nd < seen[j]:
+                seen[j] = nd
+                parent[j] = i
+                push(heap, (nd, j))
+    return parent
+
+
 def _dense(frozen, nodes: Sequence[int], role: str) -> np.ndarray:
     """Dense indices of node ids, validating every one exists."""
     index = frozen.index
@@ -321,8 +472,10 @@ def astar(
 ) -> Tuple[float, List[int]]:
     """A* with the great-circle lower bound; length-weighted only.
 
-    The haversine distance is an admissible heuristic for road length, so the
-    result is exact.
+    The heuristic is the haversine distance scaled by the graph's
+    ``bound_scale``, which keeps it a lower bound on every edge's length and
+    so consistent: the returned distance is Dijkstra's.  Where no road
+    undercuts the great circle the scale is exactly 1.0.
     """
     frozen = network.frozen()
     start, goal = _endpoints(frozen, source, target)
@@ -332,10 +485,11 @@ def astar(
     pop, push = heapq.heappop, heapq.heappush
     radians, sin, sqrt, asin = math.radians, math.sin, math.sqrt, math.asin
     goal_lat, goal_lon, goal_cos = coords[goal]
+    scale = frozen.bound_scale
     n = len(out)
-    # The settled flags stay (unlike Dijkstra's stale-entry test): road
-    # lengths may undercut the great-circle bound, and a node settled under
-    # an inconsistent heuristic must not be re-expanded.
+    # The settled flags stay (unlike Dijkstra's stale-entry test): rounding
+    # can still leave the scaled bound a hair inconsistent, and a settled
+    # node must not be re-expanded.
     settled = [False] * n
     seen = [_INF] * n
     seen[start] = 0.0
@@ -370,7 +524,9 @@ def astar(
                         sin(radians(goal_lat - lat) / 2.0) ** 2
                         + cos_lat * goal_cos * sin(radians(goal_lon - lon) / 2.0) ** 2
                     )
-                    h = bound[j] = _EARTH_DIAMETER_M * asin(min(1.0, sqrt(a)))
+                    h = bound[j] = scale * (
+                        _EARTH_DIAMETER_M * asin(min(1.0, sqrt(a)))
+                    )
                 push(heap, (nd + h, nd, j))
     raise NoPathError(source, target)
 

@@ -90,6 +90,24 @@ def _outcome(fn, *args):
         return ("no path", str(exc))
 
 
+def assert_astar_exact(network, source, target):
+    """Where no road undercuts the great circle (``bound_scale == 1``) A*
+    is the reference loop verbatim.  Elsewhere the reference's unscaled
+    heuristic is inconsistent and returns longer paths; the scaled one must
+    return Dijkstra's distance."""
+    got = _outcome(astar, network, source, target)
+    if network.frozen().bound_scale == 1.0:
+        assert got == _outcome(ref_astar, network, source, target)
+        return
+    want = _outcome(dijkstra_path, network, source, target)
+    if want[0] == "no path":
+        assert got == want
+        return
+    distance, path = got
+    assert distance == pytest.approx(want[0], rel=1e-12, abs=0.0)
+    assert (path[0], path[-1]) == (source, target)
+
+
 class TestKernelsEqualReference:
     @settings(max_examples=300, deadline=None)
     @given(queries, st.sampled_from(["length", "time"]))
@@ -102,10 +120,7 @@ class TestKernelsEqualReference:
     @settings(max_examples=300, deadline=None)
     @given(queries)
     def test_astar(self, query):
-        network, source, target = _pick(*query)
-        assert _outcome(astar, network, source, target) == _outcome(
-            ref_astar, network, source, target
-        )
+        assert_astar_exact(*_pick(*query))
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -135,9 +150,42 @@ class TestKernelsEqualReference:
                 assert _outcome(dijkstra_path, network, source, target) == _outcome(
                     ref_dijkstra_path, network, source, target
                 )
-                assert _outcome(astar, network, source, target) == _outcome(
-                    ref_astar, network, source, target
-                )
+                assert_astar_exact(network, source, target)
+
+
+class TestAStarBoundScale:
+    def test_generated_graphs_keep_the_unscaled_heuristic(self):
+        """Default lengths are the great circle itself: the scale is exactly
+        1.0, so A*'s routes (and every digest downstream) are unchanged."""
+        for name in ("lattice-oneway", "lattice-twoway", "radial", "planar-7",
+                     "planar-23"):
+            assert NETWORKS[name].frozen().bound_scale == 1.0
+        assert manhattan_city(n_avenues=16, n_streets=50).frozen().bound_scale == 1.0
+
+    @pytest.mark.parametrize("name", ["adversarial-1", "adversarial-2"])
+    def test_undercut_graphs_are_exact_on_every_pair(self, name):
+        """Zero-length edges put the scale at 0; the unscaled heuristic's
+        paths were longer than Dijkstra's on most pairs of these graphs."""
+        network, nodes = NETWORKS[name], NODES[name]
+        assert network.frozen().bound_scale == 0.0
+        longer = 0
+        for source in nodes:
+            for target in nodes:
+                assert_astar_exact(network, source, target)
+                reference = _outcome(ref_astar, network, source, target)
+                if reference[0] != "no path":
+                    longer += reference[0] > dijkstra_path(network, source, target)[0]
+        assert longer > 0  # the graphs do exercise the bug
+
+    def test_partial_undercut_scales_between_zero_and_one(self):
+        net = RoadNetwork()
+        for node in range(3):
+            net.add_node(node, GeoPoint(40.7, -74.0 + 0.001 * node))
+        net.add_edge(0, 1)
+        net.add_edge(1, 2, length_m=0.5 * net.position(1).distance_to(net.position(2)))
+        scale = net.frozen().bound_scale
+        assert scale == pytest.approx(0.5, rel=1e-12)
+        assert astar(net, 0, 2)[0] == dijkstra_path(net, 0, 2)[0]
 
 
 class TestRouteMetricsEqualReference:
