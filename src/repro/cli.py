@@ -55,6 +55,7 @@ from .durability import (
     recover_engine,
     topology_path,
 )
+from .durability.records import ABORT, WAL_OPS
 from .mmtp import MultiModalPlanner, synthetic_feed
 from .obs import MetricsRegistry, to_json, to_prometheus_text
 from .roadnet import (
@@ -79,6 +80,8 @@ from .service import (
     SupervisorConfig,
     skew_hotspot,
 )
+from .service.routing import RoutingTable
+from .service.transport import ThreadTransport
 from .sim import (
     DriverCancellation,
     FaultInjectingAdapter,
@@ -733,20 +736,15 @@ def _recover(args: argparse.Namespace) -> int:
     return 0
 
 
-def _reshard_slot_files(directory, manifest):
-    """Per active slot: (wal_path, checkpoint_path) the manifest names
-    (``wal``/``ckpt`` relative to the run dir, thread and process shards
-    alike).  A service that never resharded has no manifest — fall back to
-    the static layout, flat (thread shards) or per-shard-directory (process
-    shards).
+def _reshard_slot_files(directory, table):
+    """Per active slot: (wal_path, checkpoint_path) the committed routing
+    table names (thread and process shards alike).  A service that never
+    resharded has no table — fall back to the static layout, flat (thread
+    shards) or per-shard-directory (process shards).
     """
-    if manifest is not None:
-        return {
-            int(entry["slot"]): (os.path.join(directory, entry["wal"]),
-                                 os.path.join(directory, entry["ckpt"]))
-            for entry in manifest["slots"]
-            if entry.get("active")
-        }
+    if table is not None:
+        return {spec.slot: (spec.wal_path, spec.ckpt_path)
+                for spec in table.specs() if spec is not None}
     slots = {}
     slot = 0
     while True:
@@ -809,22 +807,16 @@ def _reshard_verify(args: argparse.Namespace) -> int:
     manifest = read_topology(
         topology_path(args.dir), expected_digest=region_digest(region)
     )
-    slot_files = _reshard_slot_files(args.dir, manifest)
+    # Files and ride ownership as the committed routing tables resolve
+    # them (a never-resharded dir has no tables to check against).
+    table = None if manifest is None else RoutingTable(
+        region, 1, layout=ThreadTransport.layout, directory=args.dir,
+        reshard=ReshardConfig(max_shards=int(manifest["lane_modulus"])),
+    )
+    slot_files = _reshard_slot_files(args.dir, table)
     if not slot_files:
         print(f"{args.dir}: no shard WALs found", file=sys.stderr)
         return 1
-
-    def owner_of(ride_id: int) -> Optional[int]:
-        if manifest is None:
-            return None
-        slot = manifest.get("ride_homes", {}).get(str(ride_id))
-        if slot is None:
-            lane = (ride_id - 1) % int(manifest["lane_modulus"])
-            slot = manifest["lane_owner"][lane]
-        redirect = manifest.get("redirect", {})
-        while str(slot) in redirect:
-            slot = redirect[str(slot)]
-        return int(slot)
 
     failures = []
     ride_seen = {}
@@ -852,8 +844,8 @@ def _reshard_verify(args: argparse.Namespace) -> int:
                     f"{ride_seen[ride_id]} and slot {slot}"
                 )
             ride_seen[ride_id] = slot
-            home = owner_of(ride_id)
-            if home is not None and home != slot:
+            home = slot if table is None else table.shard_of_ride(ride_id)
+            if home != slot:
                 failures.append(
                     f"ride {ride_id} recovered in slot {slot} but the "
                     f"routing tables assign it to slot {home}"
@@ -900,6 +892,21 @@ def _wal_dump(args: argparse.Namespace) -> int:
         return 0
 
 
+def _wal_fields(record: dict, declared) -> str:
+    """A WAL record's declared fields as ``key=value`` (nulls left out); a
+    nested request or match is shown by its ids."""
+    parts = []
+    for key, _codec in declared.fields:
+        value = record.get(key)
+        if isinstance(value, dict):
+            ids = ",".join(f"{name}={item}" for name, item in value.items()
+                           if name.endswith("_id"))
+            parts.append(f"{key}[{ids}]")
+        elif value is not None:
+            parts.append(f"{key}={json.dumps(value)}")
+    return " ".join(parts)
+
+
 def _wal_dump_frames(args: argparse.Namespace) -> int:
     torn = False
     frames_seen = 0
@@ -922,23 +929,12 @@ def _wal_dump_frames(args: argparse.Namespace) -> int:
                       f"+{record.get('ride_id_step')}) "
                       f"digest={str(record.get('region_digest'))[:12]}")
         elif kind == "abort":
-            detail = (f"aborts seq {record.get('aborts')} "
-                      f"({record.get('error')}: {record.get('reason')})")
+            detail = _wal_fields(record, ABORT)
+        elif record.get("op") in WAL_OPS:
+            op = record["op"]
+            detail = f"{op} {_wal_fields(record, WAL_OPS[op])}"
         else:
-            op = record.get("op", "?")
-            if op == "create":
-                detail = f"create ride {record.get('ride_id')}"
-            elif op == "book":
-                request = record.get("request", {})
-                match = record.get("match", {})
-                detail = (f"book request {request.get('request_id')} "
-                          f"on ride {match.get('ride_id')}")
-            elif op == "cancel":
-                detail = f"cancel ride {record.get('ride_id')}"
-            elif op == "track":
-                detail = f"track to t={record.get('now_s')}"
-            else:
-                detail = json.dumps(record, sort_keys=True)
+            detail = json.dumps(record, sort_keys=True)
         if kind != "header":
             ops_seen += 1
         seq = record.get("seq", "-")

@@ -9,6 +9,8 @@ The durability layer makes a shard engine's state survive process death:
 * :mod:`~repro.durability.recovery` — deterministic replay (checkpoint +
   WAL suffix) reconstructing an engine that matches the pre-crash one
   exactly (the differential harness asserts fingerprint equality);
+* :mod:`~repro.durability.records` — every persisted record shape (WAL ops,
+  aborts, ledger rows), declared once;
 * :mod:`~repro.durability.adapter` — the log-before-apply decorator that
   wires the above into the adapter stack, plus the service-level
   :class:`DurabilityConfig`.

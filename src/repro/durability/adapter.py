@@ -6,10 +6,10 @@ and the shard worker — so that every mutation that actually reaches the
 engine is logged, including the retries and create-on-miss calls the
 resilient layer issues on its own.
 
-Protocol per mutating op (create / book / cancel / track):
+Protocol per logged op (:data:`~repro.durability.records.WAL_OPS`):
 
-1. append an ``op`` record resolving all nondeterminism up front (the ride
-   id the allocator will hand out, the full request + match for a book);
+1. append its ``op`` record, resolving all nondeterminism up front (the
+   ride id the allocator will hand out, the full request + match for a book);
 2. apply the op on the inner adapter;
 3. on a clean engine failure (:class:`~repro.exceptions.XARError`) append
    an ``abort`` record naming the op's seq, then re-raise — replay skips
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Optional, Tuple
 
 from ..core.request import RideRequest
 from ..exceptions import XARError
@@ -36,6 +36,7 @@ from ..geo import GeoPoint
 from ..obs import MetricsRegistry
 from ..sim.adapters import DelegatingAdapter, XARAdapter
 from .checkpoint import write_checkpoint
+from .records import ABORT, WAL_OPS
 from .wal import WriteAheadLog
 
 
@@ -59,38 +60,6 @@ class DurabilityConfig:
 
     def checkpoint_path(self, shard_id: int) -> str:
         return os.path.join(self.directory, f"shard{shard_id}.ckpt")
-
-
-def _point(point: GeoPoint) -> List[float]:
-    return [point.lat, point.lon]
-
-
-def request_record(request: RideRequest) -> Dict[str, Any]:
-    return {
-        "request_id": request.request_id,
-        "source": _point(request.source),
-        "destination": _point(request.destination),
-        "window_start_s": request.window_start_s,
-        "window_end_s": request.window_end_s,
-        "walk_threshold_m": request.walk_threshold_m,
-        "max_detour_m": request.max_detour_m,
-    }
-
-
-def match_record(match) -> Dict[str, Any]:
-    return {
-        "ride_id": match.ride_id,
-        "request_id": match.request_id,
-        "pickup_cluster": match.pickup_cluster,
-        "pickup_landmark": match.pickup_landmark,
-        "walk_source_m": match.walk_source_m,
-        "dropoff_cluster": match.dropoff_cluster,
-        "dropoff_landmark": match.dropoff_landmark,
-        "walk_destination_m": match.walk_destination_m,
-        "eta_pickup_s": match.eta_pickup_s,
-        "eta_dropoff_s": match.eta_dropoff_s,
-        "detour_estimate_m": match.detour_estimate_m,
-    }
 
 
 class DurableAdapter(DelegatingAdapter):
@@ -134,23 +103,18 @@ class DurableAdapter(DelegatingAdapter):
     # ------------------------------------------------------------------
     # Logged mutations
     # ------------------------------------------------------------------
-    def _logged(self, record: Dict[str, Any], fn, *, request_id=None,
-                ride_id=None):
-        seq = self.wal.append(record)
+    def _logged(self, op: str, values: Tuple, call, *args,
+                request_id=None, ride_id=None):
+        """Log ``op`` (its ``WAL_OPS`` record over ``values``), then run
+        ``call(*args)``; a clean engine failure is logged as an abort."""
+        seq = self.wal.append({"kind": "op", "op": op,
+                               **WAL_OPS[op].encode(values)})
         self._last_seq = seq
         try:
-            result = fn()
+            result = call(*args)
         except XARError as exc:
-            self._last_seq = self.wal.append(
-                {
-                    "kind": "abort",
-                    "aborts": seq,
-                    "request_id": request_id,
-                    "ride_id": ride_id,
-                    "error": type(exc).__name__,
-                    "reason": str(exc),
-                }
-            )
+            self._last_seq = self.wal.append({"kind": "abort", **ABORT.encode(
+                (seq, request_id, ride_id, type(exc).__name__, str(exc)))})
             self._after_mutation()
             raise
         self._after_mutation()
@@ -173,65 +137,33 @@ class DurableAdapter(DelegatingAdapter):
         detour_limit_m: Optional[float] = None,
         shift_end_s: Optional[float] = None,
     ):
-        engine = self.engine
-        record = {
-            "kind": "op",
-            "op": "create",
-            "ride_id": engine.peek_next_ride_id(),
-            "src": _point(source),
-            "dst": _point(destination),
-            "departure_s": depart_s,
-            "seats": seats,
-            "detour_limit_m": detour_limit_m,
-            "driver_id": None,
-            "shift_end_s": shift_end_s,
-        }
+        ride_id = self.engine.peek_next_ride_id()
         return self._logged(
-            record,
-            lambda: self.inner.create(
-                source, destination, depart_s, seats, detour_limit_m,
-                shift_end_s=shift_end_s,
-            ),
-            ride_id=record["ride_id"],
+            "create",
+            (ride_id, source, destination, depart_s, seats, detour_limit_m,
+             None, shift_end_s),
+            self.inner.create, source, destination, depart_s, seats,
+            detour_limit_m, shift_end_s, ride_id=ride_id,
         )
 
     def book(self, request: RideRequest, match):
-        record = {
-            "kind": "op",
-            "op": "book",
-            "request": request_record(request),
-            "match": match_record(match),
-        }
         return self._logged(
-            record,
-            lambda: self.inner.book(request, match),
-            request_id=request.request_id,
-            ride_id=match.ride_id,
+            "book", (request, match), self.inner.book, request, match,
+            request_id=request.request_id, ride_id=match.ride_id,
         )
 
     def cancel(self, ride) -> None:
-        record = {"kind": "op", "op": "cancel", "ride_id": ride.ride_id}
-        return self._logged(
-            record, lambda: self.inner.cancel(ride), ride_id=ride.ride_id
-        )
+        return self._logged("cancel", (ride.ride_id,), self.inner.cancel,
+                            ride, ride_id=ride.ride_id)
 
     def cancel_booking(self, request_id: int, ride_id: int):
-        record = {
-            "kind": "op",
-            "op": "cancel_booking",
-            "request_id": request_id,
-            "ride_id": ride_id,
-        }
         return self._logged(
-            record,
-            lambda: self.inner.cancel_booking(request_id, ride_id),
-            request_id=request_id,
-            ride_id=ride_id,
+            "cancel_booking", (request_id, ride_id), self.inner.cancel_booking,
+            request_id, ride_id, request_id=request_id, ride_id=ride_id,
         )
 
     def track_all(self, now_s: float) -> int:
-        record = {"kind": "op", "op": "track", "now_s": now_s}
-        return self._logged(record, lambda: self.inner.track_all(now_s))
+        return self._logged("track", (now_s,), self.inner.track_all, now_s)
 
     # ------------------------------------------------------------------
     # Checkpointing / lifecycle

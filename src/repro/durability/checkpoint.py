@@ -26,13 +26,13 @@ import json
 import os
 from typing import Any, Dict, Optional
 
-from ..core.booking import BookingRecord, BookingRollback, CancellationRecord
 from ..core.engine import XAREngine
 from ..core.ride import PassengerRecord, Ride, RideStatus, ViaPoint
 from ..core.tracking import apply_obsolescence
 from ..discretization import DiscretizedRegion, region_digest
 from ..exceptions import CheckpointError
 from ..geo import GeoPoint
+from .records import LEDGERS
 
 CHECKPOINT_VERSION = 1
 
@@ -82,44 +82,9 @@ def engine_state(engine: XAREngine) -> Dict[str, Any]:
         "tracked_to": sorted(
             [ride_id, t] for ride_id, t in engine.tracked_to.items()
         ),
-        "bookings": [booking_state(b) for b in engine.bookings],
-        "rollbacks": [
-            {
-                "request_id": r.request_id,
-                "ride_id": r.ride_id,
-                "error": r.error,
-                "reason": r.reason,
-            }
-            for r in engine.rollbacks
-        ],
-        "cancellations": [cancellation_state(c) for c in engine.cancellations],
+        **{key: [row.encode(entry) for entry in getattr(engine, key)]
+           for key, row in LEDGERS.items()},
         "counters": engine.counter_state(),
-    }
-
-
-def booking_state(record: BookingRecord) -> Dict[str, Any]:
-    return {
-        "request_id": record.request_id,
-        "ride_id": record.ride_id,
-        "pickup_landmark": record.pickup_landmark,
-        "dropoff_landmark": record.dropoff_landmark,
-        "walk_source_m": record.walk_source_m,
-        "walk_destination_m": record.walk_destination_m,
-        "eta_pickup_s": record.eta_pickup_s,
-        "eta_dropoff_s": record.eta_dropoff_s,
-        "detour_estimate_m": record.detour_estimate_m,
-        "detour_actual_m": record.detour_actual_m,
-        "shortest_paths_computed": record.shortest_paths_computed,
-    }
-
-
-def cancellation_state(record: CancellationRecord) -> Dict[str, Any]:
-    return {
-        "request_id": record.request_id,
-        "ride_id": record.ride_id,
-        "route_delta_m": record.route_delta_m,
-        "detour_restored_m": record.detour_restored_m,
-        "shortest_paths_computed": record.shortest_paths_computed,
     }
 
 
@@ -309,14 +274,7 @@ def restore_engine_state(engine: XAREngine, state: Dict[str, Any]) -> None:
             ride = engine.rides.get(ride_id)
             if ride is not None and tracked > ride.departure_s:
                 apply_obsolescence(engine, ride_id, tracked)
-        engine.bookings.extend(
-            BookingRecord(**booking) for booking in state["bookings"]
-        )
-        engine.rollbacks.extend(
-            BookingRollback(**rollback) for rollback in state["rollbacks"]
-        )
-        engine.cancellations.extend(
-            CancellationRecord(**cancellation)
-            for cancellation in state.get("cancellations", [])
-        )
+        for key, row in LEDGERS.items():
+            getattr(engine, key).extend(
+                row.decode(entry, region) for entry in state.get(key, []))
         engine.restore_counter_state(state["counters"])

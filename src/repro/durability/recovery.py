@@ -27,15 +27,12 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
-from ..core.booking import BookingRollback
 from ..core.engine import XAREngine
-from ..core.request import RideRequest
-from ..core.search import MatchOption
 from ..discretization import DiscretizedRegion, region_digest
 from ..exceptions import RecoveryError, XARError
-from ..geo import GeoPoint
 from ..obs import MetricsRegistry
 from .checkpoint import read_checkpoint, restore_engine_state
+from .records import ABORT, ROLLBACK, WAL_OPS
 from .wal import WalScan, scan_wal
 
 
@@ -60,76 +57,39 @@ class RecoveryResult:
     duration_s: float
 
 
-def request_from(state: Dict[str, Any]) -> RideRequest:
-    max_detour = state.get("max_detour_m")
-    return RideRequest(
-        request_id=int(state["request_id"]),
-        source=GeoPoint(*[float(c) for c in state["source"]]),
-        destination=GeoPoint(*[float(c) for c in state["destination"]]),
-        window_start_s=float(state["window_start_s"]),
-        window_end_s=float(state["window_end_s"]),
-        walk_threshold_m=float(state["walk_threshold_m"]),
-        max_detour_m=None if max_detour is None else float(max_detour),
-    )
-
-
-def match_from(state: Dict[str, Any]) -> MatchOption:
-    return MatchOption(
-        ride_id=int(state["ride_id"]),
-        request_id=int(state["request_id"]),
-        pickup_cluster=int(state["pickup_cluster"]),
-        pickup_landmark=int(state["pickup_landmark"]),
-        walk_source_m=float(state["walk_source_m"]),
-        dropoff_cluster=int(state["dropoff_cluster"]),
-        dropoff_landmark=int(state["dropoff_landmark"]),
-        walk_destination_m=float(state["walk_destination_m"]),
-        eta_pickup_s=float(state["eta_pickup_s"]),
-        eta_dropoff_s=float(state["eta_dropoff_s"]),
-        detour_estimate_m=float(state["detour_estimate_m"]),
-    )
+#: The engine method each logged op re-executes with its decoded values
+#: (looked up on the engine at replay time).
+_ENGINE_METHODS = {
+    "book": "book",
+    "cancel": "remove_ride",
+    "cancel_booking": "cancel_booking",
+    "track": "track_all",
+}
 
 
 def replay_record(engine: XAREngine, record: Dict[str, Any]) -> None:
     """Re-execute one WAL ``op`` record against the engine."""
     op = record["op"]
+    if op not in WAL_OPS:
+        raise RecoveryError(f"WAL op record with unknown op {op!r}")
+    values = WAL_OPS[op].decode(record)
     if op == "create":
+        ride_id, src, dst, departure_s, seats, detour_limit_m, driver_id, \
+            shift_end_s = values
         # Pin the allocator to the id the live run predicted; this also
         # self-heals the gap left by a create that consumed an id and then
         # failed without an abort record reaching the log.
-        engine._ride_ids.next_value = int(record["ride_id"])
-        engine.create_ride(
-            GeoPoint(*[float(c) for c in record["src"]]),
-            GeoPoint(*[float(c) for c in record["dst"]]),
-            departure_s=float(record["departure_s"]),
-            detour_limit_m=(
-                None
-                if record.get("detour_limit_m") is None
-                else float(record["detour_limit_m"])
-            ),
-            seats=None if record.get("seats") is None else int(record["seats"]),
-            driver_id=record.get("driver_id"),
-            shift_end_s=(
-                None
-                if record.get("shift_end_s") is None
-                else float(record["shift_end_s"])
-            ),
-        )
-    elif op == "book":
-        request = request_from(record["request"])
-        match = match_from(record["match"])
-        engine.book(request, match)
+        engine._ride_ids.next_value = ride_id
+        engine.create_ride(src, dst, departure_s, detour_limit_m, seats,
+                           driver_id=driver_id, shift_end_s=shift_end_s)
+        return
+    getattr(engine, _ENGINE_METHODS[op])(*values)
+    if op == "book":
         # Keep the request-id allocator ahead of every replayed request so a
         # post-recovery make_request cannot reuse a logged id.
-        if engine._request_ids.next_value <= request.request_id:
-            engine._request_ids.next_value = request.request_id + 1
-    elif op == "cancel":
-        engine.remove_ride(int(record["ride_id"]))
-    elif op == "cancel_booking":
-        engine.cancel_booking(int(record["request_id"]), int(record["ride_id"]))
-    elif op == "track":
-        engine.track_all(float(record["now_s"]))
-    else:
-        raise RecoveryError(f"WAL op record with unknown op {op!r}")
+        request_id = values[0].request_id
+        if engine._request_ids.next_value <= request_id:
+            engine._request_ids.next_value = request_id + 1
 
 
 def recover_engine(
@@ -191,7 +151,7 @@ def recover_engine(
     # Ops the live run aborted after logging: skip on replay, but re-record
     # the rollback so the ledger matches the pre-crash engine.
     aborts = {
-        int(record["aborts"]): record
+        ABORT.decode(record)[0]: record
         for record in scan.records
         if record.get("kind") == "abort"
     }
@@ -204,14 +164,7 @@ def recover_engine(
         if abort is not None:
             skipped += 1
             if record["op"] == "book":
-                engine.rollbacks.append(
-                    BookingRollback(
-                        request_id=int(abort["request_id"]),
-                        ride_id=int(abort["ride_id"]),
-                        error=str(abort["error"]),
-                        reason=str(abort["reason"]),
-                    )
-                )
+                engine.rollbacks.append(ROLLBACK.decode(abort, None))
             continue
         try:
             replay_record(engine, record)

@@ -32,6 +32,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from ..exceptions import DurabilityError
 from .checkpoint import _fsync_directory
+from .records import LEDGERS
 
 TOPOLOGY_VERSION = 1
 TOPOLOGY_FILENAME = "topology.json"
@@ -124,9 +125,7 @@ def _empty_state(counters: Dict[str, Any]) -> Dict[str, Any]:
         "rides": [],
         "completed_rides": [],
         "tracked_to": [],
-        "bookings": [],
-        "rollbacks": [],
-        "cancellations": [],
+        **{key: [] for key in LEDGERS},
         "counters": dict(counters),
     }
 
@@ -165,7 +164,7 @@ def split_engine_state(
     )
     for ride_id, tracked in state.get("tracked_to", []):
         side.get(int(ride_id), left)["tracked_to"].append([ride_id, tracked])
-    for key in ("bookings", "rollbacks", "cancellations"):
+    for key in LEDGERS:
         for record in state.get(key, []):
             side.get(int(record["ride_id"]), left)[key].append(record)
     return {"left": left, "right": right, "moved_rides": moved}
@@ -184,8 +183,7 @@ def merge_engine_states(
     """
     merged = _empty_state(counters)
     for state in states:
-        for key in ("rides", "completed_rides", "tracked_to", "bookings",
-                    "rollbacks", "cancellations"):
+        for key in ("rides", "completed_rides", "tracked_to", *LEDGERS):
             merged[key].extend(state.get(key, []))
     merged["tracked_to"] = sorted(merged["tracked_to"])
     return merged

@@ -14,32 +14,41 @@ else.  Everything that carries an op across a hop derives from :data:`OPS`:
 * the gateway serves :data:`ROUTES` and the HTTP client grows one method per
   routed op (:mod:`~repro.service.proc.gateway`, ``.client``).
 
-An op's arguments and its result are each one :class:`Record` — an ordered
-list of ``(json_key, codec)`` pairs from which *both* ``encode`` and
-``decode`` are derived, so a field cannot exist on one side of a hop only.
-The codecs of the domain objects are the durability layer's (WAL records
-serialise requests and matches, checkpoints rides and bookings, and recovery
-proves those shapes round-trip exactly): anything that can be replayed can
-be shipped.  Rides decode against a region (routes are node ids into its
-network), which every decoding side has by construction.
+An op's arguments and its result are each one
+:class:`~repro.durability.records.Record` — an ordered list of
+``(json_key, codec)`` pairs from which *both* ``encode`` and ``decode`` are
+derived, so a field cannot exist on one side of a hop only.  Records, codecs
+and the domain rows (requests, matches, bookings, cancellations) live in
+:mod:`repro.durability.records`, where the WAL and the checkpoints declare
+what they persist: anything that can be replayed can be shipped.  Rides
+decode against a region (routes are node ids into its network), which every
+decoding side has by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
-from ..core.booking import BookingRecord, CancellationRecord
-from ..durability.adapter import match_record, request_record
-from ..durability.checkpoint import (
-    booking_state,
-    cancellation_state,
-    restore_ride,
-    ride_state,
+from ..durability.checkpoint import restore_ride, ride_state
+from ..durability.records import (
+    BOOKING,
+    CANCELLATION,
+    COUNTS,
+    FLAG,
+    FLOAT,
+    INT,
+    MATCH,
+    OPT_FLOAT,
+    OPT_INT,
+    POINT,
+    REQUEST,
+    Codec,
+    Record,
+    many,
+    plain,
 )
-from ..durability.recovery import match_from, request_from
-from ..geo import GeoPoint
 from .proc.rpc import book_idempotency_key
 
 # Routing kinds: which slot(s) the router core sends an op to.
@@ -49,93 +58,11 @@ FAN_OUT = "fan-out"      #: the slots owning the request's walkable clusters
 BROADCAST = "broadcast"  #: every active slot, behind the tick watermark
 PER_SLOT = "per slot"    #: asked of each active slot, answers combined
 
-
-class Codec(NamedTuple):
-    """How one value crosses a hop.  ``decode`` takes the wire value and the
-    decoder's region; an ``optional`` field may be absent (or null) on the
-    wire and then decodes from ``None``."""
-
-    encode: Callable[[Any], Any]
-    decode: Callable[[Any, Any], Any]
-    optional: bool = False
-
-
-def _plain(encode: Callable[[Any], Any], decode: Callable[[Any], Any],
-           optional: bool = False) -> Codec:
-    """A codec that needs no region to decode."""
-    return Codec(encode, lambda value, _region: decode(value), optional)
-
-
-def _many(item: Codec) -> Codec:
-    return Codec(
-        lambda values: [item.encode(value) for value in values],
-        lambda values, region: [item.decode(value, region) for value in values],
-    )
-
-
-def _as_is(value: Any) -> Any:
-    return value
-
-
-def _maybe(convert: Callable[[Any], Any]) -> Callable[[Any], Any]:
-    return lambda value: None if value is None else convert(value)
-
-
-POINT = _plain(lambda point: [point.lat, point.lon],
-               lambda coords: GeoPoint(float(coords[0]), float(coords[1])))
-FLOAT = _plain(_as_is, float)
-INT = _plain(_as_is, int)
-OPT_FLOAT = _plain(_as_is, _maybe(float), optional=True)
-OPT_INT = _plain(_as_is, _maybe(int), optional=True)
-FLAG = _plain(_as_is, bool, optional=True)
-COUNTS = _plain(_as_is, lambda counts: {k: int(v) for k, v in counts.items()})
-REQUEST = _plain(request_record, request_from)
-MATCH = _plain(match_record, match_from)
-BOOKING = _plain(booking_state, lambda state: BookingRecord(**state))
-CANCELLATION = _plain(cancellation_state,
-                      lambda state: CancellationRecord(**state))
 RIDE = Codec(ride_state, lambda state, region: restore_ride(region, state))
 #: A ride named for withdrawal crosses as its id and arrives as a handle
 #: (adapters only read ``.ride_id`` of the ride they cancel).
-RIDE_HANDLE = _plain(lambda ride: ride.ride_id,
-                     lambda ride_id: SimpleNamespace(ride_id=int(ride_id)))
-
-
-class Record:
-    """An ordered list of ``(json_key, codec)`` pairs: positional values on
-    one side of a hop, a JSON object on the wire."""
-
-    def __init__(self, *fields: Tuple[str, Codec]):
-        self.fields = fields
-
-    def encode(self, values: Sequence[Any]) -> Dict[str, Any]:
-        return {key: codec.encode(value)
-                for (key, codec), value in zip(self.fields, values)}
-
-    def decode(self, payload: Dict[str, Any], region: Any = None) -> Tuple:
-        return tuple(
-            codec.decode(
-                payload.get(key) if codec.optional else payload[key], region)
-            for key, codec in self.fields
-        )
-
-    def bind(self, args: Tuple, kwargs: Dict[str, Any]) -> Tuple:
-        """The positional values of a call made with ``*args, **kwargs``
-        (keywords are the JSON keys; optional fields default to None)."""
-        if len(args) > len(self.fields):
-            raise TypeError(
-                f"takes {len(self.fields)} arguments, got {len(args)}")
-        values = list(args)
-        for key, codec in self.fields[len(args):]:
-            if key in kwargs:
-                values.append(kwargs.pop(key))
-            elif codec.optional:
-                values.append(None)
-            else:
-                raise TypeError(f"missing argument {key!r}")
-        if kwargs:
-            raise TypeError(f"unexpected arguments {sorted(kwargs)}")
-        return tuple(values)
+RIDE_HANDLE = plain(lambda ride: ride.ride_id,
+                    lambda ride_id: SimpleNamespace(ride_id=int(ride_id)))
 
 
 @dataclass(frozen=True)
@@ -215,14 +142,14 @@ _OPS = (
        Record(("ride_id", INT)), Record(("ride", RIDE))),
     Op("search", "search", FAN_OUT, False,
        Record(("request", REQUEST), ("k", OPT_INT)),
-       Record(("matches", _many(MATCH))), http=("POST", "/v1/search")),
+       Record(("matches", many(MATCH))), http=("POST", "/v1/search")),
     Op("track", "track_all", BROADCAST, True,
        Record(("now_s", FLOAT)), Record(("affected", INT)),
        http=("POST", "/v1/track"), idem=lambda now_s: f"track:{now_s}"),
     Op("active_rides", "active_rides", PER_SLOT, False,
-       result=Record(("rides", _many(RIDE))), http=("GET", "/v1/rides")),
+       result=Record(("rides", many(RIDE))), http=("GET", "/v1/rides")),
     Op("bookings", "bookings", PER_SLOT, False,
-       result=Record(("bookings", _many(BOOKING)))),
+       result=Record(("bookings", many(BOOKING)))),
     Op("index_stats", "index_stats", PER_SLOT, False,
        result=Record(("stats", COUNTS)), http=("GET", "/v1/index-stats")),
     Op("rollback_count", "rollback_count", PER_SLOT, False,

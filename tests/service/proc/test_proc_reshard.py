@@ -193,3 +193,30 @@ def test_parent_format_thread_manifest_still_opens(
         assert _ledger(reopened) == before
         assert _live(reopened) == live
         assert reopened.audit()["violations"] == 0
+
+
+def test_reshard_verify_names_a_ride_the_tables_misplace(
+    small_region, saved_region_dir, small_city, tmp_path, capsys
+):
+    """Ownership is resolved through the committed routing tables: a
+    ``ride_homes`` entry pointing a ride at another slot fails the proof."""
+    with ShardRouter(
+        small_region, 2, seed=11, fanout="all", queue_depth=1024,
+        durability=DurabilityConfig(directory=str(tmp_path), fsync_every=1),
+        reshard=ReshardConfig(max_shards=6),
+    ) as router:
+        seed_fleet(router, small_city)
+        router.split_shard(0)
+        ride_id = min(_live(router))
+        home = router.table.shard_of_ride(ride_id)
+        elsewhere = next(slot for slot in router.active_slot_ids()
+                         if slot != home)
+
+    assert xar(["reshard", "verify", saved_region_dir, str(tmp_path)]) == 0
+    capsys.readouterr()
+    _rewrite_manifest(tmp_path, lambda manifest: manifest["ride_homes"]
+                      .update({str(ride_id): elsewhere}))
+    assert xar(["reshard", "verify", saved_region_dir, str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert (f"ride {ride_id} recovered in slot {home} but the routing "
+            f"tables assign it to slot {elsewhere}") in err

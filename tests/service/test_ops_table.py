@@ -8,7 +8,9 @@ argument set, and is
 * replayed on a bare ``XARAdapter`` — the reference answers, which are also
   the samples that round-trip through ``encode -> JSON -> decode``;
 * replayed through the thread transport, the process transport and
-  gateway + ``HttpServiceClient``, whose answers must equal the reference's.
+  gateway + ``HttpServiceClient``, whose answers must equal the reference's;
+* replayed on an ``XARAdapter`` + ``DurableAdapter`` stack that is then
+  abandoned: the engine recovered from its WAL must equal the reference's.
 
 A façade given a hand-written codec again would drop or misname a field and
 fail the comparison; a field added to ``ops.py`` alone crosses RPC and HTTP
@@ -28,7 +30,16 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core import XAREngine
+from repro.core.booking import BookingRollback
 from repro.core.request import RideRequest
+from repro.discretization import region_digest
+from repro.durability import (
+    DurableAdapter,
+    WriteAheadLog,
+    engine_state,
+    recover_engine,
+)
+from repro.durability.records import ABORT, ROLLBACK, WAL_OPS
 from repro.exceptions import RpcError
 from repro.resilience import InvariantAuditor
 from repro.service import Gateway, GatewayConfig, HttpServiceClient
@@ -92,9 +103,11 @@ class Reference:
     """The bare adapter; the ops it has no method for are read off its
     engine the way a one-shard service would answer them."""
 
-    def __init__(self, region):
+    def __init__(self, region, wal=None):
         self.engine = XAREngine(region)
         self.adapter = XARAdapter(self.engine)
+        if wal is not None:
+            self.adapter = DurableAdapter(self.adapter, wal)
 
     def find_ride(self, ride_id):
         return self.engine.rides[ride_id]
@@ -199,6 +212,51 @@ def test_args_and_results_round_trip_through_json(reference, region):
         assert op.encode_result(back) == wire, name
         if op.result is not None and len(op.result.fields) != 1:
             assert back == (answer if op.result.fields else None), name
+
+
+def test_persisted_rows_round_trip_through_json():
+    """The rows only a WAL or a checkpoint carries: a rollback, and the
+    aborts of a booking and of a create (which names no request)."""
+    rollback = BookingRollback(501, 3, "BookingError", "ride 3 is gone")
+    wire = json.loads(json.dumps(ROLLBACK.encode(rollback)))
+    assert list(wire) == ["request_id", "ride_id", "error", "reason"]
+    assert ROLLBACK.decode(wire, None) == rollback
+    for values in ((17, 501, 3, "BookingError", "ride 3 is gone"),
+                   (18, None, 4, "NoPathError", "no route")):
+        wire = json.loads(json.dumps(ABORT.encode(values)))
+        assert list(wire) == ["aborts", "request_id", "ride_id", "error",
+                              "reason"]
+        assert ABORT.decode(wire) == values
+    # An aborted booking's record reads back as its rollback.
+    wire = ABORT.encode((17, 501, 3, "BookingError", "ride 3 is gone"))
+    assert ROLLBACK.decode(wire, None) == rollback
+
+
+def test_every_logged_op_has_a_wal_record():
+    assert set(WAL_OPS) == {op.name for op in OPS.values() if op.adapter_job}
+
+
+def test_the_session_recovers_from_a_durable_stack(
+    reference, city, region, tmp_path
+):
+    """The scripted session on ``XARAdapter`` + ``DurableAdapter``, abandoned
+    (process death) and recovered from its WAL alone, is the reference."""
+    wal = WriteAheadLog.open(
+        str(tmp_path / "shard0.wal"), shard_id=0, ride_id_start=1,
+        ride_id_step=1, region_digest=region_digest(region))
+    durable = Reference(region, wal)
+    trace = run(durable, script(city, region))
+    assert [step[3] for step in trace] == [step[3] for step in reference]
+    durable.adapter.abandon()
+    recovered = recover_engine(region, str(tmp_path / "shard0.wal")).engine
+    expected = Reference(region)
+    run(expected, script(city, region))
+    got, want = engine_state(recovered), engine_state(expected.engine)
+    # Replay keeps the request-id allocator past every logged request (the
+    # script names its request ids instead of allocating them).
+    assert got["counters"].pop("request_next") == 502
+    want["counters"].pop("request_next")
+    assert got == want
 
 
 def test_the_documented_table_is_the_declared_one():
