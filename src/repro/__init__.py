@@ -25,112 +25,62 @@ See ``examples/`` for runnable scenarios and ``benchmarks/`` for the
 per-figure reproduction harness.
 """
 
-from .config import DEFAULT_CONFIG, XARConfig, paper_nyc_config
-from .exceptions import (
-    BookingError,
-    CircuitOpenError,
-    ConfigurationError,
-    DeadlineExceededError,
-    DiscretizationError,
-    NoPathError,
-    PlannerError,
-    RequestError,
-    ResilienceError,
-    RideError,
-    RoadNetworkError,
-    TransientFaultError,
-    UncoveredLocationError,
-    UnknownRideError,
-    XARError,
-)
-from .geo import BoundingBox, GeoPoint, GridIndex
-from .roadnet import RoadNetwork, manhattan_city, radial_city, random_planar_city
-from .landmarks import Landmark, extract_landmarks, synthesize_pois
-from .clustering import greedy_search, landmark_distance_matrix
-from .discretization import Cluster, DiscretizedRegion, WalkOption, build_region
-from .core import (
-    BookingRecord,
-    BookingRollback,
-    EngineInvariantError,
-    MatchOption,
-    Ride,
-    RideRequest,
-    RideStatus,
-    XAREngine,
-    validate_engine,
-)
-from .resilience import (
-    AuditReport,
-    InvariantAuditor,
-    ResilienceConfig,
-    ResilientEngine,
-    RetryPolicy,
-)
-from .baselines import TShareEngine
-from .workloads import NYCWorkloadGenerator, trips_to_requests
-from .mmtp import AiderMode, EnhancerMode, MultiModalPlanner, synthetic_feed
-from .social import SocialNetwork, small_world_network, social_ranking
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "XARConfig",
-    "DEFAULT_CONFIG",
-    "paper_nyc_config",
-    "validate_engine",
-    "EngineInvariantError",
-    "XARError",
-    "ConfigurationError",
-    "RoadNetworkError",
-    "NoPathError",
-    "DiscretizationError",
-    "UncoveredLocationError",
-    "RideError",
-    "UnknownRideError",
-    "BookingError",
-    "RequestError",
-    "PlannerError",
-    "ResilienceError",
-    "TransientFaultError",
-    "DeadlineExceededError",
-    "CircuitOpenError",
-    "BookingRollback",
-    "AuditReport",
-    "InvariantAuditor",
-    "ResilienceConfig",
-    "ResilientEngine",
-    "RetryPolicy",
-    "GeoPoint",
-    "BoundingBox",
-    "GridIndex",
-    "RoadNetwork",
-    "manhattan_city",
-    "radial_city",
-    "random_planar_city",
-    "Landmark",
-    "synthesize_pois",
-    "extract_landmarks",
-    "greedy_search",
-    "landmark_distance_matrix",
-    "Cluster",
-    "WalkOption",
-    "DiscretizedRegion",
-    "build_region",
-    "Ride",
-    "RideStatus",
-    "RideRequest",
-    "MatchOption",
-    "BookingRecord",
-    "XAREngine",
-    "TShareEngine",
-    "NYCWorkloadGenerator",
-    "trips_to_requests",
-    "MultiModalPlanner",
-    "synthetic_feed",
-    "AiderMode",
-    "EnhancerMode",
-    "SocialNetwork",
-    "small_world_network",
-    "social_ranking",
-    "__version__",
-]
+# Resolved on first use: importing one submodule (a shard process imports
+# ``repro.service.proc.worker``) must not load every other one.
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".config": ("XARConfig", "DEFAULT_CONFIG", "paper_nyc_config"),
+    ".exceptions": (
+        "XARError",
+        "ConfigurationError",
+        "RoadNetworkError",
+        "NoPathError",
+        "DiscretizationError",
+        "UncoveredLocationError",
+        "RideError",
+        "UnknownRideError",
+        "BookingError",
+        "RequestError",
+        "PlannerError",
+        "ResilienceError",
+        "TransientFaultError",
+        "DeadlineExceededError",
+        "CircuitOpenError",
+    ),
+    ".geo": ("GeoPoint", "BoundingBox", "GridIndex"),
+    ".roadnet": (
+        "RoadNetwork", "manhattan_city", "radial_city", "random_planar_city",
+    ),
+    ".landmarks": ("Landmark", "synthesize_pois", "extract_landmarks"),
+    ".clustering": ("greedy_search", "landmark_distance_matrix"),
+    ".discretization": (
+        "Cluster", "WalkOption", "DiscretizedRegion", "build_region",
+    ),
+    ".core": (
+        "validate_engine",
+        "EngineInvariantError",
+        "BookingRollback",
+        "Ride",
+        "RideStatus",
+        "RideRequest",
+        "MatchOption",
+        "BookingRecord",
+        "XAREngine",
+    ),
+    ".resilience": (
+        "AuditReport",
+        "InvariantAuditor",
+        "ResilienceConfig",
+        "ResilientEngine",
+        "RetryPolicy",
+    ),
+    ".baselines": ("TShareEngine",),
+    ".workloads": ("NYCWorkloadGenerator", "trips_to_requests"),
+    ".mmtp": ("MultiModalPlanner", "synthetic_feed", "AiderMode",
+              "EnhancerMode"),
+    ".social": ("SocialNetwork", "small_world_network", "social_ranking"),
+})
+__all__.append("__version__")

@@ -9,7 +9,7 @@ Commands mirror a deployment's lifecycle:
 * ``loadtest``      drive the sharded service with the load generator
   (``--procs`` promotes shards to supervised subprocesses, ``--remote URL``
   drives a running gateway over HTTP),
-* ``serve``         run the process-shard fleet behind the async HTTP
+* ``serve``         run the process-shard fleet behind the threaded HTTP
   gateway until SIGTERM,
 * ``metrics``       replay a workload on an instrumented engine and dump
   its metrics (Prometheus text or JSON),
@@ -1130,7 +1130,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "serve",
-        help="run the process-shard fleet behind the async HTTP gateway "
+        help="run the process-shard fleet behind the threaded HTTP gateway "
              "until SIGTERM (drains in-flight requests on shutdown)",
     )
     p.add_argument("region")

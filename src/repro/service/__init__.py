@@ -25,47 +25,25 @@ drive a sharded fleet unchanged.
 
 Process mode (:mod:`~repro.service.proc`) promotes each shard worker to a
 supervised *subprocess* — real fault domains, no shared GIL — behind the
-same adapter surface (:class:`ProcRouter`), with an async HTTP gateway
+same adapter surface (:class:`ProcRouter`), with a threaded HTTP gateway
 (:class:`Gateway`) and client (:class:`HttpServiceClient`) on top.
 """
 
-from .loadgen import LoadGenConfig, LoadGenerator, LoadReport, skew_hotspot
-from .merge import merge_matches, rank_key
-from .proc import (
-    Gateway,
-    GatewayConfig,
-    HttpServiceClient,
-    ProcRouter,
-    ShardSupervisor,
-    SupervisorConfig,
-)
-from .reshard import ReshardAction, ReshardConfig, ReshardController
-from .router import ShardRouter
-from .shard import ShardStats, ShardWorker
-from .sharding import ShardMap, derive_seed, shard_local_requests
-from .slo import ServiceSLO
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Gateway",
-    "GatewayConfig",
-    "HttpServiceClient",
-    "LoadGenConfig",
-    "LoadGenerator",
-    "LoadReport",
-    "merge_matches",
-    "rank_key",
-    "ProcRouter",
-    "ReshardAction",
-    "ReshardConfig",
-    "ReshardController",
-    "ShardRouter",
-    "ShardStats",
-    "ShardWorker",
-    "ShardMap",
-    "ShardSupervisor",
-    "SupervisorConfig",
-    "derive_seed",
-    "shard_local_requests",
-    "skew_hotspot",
-    "ServiceSLO",
-]
+# Resolved on first use, so a shard process importing its own stack does not
+# load the load generator, the gateway or the supervisor.
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".proc.gateway": ("Gateway", "GatewayConfig"),
+    ".proc.client": ("HttpServiceClient",),
+    ".loadgen": ("LoadGenConfig", "LoadGenerator", "LoadReport",
+                 "skew_hotspot"),
+    ".merge": ("merge_matches", "rank_key"),
+    ".proc.router": ("ProcRouter",),
+    ".reshard": ("ReshardAction", "ReshardConfig", "ReshardController"),
+    ".router": ("ShardRouter",),
+    ".shard": ("ShardStats", "ShardWorker"),
+    ".sharding": ("ShardMap", "derive_seed", "shard_local_requests"),
+    ".proc.supervisor": ("ShardSupervisor", "SupervisorConfig"),
+    ".slo": ("ServiceSLO",),
+})

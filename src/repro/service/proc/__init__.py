@@ -1,4 +1,4 @@
-"""Process-isolated shards: supervision tree, RPC, async gateway.
+"""Process-isolated shards: supervision tree, RPC, HTTP gateway.
 
 This package promotes :class:`~repro.service.shard.ShardWorker` from a
 thread to a *subprocess*, giving every shard a real fault domain (a wedged
@@ -19,27 +19,21 @@ with cores instead of capping out near the 4-thread ceiling):
 * :mod:`~repro.service.proc.router` — :class:`ProcRouter`, the router core
   over that transport (the thread router's routing, merge, degradation and
   resharding, verbatim);
-* :mod:`~repro.service.proc.gateway` — an ``asyncio`` HTTP/JSON gateway
-  with admission control and deadline-based load shedding;
+* :mod:`~repro.service.proc.gateway` — a threaded HTTP/JSON gateway (a
+  thread per connection) with admission control and deadline-based load
+  shedding;
 * :mod:`~repro.service.proc.client` — the HTTP client adapter that lets
   the load generator drive a remote gateway like a real client fleet.
 """
 
-from .client import HttpServiceClient
-from .gateway import Gateway, GatewayConfig
-from .router import ProcRouter
-from .rpc import RetryPolicy, read_frame, write_frame
-from .supervisor import ProcShard, ShardSupervisor, SupervisorConfig
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "Gateway",
-    "GatewayConfig",
-    "HttpServiceClient",
-    "ProcRouter",
-    "ProcShard",
-    "RetryPolicy",
-    "ShardSupervisor",
-    "SupervisorConfig",
-    "read_frame",
-    "write_frame",
-]
+# Resolved on first use: the shard child imports ``worker`` through this
+# package and must not load the gateway, client or supervisor with it.
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".gateway": ("Gateway", "GatewayConfig"),
+    ".client": ("HttpServiceClient",),
+    ".router": ("ProcRouter",),
+    ".supervisor": ("ProcShard", "ShardSupervisor", "SupervisorConfig"),
+    ".rpc": ("RetryPolicy", "read_frame", "write_frame"),
+})

@@ -67,6 +67,7 @@ from ...exceptions import (
     RpcProtocolError,
     RpcTransportError,
     ServiceClosedError,
+    ServiceError,
     ShardOverloadError,
     ShardQuarantinedError,
     WorkerCrashError,
@@ -156,6 +157,49 @@ class _Sent(NamedTuple):
     sock: socket.socket
     request_id: int
     started: float  #: perf_counter just before the frame was written
+
+
+#: How often a handshake waiting for its child checks the child is alive.
+_ACCEPT_POLL_S = 0.05
+
+
+@dataclass
+class _Launch:
+    """A child on its way up: spawned, not yet connected back."""
+
+    shard: "ProcShard"
+    generation: int
+    socket_path: str
+    log_path: str
+    listener: socket.socket
+    deadline: float  #: monotonic time by which the child must connect back
+    process: Optional[subprocess.Popen] = None
+
+    def check_booting(self) -> None:
+        """Raise if the child can no longer connect back in time."""
+        shard_id = self.shard.shard_id
+        code = self.process.poll()
+        if code is not None:
+            raise ServiceError(
+                f"shard {shard_id} exited with code {code} before "
+                f"connecting back (log: {self.log_path})")
+        if time.monotonic() >= self.deadline:
+            raise ServiceError(
+                f"shard {shard_id} did not connect back in time "
+                f"(log: {self.log_path})")
+
+    def abort(self) -> None:
+        """Kill the child, close the listener, remove the socket file."""
+        process = self.process
+        if process is not None:
+            if process.poll() is None:
+                process.kill()
+            process.wait()
+        _close_quietly(self.listener)
+        try:
+            os.unlink(self.socket_path)
+        except FileNotFoundError:
+            pass
 
 
 class ProcShard:
@@ -553,12 +597,7 @@ class ShardSupervisor:
                 save_region(region, self.region_dir)
         self.shards: List[ProcShard] = []
         try:
-            for slot, spec in enumerate(specs):
-                if spec is not None:
-                    self.start(spec)
-                else:
-                    self.shards.append(ProcShard(slot, config, self))
-                    self.shards[slot].state = STOPPED
+            self._boot(specs)
         except Exception:
             self.close()
             raise
@@ -630,6 +669,29 @@ class ShardSupervisor:
             "log": os.path.join(self.run_dir, f"shard{shard_id}.log"),
         }
 
+    def _boot(self, specs: List[Optional[ShardSpec]]) -> None:
+        """Bring up the first generation of every slot as a scatter/gather:
+        every child is launched before any handshake is awaited, so the
+        children import, recover and build their path trees at the same
+        time.  A slot that cannot boot takes every launched child down with
+        it (killed, socket file removed) before the error propagates."""
+        launches: List[_Launch] = []
+        try:
+            for slot, spec in enumerate(specs):
+                shard = ProcShard(slot, self.config, self)
+                self.shards.append(shard)
+                if spec is None:
+                    shard.state = STOPPED
+                    continue
+                shard.spec = spec
+                launches.append(self._launch(shard))
+            for launch in launches:
+                self._handshake(launch)
+        except BaseException:
+            for launch in launches:
+                launch.abort()
+            raise
+
     def _spawn(self, shard: ProcShard, count_restart: bool = False) -> None:
         """Start one shard process and wait for it to connect back.
 
@@ -640,6 +702,11 @@ class ShardSupervisor:
         the LIVE state, so counting afterwards raced observers that act on
         the recovered shard and then read ``restarts``.
         """
+        self._handshake(self._launch(shard), count_restart)
+
+    def _launch(self, shard: ProcShard) -> "_Launch":
+        """First half of a spawn: bind the next generation's socket, write
+        the child's config and start the process, without waiting for it."""
         cfg = self.config
         generation = shard.generation + 1
         paths = self._shard_paths(shard.shard_id, generation)
@@ -656,25 +723,47 @@ class ShardSupervisor:
         }
         with open(paths["config"], "w", encoding="utf-8") as handle:
             json.dump(child_config, handle)
-        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        process = None
+        launch = _Launch(
+            shard, generation, paths["socket"], paths["log"],
+            socket.socket(socket.AF_UNIX, socket.SOCK_STREAM),
+            deadline=time.monotonic() + cfg.spawn_timeout_s,
+        )
         try:
-            listener.bind(paths["socket"])
-            listener.listen(cfg.ops_connections + 1)
-            listener.settimeout(cfg.spawn_timeout_s)
+            launch.listener.bind(paths["socket"])
+            launch.listener.listen(cfg.ops_connections + 1)
             with open(paths["log"], "ab") as log_handle:
-                process = subprocess.Popen(
+                launch.process = subprocess.Popen(
                     [sys.executable, "-m", "repro.service.proc.worker",
                      paths["config"]],
                     stdout=log_handle,
                     stderr=subprocess.STDOUT,
                     env=self._child_env(),
                 )
-            ops_socks: List[socket.socket] = []
-            hb_sock: Optional[socket.socket] = None
-            recovery: Optional[Dict[str, Any]] = None
+        except BaseException:
+            launch.abort()
+            raise
+        return launch
+
+    def _handshake(self, launch: "_Launch",
+                   count_restart: bool = False) -> None:
+        """Second half of a spawn: accept the child's channels, adopt the
+        generation and start its heartbeat reader.  The spawn fails when
+        the child exits, or has not connected back ``spawn_timeout_s`` after
+        its launch; a failed handshake kills the child and removes its
+        socket file."""
+        cfg = self.config
+        shard, generation = launch.shard, launch.generation
+        ops_socks: List[socket.socket] = []
+        hb_sock: Optional[socket.socket] = None
+        recovery: Optional[Dict[str, Any]] = None
+        launch.listener.settimeout(_ACCEPT_POLL_S)
+        try:
             while len(ops_socks) < cfg.ops_connections or hb_sock is None:
-                conn, _addr = listener.accept()
+                try:
+                    conn, _addr = launch.listener.accept()
+                except socket.timeout:
+                    launch.check_booting()
+                    continue
                 conn.settimeout(cfg.spawn_timeout_s)
                 hello = read_frame(conn)
                 if hello.get("generation") != generation:
@@ -685,17 +774,18 @@ class ShardSupervisor:
                     recovery = hello.get("recovery")
                 else:
                     ops_socks.append(conn)
-        except Exception:
-            if process is not None and process.poll() is None:
-                process.kill()
-                process.wait()
+        except BaseException:
+            for sock in ops_socks + [hb_sock]:
+                if sock is not None:
+                    _close_quietly(sock)
+            launch.abort()
             raise
         finally:
-            _close_quietly(listener)
+            _close_quietly(launch.listener)
         if count_restart:
             shard.restarts += 1
             self._c_restarts.labels(shard=str(shard.shard_id)).inc()
-        shard.adopt(process, generation, ops_socks, hb_sock, recovery)
+        shard.adopt(launch.process, generation, ops_socks, hb_sock, recovery)
         threading.Thread(
             target=self._heartbeat_loop,
             args=(shard, generation, hb_sock),

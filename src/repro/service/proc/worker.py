@@ -3,7 +3,8 @@
 One process per shard.  On start the child
 
 1. loads the discretized region from disk (regions are content-digested,
-   so parent and child provably serve the same geometry),
+   so parent and child provably serve the same geometry) and builds its
+   landmark shortest-path trees, so the first booking does not pay for them,
 2. builds the one :class:`~repro.service.stack.ShardStack` a thread shard
    runs too — engine **recovered** from the spec's WAL when it exists
    (restart *is* crash recovery; there is no separate cold path), then
@@ -58,6 +59,11 @@ class ShardProcess:
         self.generation = int(config.get("generation", 0))
         self.metrics = MetricsRegistry()
         region = load_region(config["region_dir"])
+        # Built before the child connects back, so the shard reports LIVE
+        # with what a booking splice reads already in place, and a fleet's
+        # children build theirs at the same time.  (Thread shards share
+        # one region and keep the lazy build.)
+        region.path_trees()
         #: The same stack a thread shard runs — recovered from the spec's
         #: WAL when it exists — so admission control, the bounded queue and
         #: the inline read path behave exactly as in thread mode.

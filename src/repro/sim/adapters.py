@@ -21,12 +21,15 @@ stays reachable through the ``.engine`` attribute chain
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Protocol, runtime_checkable
+from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Protocol,
+                    runtime_checkable)
 
-from ..baselines import TShareEngine
 from ..core import XAREngine
 from ..core.request import RideRequest
 from ..geo import GeoPoint
+
+if TYPE_CHECKING:
+    from ..baselines import TShareEngine
 
 
 @runtime_checkable

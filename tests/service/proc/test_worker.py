@@ -60,3 +60,20 @@ def test_heartbeat_reports_current_queue_depth_not_the_lifetime_peak(
         parent_end.close()
         worker.close()
         child.stack.release_wal(sync=True)
+
+
+def test_path_trees_are_built_before_the_child_connects_back(
+    saved_region_dir, tmp_path
+):
+    child = ShardProcess({
+        "region_dir": saved_region_dir,
+        "spec": dataclasses.asdict(ShardSpec(
+            0, 1, 1, str(tmp_path / "shard0.wal"),
+            str(tmp_path / "shard0.ckpt"))),
+        "stack": dataclasses.asdict(StackConfig()),
+    })
+    try:
+        assert child.stack.engine.region._path_trees is not None
+    finally:
+        child.stack.worker.close()
+        child.stack.release_wal(sync=True)
