@@ -13,6 +13,8 @@ import pytest
 
 import repro.core.reachability as reach_module
 from repro.core import XAREngine
+from tests.entry_faults import corrupt_entry
+from tests.reference_write_path import RefReachableInfo
 
 from .conftest import populate_xar
 
@@ -26,28 +28,27 @@ def _entries_with_patch(monkeypatch_like, region, requests, prune: bool):
     else:
 
         def build(region_arg, ride):
-            entry = original(region_arg, ride)
+            entries = {ride.ride_id: original(region_arg, ride)}
             # Un-pruned variant: add every cluster within the detour limit of
             # any pass-through cluster, regardless of the detour test.
             drive = region_arg.config.drive_seconds
-            for visit in entry.pass_through:
-                for candidate, dist in region_arg.clusters_within(
-                    visit.cluster_id, ride.detour_limit_m
-                ):
-                    info = entry.reachable.get(candidate)
-                    from repro.index import ReachableInfo
-
-                    if info is None:
-                        info = ReachableInfo(cluster_id=candidate)
-                        entry.reachable[candidate] = info
-                    info.merge(
-                        support=visit.cluster_id,
-                        eta_s=visit.eta_s + drive(dist),
-                        detour_m=max(info.detour_estimate_m, 0.0)
-                        if info.detour_estimate_m != float("inf")
-                        else dist,
-                    )
-            return entry
+            with corrupt_entry(entries, ride.ride_id) as entry:
+                for visit in entry.pass_through:
+                    for candidate, dist in region_arg.clusters_within(
+                        visit.cluster_id, ride.detour_limit_m
+                    ):
+                        info = entry.reachable.get(candidate)
+                        if info is None:
+                            info = RefReachableInfo(cluster_id=candidate)
+                            entry.reachable[candidate] = info
+                        info.merge(
+                            support=visit.cluster_id,
+                            eta_s=visit.eta_s + drive(dist),
+                            detour_m=max(info.detour_estimate_m, 0.0)
+                            if info.detour_estimate_m != float("inf")
+                            else dist,
+                        )
+            return entries[ride.ride_id]
 
     reach_module_build = reach_module.build_ride_entry
     import repro.core.engine as engine_module

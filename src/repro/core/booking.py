@@ -420,20 +420,8 @@ def _best_segment_pair(
     info_dropoff = entry.reachable.get(match.dropoff_cluster)
     if info_pickup is None or info_dropoff is None:
         return None
-    pickup_segments = sorted(
-        {
-            visit.segment_index
-            for visit in entry.pass_through
-            if visit.cluster_id in info_pickup.supports
-        }
-    )
-    dropoff_segments = sorted(
-        {
-            visit.segment_index
-            for visit in entry.pass_through
-            if visit.cluster_id in info_dropoff.supports
-        }
-    )
+    pickup_segments = entry.support_segments(match.pickup_cluster)
+    dropoff_segments = entry.support_segments(match.dropoff_cluster)
     best: Optional[Tuple[float, int, int]] = None
     for sp in pickup_segments:
         for sd in dropoff_segments:

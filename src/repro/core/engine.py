@@ -236,9 +236,7 @@ class XAREngine:
         # for add's earliest-wins rule to arbitrate — and if a stale stray
         # row survived an earlier corruption, add would silently keep its
         # outdated ETA where update replaces it with the recomputed one.
-        etas = {
-            cluster_id: info.eta_s for cluster_id, info in entry.reachable.items()
-        }
+        etas = entry.reachable_etas()
         for cluster_id, eta_s in etas.items():
             self.cluster_index.update(cluster_id, ride.ride_id, eta_s)
         if self.flat_index is not None:
@@ -495,9 +493,9 @@ class XAREngine:
                 "completed_rides": len(self.completed_rides),
                 "cluster_entries": self.cluster_index.total_entries(),
                 "pass_through_total": sum(
-                    len(entry.pass_through) for entry in self.ride_entries.values()
+                    len(entry.visit_i) for entry in self.ride_entries.values()
                 ),
                 "reachable_total": sum(
-                    len(entry.reachable) for entry in self.ride_entries.values()
+                    len(entry.reach_i) for entry in self.ride_entries.values()
                 ),
             }

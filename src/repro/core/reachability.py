@@ -21,86 +21,131 @@ the nearest pass-through cluster of the segment stands in.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
 from ..discretization import DiscretizedRegion
-from ..index import PassThrough, ReachableInfo, RideIndexEntry, SegmentMeta
+from ..index import RideIndexEntry
 from .ride import Ride
+
+
+class _Visits(NamedTuple):
+    """Pass-through visits as parallel lists, in route order."""
+
+    cluster: List[int]
+    segment: List[int]
+    eta: List[float]
+    offset: List[float]
+    landmark: List[int]
+
+
+class _OffRoute(NamedTuple):
+    """What the detour pass adds to the pass-through rows."""
+
+    #: New (off-route) rows, in row order: cluster, ETA, detour and the
+    #: visit whose landmarks the row keeps.
+    cluster: np.ndarray
+    eta: np.ndarray
+    detour: np.ndarray
+    winner: np.ndarray
+    #: Pass-through rows met as candidates, with their best candidate ETA.
+    pt_row: np.ndarray
+    pt_eta: np.ndarray
+    #: Every passing (visit, candidate) pair as a support: row, visit.
+    pair_row: np.ndarray
+    pair_visit: np.ndarray
 
 
 def build_ride_entry(region: DiscretizedRegion, ride: Ride) -> RideIndexEntry:
     """Compute the full index entry (pass-through + reachable) for a ride."""
-    entry = RideIndexEntry(ride_id=ride.ride_id)
     visits = _pass_through_visits(region, ride)
-    entry.pass_through = visits
-    entry.segments = _segment_meta(region, ride)
-    if not visits:
-        return entry
-
-    via_landmarks = {
-        segment_index: _via_landmark(region, ride, segment_index, visits)
+    m = len(visits.cluster)
+    via_landmarks = [
+        _via_landmark(region, ride, segment_index, visits)
         for segment_index in range(ride.n_segments)
-    }
+    ]
+    c = np.array(visits.cluster, dtype=np.int64)
+    eta = np.array(visits.eta, dtype=np.float64)
+    landmark = np.array(visits.landmark, dtype=np.int64)
+    segment = np.array(visits.segment, dtype=np.int64)
+    # Pass-through clusters serve requests with zero cluster-level detour,
+    # each supported by its own visit; their rows come first, in route order.
+    clusters = c
+    reach_eta = eta.copy()
+    detour = np.zeros(m)
+    support_lm = landmark
+    via_lm = np.array(via_landmarks, dtype=np.int64)[segment]
+    supports = np.eye(m, dtype=bool)
+    off = None
+    if m and ride.detour_limit_m > 0:
+        off = _off_route(region, ride, visits, c, eta)
+    if off is not None:
+        won = off.winner
+        clusters = np.concatenate((c, off.cluster))
+        reach_eta = np.concatenate((reach_eta, off.eta))
+        detour = np.concatenate((detour, off.detour))
+        support_lm = np.concatenate((support_lm, landmark[won]))
+        via_lm = np.concatenate((via_lm, via_lm[won]))
+        supports = np.zeros((len(clusters), m), dtype=bool)
+        supports[off.pair_row, off.pair_visit] = True
+        supports[np.arange(m), np.arange(m)] = True
+        current = reach_eta[off.pt_row]
+        reach_eta[off.pt_row] = np.where(off.pt_eta < current, off.pt_eta, current)
+    segment_landmarks, segment_length_m = _segment_meta(region, ride)
+    return RideIndexEntry(
+        ride.ride_id,
+        np.column_stack((eta, np.array(visits.offset, dtype=np.float64))),
+        np.column_stack((c, segment, landmark)),
+        np.column_stack((reach_eta, detour)),
+        np.column_stack((clusters, support_lm, via_lm)),
+        supports,
+        segment_landmarks,
+        segment_length_m,
+    )
 
-    # Pass-through clusters serve requests with zero cluster-level detour.
-    reachable = entry.reachable
-    for visit in visits:
-        info = reachable.get(visit.cluster_id)
-        if info is None:
-            info = reachable[visit.cluster_id] = ReachableInfo(visit.cluster_id)
-        info.merge(
-            support=visit.cluster_id,
-            eta_s=visit.eta_s,
-            detour_m=0.0,
-            support_landmark=visit.landmark_id,
-            via_landmark=via_landmarks.get(visit.segment_index, -1),
-        )
 
-    if ride.detour_limit_m > 0:
-        _merge_detour_reachable(region, ride, visits, via_landmarks, reachable)
-    return entry
-
-
-def _merge_detour_reachable(
+def _off_route(
     region: DiscretizedRegion,
     ride: Ride,
-    visits: List[PassThrough],
-    via_landmarks: Dict[int, int],
-    reachable: Dict[int, ReachableInfo],
-) -> None:
-    """Merge every off-route cluster within the detour limit into
-    ``reachable`` — all (visit, candidate) detour tests in one array pass.
+    visits: _Visits,
+    c: np.ndarray,
+    visit_eta: np.ndarray,
+) -> Optional[_OffRoute]:
+    """Every cluster within the detour limit of a visit — all (visit,
+    candidate) detour tests in one array pass; None when no pair passes.
 
     The scalar formulation this replaces (kept as the reference the tests
     compare against) walked segments in order, a segment's visits in route
     order, and each visit's ``clusters_within`` candidates by (distance,
-    cluster id), merging one pair at a time.  ``visits`` is already in that
-    walk order — ``_pass_through_visits`` emits them in route order and its
-    segment cursor only moves forward — and everything else order-dependent
-    in the walk is reproduced exactly:
+    cluster id), merging one pair at a time into a dict.  The visits are
+    already in that walk order — ``_pass_through_visits`` emits them in
+    route order and its segment cursor only moves forward — and everything
+    else order-dependent in the walk is reproduced exactly:
 
     * the detour is ``(D[c, x] + D[x, via]) - D[c, via]`` in that float
       operation order, kept when *not* ``> limit`` and clamped like
       ``max(0.0, detour)`` (a NaN from ``inf - inf`` passes and clamps to 0);
     * a cluster's ``support_landmark``/``via_landmark`` come from the first
       pair, in walk order, attaining its minimal detour;
-    * new clusters enter ``reachable`` in order of their first pair in the
-      walk — that dict order becomes the slab append order the flat index's
-      stable sorts tie on.
+    * new clusters get rows in order of their first pair in the walk — the
+      order the dict gave them, which becomes the slab append order the
+      flat index's stable sorts tie on;
+    * a pass-through cluster met as another visit's candidate keeps its
+      zero detour and its landmarks, gains the support and takes the
+      smaller ETA.
     """
     limit = ride.detour_limit_m
-    last_of_segment = {v.segment_index: v for v in visits}
+    last_of_segment = dict(zip(visits.segment, visits.cluster))
     via_cluster = {
-        segment_index: _via_cluster(region, ride, segment_index, last.cluster_id)
-        for segment_index, last in last_of_segment.items()
+        segment_index: _via_cluster(region, ride, segment_index, last_cluster)
+        for segment_index, last_cluster in last_of_segment.items()
     }
 
     D = region.cluster_matrix
-    m = len(visits)
-    c = np.array([v.cluster_id for v in visits], dtype=np.intp)
-    via = np.array([via_cluster[v.segment_index] for v in visits], dtype=np.intp)
+    m = len(c)
+    c = c.astype(np.intp)
+    via = np.array([via_cluster[s] for s in visits.segment], dtype=np.intp)
     d_c_cand = D[c]  # [i, x] = D[c_i, x]
     # D[x, via_i] read as D[via_i, x]: the region builds the matrix exactly
     # symmetric (one float stored both ways), and whole rows are contiguous
@@ -112,11 +157,11 @@ def _merge_detour_reachable(
     rows, cands = keep.nonzero()  # row-major: walk order of the visits
     n_pairs = len(rows)
     if not n_pairs:
-        return
+        return None
     dist = d_c_cand[rows, cands]
     det = detour[rows, cands]
     det = np.where(det > 0.0, det, 0.0)
-    eta = np.array([v.eta_s for v in visits])[rows] + region.config.drive_seconds(dist)
+    eta = visit_eta[rows] + region.config.drive_seconds(dist)
 
     # Group by candidate, then detour.  A (visit, candidate) pair is unique,
     # so within a group the scalar walk met the pairs in visit order — the
@@ -128,46 +173,36 @@ def _merge_detour_reachable(
     is_start[0] = True
     np.not_equal(grouped[1:], grouped[:-1], out=is_start[1:])
     starts = is_start.nonzero()[0]
-    winners = by[starts]
     clusters = grouped[starts]
-    eta_min = np.minimum.reduceat(eta[by], starts).tolist()
-    det_min = det[winners].tolist()
-    winner_visit = rows[winners].tolist()
-    supports = c[rows[by]].tolist()
-    bounds = starts.tolist()
-    bounds.append(n_pairs)
-    # New clusters enter the dict by their first pair in the scalar walk:
-    # their earliest visit, then that visit's (distance, cluster id) order.
+    eta_min = np.minimum.reduceat(eta[by], starts)
+
+    # Groups whose candidate is itself a pass-through cluster, and its visit.
+    order = np.argsort(c)
+    pt_visit = order[np.minimum(np.searchsorted(c, clusters, sorter=order), m - 1)]
+    is_pt = c[pt_visit] == clusters
+    # New clusters enter by their first pair in the scalar walk: their
+    # earliest visit, then that visit's (distance, cluster id) order.
     first = np.minimum.reduceat(by, starts)
-    entry_order = np.lexsort((clusters, dist[first], rows[first])).tolist()
-    clusters = clusters.tolist()
-    for g in entry_order:
-        cluster_id = clusters[g]
-        support_set = set(supports[bounds[g]:bounds[g + 1]])
-        won = visits[winner_visit[g]]
-        info = reachable.get(cluster_id)
-        if info is None:
-            reachable[cluster_id] = ReachableInfo(
-                cluster_id,
-                support_set,
-                eta_min[g],
-                det_min[g],
-                won.landmark_id,
-                via_landmarks[won.segment_index],
-            )
-            continue
-        info.supports |= support_set
-        if eta_min[g] < info.eta_s:
-            info.eta_s = eta_min[g]
-        if det_min[g] < info.detour_estimate_m:
-            info.detour_estimate_m = det_min[g]
-            info.support_landmark = won.landmark_id
-            info.via_landmark = via_landmarks[won.segment_index]
+    entry_order = np.lexsort((clusters, dist[first], rows[first]))
+    new = entry_order[~is_pt[entry_order]]
+    row_of_group = pt_visit.copy()
+    row_of_group[new] = m + np.arange(len(new))
+    winners = by[starts[new]]
+    return _OffRoute(
+        cluster=clusters[new].astype(np.int64),
+        eta=eta_min[new],
+        detour=det[winners],
+        winner=rows[winners],
+        pt_row=pt_visit[is_pt],
+        pt_eta=eta_min[is_pt],
+        pair_row=row_of_group[np.cumsum(is_start) - 1],
+        pair_visit=rows[by],
+    )
 
 
-def _pass_through_visits(region: DiscretizedRegion, ride: Ride) -> List[PassThrough]:
+def _pass_through_visits(region: DiscretizedRegion, ride: Ride) -> _Visits:
     """First-encounter cluster visits along the ride's route, in route order."""
-    visits: List[PassThrough] = []
+    visits = _Visits([], [], [], [], [])
     seen: Set[int] = set()
     landmark_of_node = region.landmark_of_node
     cluster_of_landmark = region.cluster_of_landmark
@@ -187,15 +222,11 @@ def _pass_through_visits(region: DiscretizedRegion, ride: Ride) -> List[PassThro
         seen.add(cluster_id)
         while segment < last_segment and route_index >= segment_ends[segment]:
             segment += 1
-        visits.append(
-            PassThrough(
-                cluster_id=cluster_id,
-                segment_index=segment,
-                eta_s=ride.eta_at_index(route_index),
-                route_offset_m=ride.offset_at_index(route_index),
-                landmark_id=landmark_id,
-            )
-        )
+        visits.cluster.append(cluster_id)
+        visits.segment.append(segment)
+        visits.eta.append(ride.eta_at_index(route_index))
+        visits.offset.append(ride.offset_at_index(route_index))
+        visits.landmark.append(landmark_id)
     return visits
 
 
@@ -214,28 +245,30 @@ def _via_cluster(
     return last_cluster
 
 
-def _segment_meta(region: DiscretizedRegion, ride: Ride) -> List[SegmentMeta]:
-    """Landmark-level segment descriptors for detour estimation."""
-    meta: List[SegmentMeta] = []
+def _segment_meta(
+    region: DiscretizedRegion, ride: Ride
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Landmark-level segment descriptors for detour estimation:
+    ``(start, end)`` landmarks (-1 when none) and on-route lengths."""
+    landmarks: List[Tuple[int, int]] = []
+    lengths: List[float] = []
     for segment_index in range(ride.n_segments):
         start, end = ride.segment_bounds(segment_index)
         start_hit = region.landmark_of_node(ride.route[start])
         end_hit = region.landmark_of_node(ride.route[end])
-        meta.append(
-            SegmentMeta(
-                start_landmark=start_hit[0] if start_hit else -1,
-                end_landmark=end_hit[0] if end_hit else -1,
-                length_m=ride.offset_at_index(end) - ride.offset_at_index(start),
-            )
+        landmarks.append(
+            (start_hit[0] if start_hit else -1, end_hit[0] if end_hit else -1)
         )
-    return meta
+        lengths.append(ride.offset_at_index(end) - ride.offset_at_index(start))
+    # A ride has at least one segment, so the landmark block is n x 2.
+    return np.array(landmarks, dtype=np.int64), np.array(lengths, dtype=np.float64)
 
 
 def _via_landmark(
     region: DiscretizedRegion,
     ride: Ride,
     segment_index: int,
-    visits: List[PassThrough],
+    visits: _Visits,
 ) -> int:
     """Landmark standing in for via-point ``segment_index + 1``; falls back
     to the segment's (or ride's) last pass-through landmark, else -1."""
@@ -243,7 +276,11 @@ def _via_landmark(
     hit = region.landmark_of_node(via_node)
     if hit is not None:
         return hit[0]
-    segment_visits = [v for v in visits if v.segment_index == segment_index]
+    segment_visits = [
+        landmark
+        for segment, landmark in zip(visits.segment, visits.landmark)
+        if segment == segment_index
+    ]
     if segment_visits:
-        return segment_visits[-1].landmark_id
-    return visits[-1].landmark_id if visits else -1
+        return segment_visits[-1]
+    return visits.landmark[-1] if visits.landmark else -1

@@ -269,8 +269,9 @@ def _filter_candidates(
         # index; the landmark-level refinement (the landmark matrix is in
         # memory — still no shortest path computed) gives the number reported
         # to the user and measured in Fig. 3a.
-        info_src = entry.reachable.get(option_src.cluster_id)
-        info_dst = entry.reachable.get(option_dst.cluster_id)
+        reachable = entry.reachable
+        info_src = reachable.get(option_src.cluster_id)
+        info_dst = reachable.get(option_dst.cluster_id)
         if info_src is None or info_dst is None:
             continue
         coarse = info_src.detour_estimate_m + info_dst.detour_estimate_m
@@ -335,32 +336,32 @@ def _splice_estimate(
     independently.  ``None`` when a via-point landmark is unknown (caller
     falls back to the coarse cluster-level estimate).
     """
-    if not (0 <= segment_pickup < len(entry.segments)):
+    lengths = entry.segment_length_m.tolist()
+    if not (0 <= segment_pickup < len(lengths)):
         return None
-    if not (0 <= segment_dropoff < len(entry.segments)):
+    if not (0 <= segment_dropoff < len(lengths)):
         return None
-    seg_p = entry.segments[segment_pickup]
-    seg_d = entry.segments[segment_dropoff]
-    if min(seg_p.start_landmark, seg_p.end_landmark,
-           seg_d.start_landmark, seg_d.end_landmark) < 0:
+    p_start, p_end = entry.segment_landmarks[segment_pickup].tolist()
+    d_start, d_end = entry.segment_landmarks[segment_dropoff].tolist()
+    if min(p_start, p_end, d_start, d_end) < 0:
         return None
     distance = region.landmark_matrix.distance
     if segment_pickup == segment_dropoff:
         estimate = (
-            distance(seg_p.start_landmark, pickup_landmark)
+            distance(p_start, pickup_landmark)
             + distance(pickup_landmark, dropoff_landmark)
-            + distance(dropoff_landmark, seg_p.end_landmark)
-            - seg_p.length_m
+            + distance(dropoff_landmark, p_end)
+            - lengths[segment_pickup]
         )
     else:
         estimate = (
-            distance(seg_p.start_landmark, pickup_landmark)
-            + distance(pickup_landmark, seg_p.end_landmark)
-            - seg_p.length_m
+            distance(p_start, pickup_landmark)
+            + distance(pickup_landmark, p_end)
+            - lengths[segment_pickup]
         ) + (
-            distance(seg_d.start_landmark, dropoff_landmark)
-            + distance(dropoff_landmark, seg_d.end_landmark)
-            - seg_d.length_m
+            distance(d_start, dropoff_landmark)
+            + distance(dropoff_landmark, d_end)
+            - lengths[segment_dropoff]
         )
     if estimate == float("inf") or estimate != estimate:
         return None

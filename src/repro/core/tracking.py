@@ -12,16 +12,19 @@ surfacing the ride as a potential match.  The paper's three steps:
 * **Step 3** — drop the crossed pass-through clusters from the ride's
   pass-through list.
 
-:class:`~repro.index.ride_index.RideIndexEntry` stores, per reachable
-cluster, the set of supporting pass-through clusters, which makes Step 2 a
-set-difference.  A ride past its arrival time is removed entirely.
+:class:`~repro.index.ride_index.RideIndexEntry` stores a boolean support
+matrix (reachable cluster x pass-through visit), so Steps 1–3 are one mask:
+the visits whose ETA has passed lose their columns, the rows left with no
+support are the obsolete clusters, and the entry is replaced by the masked
+one.  A ride past its arrival time is removed entirely.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Set
+from typing import TYPE_CHECKING, Optional
 
 from ..exceptions import UnknownRideError
+from ..index import RideIndexEntry
 from .ride import Ride, RideStatus
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -59,36 +62,29 @@ def track_ride(engine: "XAREngine", ride_id: int, now_s: float) -> None:
     apply_obsolescence(engine, ride_id, now_s)
 
 
-def apply_obsolescence(engine: "XAREngine", ride_id: int, now_s: float) -> None:
-    """Steps 1–3 for one ride at time ``now_s``."""
+def apply_obsolescence(
+    engine: "XAREngine", ride_id: int, now_s: float
+) -> Optional[RideIndexEntry]:
+    """Steps 1–3 for one ride at time ``now_s``; returns the ride's entry
+    as it now stands (a new one if any visit was crossed)."""
     entry = engine.ride_entries.get(ride_id)
     if entry is None:
-        return
-    crossed: Set[int] = {
-        visit.cluster_id for visit in entry.pass_through if visit.eta_s <= now_s
-    }
-    if not crossed:
-        return
+        return None
+    step = entry.after(now_s)
+    if step is None:
+        return entry
+    engine.ride_entries[ride_id] = step.entry
+    # Clusters that lost all support are truly obsolete and leave the
+    # potential-ride lists.
+    for cluster_id in step.orphaned:
+        engine.cluster_index.remove(cluster_id, ride_id)
     flat_index = getattr(engine, "flat_index", None)
     if flat_index is not None:
-        # Clusters about to lose a support (read before the sets shrink).
-        shrunk = [
-            cluster_id
-            for cluster_id, info in entry.reachable.items()
-            if not info.supports.isdisjoint(crossed)
-        ]
-    # Step 1 + 2: withdraw crossed supports; clusters losing all support are
-    # truly obsolete and leave the potential-ride lists.
-    orphaned = entry.remove_supports(crossed)
-    for cluster_id in orphaned:
-        engine.cluster_index.remove(cluster_id, ride_id)
-    # Step 3: crossed pass-through clusters leave the pass-through list.
-    entry.drop_pass_through(crossed)
-    if flat_index is not None:
         # Mirror the shrink: orphaned clusters lose their row; survivors
-        # whose support set just changed refresh their precomputed segment
+        # whose supports just changed refresh their precomputed segment
         # choice (it depends on nothing else).
-        flat_index.refresh_supports(ride_id, entry, shrunk)
+        flat_index.refresh_supports(ride_id, step.entry, step.shrunk)
+    return step.entry
 
 
 def track_all(engine: "XAREngine", now_s: float) -> int:
@@ -111,32 +107,30 @@ def _retire(engine: "XAREngine", ride: Ride) -> None:
 
     The ride stays in ``engine.rides`` until arrival so booked passengers
     still reach their drop-offs; it just stops surfacing as a match and
-    ``book_ride`` refuses it.  The full index footprint — entry, cluster
-    potential-ride rows, flat-index rows — goes in one step, exactly like
-    completion.
+    ``book_ride`` refuses it.  The full index footprint goes in one step,
+    exactly like completion.
     """
     ride.retired = True
-    entry = engine.ride_entries.pop(ride.ride_id, None)
-    if entry is not None:
-        for cluster_id in entry.reachable_ids():
-            engine.cluster_index.remove(cluster_id, ride.ride_id)
-    engine.cluster_index.purge_ride(ride.ride_id)
-    if getattr(engine, "flat_index", None) is not None:
-        engine.flat_index.drop_ride(ride.ride_id)
+    _withdraw(engine, ride.ride_id)
 
 
 def _complete(engine: "XAREngine", ride: Ride) -> None:
     """Remove a finished ride from every index structure."""
     ride.status = RideStatus.COMPLETED
     ride.progressed_m = ride.length_m
-    entry = engine.ride_entries.pop(ride.ride_id, None)
-    if entry is not None:
-        for cluster_id in entry.reachable_ids():
-            engine.cluster_index.remove(cluster_id, ride.ride_id)
-    if getattr(engine, "flat_index", None) is not None:
-        engine.flat_index.drop_ride(ride.ride_id)
+    _withdraw(engine, ride.ride_id)
     engine.rides.pop(ride.ride_id, None)
     # Drop the tracking watermark too — leaking it would grow unboundedly
     # over a long-running deployment and confuse later id reuse audits.
     engine.tracked_to.pop(ride.ride_id, None)
     engine.completed_rides[ride.ride_id] = ride
+
+
+def _withdraw(engine: "XAREngine", ride_id: int) -> None:
+    """Drop a ride's entry, its cluster potential-ride rows — swept from
+    every cluster, so strays a corrupted entry would not name go too — and
+    its flat-index rows."""
+    engine.ride_entries.pop(ride_id, None)
+    engine.cluster_index.purge_ride(ride_id)
+    if getattr(engine, "flat_index", None) is not None:
+        engine.flat_index.drop_ride(ride_id)

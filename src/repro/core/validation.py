@@ -11,8 +11,9 @@ Invariants checked (see docs/ARCHITECTURE.md):
 2. every ride index entry belongs to a live ride, and vice versa;
 3. every cluster-index entry is backed by the ride's reachable set, and
    every reachable cluster appears in the cluster index;
-4. every reachable cluster has at least one supporting pass-through cluster
-   that is still in the ride's pass-through list;
+4. every reachable cluster has at least one supporting pass-through visit
+   (supports are columns of the ride's visits, so they are pass-through
+   clusters by construction);
 5. seats within [0, total]; #pickup via-points == seats consumed;
 6. detour budget non-negative;
 7. via-points non-decreasing along the route and anchored at its ends.
@@ -45,17 +46,11 @@ def validate_engine(engine: "XAREngine") -> Dict[str, int]:
     for ride_id, entry in engine.ride_entries.items():
         if ride_id not in engine.rides:
             raise EngineInvariantError(f"index entry for dead ride {ride_id}")
-        pass_ids = entry.pass_through_ids()
-        for cluster_id, info in entry.reachable.items():
-            if not info.supports:
-                raise EngineInvariantError(
-                    f"ride {ride_id}: reachable cluster {cluster_id} has no supports"
-                )
-            if not info.supports <= pass_ids:
-                raise EngineInvariantError(
-                    f"ride {ride_id}: cluster {cluster_id} supported by "
-                    f"non-pass-through clusters {info.supports - pass_ids}"
-                )
+        for cluster_id in entry.unsupported():
+            raise EngineInvariantError(
+                f"ride {ride_id}: reachable cluster {cluster_id} has no supports"
+            )
+        for cluster_id in entry.reachable:
             if engine.cluster_index.eta(cluster_id, ride_id) is None:
                 raise EngineInvariantError(
                     f"ride {ride_id}: reachable cluster {cluster_id} missing "

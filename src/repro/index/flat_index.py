@@ -37,8 +37,6 @@ from __future__ import annotations
 import math
 import mmap
 import weakref
-from collections import defaultdict
-from operator import attrgetter
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -51,6 +49,8 @@ from typing import (
 )
 
 import numpy as np
+
+from .ride_index import R_CLUSTER, R_DETOUR, V_ETA, V_SEGMENT
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.engine import XAREngine
@@ -76,8 +76,6 @@ _EMPTY_IDX = np.empty(0, dtype=np.intp)
 #: cluster-level estimate — exactly when ``_splice_estimate`` returns None.
 _NO_SEGMENT = (-1, -1, 0.0)
 
-_eta = attrgetter("eta_s")
-
 _Row = Tuple[
     int, Tuple[float, float, float, float], Tuple[int, int, int, int, int, int]
 ]
@@ -92,46 +90,39 @@ def _feasibility_rows(
 
     A row's pickup/drop-off segment is that of the earliest/latest
     pass-through visit among its cluster's supports — what
-    ``entry.segment_for(cluster, earliest=True|False)`` scans
-    ``pass_through`` for, twice per row.  Here the scan happens once per
-    *entry*: the visits are ranked by ETA ascending and descending (stable,
-    so equal ETAs keep route order — ``min``/``max``'s first-minimal /
-    first-maximal rule), each pass-through cluster records its best rank in
-    either order, and a row only takes the minimum over its supports.
+    ``entry.segment_for(cluster, earliest=True|False)`` picks.  Here it is
+    one pass over the support matrix per *entry*: the visits are ranked by
+    ETA ascending and descending (stable, so equal ETAs keep route order —
+    ``segment_for``'s first-minimal / first-maximal rule), and each row
+    takes its first supporting visit in either ranking.
     """
-    visits = entry.pass_through
-    n_visits = len(visits)
-
-    def ranked(latest_first: bool):
-        """(cluster -> best rank of any of its visits, rank -> segment); a
-        support without a visit ranks past the end ("no segment")."""
-        best: Dict[int, int] = defaultdict(lambda: n_visits)
-        segment_of_rank: List[int] = []
-        for rank, visit in enumerate(sorted(visits, key=_eta, reverse=latest_first)):
-            best.setdefault(visit.cluster_id, rank)
-            segment_of_rank.append(visit.segment_index)
-        return best.__getitem__, segment_of_rank
-
-    earliest_rank, earliest_segment = ranked(latest_first=False)
-    latest_rank, latest_segment = ranked(latest_first=True)
+    supports = entry.supports
+    eta = entry.visit_f[:, V_ETA]
+    segment = entry.visit_i[:, V_SEGMENT]
+    supported = supports.any(axis=1).tolist()
+    if len(eta):
+        earliest = np.argsort(eta, kind="stable")
+        latest = np.argsort(-eta, kind="stable")
+        earliest_seg = segment[earliest][supports[:, earliest].argmax(axis=1)].tolist()
+        latest_seg = segment[latest][supports[:, latest].argmax(axis=1)].tolist()
+    detours = entry.reach_f[:, R_DETOUR].tolist()
+    row_of = {c: row for row, c in enumerate(entry.reach_i[:, R_CLUSTER].tolist())}
     segments = [
-        (meta.start_landmark, meta.end_landmark, meta.length_m)
-        for meta in entry.segments
+        (start, end, length)
+        for (start, end), length in zip(
+            entry.segment_landmarks.tolist(), entry.segment_length_m.tolist()
+        )
     ]
     n_segments = len(segments)
-    reachable = entry.reachable
     for cluster_id, eta_s in etas:
-        info = reachable.get(cluster_id)
+        row = row_of.get(cluster_id)
         detour = float("inf")
         seg_e = seg_l = -1
         pickup = dropoff = _NO_SEGMENT
-        if info is not None:
-            detour = info.detour_estimate_m
-            supports = info.supports
-            rank = min(map(earliest_rank, supports), default=n_visits)
-            if rank < n_visits:
-                seg_e = earliest_segment[rank]
-                seg_l = latest_segment[min(map(latest_rank, supports))]
+        if row is not None:
+            detour = detours[row]
+            if supported[row]:
+                seg_e, seg_l = earliest_seg[row], latest_seg[row]
                 if 0 <= seg_e < n_segments:
                     pickup = segments[seg_e]
                 if 0 <= seg_l < n_segments:
@@ -141,6 +132,30 @@ def _feasibility_rows(
             (eta_s, detour, pickup[2], dropoff[2]),
             (seg_e, seg_l, pickup[0], pickup[1], dropoff[0], dropoff[1]),
         )
+
+
+def _pickup_columns(
+    entry: "RideIndexEntry", clusters: Iterable[int]
+) -> Iterator[Tuple[int, Tuple[int, int, int, float]]]:
+    """``(cluster, (segment, start landmark, end landmark, length))`` of the
+    pickup segment of each given reachable cluster that keeps a support:
+    that of its first supporting visit in route order — the earliest by
+    ETA, first on ties, as visits are in route order and ETAs ascend."""
+    ids = entry.reach_i[:, R_CLUSTER].tolist()
+    row_of = dict(zip(ids, range(len(ids))))
+    found = [cluster_id for cluster_id in clusters if cluster_id in row_of]
+    if not found:
+        return
+    supports = entry.supports[[row_of[cluster_id] for cluster_id in found]]
+    first = supports.argmax(axis=1).tolist()
+    supported = supports.any(axis=1).tolist()
+    segment = entry.visit_i[:, V_SEGMENT].tolist()
+    landmarks = entry.segment_landmarks.tolist()
+    lengths = entry.segment_length_m.tolist()
+    for cluster_id, visit, ok in zip(found, first, supported):
+        if ok:
+            seg = segment[visit]
+            yield cluster_id, (seg, *landmarks[seg], lengths[seg])
 
 
 def _mapped(shape: Tuple[int, ...], dtype) -> np.ndarray:
@@ -264,21 +279,16 @@ class _ClusterSlab:
         self.fdata[row] = fvals
         self.idata[row] = ivals
 
-    def update_feasibility(self, rid: int, fvals, ivals) -> bool:
-        """Refresh segment/splice columns only (ETA + detour untouched).
-
-        Used after obsolescence shrank a surviving cluster's support set:
-        the stored ETA and detour estimate stay (the legacy index keeps
-        them too), but the segment choice can move.  Never dirties the
-        sorted views — row identity and ETA are unchanged.
-        """
+    def update_pickup(self, rid: int, pickup: Tuple[int, int, int, float]) -> None:
+        """Refresh the pickup segment columns ``(segment, start landmark,
+        end landmark, length)`` only; never dirties the sorted views."""
         row = self.rows.get(rid)
-        if row is None:
-            return False
-        self.fdata[row, F_SP_LEN] = fvals[2]
-        self.fdata[row, F_SD_LEN] = fvals[3]
-        self.idata[row] = ivals
-        return True
+        if row is not None:
+            segment, start, end, length = pickup
+            self.idata[row, I_SEG_E] = segment
+            self.idata[row, I_SP_A] = start
+            self.idata[row, I_SP_B] = end
+            self.fdata[row, F_SP_LEN] = length
 
     def remove(self, rid: int) -> bool:
         row = self.rows.pop(rid, None)
@@ -433,17 +443,19 @@ class FlatSearchIndex:
 
         Clusters no longer reachable lose their row (the legacy index
         removed them too).  Of the survivors, only the ``shrunk`` clusters —
-        those whose support set lost a crossed cluster — can have moved
-        their precomputed segment choice, which depends on nothing but the
-        support set; they keep their stored ETA and detour estimate and
-        refresh the segment columns.  Every other row is already what a
-        rewrite would produce.
+        those that lost a crossed visit's support — can have moved their
+        precomputed segment choice, and only its pickup half: every crossed
+        visit is due no later than every surviving one, so the latest
+        supporting visit (the drop-off's) survives, while the earliest
+        becomes the first surviving support in route order.  They keep
+        their stored ETA and detour estimate.  Every other row is already
+        what a rewrite would produce.
         """
         clusters = self._ride_clusters.get(ride_id)
         if clusters is None:
             return
         slabs = self._slabs
-        reachable = entry.reachable
+        reachable = entry.reachable_ids()
         kept: List[int] = []
         for cluster_id in clusters:
             if cluster_id in reachable:
@@ -451,10 +463,8 @@ class FlatSearchIndex:
             else:
                 slabs[cluster_id].remove(ride_id)
         self._ride_clusters[ride_id] = kept
-        # update_feasibility ignores the ETA column, so any placeholder does.
-        stale = [(cluster_id, 0.0) for cluster_id in shrunk if cluster_id in reachable]
-        for cluster_id, fvals, ivals in _feasibility_rows(entry, stale):
-            slabs[cluster_id].update_feasibility(ride_id, fvals, ivals)
+        for cluster_id, pickup in _pickup_columns(entry, shrunk):
+            slabs[cluster_id].update_pickup(ride_id, pickup)
 
     def refresh_budget(self, ride: "Ride") -> None:
         """Refresh seats/detour columns without touching the rows."""

@@ -41,9 +41,8 @@ def _deep_size(obj: Any, seen: Set[int]) -> int:
     size = sys.getsizeof(obj, 0)
 
     if _np is not None and isinstance(obj, _np.ndarray):
-        # getsizeof covers the header; add the data buffer if owned.
-        if obj.base is None:
-            size += int(obj.nbytes)
+        # getsizeof already counts the data buffer when the array owns it
+        # (and only the header for a view, whose buffer its base holds).
         return size
 
     if isinstance(obj, (str, bytes, bytearray, int, float, complex, bool, type(None))):

@@ -19,7 +19,7 @@ Invariants swept:
   (missing == *lost* entry: the ride is invisible there) and vice versa
   (extra == *ghost* entry: a dead or re-routed ride still discoverable);
 * every reachable cluster keeps at least one supporting pass-through
-  cluster that is still on the ride's pass-through list;
+  visit;
 * the cluster index's built sorted views list exactly its entries;
 * the flat search core (when enabled) strictly mirrors the cluster index
   and the live rides' seat/detour budgets.
@@ -140,20 +140,19 @@ class InvariantAuditor:
                     )
                 )
                 continue
-            pass_ids = entry.pass_through_ids()
-            for cluster_id, info in entry.reachable.items():
-                if not info.supports or not info.supports <= pass_ids:
-                    report.violations.append(
-                        AuditViolation(
-                            kind="unsupported-reachable",
-                            detail=(
-                                f"ride {ride_id}: cluster {cluster_id} has "
-                                f"invalid supports {sorted(info.supports)}"
-                            ),
-                            ride_id=ride_id,
-                            cluster_id=cluster_id,
-                        )
+            for cluster_id in entry.unsupported():
+                report.violations.append(
+                    AuditViolation(
+                        kind="unsupported-reachable",
+                        detail=(
+                            f"ride {ride_id}: cluster {cluster_id} has no "
+                            "supporting pass-through visit"
+                        ),
+                        ride_id=ride_id,
+                        cluster_id=cluster_id,
                     )
+                )
+            for cluster_id in entry.reachable:
                 if engine.cluster_index.eta(cluster_id, ride_id) is None:
                     report.violations.append(
                         AuditViolation(

@@ -55,9 +55,10 @@ def grid_scan_search(
         # Best walkable source/destination clusters served by this ride,
         # with the ETA taken from the ride's own reachability record (the
         # same value the cluster index stores).
+        reachable = entry.reachable
         best_src = best_dst = None
         for option in source_options:
-            info = entry.reachable.get(option.cluster_id)
+            info = reachable.get(option.cluster_id)
             if info is None:
                 continue
             if not (request.window_start_s <= info.eta_s <= request.window_end_s):
@@ -67,7 +68,7 @@ def grid_scan_search(
         if best_src is None:
             continue
         for option in destination_options:
-            info = entry.reachable.get(option.cluster_id)
+            info = reachable.get(option.cluster_id)
             if info is None:
                 continue
             if info.eta_s < request.window_start_s:
@@ -85,8 +86,8 @@ def grid_scan_search(
             continue
         if option_src.cluster_id == option_dst.cluster_id:
             continue
-        info_src = entry.reachable[option_src.cluster_id]
-        info_dst = entry.reachable[option_dst.cluster_id]
+        info_src = reachable[option_src.cluster_id]
+        info_dst = reachable[option_dst.cluster_id]
         coarse = info_src.detour_estimate_m + info_dst.detour_estimate_m
         segment_pickup = entry.segment_for(option_src.cluster_id, earliest=True)
         segment_dropoff = entry.segment_for(option_dst.cluster_id, earliest=False)

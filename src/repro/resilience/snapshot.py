@@ -17,30 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from ..index import ReachableInfo, RideIndexEntry
+from ..index import RideIndexEntry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.engine import XAREngine
-
-
-def _copy_entry(entry: RideIndexEntry) -> RideIndexEntry:
-    """Deep-enough copy of an index entry (frozen rows are shared)."""
-    return RideIndexEntry(
-        ride_id=entry.ride_id,
-        pass_through=list(entry.pass_through),
-        reachable={
-            cluster_id: ReachableInfo(
-                cluster_id=info.cluster_id,
-                supports=set(info.supports),
-                eta_s=info.eta_s,
-                detour_estimate_m=info.detour_estimate_m,
-                support_landmark=info.support_landmark,
-                via_landmark=info.via_landmark,
-            )
-            for cluster_id, info in entry.reachable.items()
-        },
-        segments=list(entry.segments),
-    )
 
 
 @dataclass
@@ -56,7 +36,9 @@ class RideSnapshot:
     status: object
     progressed_m: float
     tracked_to: Optional[float]
-    #: Copy of the ride's index entry (None when the ride is un-indexed).
+    #: The ride's index entry (None when the ride is un-indexed).  Entries
+    #: are immutable — tracking and reindexing replace them — so the
+    #: reference is the snapshot.
     entry: Optional[RideIndexEntry]
     #: cluster id -> ETA currently stored in the cluster index for this ride.
     index_etas: Dict[int, float] = field(default_factory=dict)
@@ -88,7 +70,7 @@ def snapshot_ride(engine: "XAREngine", ride_id: int) -> Optional[RideSnapshot]:
         status=ride.status,
         progressed_m=ride.progressed_m,
         tracked_to=engine.tracked_to.get(ride_id),
-        entry=_copy_entry(entry) if entry is not None else None,
+        entry=entry,
         index_etas=index_etas,
         passengers=dict(ride.passengers),
         retired=ride.retired,
@@ -117,17 +99,14 @@ def restore_ride(engine: "XAREngine", snapshot: RideSnapshot) -> None:
     else:
         engine.tracked_to[snapshot.ride_id] = snapshot.tracked_to
 
-    # Wipe the ride's current index footprint (entry-listed clusters plus a
-    # full purge for strays), then replay the snapshotted footprint.
-    current = engine.ride_entries.pop(snapshot.ride_id, None)
-    if current is not None:
-        for cluster_id in current.reachable_ids():
-            engine.cluster_index.remove(cluster_id, snapshot.ride_id)
+    # Wipe the ride's current index footprint (a full purge, so strays go
+    # too), then replay the snapshotted footprint.
+    engine.ride_entries.pop(snapshot.ride_id, None)
     engine.cluster_index.purge_ride(snapshot.ride_id)
     if getattr(engine, "flat_index", None) is not None:
         engine.flat_index.drop_ride(snapshot.ride_id)
-    if snapshot.entry is not None:
-        restored = _copy_entry(snapshot.entry)
+    restored = snapshot.entry
+    if restored is not None:
         engine.ride_entries[snapshot.ride_id] = restored
         for cluster_id, eta_s in snapshot.index_etas.items():
             engine.cluster_index.add(cluster_id, snapshot.ride_id, eta_s)
@@ -169,7 +148,7 @@ def diff_ride(engine: "XAREngine", snapshot: RideSnapshot) -> List[str]:
     entry = engine.ride_entries.get(snapshot.ride_id)
     if (entry is None) != (snapshot.entry is None):
         diffs.append("index entry presence differs")
-    elif entry is not None and snapshot.entry is not None:
+    elif entry is not snapshot.entry:
         if entry.pass_through != snapshot.entry.pass_through:
             diffs.append("pass-through visits differ")
         if entry.segments != snapshot.entry.segments:

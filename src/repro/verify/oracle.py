@@ -190,13 +190,9 @@ class OracleEngine:
         entry = self.ride_entries.get(ride_id)
         if entry is None:
             return
-        crossed = {
-            visit.cluster_id for visit in entry.pass_through if visit.eta_s <= now_s
-        }
-        if not crossed:
-            return
-        entry.remove_supports(crossed)
-        entry.drop_pass_through(crossed)
+        step = entry.after(now_s)
+        if step is not None:
+            self.ride_entries[ride_id] = step.entry
 
     # ------------------------------------------------------------------
     # Walk options: exhaustive landmark scan (no spatial hash)
@@ -301,9 +297,10 @@ class OracleEngine:
         entry = self.ride_entries.get(ride_id)
         if ride is None or entry is None:
             return None
+        reachable = entry.reachable
         best_src: Optional[Tuple[WalkOption, float]] = None
         for option in source_options:
-            info = entry.reachable.get(option.cluster_id)
+            info = reachable.get(option.cluster_id)
             if info is None:
                 continue
             if not (request.window_start_s <= info.eta_s <= request.window_end_s):
@@ -314,7 +311,7 @@ class OracleEngine:
             return None
         best_dst: Optional[Tuple[WalkOption, float]] = None
         for option in destination_options:
-            info = entry.reachable.get(option.cluster_id)
+            info = reachable.get(option.cluster_id)
             if info is None:
                 continue
             if info.eta_s < request.window_start_s:
@@ -333,8 +330,8 @@ class OracleEngine:
             return None
         if option_src.cluster_id == option_dst.cluster_id:
             return None
-        info_src = entry.reachable.get(option_src.cluster_id)
-        info_dst = entry.reachable.get(option_dst.cluster_id)
+        info_src = reachable.get(option_src.cluster_id)
+        info_dst = reachable.get(option_dst.cluster_id)
         if info_src is None or info_dst is None:
             return None
         detour = self._pair_detour(
@@ -416,11 +413,12 @@ class OracleEngine:
             entry = self.ride_entries.get(ride_id)
             if entry is None or ride.seats_available < 1:
                 continue
+            reachable = entry.reachable
             best_detour = float("inf")
             best_walk = float("inf")
             feasible = 0
             for option_src in source_options:
-                info_src = entry.reachable.get(option_src.cluster_id)
+                info_src = reachable.get(option_src.cluster_id)
                 if info_src is None:
                     continue
                 if not (
@@ -430,7 +428,7 @@ class OracleEngine:
                 ):
                     continue
                 for option_dst in destination_options:
-                    info_dst = entry.reachable.get(option_dst.cluster_id)
+                    info_dst = reachable.get(option_dst.cluster_id)
                     if info_dst is None:
                         continue
                     if info_dst.eta_s < request.window_start_s:
@@ -477,20 +475,8 @@ class OracleEngine:
         info_dst = entry.reachable.get(option_dst.cluster_id)
         if info_src is None or info_dst is None:
             return None
-        pickup_segments = sorted(
-            {
-                visit.segment_index
-                for visit in entry.pass_through
-                if visit.cluster_id in info_src.supports
-            }
-        )
-        dropoff_segments = sorted(
-            {
-                visit.segment_index
-                for visit in entry.pass_through
-                if visit.cluster_id in info_dst.supports
-            }
-        )
+        pickup_segments = entry.support_segments(option_src.cluster_id)
+        dropoff_segments = entry.support_segments(option_dst.cluster_id)
         best: Optional[float] = None
         for sp in pickup_segments:
             for sd in dropoff_segments:
@@ -568,10 +554,10 @@ class OracleEngine:
             "completed_rides": len(self.completed_rides),
             "cluster_entries": 0,
             "pass_through_total": sum(
-                len(entry.pass_through) for entry in self.ride_entries.values()
+                len(entry.visit_i) for entry in self.ride_entries.values()
             ),
             "reachable_total": sum(
-                len(entry.reachable) for entry in self.ride_entries.values()
+                len(entry.reach_i) for entry in self.ride_entries.values()
             ),
         }
 

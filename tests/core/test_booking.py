@@ -6,6 +6,7 @@ import pytest
 
 from repro.exceptions import BookingError
 from repro.core import XAREngine
+from tests.entry_faults import corrupt_entry
 
 
 @pytest.fixture
@@ -180,8 +181,8 @@ class TestBookingFailures:
 
     def test_stale_cluster_match_rejected_cleanly(self, populated, city, rng):
         req, match, _rec = first_booking(populated, city, rng)
-        entry = populated.ride_entries[match.ride_id]
-        entry.reachable.pop(match.pickup_cluster, None)
+        with corrupt_entry(populated.ride_entries, match.ride_id) as entry:
+            entry.reachable.pop(match.pickup_cluster, None)
         with pytest.raises(BookingError):
             populated.book(req, match)
 

@@ -10,6 +10,7 @@ from repro.exceptions import (
 )
 from repro.geo import GeoPoint
 from repro.resilience import InvariantAuditor
+from tests.entry_faults import corrupt_entry
 
 FAR_AWAY = GeoPoint(41.9, -74.0)  # nowhere near the synthetic city
 
@@ -94,12 +95,12 @@ class TestCancellationAtomicity:
     def test_cancel_with_corrupted_entry_leaves_no_strays(self, engine, city, rng):
         request, match = _ride_and_match(engine, city, rng)
         ride_id = match.ride_id
-        entry = engine.ride_entries[ride_id]
         # Corrupt the entry: it forgets half of its reachable clusters, so an
         # entry-driven unindex alone would leave stray index tuples behind.
-        forgotten = list(entry.reachable)[::2]
-        for cluster_id in forgotten:
-            entry.reachable.pop(cluster_id)
+        with corrupt_entry(engine.ride_entries, ride_id) as entry:
+            forgotten = list(entry.reachable)[::2]
+            for cluster_id in forgotten:
+                entry.reachable.pop(cluster_id)
 
         engine.remove_ride(ride_id)
 

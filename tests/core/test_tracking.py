@@ -26,14 +26,17 @@ class TestObsolescence:
         midpoint_time = (visits[0].eta_s + visits[-1].eta_s) / 2.0
         crossed = {v.cluster_id for v in visits if v.eta_s <= midpoint_time}
         engine.track(long_ride.ride_id, midpoint_time)
-        remaining = entry.pass_through_ids()
+        # Tracking replaces the entry; the one read before is untouched.
+        remaining = engine.ride_entries[long_ride.ride_id].pass_through_ids()
         assert remaining.isdisjoint(crossed)
+        assert crossed <= entry.pass_through_ids()
 
     def test_unsupported_reachable_leaves_potential_lists(self, engine, long_ride):
         entry = engine.ride_entries[long_ride.ride_id]
         visits = list(entry.pass_through)
         midpoint_time = (visits[0].eta_s + visits[-1].eta_s) / 2.0
         engine.track(long_ride.ride_id, midpoint_time)
+        entry = engine.ride_entries[long_ride.ride_id]
         # Every cluster whose entry survived must still be reachable; every
         # cluster the ride left must be gone from the cluster index.
         for cluster_id in range(engine.region.n_clusters):
@@ -48,6 +51,7 @@ class TestObsolescence:
         visits = list(entry.pass_through)
         just_after_first = visits[0].eta_s + 1e-3
         engine.track(long_ride.ride_id, just_after_first)
+        entry = engine.ride_entries[long_ride.ride_id]
         # Later pass-through clusters are still valid.
         later = {v.cluster_id for v in visits[1:]}
         assert later <= entry.reachable_ids() | {visits[0].cluster_id}
@@ -67,6 +71,27 @@ class TestCompletion:
         assert long_ride.ride_id in engine.completed_rides
         for cluster_id in range(engine.region.n_clusters):
             assert engine.cluster_index.eta(cluster_id, long_ride.ride_id) is None
+
+    def test_completion_purges_stray_cluster_rows(self, engine, city):
+        """A row the entry does not name (a stray left by corruption) goes
+        with the ride, as it does on retirement, cancel and reindex."""
+        from repro.resilience import InvariantAuditor
+
+        ride = engine.create_ride(
+            city.position(0), city.position(80), departure_s=0.0,
+            detour_limit_m=300.0,
+        )
+        ride_id = ride.ride_id
+        entry = engine.ride_entries[ride_id]
+        stray = next(
+            c for c in range(engine.region.n_clusters) if c not in entry.reachable
+        )
+        engine.cluster_index.add(stray, ride_id, 1.0)
+        engine.track(ride_id, ride.arrival_s + 1.0)
+        assert ride.status is RideStatus.COMPLETED
+        assert engine.cluster_index.eta(stray, ride_id) is None
+        report = InvariantAuditor(engine).audit()
+        assert report.by_kind().get("ghost-index-entry", 0) == 0, report.describe()
 
     def test_track_all_counts_completions(self, engine, city):
         for start in (0.0, 100.0, 200.0):
@@ -88,8 +113,10 @@ class TestTimeDiscipline:
         visits = list(entry.pass_through)
         t = (visits[0].eta_s + visits[-1].eta_s) / 2.0
         engine.track(long_ride.ride_id, t)
+        entry = engine.ride_entries[long_ride.ride_id]
         snapshot = (list(entry.pass_through), set(entry.reachable))
         engine.track(long_ride.ride_id, t)
+        assert engine.ride_entries[long_ride.ride_id] is entry  # nothing due
         assert (list(entry.pass_through), set(entry.reachable)) == snapshot
 
     def test_unknown_ride_rejected(self, engine):

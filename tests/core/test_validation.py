@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import EngineInvariantError, XAREngine, validate_engine
 from repro.sim import RideShareSimulator, XARAdapter
+from tests.entry_faults import corrupt_entry
 
 
 @pytest.fixture
@@ -42,17 +43,19 @@ class TestCorruptionDetection:
         # Remove a reachable record but leave the cluster-index entry.
         for ride_id, entry in replayed.ride_entries.items():
             if entry.reachable:
-                cluster_id = next(iter(entry.reachable))
-                del entry.reachable[cluster_id]
+                with corrupt_entry(replayed.ride_entries, ride_id) as entry:
+                    cluster_id = next(iter(entry.reachable))
+                    del entry.reachable[cluster_id]
                 break
         with pytest.raises(EngineInvariantError):
             validate_engine(replayed)
 
     def test_empty_supports(self, replayed):
-        for entry in replayed.ride_entries.values():
+        for ride_id, entry in replayed.ride_entries.items():
             if entry.reachable:
-                info = next(iter(entry.reachable.values()))
-                info.supports.clear()
+                with corrupt_entry(replayed.ride_entries, ride_id) as entry:
+                    info = next(iter(entry.reachable.values()))
+                    info.supports.clear()
                 break
         with pytest.raises(EngineInvariantError, match="supports"):
             validate_engine(replayed)

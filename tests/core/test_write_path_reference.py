@@ -1,9 +1,11 @@
 """The flattened write path equals the reference loops exactly.
 
-``build_ride_entry`` (one masked array pass over the cluster matrix) and the
-flat index's row builder (one ranking of the pass-through visits per entry)
-are compared against ``tests/reference_write_path.py`` — the scalar loops
-they replaced — with ``==`` on every float and on the *insertion order* of
+``build_ride_entry`` (one masked array pass over the cluster matrix, emitting
+the entry's arrays), tracking's obsolescence (one mask over the entry's
+support matrix) and the flat index's row builder (one ranking of the
+pass-through visits per entry) are compared against
+``tests/reference_write_path.py`` — the scalar loops and the object entry
+they replaced — with ``==`` on every float and on the *order* of
 ``entry.reachable``, which becomes the slab append order the flat index's
 stable sorts tie on.  Rides are taken from seeded mini-replays, so they
 carry 0..3 bookings (1..7 segments), shrunken detour budgets and tracking
@@ -13,6 +15,9 @@ progress; ``detour_limit_m == 0`` and a region whose cluster matrix holds
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import os
 import random
 
 import numpy as np
@@ -20,19 +25,36 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.core.engine as engine_module
+import repro.core.tracking as tracking_module
 from repro.config import XARConfig
 from repro.core import XAREngine
 from repro.core.reachability import build_ride_entry
 from repro.discretization import build_region
+from repro.exceptions import BookingError
 from repro.geo import GeoPoint
+from repro.index import RideIndexEntry
 from repro.index.flat_index import F_DETOUR, F_ETA, _feasibility_rows
 from repro.roadnet import RoadNetwork, manhattan_city
-from tests.reference_write_path import ref_build_ride_entry, ref_feasibility_row
+from repro.workloads import NYCWorkloadGenerator, trips_to_requests
+from tests.reference_write_path import (
+    as_reference,
+    assert_entry_equals_reference,
+    ref_build_ride_entry,
+    ref_feasibility_row,
+    ref_obsolescence,
+)
+
+#: The tier-1 seeds of the step-by-step entry comparison, plus any the
+#: environment names: CI adds one derived from its run number.
+SEEDS = [11, 12, 13] + [
+    int(seed) for seed in os.environ.get("XAR_KERNEL_SEEDS", "").split(",") if seed
+]
 
 
 def assert_entries_identical(got, want):
-    assert got == want  # every field of every visit / info / segment
-    assert list(got.reachable) == list(want.reachable)  # dict order, too
+    assert isinstance(got, RideIndexEntry)
+    assert_entry_equals_reference(got, want)
 
 
 def assert_rows_match_reference(engine):
@@ -41,7 +63,7 @@ def assert_rows_match_reference(engine):
     flat = engine.flat_index
     checked = 0
     for ride_id, clusters in flat._ride_clusters.items():
-        entry = engine.ride_entries[ride_id]
+        entry = as_reference(engine.ride_entries[ride_id])
         for cluster_id in clusters:
             slab = flat._slabs[cluster_id]
             row = slab.rows[ride_id]
@@ -190,13 +212,12 @@ class TestFlatRows:
     def test_row_builder_equals_reference_on_every_entry(self, replayed):
         rows = 0
         for ride_id, entry in replayed.ride_entries.items():
-            etas = {
-                cluster_id: info.eta_s for cluster_id, info in entry.reachable.items()
-            }
+            etas = entry.reachable_etas()
             etas[10**6] = 1.0  # a cluster the entry does not reach
             got = list(_feasibility_rows(entry, etas.items()))
+            ref = as_reference(entry)
             want = [
-                (cluster_id, *ref_feasibility_row(entry, cluster_id, eta_s))
+                (cluster_id, *ref_feasibility_row(ref, cluster_id, eta_s))
                 for cluster_id, eta_s in etas.items()
             ]
             assert got == want
@@ -205,31 +226,39 @@ class TestFlatRows:
 
     def test_ties_on_eta_keep_first_minimal_and_first_maximal(self):
         """``min``/``max`` over the visits return the *first* extreme one."""
-        from repro.index import PassThrough, ReachableInfo, RideIndexEntry, SegmentMeta
-
-        entry = RideIndexEntry(ride_id=1)
-        entry.pass_through = [
-            PassThrough(cluster_id=4, segment_index=0, eta_s=10.0, route_offset_m=0.0),
-            PassThrough(cluster_id=5, segment_index=1, eta_s=10.0, route_offset_m=1.0),
-            PassThrough(cluster_id=4, segment_index=2, eta_s=30.0, route_offset_m=2.0),
-            PassThrough(cluster_id=6, segment_index=3, eta_s=30.0, route_offset_m=3.0),
-            PassThrough(cluster_id=7, segment_index=1, eta_s=5.0, route_offset_m=4.0),
+        visits = [  # (cluster, segment, eta), in route order
+            (4, 0, 10.0), (5, 1, 10.0), (8, 2, 30.0), (6, 3, 30.0), (7, 1, 5.0),
         ]
-        entry.segments = [SegmentMeta(s, s + 1, 100.0 * s) for s in range(4)]
-        for cluster_id, supports in {
-            1: {4, 5, 6}, 2: {5, 6}, 3: {6}, 8: {7, 4}, 9: {99}, 10: set(),
-        }.items():
-            entry.reachable[cluster_id] = ReachableInfo(
-                cluster_id, set(supports), eta_s=1.0, detour_estimate_m=2.0
-            )
+        rows = {  # cluster -> supporting visit indices
+            1: [0, 1, 2, 3], 2: [1, 3], 3: [3], 8: [4, 0], 9: [], 10: [],
+        }
+        supports = np.zeros((len(rows), len(visits)), dtype=bool)
+        for row, support in enumerate(rows.values()):
+            supports[row, support] = True
+        entry = RideIndexEntry(
+            1,
+            np.array([(eta, float(i)) for i, (_c, _s, eta) in enumerate(visits)]),
+            np.array([(c, s, -1) for c, s, _eta in visits], dtype=np.int64),
+            np.array([(1.0, 2.0)] * len(rows)),
+            np.array([(c, -1, -1) for c in rows], dtype=np.int64),
+            supports,
+            np.array([(s, s + 1) for s in range(4)], dtype=np.int64),
+            np.array([100.0 * s for s in range(4)]),
+        )
         etas = {cluster_id: 50.0 for cluster_id in (1, 2, 3, 8, 9, 10, 11)}
         got = list(_feasibility_rows(entry, etas.items()))
+        ref = as_reference(entry)
         want = [
-            (cluster_id, *ref_feasibility_row(entry, cluster_id, eta_s))
+            (cluster_id, *ref_feasibility_row(ref, cluster_id, eta_s))
             for cluster_id, eta_s in etas.items()
         ]
         assert got == want
         assert got[0][2][:2] == (0, 2)  # cluster 1: first 10.0, first 30.0
+        for cluster_id in (1, 2, 3, 8):
+            for earliest in (True, False):
+                assert entry.segment_for(cluster_id, earliest) == ref.segment_for(
+                    cluster_id, earliest
+                )
 
     def test_rows_after_reindex_and_after_refresh_supports(self, region, workload):
         """After every step of a ticking replay — creates, booking
@@ -250,7 +279,7 @@ class TestFlatRows:
             city.position(0), city.position(city.node_count - 1), departure_s=0.0,
             detour_limit_m=600.0,
         )
-        entry = engine.ride_entries[ride.ride_id]
+        entry = as_reference(engine.ride_entries[ride.ride_id])
         flat = engine.flat_index
         before = {
             c: (flat._slabs[c].fdata[flat._slabs[c].rows[ride.ride_id]].tolist(),
@@ -276,6 +305,95 @@ class TestFlatRows:
             # Stored ETA and detour survive a refresh verbatim.
             assert slab.fdata[row, F_ETA] == before[cluster_id][0][F_ETA]
             assert slab.fdata[row, F_DETOUR] == before[cluster_id][0][F_DETOUR]
+
+
+class TestEntryAgainstObjectReference:
+    """Over seeded create/book/track replays, every live entry equals the
+    object entry the reference write path maintains beside it — built by
+    ``ref_build_ride_entry`` wherever the engine builds, shrunk in place by
+    ``ref_obsolescence`` wherever the engine applies obsolescence — after
+    *every* step, and each obsolescence reports the same orphaned and
+    shrunk clusters in the same order."""
+
+    @pytest.mark.parametrize("seed", SEEDS, ids=lambda seed: f"seed{seed}")
+    def test_entries_equal_reference_after_every_step(
+        self, region, city, monkeypatch, seed
+    ):
+        shadow = {}
+        crossings = []
+        build = engine_module.build_ride_entry
+        apply = tracking_module.apply_obsolescence
+
+        def building(region_, ride):
+            shadow[ride.ride_id] = ref_build_ride_entry(region_, ride)
+            return build(region_, ride)
+
+        def obsoleting(engine_, ride_id, now_s):
+            before = engine_.ride_entries.get(ride_id)
+            entry = apply(engine_, ride_id, now_s)
+            if before is not None:
+                step = before.after(now_s)
+                orphaned, shrunk = ref_obsolescence(shadow[ride_id], now_s)
+                got = (step.orphaned, step.shrunk) if step else ([], [])
+                assert got == (orphaned, shrunk)
+                if step is not None:
+                    assert entry is engine_.ride_entries[ride_id] is not before
+                    crossings.append(len(orphaned))
+            return entry
+
+        monkeypatch.setattr(engine_module, "build_ride_entry", building)
+        monkeypatch.setattr(engine_module, "apply_obsolescence", obsoleting)
+        monkeypatch.setattr(tracking_module, "apply_obsolescence", obsoleting)
+
+        rng = random.Random(seed)
+        generator = NYCWorkloadGenerator(city, seed=seed)
+        requests = trips_to_requests(
+            generator.generate(140, start_hour=7.0, end_hour=8.0)
+        )
+        requests = [  # some passengers ask for a tight detour budget
+            dataclasses.replace(r, max_detour_m=rng.choice([0.0, 300.0, 900.0]))
+            if i % 7 == 0 else r
+            for i, r in enumerate(requests)
+        ]
+        engine = XAREngine(region)
+        steps = []
+
+        def compare():
+            for ride_id in set(shadow) - set(engine.ride_entries):
+                del shadow[ride_id]
+            assert set(shadow) == set(engine.ride_entries)
+            for ride_id, entry in engine.ride_entries.items():
+                assert_entries_identical(entry, shadow[ride_id])
+            steps.append(len(shadow))
+
+        track_every_s = rng.choice([60.0, 120.0, 300.0])
+        last_tick = None
+        refused = 0
+        for request in requests:
+            now = request.window_start_s
+            if last_tick is None or now - last_tick >= track_every_s:
+                engine.track_all(now)
+                last_tick = now
+            matches = engine.search(request, 5)
+            if matches:
+                ride_id = matches[0].ride_id
+                kept = copy.deepcopy(shadow[ride_id])
+                try:
+                    engine.book(request, matches[0])
+                except BookingError:
+                    shadow[ride_id] = kept  # rolled back: the entry is back
+                    refused += 1
+            else:
+                engine.create_ride(
+                    request.source, request.destination, request.window_start_s
+                )
+            compare()
+        engine.track_all(max(r.window_end_s for r in requests) + 1800.0)
+        compare()
+        assert len(steps) == len(requests) + 1 and max(steps) >= 10
+        assert engine.bookings and engine.completed_rides
+        assert refused == len(engine.rollbacks)
+        assert len(crossings) > 50 and sum(crossings) > 100
 
 
 class TestSharedMatricesAreFrozen:

@@ -3,7 +3,7 @@
 A hypothesis ``RuleBasedStateMachine`` drives two indexes at once:
 
 * a bare ``FlatSearchIndex`` through the slab seams (``put`` / ``remove`` /
-  ``update_feasibility``) with arbitrary ride ids and ETAs, against a plain
+  ``update_pickup``) with arbitrary ride ids and ETAs, against a plain
   dict of what each cluster should hold;
 * an engine's index through the ride seams (``reindex_ride`` / ``drop_ride``
   / ``refresh_supports``, directly and via create / book / track / remove),
@@ -110,17 +110,20 @@ class ArenaMachine(RuleBasedStateMachine):
         removed = self.bare._slabs[cluster].remove(rid)
         assert removed == (self.model[cluster].pop(rid, None) is not None)
 
-    @rule(cluster=CLUSTERS, rid=RIDE_IDS, sp_len=LENGTHS, sd_len=LENGTHS,
-          ivals=INTS)
-    def update_feasibility(self, cluster, rid, sp_len, sd_len, ivals):
+    @rule(cluster=CLUSTERS, rid=RIDE_IDS, sp_len=LENGTHS,
+          ints=st.tuples(*[st.integers(-1, 50)] * 3))
+    def update_pickup(self, cluster, rid, sp_len, ints):
         slab = self.bare._slabs[cluster]
         was_dirty = slab.dirty
-        updated = slab.update_feasibility(rid, (-1.0, -1.0, sp_len, sd_len), ivals)
-        assert updated == (rid in self.model[cluster])
+        slab.update_pickup(rid, (*ints, sp_len))
         assert slab.dirty == was_dirty  # never dirties the sorted views
-        if updated:
-            (eta, detour, _sp, _sd), _ivals = self.model[cluster][rid]
-            self.model[cluster][rid] = ((eta, detour, sp_len, sd_len), ivals)
+        if rid in self.model[cluster]:
+            (eta, detour, _sp, sd_len), ivals = self.model[cluster][rid]
+            seg_e, sp_a, sp_b = ints
+            self.model[cluster][rid] = (
+                (eta, detour, sp_len, sd_len),
+                (seg_e, ivals[1], sp_a, sp_b, *ivals[4:]),
+            )
 
     # -- ride seams on the engine's index ---------------------------------
     @rule(a=st.integers(0, 71), b=st.integers(0, 71),

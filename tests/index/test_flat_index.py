@@ -76,7 +76,7 @@ class TestSlabMechanics:
         assert slab.fdata[row, F_ETA] == 250.0
         assert slab.fdata[row, F_DETOUR] == 9.0
 
-    def test_eta_change_dirties_update_feasibility_does_not(self):
+    def test_eta_change_dirties_update_pickup_does_not(self):
         slab = _slab()
         slab.put(1, _fvals(10.0), _IVALS)
         slab.rebuild()
@@ -84,9 +84,13 @@ class TestSlabMechanics:
         # Same ETA: clean.
         slab.put(1, _fvals(10.0, detour=5.0), _IVALS)
         assert not slab.dirty
-        # Feasibility refresh: clean by contract (row identity unchanged).
-        slab.update_feasibility(1, _fvals(10.0), (9, 9, 9, 9, 9, 9))
+        # Pickup refresh: clean by contract (row identity unchanged), and
+        # only the pickup columns move.
+        slab.update_pickup(1, (9, 8, 7, 6.0))
         assert not slab.dirty
+        row = slab.rows[1]
+        assert slab.fdata[row].tolist() == [10.0, 5.0, 6.0, 60.0]
+        assert slab.idata[row].tolist() == [9, 1, 8, 7, 4, 5]
         # ETA moved: the sorted views must re-sort.
         slab.put(1, _fvals(11.0), _IVALS)
         assert slab.dirty

@@ -34,6 +34,9 @@ class TestDeepSize:
     def test_numpy_buffer_counted(self):
         array = np.zeros(100_000, dtype=np.float64)
         assert deep_size_bytes(array) >= 800_000
+        # Once: getsizeof already includes an owned buffer.
+        assert deep_size_bytes(array) == sys.getsizeof(array)
+        assert deep_size_bytes(array) < 2 * 800_000
 
     def test_numpy_view_does_not_double_count(self):
         array = np.zeros(100_000)

@@ -3,7 +3,9 @@
 These are the loop bodies of ``dijkstra_all`` / ``dijkstra_path`` / ``astar``,
 ``build_ride_entry`` and ``_feasibility_row`` exactly as they stood before
 the write path was flattened (per-edge attribute lookups, a Python loop per
-(visit, candidate) pair, two ``segment_for`` scans per slab row), and the
+(visit, candidate) pair, two ``segment_for`` scans per slab row), the ride's
+index entry as it stood before it became arrays (a dict of ``ReachableInfo``
+objects with a ``set`` of supports each, shrunk in place by tracking), and the
 region builder's matrices as they stood before they were built in arrays
 (one Dijkstra per landmark, an L-long inner loop per source, a C² loop of
 ``np.ix_`` gathers; ALT's two Dijkstras per routing landmark), and the
@@ -18,18 +20,13 @@ of equal ETAs in a window — so they must not be "improved".
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.exceptions import NoPathError
-from repro.index import (
-    PassThrough,
-    PotentialRide,
-    ReachableInfo,
-    RideIndexEntry,
-    SegmentMeta,
-)
+from repro.index import PassThrough, PotentialRide, SegmentMeta
 from repro.index.sorted_list import SortedKeyList
 
 
@@ -206,10 +203,181 @@ def ref_find_edge(network, source: int, target: int):
 
 
 # ----------------------------------------------------------------------
+# index.ride_index: the entry as objects, mutated in place by tracking
+# ----------------------------------------------------------------------
+@dataclass
+class RefReachableInfo:
+    cluster_id: int
+    supports: Set[int] = field(default_factory=set)
+    eta_s: float = float("inf")
+    detour_estimate_m: float = float("inf")
+    support_landmark: int = -1
+    via_landmark: int = -1
+
+    def merge(
+        self,
+        support: int,
+        eta_s: float,
+        detour_m: float,
+        support_landmark: int = -1,
+        via_landmark: int = -1,
+    ) -> None:
+        self.supports.add(support)
+        if eta_s < self.eta_s:
+            self.eta_s = eta_s
+        if detour_m < self.detour_estimate_m:
+            self.detour_estimate_m = detour_m
+            self.support_landmark = support_landmark
+            self.via_landmark = via_landmark
+
+
+@dataclass
+class RefRideIndexEntry:
+    ride_id: int
+    pass_through: List[PassThrough] = field(default_factory=list)
+    #: cluster id -> RefReachableInfo, in insertion order.
+    reachable: Dict[int, RefReachableInfo] = field(default_factory=dict)
+    segments: List[SegmentMeta] = field(default_factory=list)
+
+    def pass_through_ids(self) -> Set[int]:
+        return {visit.cluster_id for visit in self.pass_through}
+
+    def drop_pass_through(self, cluster_ids: Set[int]) -> None:
+        self.pass_through = [
+            visit for visit in self.pass_through if visit.cluster_id not in cluster_ids
+        ]
+
+    def segment_for(
+        self, cluster_id: int, earliest: bool, at_least: Optional[int] = None
+    ) -> Optional[int]:
+        info = self.reachable.get(cluster_id)
+        if info is None:
+            return None
+        candidates = [
+            visit
+            for visit in self.pass_through
+            if visit.cluster_id in info.supports
+            and (at_least is None or visit.segment_index >= at_least)
+        ]
+        if not candidates:
+            return None
+        if earliest:
+            chosen = min(candidates, key=lambda visit: visit.eta_s)
+        else:
+            chosen = max(candidates, key=lambda visit: visit.eta_s)
+        return chosen.segment_index
+
+    def remove_supports(self, cluster_ids: Set[int]) -> List[int]:
+        orphaned: List[int] = []
+        for cluster_id, info in list(self.reachable.items()):
+            info.supports -= cluster_ids
+            if not info.supports:
+                orphaned.append(cluster_id)
+                del self.reachable[cluster_id]
+        return orphaned
+
+
+def ref_obsolescence(
+    entry: RefRideIndexEntry, now_s: float
+) -> Tuple[List[int], List[int]]:
+    """Tracking Steps 1-3 in place, as ``apply_obsolescence`` did on the
+    object entry; returns ``(orphaned, shrunk)`` clusters in dict order."""
+    crossed = {v.cluster_id for v in entry.pass_through if v.eta_s <= now_s}
+    if not crossed:
+        return [], []
+    shrunk = [
+        cluster_id
+        for cluster_id, info in entry.reachable.items()
+        if not info.supports.isdisjoint(crossed)
+    ]
+    orphaned = entry.remove_supports(crossed)
+    entry.drop_pass_through(crossed)
+    return orphaned, [c for c in shrunk if c in entry.reachable]
+
+
+def as_reference(entry) -> RefRideIndexEntry:
+    """The object entry holding what a production entry's views read."""
+    return RefRideIndexEntry(
+        ride_id=entry.ride_id,
+        pass_through=list(entry.pass_through),
+        reachable={
+            cluster_id: RefReachableInfo(
+                info.cluster_id,
+                set(info.supports),
+                info.eta_s,
+                info.detour_estimate_m,
+                info.support_landmark,
+                info.via_landmark,
+            )
+            for cluster_id, info in entry.reachable.items()
+        },
+        segments=list(entry.segments),
+    )
+
+
+def from_reference(ref: RefRideIndexEntry):
+    """The production (array) entry holding what an object entry holds.
+
+    Supports are columns of the visits, so a support naming a cluster with
+    no visit cannot be expressed and raises ``ValueError``.
+    """
+    from repro.index import RideIndexEntry
+
+    visits = ref.pass_through
+    column = {visit.cluster_id: i for i, visit in enumerate(visits)}
+    infos = list(ref.reachable.values())
+    supports = np.zeros((len(infos), len(visits)), dtype=bool)
+    for row, info in enumerate(infos):
+        for cluster_id in info.supports:
+            if cluster_id not in column:
+                raise ValueError(f"support {cluster_id} has no pass-through visit")
+            supports[row, column[cluster_id]] = True
+    return RideIndexEntry(
+        ref.ride_id,
+        _block([(v.eta_s, v.route_offset_m) for v in visits], 2, np.float64),
+        _block(
+            [(v.cluster_id, v.segment_index, v.landmark_id) for v in visits],
+            3, np.int64,
+        ),
+        _block([(i.eta_s, i.detour_estimate_m) for i in infos], 2, np.float64),
+        _block(
+            [(i.cluster_id, i.support_landmark, i.via_landmark) for i in infos],
+            3, np.int64,
+        ),
+        supports,
+        _block(
+            [(m.start_landmark, m.end_landmark) for m in ref.segments], 2, np.int64
+        ),
+        np.array([m.length_m for m in ref.segments], dtype=np.float64),
+    )
+
+
+def _block(rows, width: int, dtype) -> np.ndarray:
+    """``rows`` as an owned ``len(rows) x width`` array (empty included)."""
+    return np.array(rows, dtype=dtype) if rows else np.empty((0, width), dtype)
+
+
+def assert_entry_equals_reference(got, want: RefRideIndexEntry) -> None:
+    """A production entry reads, field by field and with ``==``, what the
+    reference object entry holds — reachable order included."""
+    assert got.ride_id == want.ride_id
+    assert list(got.pass_through) == want.pass_through
+    assert list(got.segments) == want.segments
+    assert list(got.reachable) == list(want.reachable)  # dict order, too
+    for (cluster_id, info), ref in zip(got.reachable.items(), want.reachable.values()):
+        assert info.cluster_id == ref.cluster_id == cluster_id
+        assert info.supports == ref.supports, cluster_id
+        assert info.eta_s == ref.eta_s, cluster_id
+        assert info.detour_estimate_m == ref.detour_estimate_m, cluster_id
+        assert info.support_landmark == ref.support_landmark, cluster_id
+        assert info.via_landmark == ref.via_landmark, cluster_id
+
+
+# ----------------------------------------------------------------------
 # core.reachability
 # ----------------------------------------------------------------------
-def ref_build_ride_entry(region, ride) -> RideIndexEntry:
-    entry = RideIndexEntry(ride_id=ride.ride_id)
+def ref_build_ride_entry(region, ride) -> RefRideIndexEntry:
+    entry = RefRideIndexEntry(ride_id=ride.ride_id)
     visits = _pass_through_visits(region, ride)
     entry.pass_through = visits
     entry.segments = _entry_segment_meta(region, ride)
@@ -225,7 +393,7 @@ def ref_build_ride_entry(region, ride) -> RideIndexEntry:
 
     for visit in visits:
         info = entry.reachable.setdefault(
-            visit.cluster_id, ReachableInfo(cluster_id=visit.cluster_id)
+            visit.cluster_id, RefReachableInfo(cluster_id=visit.cluster_id)
         )
         info.merge(
             support=visit.cluster_id,
@@ -255,7 +423,7 @@ def ref_build_ride_entry(region, ride) -> RideIndexEntry:
                 if detour > detour_limit:
                     continue
                 info = entry.reachable.setdefault(
-                    candidate, ReachableInfo(cluster_id=candidate)
+                    candidate, RefReachableInfo(cluster_id=candidate)
                 )
                 info.merge(
                     support=c,
@@ -337,7 +505,9 @@ def _segment_meta(entry, segment: int) -> Tuple[int, int, float]:
     return -1, -1, 0.0
 
 
-def ref_feasibility_row(entry, cluster_id: int, eta_s: float):
+def ref_feasibility_row(entry: RefRideIndexEntry, cluster_id: int, eta_s: float):
+    """The slab row of ``cluster_id`` from an object entry (see
+    ``as_reference``), by two ``segment_for`` scans."""
     info = entry.reachable.get(cluster_id)
     detour = info.detour_estimate_m if info is not None else float("inf")
     seg_e = entry.segment_for(cluster_id, earliest=True)

@@ -7,6 +7,7 @@ import pytest
 from repro.core import XAREngine, validate_engine
 from repro.exceptions import XARError
 from repro.resilience import InvariantAuditor
+from tests.entry_faults import corrupt_entry
 
 
 @pytest.fixture
@@ -68,13 +69,28 @@ class TestDamageDetectionAndHealing:
         ride_id, entry = _indexed_ride(loaded)
         cluster_id = next(iter(entry.reachable))
         # The entry forgets the cluster; the index still advertises the ride.
-        entry.reachable.pop(cluster_id)
+        with corrupt_entry(loaded.ride_entries, ride_id) as entry:
+            entry.reachable.pop(cluster_id)
 
         auditor = InvariantAuditor(loaded)
         report = auditor.audit()
         assert report.by_kind().get("ghost-index-entry", 0) >= 1
         auditor.heal(report)
         assert auditor.audit().ok
+
+    def test_unsupported_reachable_detected_and_healed(self, loaded):
+        ride_id, entry = _indexed_ride(loaded)
+        cluster_id = next(iter(entry.reachable))
+        with corrupt_entry(loaded.ride_entries, ride_id) as entry:
+            entry.reachable[cluster_id].supports.clear()
+
+        auditor = InvariantAuditor(loaded)
+        report = auditor.audit()
+        assert report.by_kind().get("unsupported-reachable") == 1
+        assert "no supporting pass-through visit" in report.describe()
+        auditor.heal(report)
+        assert auditor.audit().ok
+        assert not loaded.ride_entries[ride_id].unsupported()
 
     def test_stray_ghost_in_unreachable_cluster_heals_in_one_pass(self, loaded):
         """Regression: heal's reindex must purge rows the rebuilt entry does

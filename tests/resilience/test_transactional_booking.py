@@ -7,6 +7,7 @@ from repro.core.booking import book_ride
 from repro.exceptions import BookingError, NoPathError
 from repro.resilience import InvariantAuditor, diff_ride, restore_ride, snapshot_ride
 from repro.roadnet import dijkstra_path
+from tests.entry_faults import corrupt_entry
 
 
 class FlakyRouter:
@@ -107,8 +108,8 @@ class TestStaleMatchRollback:
     def test_stale_match_rolls_back(self, flaky_setup):
         engine, router, request, match = flaky_setup
         # Make the match stale: forget the pickup cluster server-side.
-        entry = engine.ride_entries[match.ride_id]
-        entry.reachable.pop(match.pickup_cluster, None)
+        with corrupt_entry(engine.ride_entries, match.ride_id) as entry:
+            entry.reachable.pop(match.pickup_cluster, None)
         before = snapshot_ride(engine, match.ride_id)
         with pytest.raises(BookingError):
             engine.book(request, match)
