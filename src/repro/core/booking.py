@@ -155,6 +155,7 @@ def book_ride(
 
         old_length = ride.length_m
         sp_count = 0
+        geometry = ride.geometry  # put back by reference on a refusal
         route = ride.route
         vias = list(ride.via_points)
 
@@ -218,7 +219,7 @@ def book_ride(
         if actual_detour > ride.detour_limit_m + slack:
             # The additive 4ε guarantee allows exceeding the limit by at most the
             # slack; beyond that the match was invalid — roll back.
-            ride.replace_route(route, vias)
+            ride.replace_route(geometry, vias)
             raise BookingError(
                 f"actual detour {actual_detour:.0f} m exceeds remaining budget "
                 f"{ride.detour_limit_m:.0f} m beyond the {slack:.0f} m tolerance"
@@ -228,7 +229,7 @@ def book_ride(
             # Look-to-book race: seats hit zero between the entry check and the
             # splice (e.g. the same ride booked via another match of this batch).
             # Never silently over-book — restore the route and refuse.
-            ride.replace_route(route, vias)
+            ride.replace_route(geometry, vias)
             raise BookingError(
                 f"ride {ride.ride_id} ran out of seats while booking was in flight"
             )
@@ -241,7 +242,7 @@ def book_ride(
                 record_existing.max_detour_m is not None
                 and consumed > record_existing.max_detour_m
             ):
-                ride.replace_route(route, vias)
+                ride.replace_route(geometry, vias)
                 raise BookingError(
                     f"splice would stretch passenger {record_existing.request_id} "
                     f"by {consumed:.0f} m, over their {record_existing.max_detour_m:.0f} m "

@@ -21,7 +21,7 @@ the nearest pass-through cluster of the segment stands in.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Set, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -31,13 +31,13 @@ from .ride import Ride
 
 
 class _Visits(NamedTuple):
-    """Pass-through visits as parallel lists, in route order."""
+    """Pass-through visits as parallel arrays, in route order."""
 
-    cluster: List[int]
-    segment: List[int]
-    eta: List[float]
-    offset: List[float]
-    landmark: List[int]
+    cluster: np.ndarray
+    segment: np.ndarray
+    eta: np.ndarray
+    offset: np.ndarray
+    landmark: np.ndarray
 
 
 class _OffRoute(NamedTuple):
@@ -59,27 +59,24 @@ class _OffRoute(NamedTuple):
 
 def build_ride_entry(region: DiscretizedRegion, ride: Ride) -> RideIndexEntry:
     """Compute the full index entry (pass-through + reachable) for a ride."""
-    visits = _pass_through_visits(region, ride)
-    m = len(visits.cluster)
-    via_landmarks = [
-        _via_landmark(region, ride, segment_index, visits)
-        for segment_index in range(ride.n_segments)
-    ]
-    c = np.array(visits.cluster, dtype=np.int64)
-    eta = np.array(visits.eta, dtype=np.float64)
-    landmark = np.array(visits.landmark, dtype=np.int64)
-    segment = np.array(visits.segment, dtype=np.int64)
+    geometry = ride.geometry
+    vias = np.array([via.route_index for via in ride.via_points], dtype=np.intp)
+    node_landmark, node_cluster = region.landmarks_at(geometry.route)
+    visits = _pass_through_visits(ride, vias, node_landmark, node_cluster)
+    c, segment, eta, offset, landmark = visits
+    m = len(c)
+    via_landmark, via_cluster = _via_stand_ins(visits, vias, node_landmark, node_cluster)
     # Pass-through clusters serve requests with zero cluster-level detour,
     # each supported by its own visit; their rows come first, in route order.
     clusters = c
     reach_eta = eta.copy()
     detour = np.zeros(m)
     support_lm = landmark
-    via_lm = np.array(via_landmarks, dtype=np.int64)[segment]
+    via_lm = via_landmark[segment]
     supports = np.eye(m, dtype=bool)
     off = None
     if m and ride.detour_limit_m > 0:
-        off = _off_route(region, ride, visits, c, eta)
+        off = _off_route(region, ride.detour_limit_m, c, eta, via_cluster[segment])
     if off is not None:
         won = off.winner
         clusters = np.concatenate((c, off.cluster))
@@ -92,28 +89,33 @@ def build_ride_entry(region: DiscretizedRegion, ride: Ride) -> RideIndexEntry:
         supports[np.arange(m), np.arange(m)] = True
         current = reach_eta[off.pt_row]
         reach_eta[off.pt_row] = np.where(off.pt_eta < current, off.pt_eta, current)
-    segment_landmarks, segment_length_m = _segment_meta(region, ride)
+    # Landmark-level segment descriptors for detour estimation: (start, end)
+    # landmarks (-1 when none) and on-route lengths.  A ride has at least
+    # one segment, so the landmark block is n x 2.
+    offsets = geometry.offsets_m
     return RideIndexEntry(
         ride.ride_id,
-        np.column_stack((eta, np.array(visits.offset, dtype=np.float64))),
+        np.column_stack((eta, offset)),
         np.column_stack((c, segment, landmark)),
         np.column_stack((reach_eta, detour)),
         np.column_stack((clusters, support_lm, via_lm)),
         supports,
-        segment_landmarks,
-        segment_length_m,
+        node_landmark[vias.repeat(2)[1:-1].reshape(-1, 2)],
+        offsets[vias[1:]] - offsets[vias[:-1]],
     )
 
 
 def _off_route(
     region: DiscretizedRegion,
-    ride: Ride,
-    visits: _Visits,
+    limit: float,
     c: np.ndarray,
     visit_eta: np.ndarray,
+    via: np.ndarray,
 ) -> Optional[_OffRoute]:
-    """Every cluster within the detour limit of a visit — all (visit,
+    """Every cluster within the detour ``limit`` of a visit — all (visit,
     candidate) detour tests in one array pass; None when no pair passes.
+    ``via`` is the cluster standing in for each visit's segment-end
+    via-point.
 
     The scalar formulation this replaces (kept as the reference the tests
     compare against) walked segments in order, a segment's visits in route
@@ -135,17 +137,9 @@ def _off_route(
       zero detour and its landmarks, gains the support and takes the
       smaller ETA.
     """
-    limit = ride.detour_limit_m
-    last_of_segment = dict(zip(visits.segment, visits.cluster))
-    via_cluster = {
-        segment_index: _via_cluster(region, ride, segment_index, last_cluster)
-        for segment_index, last_cluster in last_of_segment.items()
-    }
-
     D = region.cluster_matrix
     m = len(c)
     c = c.astype(np.intp)
-    via = np.array([via_cluster[s] for s in visits.segment], dtype=np.intp)
     d_c_cand = D[c]  # [i, x] = D[c_i, x]
     # D[x, via_i] read as D[via_i, x]: the region builds the matrix exactly
     # symmetric (one float stored both ways), and whole rows are contiguous
@@ -200,87 +194,59 @@ def _off_route(
     )
 
 
-def _pass_through_visits(region: DiscretizedRegion, ride: Ride) -> _Visits:
-    """First-encounter cluster visits along the ride's route, in route order."""
-    visits = _Visits([], [], [], [], [])
-    seen: Set[int] = set()
-    landmark_of_node = region.landmark_of_node
-    cluster_of_landmark = region.cluster_of_landmark
-    # ``ride.segment_of_route_index`` for ascending indices, as a cursor:
-    # the first segment ending past the index, else the last segment.
-    segment_ends = [via.route_index for via in ride.via_points[1:]]
-    last_segment = len(segment_ends) - 1
-    segment = 0
-    for route_index, node in enumerate(ride.route):
-        hit = landmark_of_node(node)
-        if hit is None:
-            continue
-        landmark_id = hit[0]
-        cluster_id = cluster_of_landmark(landmark_id)
-        if cluster_id in seen:
-            continue
-        seen.add(cluster_id)
-        while segment < last_segment and route_index >= segment_ends[segment]:
-            segment += 1
-        visits.cluster.append(cluster_id)
-        visits.segment.append(segment)
-        visits.eta.append(ride.eta_at_index(route_index))
-        visits.offset.append(ride.offset_at_index(route_index))
-        visits.landmark.append(landmark_id)
-    return visits
-
-
-def _via_cluster(
-    region: DiscretizedRegion,
+def _pass_through_visits(
     ride: Ride,
-    segment_index: int,
-    last_cluster: int,
-) -> int:
-    """Cluster standing in for via-point ``segment_index + 1`` in the detour
-    test; falls back to the segment's last pass-through cluster."""
-    via_node = ride.via_points[segment_index + 1].node
-    hit = region.landmark_of_node(via_node)
-    if hit is not None:
-        return region.cluster_of_landmark(hit[0])
-    return last_cluster
+    vias: np.ndarray,
+    node_landmark: np.ndarray,
+    node_cluster: np.ndarray,
+) -> _Visits:
+    """First-encounter cluster visits along the ride's route, in route order.
+
+    ``vias`` are the via-points' route indices, and ``node_landmark`` /
+    ``node_cluster`` the landmark and cluster of every route node."""
+    clusters = node_cluster.tolist()
+    # Fed the route backwards, a dict ends up holding each cluster's
+    # earliest route index (-1 stands for "no landmark" and is dropped).
+    first = dict(zip(reversed(clusters), range(len(clusters) - 1, -1, -1)))
+    first.pop(-1, None)
+    at = np.array(sorted(first.values()), dtype=np.intp)
+    # ``ride.segment_of_route_index``: the first segment ending past the
+    # index, else the last segment.
+    segment = np.minimum(vias[1:].searchsorted(at, "right"), len(vias) - 2)
+    geometry = ride.geometry
+    return _Visits(
+        node_cluster[at],
+        segment,
+        ride.departure_s + geometry.times_s[at],
+        geometry.offsets_m[at],
+        node_landmark[at],
+    )
 
 
-def _segment_meta(
-    region: DiscretizedRegion, ride: Ride
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Landmark-level segment descriptors for detour estimation:
-    ``(start, end)`` landmarks (-1 when none) and on-route lengths."""
-    landmarks: List[Tuple[int, int]] = []
-    lengths: List[float] = []
-    for segment_index in range(ride.n_segments):
-        start, end = ride.segment_bounds(segment_index)
-        start_hit = region.landmark_of_node(ride.route[start])
-        end_hit = region.landmark_of_node(ride.route[end])
-        landmarks.append(
-            (start_hit[0] if start_hit else -1, end_hit[0] if end_hit else -1)
-        )
-        lengths.append(ride.offset_at_index(end) - ride.offset_at_index(start))
-    # A ride has at least one segment, so the landmark block is n x 2.
-    return np.array(landmarks, dtype=np.int64), np.array(lengths, dtype=np.float64)
-
-
-def _via_landmark(
-    region: DiscretizedRegion,
-    ride: Ride,
-    segment_index: int,
+def _via_stand_ins(
     visits: _Visits,
-) -> int:
-    """Landmark standing in for via-point ``segment_index + 1``; falls back
-    to the segment's (or ride's) last pass-through landmark, else -1."""
-    via_node = ride.via_points[segment_index + 1].node
-    hit = region.landmark_of_node(via_node)
-    if hit is not None:
-        return hit[0]
-    segment_visits = [
-        landmark
-        for segment, landmark in zip(visits.segment, visits.landmark)
-        if segment == segment_index
-    ]
-    if segment_visits:
-        return segment_visits[-1]
-    return visits.landmark[-1] if visits.landmark else -1
+    vias: np.ndarray,
+    node_landmark: np.ndarray,
+    node_cluster: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Landmark and cluster standing in for each segment's end via-point in
+    the detour test: its own, when its node has a landmark.  Otherwise the
+    landmark falls back to the segment's last pass-through visit, else the
+    ride's last visit, else -1; the cluster to the segment's last visit
+    (read only for segments that have visits)."""
+    ends = vias[1:]
+    landmark = node_landmark[ends].tolist()
+    cluster = node_cluster[ends].tolist()
+    visit_landmark = visits.landmark.tolist()
+    visit_cluster = visits.cluster.tolist()
+    # Segments ascend along the visits: the dict keeps each one's last.
+    last = dict(zip(visits.segment.tolist(), range(len(visit_landmark))))
+    for segment, found in enumerate(landmark):
+        if found < 0:
+            visit = last.get(segment)
+            if visit is not None:
+                landmark[segment] = visit_landmark[visit]
+                cluster[segment] = visit_cluster[visit]
+            elif visit_landmark:
+                landmark[segment] = visit_landmark[-1]
+    return np.array(landmark, dtype=np.int64), np.array(cluster, dtype=np.int64)

@@ -8,15 +8,23 @@ limit remaining.
 
 The route is a node path on the road network.  Cumulative distance and time
 offsets are precomputed so that the ETA at any route index is O(1); those
-ETAs feed the cluster index.
+ETAs feed the cluster index.  The three are held as read-only numpy arrays
+(:class:`RouteGeometry`: int64 nodes, float64 offsets and times), not as
+Python lists: ≈ 0.8 kB a ride on the benchmark city, where the lists took
+≈ 2.3 kB, and the reachability build reads them with array operations.
+Being immutable, one ride's geometry can be shared by reference — a
+snapshot, a rolled-back splice and a checkpoint decode put it back with
+:meth:`Ride.replace_route` instead of recomputing it.  The accessors hand
+out Python ints and floats, so nothing downstream sees a numpy scalar.
 """
 
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..exceptions import RideError
 from ..geo import GeoPoint
@@ -56,6 +64,15 @@ class PassengerRecord:
     request_id: int
     max_detour_m: Optional[float]
     baseline_onboard_m: float
+
+
+class RouteGeometry(NamedTuple):
+    """A route and its cumulative offsets (metres) and travel times
+    (seconds) from the first node, as read-only arrays of one length."""
+
+    route: np.ndarray
+    offsets_m: np.ndarray
+    times_s: np.ndarray
 
 
 class Ride:
@@ -107,15 +124,11 @@ class Ride:
         #: maintained by tracking.
         self.progressed_m = 0.0
 
-        self._route: List[int] = []
-        self._offsets_m: List[float] = []
-        self._times_s: List[float] = []
-        self.via_points: List[ViaPoint] = []
-        self._set_route(list(route))
-        self.via_points = [
-            ViaPoint(node=self._route[0], route_index=0, label="source"),
+        self._set_route(route)
+        self.via_points: List[ViaPoint] = [
+            ViaPoint(node=self._route.item(0), route_index=0, label="source"),
             ViaPoint(
-                node=self._route[-1],
+                node=self._route.item(-1),
                 route_index=len(self._route) - 1,
                 label="destination",
             ),
@@ -126,7 +139,9 @@ class Ride:
     # ------------------------------------------------------------------
     # Route geometry
     # ------------------------------------------------------------------
-    def _set_route(self, route: List[int]) -> None:
+    def _set_route(self, route: Sequence[int]) -> None:
+        """Compute the route's geometry: the same left-to-right float sums
+        as ever, so every offset and ETA is bit-identical to them."""
         hops = self.network.frozen().hops
         offset = elapsed = 0.0
         offsets = [offset]
@@ -141,44 +156,56 @@ class Ride:
             elapsed += hop[1]
             offsets.append(offset)
             times.append(elapsed)
-        self._route = route
-        self._offsets_m = offsets
-        self._times_s = times
+        self._install(RouteGeometry(
+            np.array(route, dtype=np.int64),
+            np.array(offsets, dtype=np.float64),
+            np.array(times, dtype=np.float64),
+        ))
+
+    def _install(self, geometry: RouteGeometry) -> None:
+        for column in geometry:
+            column.setflags(write=False)
+        self._route, self._offsets_m, self._times_s = geometry
+
+    @property
+    def geometry(self) -> RouteGeometry:
+        """The route's arrays — read-only, so safe to keep by reference."""
+        return RouteGeometry(self._route, self._offsets_m, self._times_s)
 
     @property
     def route(self) -> List[int]:
-        return list(self._route)
+        return self._route.tolist()
 
     @property
     def length_m(self) -> float:
-        return self._offsets_m[-1]
+        return self._offsets_m.item(-1)
 
     @property
     def duration_s(self) -> float:
-        return self._times_s[-1]
+        return self._times_s.item(-1)
 
     @property
     def arrival_s(self) -> float:
         return self.departure_s + self.duration_s
 
     def offset_at_index(self, route_index: int) -> float:
-        return self._offsets_m[route_index]
+        return self._offsets_m.item(route_index)
 
     def eta_at_index(self, route_index: int) -> float:
         """Estimated time of arrival at a route node (departure + cum. time)."""
-        return self.departure_s + self._times_s[route_index]
+        return self.departure_s + self._times_s.item(route_index)
 
     def index_at_time(self, now_s: float) -> int:
         """Last route index reached by time ``now_s`` (0 before departure)."""
         elapsed = now_s - self.departure_s
         if elapsed <= 0:
             return 0
-        index = bisect_right(self._times_s, elapsed) - 1
+        index = int(self._times_s.searchsorted(elapsed, "right")) - 1
         return min(index, len(self._route) - 1)
 
     def position_at_time(self, now_s: float) -> GeoPoint:
         """Node-resolution position of the ride at ``now_s``."""
-        return self.network.position(self._route[self.index_at_time(now_s)])
+        return self.network.position(self._route.item(self.index_at_time(now_s)))
 
     # ------------------------------------------------------------------
     # Via-points and segments
@@ -209,15 +236,21 @@ class Ride:
 
     def replace_route(
         self,
-        route: List[int],
+        route: Union[Sequence[int], RouteGeometry],
         via_points: List[ViaPoint],
     ) -> None:
         """Install a post-booking route + via-point set (booking back-end).
 
+        ``route`` is a node path, or a :class:`RouteGeometry` taken from a
+        ride's :attr:`geometry` — installed by reference, not recomputed.
         Validates that via-points are sorted, anchored at the route ends, and
         reference the claimed nodes.
         """
-        self._set_route(route)
+        if isinstance(route, RouteGeometry):
+            self._install(route)
+            route = route.route
+        else:
+            self._set_route(route)
         if not via_points or via_points[0].route_index != 0:
             raise RideError(f"ride {self.ride_id}: first via-point must be index 0")
         if via_points[-1].route_index != len(route) - 1:
@@ -230,7 +263,7 @@ class Ride:
                 raise RideError(
                     f"ride {self.ride_id}: via-points out of order at {via}"
                 )
-            if route[via.route_index] != via.node:
+            if self._route.item(via.route_index) != via.node:
                 raise RideError(
                     f"ride {self.ride_id}: via-point node mismatch at {via}"
                 )
@@ -260,7 +293,8 @@ class Ride:
     def onboard_span_m(self, request_id: int) -> float:
         """Route distance a booked passenger spends onboard (pickup→dropoff)."""
         pickup, dropoff = self.passenger_vias(request_id)
-        return self._offsets_m[dropoff.route_index] - self._offsets_m[pickup.route_index]
+        offsets = self._offsets_m
+        return offsets.item(dropoff.route_index) - offsets.item(pickup.route_index)
 
     def passenger_consumed_m(self, request_id: int) -> float:
         """Detour consumed against a passenger's own budget so far."""

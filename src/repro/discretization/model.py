@@ -9,8 +9,9 @@ entirely during search.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import takewhile
+from operator import attrgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -70,6 +71,9 @@ class WalkColumns(NamedTuple):
         return cls(options, *columns)
 
 
+_WALK = attrgetter("walk_m")
+
+
 class DiscretizedRegion:
     """The complete three-tier discretization of a city.
 
@@ -116,11 +120,15 @@ class DiscretizedRegion:
             )
 
         self._cluster_matrix = self._build_cluster_matrix()
-        #: (cell, threshold or None for the system W) -> walkable list.
-        self._walkable_cache: Dict[Tuple[GridCell, Optional[float]], WalkColumns] = {}
+        #: (cell, None) -> the cell's walkable list; (cell, n) -> its first
+        #: n options.  At most one pruned list per option of a cell,
+        #: whatever thresholds requests bring.
+        self._walkable_cache: Dict[Tuple[GridCell, Optional[int]], WalkColumns] = {}
         self._landmark_buckets = self._bucket_landmarks()
         #: Shortest-path trees of the landmark nodes, built on first use.
         self._path_trees: Optional[PathTrees] = None
+        #: (sorted node ids, landmark per node, cluster per node), on first use.
+        self._node_table: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -178,6 +186,27 @@ class DiscretizedRegion:
         """Nearest landmark (id, driving distance) of a road node, if within Δ."""
         return self._node_landmark.get(node)
 
+    def landmarks_at(self, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``landmark_of_node`` and ``cluster_of_landmark`` over an array of
+        road nodes: (landmark id, cluster id) per node, -1 where no landmark
+        is within Δ.  Two gathers through a dense per-node table."""
+        table = self._node_table
+        if table is None:
+            ids = sorted(self.network.nodes())
+            landmark = [self._node_landmark.get(node, (-1,))[0] for node in ids]
+            cluster = [self._landmark_cluster.get(lid, -1) for lid in landmark]
+            table = (
+                np.array(ids, dtype=np.int64),
+                np.array(landmark, dtype=np.int64),
+                np.array(cluster, dtype=np.int64),
+            )
+            # Built completely, then published with one assignment: thread
+            # shards share one region.
+            self._node_table = table
+        ids, landmark, cluster = table
+        at = ids.searchsorted(nodes)
+        return landmark[at], cluster[at]
+
     def nearest_landmark(self, point: GeoPoint) -> Optional[Tuple[int, float]]:
         """Grid → landmark association via the grid's nearest road node.
 
@@ -234,25 +263,27 @@ class DiscretizedRegion:
         mutate.
 
         The full list (threshold = system W) is cached per grid cell, exactly
-        as the paper precomputes it.  Pruned lists are cached per
-        (cell, threshold) too: request thresholds come from a handful of
-        workload-level settings, and a sharded service prunes the same cell
-        once per consulted shard on its search hot path.
+        as the paper precomputes it.  Options ascend by walk, so a request's
+        threshold keeps a prefix of them; pruned lists are cached per (cell,
+        prefix length) — a sharded service prunes the same cell once per
+        consulted shard on its search hot path, and a threshold is a free
+        float on the wire, so keying by it would grow without bound.
         """
         cell = self.cell_of(point)
-        if max_walk_m is not None and max_walk_m >= self.config.max_walk_m:
-            max_walk_m = None
-        key = (cell, max_walk_m)
-        columns = self._walkable_cache.get(key)
+        full = self._walkable_cache.get((cell, None))
+        if full is None:
+            options = self._compute_walkable(self.grid.centroid_of(cell))
+            full = self._walkable_cache[(cell, None)] = WalkColumns.of(options)
+        if max_walk_m is None or max_walk_m >= self.config.max_walk_m:
+            return full
+        # The options with ``walk_m <= max_walk_m`` (none for a NaN).
+        n = (
+            bisect_right(full.options, max_walk_m, key=_WALK)
+            if max_walk_m == max_walk_m else 0
+        )
+        columns = self._walkable_cache.get((cell, n))
         if columns is None:
-            if max_walk_m is None:
-                options = self._compute_walkable(self.grid.centroid_of(cell))
-            else:  # sorted ascending: stop at the first exceedance
-                options = list(takewhile(
-                    lambda option: option.walk_m <= max_walk_m,
-                    self.walkable_columns(point).options,
-                ))
-            columns = self._walkable_cache[key] = WalkColumns.of(options)
+            columns = self._walkable_cache[(cell, n)] = WalkColumns.of(full.options[:n])
         return columns
 
     def _compute_walkable(self, centroid: GeoPoint) -> List[WalkOption]:

@@ -219,7 +219,7 @@ def restore_ride(region: DiscretizedRegion, state: Dict[str, Any]) -> Ride:
         shift_end_s=None if shift_end is None else float(shift_end),
     )
     ride.replace_route(
-        route,
+        ride.geometry,  # the route the constructor just laid out
         [
             ViaPoint(
                 node=int(node),

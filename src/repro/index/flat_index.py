@@ -20,7 +20,14 @@ dozen numpy calls over small arrays:
   two binary searches and a slice) and by ride id (the R1 ∩ R2 probe).
   Views are rebuilt on first query after a mutation — a create/book/track
   burst dirties slabs for free and the next search pays two ``argsort``
-  per *touched* cluster.
+  per *touched* cluster.  A slab keeps no ride → row map: it works on
+  storage rows (``append`` returns one, ``remove_row`` and
+  ``update_pickup`` take one).
+* **Row handles** — per ride, the clusters holding a row for it and one
+  int32 ``array("i")`` of those rows' storage rows, aligned.  A storage
+  row is relative to its slab's region, so a region move leaves it valid;
+  a swap-remove moves one other ride's row, and that ride's handle is
+  patched.  (A ``rid → row`` dict per slab cost ≈ 85 B a row.)
 * **Budget columns** — one global row per ride: seats available and the
   remaining detour budget as of the last (re)index, kept for the mirror
   audit only.  The feasibility filter reads both *live* from the ride
@@ -37,6 +44,7 @@ from __future__ import annotations
 import math
 import mmap
 import weakref
+from array import array
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -135,27 +143,28 @@ def _feasibility_rows(
 
 
 def _pickup_columns(
-    entry: "RideIndexEntry", clusters: Iterable[int]
-) -> Iterator[Tuple[int, Tuple[int, int, int, float]]]:
-    """``(cluster, (segment, start landmark, end landmark, length))`` of the
-    pickup segment of each given reachable cluster that keeps a support:
-    that of its first supporting visit in route order — the earliest by
-    ETA, first on ties, as visits are in route order and ETAs ascend."""
-    ids = entry.reach_i[:, R_CLUSTER].tolist()
+    entry: "RideIndexEntry", ids: List[int], clusters: Iterable[int]
+) -> Iterator[Tuple[int, int, Tuple[int, int, int, float]]]:
+    """``(cluster, entry row, (segment, start landmark, end landmark,
+    length))`` of the pickup segment of each given reachable cluster that
+    keeps a support: that of its first supporting visit in route order —
+    the earliest by ETA, first on ties, as visits are in route order and
+    ETAs ascend.  ``ids`` are the entry's reachable clusters, by row."""
     row_of = dict(zip(ids, range(len(ids))))
     found = [cluster_id for cluster_id in clusters if cluster_id in row_of]
     if not found:
         return
-    supports = entry.supports[[row_of[cluster_id] for cluster_id in found]]
+    rows = [row_of[cluster_id] for cluster_id in found]
+    supports = entry.supports[rows]
     first = supports.argmax(axis=1).tolist()
     supported = supports.any(axis=1).tolist()
     segment = entry.visit_i[:, V_SEGMENT].tolist()
     landmarks = entry.segment_landmarks.tolist()
     lengths = entry.segment_length_m.tolist()
-    for cluster_id, visit, ok in zip(found, first, supported):
+    for cluster_id, row, visit, ok in zip(found, rows, first, supported):
         if ok:
             seg = segment[visit]
-            yield cluster_id, (seg, *landmarks[seg], lengths[seg])
+            yield cluster_id, row, (seg, *landmarks[seg], lengths[seg])
 
 
 def _mapped(shape: Tuple[int, ...], dtype) -> np.ndarray:
@@ -175,8 +184,9 @@ def _mapped(shape: Tuple[int, ...], dtype) -> np.ndarray:
 
 
 class _RowArena:
-    """Index-wide row storage: ``rids`` (rows), ``F`` (rows x 4 float64) and
-    ``I`` (rows x 6 int64), row-major, in which every slab owns one
+    """Index-wide row storage: ``rids`` (rows, int64), ``F`` (rows x 4
+    float64) and ``I`` (rows x 6 int32: segment indices and landmark ids),
+    row-major, in which every slab owns one
     contiguous region ``[base, base + cap)``.  A row's *global id* is its
     arena index, so one fancy-indexed read gathers rows of many clusters.
 
@@ -200,7 +210,7 @@ class _RowArena:
     def _allocate(self, capacity: int) -> None:
         self.rids = _mapped((capacity,), np.int64)
         self.F = _mapped((capacity, _N_F), np.float64)
-        self.I = _mapped((capacity, _N_I), np.int64)
+        self.I = _mapped((capacity, _N_I), np.int32)
         #: The ETA column as a strided view, for 1-D gathers by global row.
         self.eta = self.F[:, F_ETA]
         self.tail = 0
@@ -239,10 +249,12 @@ class _RowArena:
 
 class _ClusterSlab:
     """One cluster's rows: an arena region (unsorted, append + swap-remove)
-    plus the paper's two lazily sorted views of it, holding global ids."""
+    plus the paper's two lazily sorted views of it, holding global ids.
+    Rows are addressed by storage row; which ride holds which row is the
+    index's business (its row handles)."""
 
     __slots__ = (
-        "arena", "base", "cap", "rows", "n", "rids", "fdata", "idata", "dirty",
+        "arena", "base", "cap", "n", "rids", "fdata", "idata", "dirty",
         "rid_sorted", "rid_rows", "eta_sorted", "eta_rows", "__weakref__",
     )
 
@@ -250,8 +262,7 @@ class _ClusterSlab:
         self.arena = arena
         arena.adopt(self)
         self.base = self.cap = 0
-        #: ride id -> storage row (live rows are ``[0, n)``).
-        self.rows: Dict[int, int] = {}
+        #: Live storage rows are ``[0, n)``.
         self.n = 0
         #: Views of the arena region (rebound whenever the region moves).
         self.rids = arena.rids[:0]
@@ -264,46 +275,42 @@ class _ClusterSlab:
         self.eta_rows = _EMPTY_IDX
 
     # -- mutation -------------------------------------------------------
-    def put(self, rid: int, fvals, ivals) -> None:
-        row = self.rows.get(rid)
-        if row is None:
-            if self.n == self.cap:
-                self.arena.grow(self)
-            row = self.n
-            self.rows[rid] = row
-            self.rids[row] = rid
-            self.n += 1
-            self.dirty = True
-        elif self.fdata[row, F_ETA] != fvals[0]:
-            self.dirty = True  # the ETA view must re-sort
+    def append(self, rid: int, fvals, ivals) -> int:
+        """Add a row; returns its storage row."""
+        row = self.n
+        if row == self.cap:
+            self.arena.grow(self)
+        self.rids[row] = rid
         self.fdata[row] = fvals
         self.idata[row] = ivals
+        self.n = row + 1
+        self.dirty = True
+        return row
 
-    def update_pickup(self, rid: int, pickup: Tuple[int, int, int, float]) -> None:
-        """Refresh the pickup segment columns ``(segment, start landmark,
-        end landmark, length)`` only; never dirties the sorted views."""
-        row = self.rows.get(rid)
-        if row is not None:
-            segment, start, end, length = pickup
-            self.idata[row, I_SEG_E] = segment
-            self.idata[row, I_SP_A] = start
-            self.idata[row, I_SP_B] = end
-            self.fdata[row, F_SP_LEN] = length
+    def update_pickup(self, row: int, pickup: Tuple[int, int, int, float]) -> None:
+        """Refresh a row's pickup segment columns ``(segment, start
+        landmark, end landmark, length)`` only; never dirties the sorted
+        views."""
+        segment, start, end, length = pickup
+        idata = self.idata
+        idata[row, I_SEG_E] = segment
+        idata[row, I_SP_A] = start
+        idata[row, I_SP_B] = end
+        self.fdata[row, F_SP_LEN] = length
 
-    def remove(self, rid: int) -> bool:
-        row = self.rows.pop(rid, None)
-        if row is None:
-            return False
+    def remove_row(self, row: int) -> Optional[int]:
+        """Swap-remove a storage row: the last row moves into it.  Returns
+        the ride id of the row that moved, None when ``row`` was the last."""
         last = self.n - 1
+        moved = None
         if row != last:
-            moved = int(self.rids[last])
+            moved = self.rids.item(last)
             self.rids[row] = moved
             self.fdata[row] = self.fdata[last]
             self.idata[row] = self.idata[last]
-            self.rows[moved] = row
         self.n = last
         self.dirty = True
-        return True
+        return moved
 
     # -- queries --------------------------------------------------------
     def rebuild(self) -> None:
@@ -396,6 +403,11 @@ class FlatSearchIndex:
         self._slabs = [_ClusterSlab(self._arena) for _c in range(n_clusters)]
         #: ride id -> clusters currently holding a row for it.
         self._ride_clusters: Dict[int, List[int]] = {}
+        #: ride id -> the storage row of each of those rows, aligned with
+        #: ``_ride_clusters``: the ride's row handles.  An ``array("i")``
+        #: (4-byte C ints): a numpy array's header alone is 112 bytes, and
+        #: a handle is read and patched one element at a time.
+        self._ride_rows: Dict[int, array] = {}
         self._budget = _BudgetStore()
 
     @property
@@ -420,21 +432,34 @@ class FlatSearchIndex:
         ride_id = ride.ride_id
         old = self._ride_clusters.get(ride_id)
         if old is not None:
-            for cluster_id in old:
-                self._slabs[cluster_id].remove(ride_id)
+            self._remove_rows(old, self._ride_rows[ride_id])
         slabs = self._slabs
         clusters: List[int] = []
+        rows: List[int] = []
         for cluster_id, fvals, ivals in _feasibility_rows(entry, etas.items()):
-            slabs[cluster_id].put(ride_id, fvals, ivals)
+            rows.append(slabs[cluster_id].append(ride_id, fvals, ivals))
             clusters.append(cluster_id)
         self._ride_clusters[ride_id] = clusters
+        self._ride_rows[ride_id] = array("i", rows)
         self._budget.put(ride_id, ride.seats_available, ride.detour_limit_m)
 
     def drop_ride(self, ride_id: int) -> None:
         """Remove every trace of a ride (cancel / complete / unindex)."""
-        for cluster_id in self._ride_clusters.pop(ride_id, ()):
-            self._slabs[cluster_id].remove(ride_id)
+        clusters = self._ride_clusters.pop(ride_id, None)
+        if clusters is not None:
+            self._remove_rows(clusters, self._ride_rows.pop(ride_id))
         self._budget.drop(ride_id)
+
+    def _remove_rows(self, clusters: List[int], rows: Iterable[int]) -> None:
+        """Swap-remove one ride's row ``rows[i]`` from slab ``clusters[i]``,
+        patching the handle of each other ride whose row moved."""
+        slabs = self._slabs
+        ride_clusters = self._ride_clusters
+        ride_rows = self._ride_rows
+        for cluster_id, row in zip(clusters, rows):
+            moved = slabs[cluster_id].remove_row(row)
+            if moved is not None:
+                ride_rows[moved][ride_clusters[moved].index(cluster_id)] = row
 
     def refresh_supports(
         self, ride_id: int, entry: "RideIndexEntry", shrunk: Iterable[int]
@@ -454,17 +479,27 @@ class FlatSearchIndex:
         clusters = self._ride_clusters.get(ride_id)
         if clusters is None:
             return
+        rows = self._ride_rows[ride_id]
+        ids = entry.reach_i[:, R_CLUSTER].tolist()
+        reachable = set(ids)
+        if not reachable.issuperset(clusters):
+            gone = [i for i, c in enumerate(clusters) if c not in reachable]
+            self._remove_rows([clusters[i] for i in gone], [rows[i] for i in gone])
+            for i in reversed(gone):
+                del clusters[i], rows[i]
+        # A ride's rows are installed in its entry's row order, and both
+        # drop the same rows keeping the order of the rest, so the k-th row
+        # of the entry is normally the k-th handle.  Rows restored from a
+        # snapshot may be a subset: then each is looked up.
+        aligned = clusters == ids
         slabs = self._slabs
-        reachable = entry.reachable_ids()
-        kept: List[int] = []
-        for cluster_id in clusters:
-            if cluster_id in reachable:
-                kept.append(cluster_id)
-            else:
-                slabs[cluster_id].remove(ride_id)
-        self._ride_clusters[ride_id] = kept
-        for cluster_id, pickup in _pickup_columns(entry, shrunk):
-            slabs[cluster_id].update_pickup(ride_id, pickup)
+        for cluster_id, k, pickup in _pickup_columns(entry, ids, shrunk):
+            if not aligned:
+                try:
+                    k = clusters.index(cluster_id)
+                except ValueError:  # no row here for this cluster
+                    continue
+            slabs[cluster_id].update_pickup(rows[k], pickup)
 
     def refresh_budget(self, ride: "Ride") -> None:
         """Refresh seats/detour columns without touching the rows."""
@@ -489,11 +524,17 @@ class FlatSearchIndex:
         slab.rebuild()
         return slab
 
+    def row_of(self, cluster_id: int, ride_id: int) -> Optional[int]:
+        """Storage row of a ride's row in a cluster's slab (None if none)."""
+        clusters = self._ride_clusters.get(ride_id)
+        if clusters is None or cluster_id not in clusters:
+            return None
+        return self._ride_rows[ride_id][clusters.index(cluster_id)]
+
     def eta(self, cluster_id: int, ride_id: int) -> Optional[float]:
         """Stored ETA of a ride at a cluster (mirror of the legacy query)."""
-        slab = self._slabs[cluster_id]
-        row = slab.rows.get(ride_id)
-        return float(slab.fdata[row, F_ETA]) if row is not None else None
+        row = self.row_of(cluster_id, ride_id)
+        return None if row is None else self._slabs[cluster_id].fdata.item(row, F_ETA)
 
     # ------------------------------------------------------------------
     # Introspection / verification
@@ -520,10 +561,10 @@ class FlatSearchIndex:
         cluster_index = engine.cluster_index
         seen = 0
         for ride_id, clusters in self._ride_clusters.items():
-            for cluster_id in clusters:
+            for cluster_id, row in zip(clusters, self._ride_rows[ride_id]):
                 seen += 1
                 expected = cluster_index.eta(cluster_id, ride_id)
-                actual = self.eta(cluster_id, ride_id)
+                actual = self._slabs[cluster_id].fdata.item(row, F_ETA)
                 if expected is None:
                     problems.append((
                         ride_id,
@@ -730,7 +771,10 @@ def _feasible(engine, flat, request, src, dst, src_rids, src_row, src_opt,
     rids, so, do, walk = src_rids[sel], src_opt[sel], dst_opt[sel], walk[sel]
     rs, rd = src_row[sel], dst_row[sel]
     Fs, Fd = arena.F.take(rs, axis=0), arena.F.take(rd, axis=0)
-    Is, Id = arena.I.take(rs, axis=0), arena.I.take(rd, axis=0)
+    # The int columns are stored int32; widen the gathered rows once, so
+    # the landmark gathers below index with intp and cast nothing.
+    Is = arena.I.take(rs, axis=0).astype(np.intp)
+    Id = arena.I.take(rd, axis=0).astype(np.intp)
     seg_e, seg_l = Is[:, I_SEG_E], Id[:, I_SEG_L]
     sp_a, sp_b, sd_a, sd_b = Is[:, I_SP_A], Is[:, I_SP_B], Id[:, I_SD_A], Id[:, I_SD_B]
     sp_len, sd_len = Fs[:, F_SP_LEN], Fd[:, F_SD_LEN]

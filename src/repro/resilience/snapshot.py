@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
+from ..core.ride import RouteGeometry
 from ..index import RideIndexEntry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -28,7 +29,9 @@ class RideSnapshot:
     """Everything mutable about one ride at a point in time."""
 
     ride_id: int
-    route: List[int]
+    #: The ride's route arrays.  Read-only — a splice installs new ones —
+    #: so the reference is the snapshot, like ``entry`` below.
+    geometry: RouteGeometry
     via_points: list
     seats_available: int
     seats_total: int
@@ -47,6 +50,10 @@ class RideSnapshot:
     #: Shift-end retirement flag at snapshot time.
     retired: bool = False
 
+    @property
+    def route(self) -> List[int]:
+        return self.geometry.route.tolist()
+
 
 def snapshot_ride(engine: "XAREngine", ride_id: int) -> Optional[RideSnapshot]:
     """Capture one ride's full mutable state; None for unknown rides."""
@@ -62,7 +69,7 @@ def snapshot_ride(engine: "XAREngine", ride_id: int) -> Optional[RideSnapshot]:
                 index_etas[cluster_id] = eta
     return RideSnapshot(
         ride_id=ride_id,
-        route=ride.route,
+        geometry=ride.geometry,
         via_points=list(ride.via_points),
         seats_available=ride.seats_available,
         seats_total=ride.seats_total,
@@ -87,7 +94,7 @@ def restore_ride(engine: "XAREngine", snapshot: RideSnapshot) -> None:
     ride = engine.rides.get(snapshot.ride_id)
     if ride is None:
         return
-    ride.replace_route(snapshot.route, snapshot.via_points)
+    ride.replace_route(snapshot.geometry, snapshot.via_points)
     ride.seats_available = snapshot.seats_available
     ride.detour_limit_m = snapshot.detour_limit_m
     ride.status = snapshot.status

@@ -23,11 +23,10 @@ Status mapping (the inverse of the gateway's):
 
 from __future__ import annotations
 
-import http.client
 import json
 import threading
 import urllib.parse
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from ...discretization import DiscretizedRegion
 from ...exceptions import (
@@ -38,6 +37,9 @@ from ...exceptions import (
 )
 from ..ops import ROUTES, Op
 from .rpc import raise_remote_error
+
+if TYPE_CHECKING:  # pragma: no cover - imported where a connection is made
+    import http.client
 
 
 class HttpServiceClient:
@@ -76,6 +78,11 @@ class HttpServiceClient:
     def _connection(self) -> http.client.HTTPConnection:
         conn = getattr(self._local, "conn", None)
         if conn is None:
+            # Imported here, not at module level: ``http.client`` pulls in
+            # ``ssl`` and ``email`` (≈ 2 MB resident), and resolving this
+            # class must not load them into processes that never dial.
+            import http.client
+
             conn = http.client.HTTPConnection(
                 self.host, self.port, timeout=self.timeout_s)
             self._local.conn = conn
@@ -84,6 +91,8 @@ class HttpServiceClient:
     def _request(self, method: str, path: str,
                  payload: Optional[Dict[str, Any]] = None,
                  deadline_ms: Optional[float] = None) -> Dict[str, Any]:
+        import http.client  # loaded by ``_connection`` by now
+
         conn = self._connection()
         body = (None if payload is None
                 else json.dumps(payload, separators=(",", ":")).encode())

@@ -1,5 +1,9 @@
 """The flattened write path equals the reference loops exactly.
 
+Also: each ride's route geometry (read-only arrays) equals the list-based
+geometry it replaced, and the flat index's per-ride row handles name the
+slab rows that hold each ride, after every op of seeded replays.
+
 ``build_ride_entry`` (one masked array pass over the cluster matrix, emitting
 the entry's arrays), tracking's obsolescence (one mask over the entry's
 support matrix) and the flat index's row builder (one ranking of the
@@ -31,7 +35,7 @@ from repro.config import XARConfig
 from repro.core import XAREngine
 from repro.core.reachability import build_ride_entry
 from repro.discretization import build_region
-from repro.exceptions import BookingError
+from repro.exceptions import BookingError, XARError
 from repro.geo import GeoPoint
 from repro.index import RideIndexEntry
 from repro.index.flat_index import F_DETOUR, F_ETA, _feasibility_rows
@@ -40,6 +44,8 @@ from repro.workloads import NYCWorkloadGenerator, trips_to_requests
 from tests.reference_write_path import (
     as_reference,
     assert_entry_equals_reference,
+    assert_geometry_equals_reference,
+    assert_row_handles,
     ref_build_ride_entry,
     ref_feasibility_row,
     ref_obsolescence,
@@ -64,9 +70,8 @@ def assert_rows_match_reference(engine):
     checked = 0
     for ride_id, clusters in flat._ride_clusters.items():
         entry = as_reference(engine.ride_entries[ride_id])
-        for cluster_id in clusters:
+        for cluster_id, row in zip(clusters, flat._ride_rows[ride_id]):
             slab = flat._slabs[cluster_id]
-            row = slab.rows[ride_id]
             eta_s = float(slab.fdata[row, F_ETA])
             fvals, ivals = ref_feasibility_row(entry, cluster_id, eta_s)
             assert tuple(slab.fdata[row].tolist()) == fvals
@@ -282,8 +287,8 @@ class TestFlatRows:
         entry = as_reference(engine.ride_entries[ride.ride_id])
         flat = engine.flat_index
         before = {
-            c: (flat._slabs[c].fdata[flat._slabs[c].rows[ride.ride_id]].tolist(),
-                flat._slabs[c].idata[flat._slabs[c].rows[ride.ride_id]].tolist())
+            c: (flat._slabs[c].fdata[flat.row_of(c, ride.ride_id)].tolist(),
+                flat._slabs[c].idata[flat.row_of(c, ride.ride_id)].tolist())
             for c in flat._ride_clusters[ride.ride_id]
         }
         halfway = ride.departure_s + ride.duration_s / 4.0
@@ -297,14 +302,35 @@ class TestFlatRows:
         assert_rows_match_reference(engine)
         for cluster_id in untouched:
             slab = flat._slabs[cluster_id]
-            row = slab.rows[ride.ride_id]
+            row = flat.row_of(cluster_id, ride.ride_id)
             assert (slab.fdata[row].tolist(), slab.idata[row].tolist()) == before[cluster_id]
         for cluster_id in flat._ride_clusters[ride.ride_id]:
             slab = flat._slabs[cluster_id]
-            row = slab.rows[ride.ride_id]
+            row = flat.row_of(cluster_id, ride.ride_id)
             # Stored ETA and detour survive a refresh verbatim.
             assert slab.fdata[row, F_ETA] == before[cluster_id][0][F_ETA]
             assert slab.fdata[row, F_DETOUR] == before[cluster_id][0][F_DETOUR]
+
+
+    def test_refresh_supports_on_rows_out_of_entry_order(self, region, city):
+        """Rows restored from a snapshot may be a subset of the entry's, in
+        another order: a tick still refreshes each row that exists, and
+        only those."""
+        engine = XAREngine(region)
+        ride = engine.create_ride(
+            city.position(0), city.position(city.node_count - 1), departure_s=0.0,
+            detour_limit_m=600.0,
+        )
+        flat = engine.flat_index
+        etas = engine.ride_entries[ride.ride_id].reachable_etas()
+        kept = list(etas)[::-1][1:]  # reversed, one row left out
+        flat.reindex_ride(ride, engine.ride_entries[ride.ride_id],
+                          {cluster_id: etas[cluster_id] for cluster_id in kept})
+        assert flat._ride_clusters[ride.ride_id] == kept
+        engine.track_all(ride.departure_s + ride.duration_s / 4.0)
+        assert set(flat._ride_clusters[ride.ride_id]) <= set(kept)
+        assert_rows_match_reference(engine)
+        assert_row_handles(flat)
 
 
 class TestEntryAgainstObjectReference:
@@ -394,6 +420,74 @@ class TestEntryAgainstObjectReference:
         assert engine.bookings and engine.completed_rides
         assert refused == len(engine.rollbacks)
         assert len(crossings) > 50 and sum(crossings) > 100
+
+
+class TestRideArraysAndRowHandles:
+    """Over seeded create / book / cancel / track replays (seeds 11-13 plus
+    ``XAR_KERNEL_SEEDS``), after every op: every live ride's geometry
+    arrays and accessors equal the list-based reference bit for bit, and
+    every row handle points at a slab row that holds that ride, in that
+    cluster, with the ETA the cluster index stores for it."""
+
+    @pytest.mark.parametrize("seed", SEEDS, ids=lambda seed: f"seed{seed}")
+    def test_geometry_and_row_handles_after_every_op(self, region, city, seed):
+        rng = random.Random(seed)
+        generator = NYCWorkloadGenerator(city, seed=seed)
+        requests = trips_to_requests(
+            generator.generate(160, start_hour=7.0, end_hour=8.0)
+        )
+        engine = XAREngine(region)
+        live = []  # (request id, ride id) of bookings not yet cancelled
+        ops = {"create": 0, "book": 0, "cancel": 0, "remove": 0, "track": 0}
+
+        def check(op):
+            ops[op] += 1
+            for ride in engine.rides.values():
+                assert_geometry_equals_reference(ride)
+            assert_row_handles(engine.flat_index, engine.cluster_index)
+            engine.flat_index.check_consistency(engine)
+
+        track_every_s = rng.choice([60.0, 180.0, 300.0])
+        last_tick = None
+        for request in requests:
+            now = request.window_start_s
+            if last_tick is None or now - last_tick >= track_every_s:
+                engine.track_all(now)
+                last_tick = now
+                live = [(q, r) for q, r in live if r in engine.rides]
+                check("track")
+            roll = rng.random()
+            if live and roll < 0.15:
+                request_id, ride_id = live.pop(rng.randrange(len(live)))
+                try:
+                    engine.cancel_booking(request_id, ride_id)
+                except XARError:
+                    pass
+                check("cancel")
+                continue
+            if engine.rides and roll < 0.2:
+                ride_id = rng.choice(sorted(engine.rides))
+                engine.remove_ride(ride_id)
+                live = [(q, r) for q, r in live if r != ride_id]
+                check("remove")
+                continue
+            matches = engine.search(request, 5)
+            if matches:
+                try:
+                    record = engine.book(request, matches[0])
+                    live.append((record.request_id, record.ride_id))
+                except BookingError:
+                    pass
+                check("book")
+            else:
+                engine.create_ride(
+                    request.source, request.destination, request.window_start_s
+                )
+                check("create")
+        engine.track_all(max(r.window_end_s for r in requests) + 1800.0)
+        check("track")
+        assert engine.completed_rides and not engine.rides
+        assert min(ops.values()) >= 3, ops
 
 
 class TestSharedMatricesAreFrozen:

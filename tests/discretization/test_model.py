@@ -1,10 +1,15 @@
 """DiscretizedRegion: resolution, walkable clusters, cluster distances."""
 
+import math
+import random
+from itertools import takewhile
+
 import pytest
 
 from repro.discretization import Cluster
 from repro.exceptions import UncoveredLocationError
 from repro.geo import GeoPoint
+from repro.index import deep_size_bytes
 
 
 class TestClusterModel:
@@ -78,6 +83,36 @@ class TestWalkableClusters:
         b = region.walkable_clusters(point)
         assert a == b
         assert a is not b  # defensive copy
+
+    def test_cache_stays_bounded_under_distinct_thresholds(self, region, city):
+        """A request's walk threshold is a free float on the wire.  Once
+        every prefix of a cell's list has been asked for, 5 000 more
+        distinct thresholds leave the cache exactly as large, and each
+        pruned list is the prefix the threshold keeps."""
+        point = city.position(50)
+        full = region.walkable_columns(point).options
+        assert len(full) >= 3
+        region.walkable_columns(point, -1.0)
+        for option in full:  # one threshold per prefix length
+            region.walkable_columns(point, option.walk_m)
+        bounded = deep_size_bytes(region._walkable_cache)
+        limit = region.config.max_walk_m
+        rng = random.Random(37)
+        thresholds = {rng.uniform(-10.0, limit * 1.1) for _ in range(5000)}
+        for option in full:  # exact ties and their neighbours
+            thresholds.update((
+                option.walk_m,
+                math.nextafter(option.walk_m, -math.inf),
+                math.nextafter(option.walk_m, math.inf),
+            ))
+        assert len(thresholds) >= 5000
+        for threshold in sorted(thresholds):
+            got = region.walkable_columns(point, threshold)
+            want = list(takewhile(lambda o: o.walk_m <= threshold, full))
+            assert got.options == want
+            assert got.walk_m.tolist() == [o.walk_m for o in want]
+        assert region.walkable_columns(point, math.nan).options == []
+        assert deep_size_bytes(region._walkable_cache) == bounded
 
 
 class TestClusterDistances:

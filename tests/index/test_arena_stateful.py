@@ -2,16 +2,20 @@
 
 A hypothesis ``RuleBasedStateMachine`` drives two indexes at once:
 
-* a bare ``FlatSearchIndex`` through the slab seams (``put`` / ``remove`` /
-  ``update_pickup``) with arbitrary ride ids and ETAs, against a plain
-  dict of what each cluster should hold;
+* a bare ``FlatSearchIndex`` through the slab seams (``append`` /
+  ``remove_row`` / ``update_pickup``, on storage rows the machine keeps
+  ride -> row handles for, patched on every swap-remove) with arbitrary ride
+  ids and ETAs, against a plain dict of what each cluster should hold;
 * an engine's index through the ride seams (``reindex_ride`` / ``drop_ride``
   / ``refresh_supports``, directly and via create / book / track / remove),
   against the authoritative ``ClusterRideIndex``.
 
 After every step: slab regions are disjoint views of the arena, the bare
-index holds exactly the model's rows, ``window`` equals a brute-force scan
-(ETA order, storage order on ties) and ``divergences(engine) == []``.
+index holds exactly the model's rows at the rows its handles name, the
+engine index's row handles name exactly its live rows (each holding its
+ride with the ETA the cluster index stores), ``window`` equals a
+brute-force scan (ETA order, storage order on ties) and
+``divergences(engine) == []``.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from hypothesis.stateful import (
 from repro.core import XAREngine
 from repro.exceptions import XARError
 from repro.index.flat_index import F_ETA, FlatSearchIndex
+from tests.reference_write_path import assert_row_handles, ref_slab_rows
 
 N_CLUSTERS = 4
 #: ETAs cluster on a few values so windows hit ties and exact edges.
@@ -65,9 +70,7 @@ def assert_layout(flat):
             assert slab.rids.ctypes.data == arena.rids[slab.base:].ctypes.data
             assert slab.fdata.ctypes.data == arena.F[slab.base:].ctypes.data
             assert slab.idata.ctypes.data == arena.I[slab.base:].ctypes.data
-        assert sorted(slab.rows.values()) == list(range(slab.n))
-        for ride_id, row in slab.rows.items():
-            assert slab.rids[row] == ride_id
+        ref_slab_rows(slab)  # one row per ride
 
 
 def assert_windows(flat):
@@ -93,6 +96,8 @@ class ArenaMachine(RuleBasedStateMachine):
         self.bare = FlatSearchIndex(N_CLUSTERS)
         #: cluster -> ride id -> (float columns, int columns)
         self.model = [dict() for _cluster in range(N_CLUSTERS)]
+        #: cluster -> ride id -> storage row in the bare index's slab
+        self.handles = [dict() for _cluster in range(N_CLUSTERS)]
         self.engine = XAREngine(self.region)
         self.nodes = list(self.city.nodes())
         self.now = 0.0
@@ -101,21 +106,42 @@ class ArenaMachine(RuleBasedStateMachine):
     @rule(cluster=CLUSTERS, rid=RIDE_IDS, eta=ETAS, detour=LENGTHS,
           sp_len=LENGTHS, sd_len=LENGTHS, ivals=INTS)
     def put(self, cluster, rid, eta, detour, sp_len, sd_len, ivals):
+        """Append a row; a ride that has one is reindexed: remove, append."""
         fvals = (eta, detour, sp_len, sd_len)
-        self.bare._slabs[cluster].put(rid, fvals, ivals)
+        self._remove(cluster, rid)
+        self.handles[cluster][rid] = self.bare._slabs[cluster].append(
+            rid, fvals, ivals
+        )
         self.model[cluster][rid] = (fvals, ivals)
 
     @rule(cluster=CLUSTERS, rid=RIDE_IDS)
     def remove(self, cluster, rid):
-        removed = self.bare._slabs[cluster].remove(rid)
+        removed = self._remove(cluster, rid)
         assert removed == (self.model[cluster].pop(rid, None) is not None)
+
+    def _remove(self, cluster, rid):
+        handles = self.handles[cluster]
+        row = handles.pop(rid, None)
+        if row is None:
+            return False
+        slab = self.bare._slabs[cluster]
+        last = slab.n - 1
+        moved = slab.remove_row(row)
+        if row == last:
+            assert moved is None
+        else:
+            assert handles[moved] == last  # the last row filled the hole
+            handles[moved] = row
+        return True
 
     @rule(cluster=CLUSTERS, rid=RIDE_IDS, sp_len=LENGTHS,
           ints=st.tuples(*[st.integers(-1, 50)] * 3))
     def update_pickup(self, cluster, rid, sp_len, ints):
         slab = self.bare._slabs[cluster]
         was_dirty = slab.dirty
-        slab.update_pickup(rid, (*ints, sp_len))
+        row = self.handles[cluster].get(rid)
+        if row is not None:
+            slab.update_pickup(row, (*ints, sp_len))
         assert slab.dirty == was_dirty  # never dirties the sorted views
         if rid in self.model[cluster]:
             (eta, detour, _sp, sd_len), ivals = self.model[cluster][rid]
@@ -204,10 +230,13 @@ class ArenaMachine(RuleBasedStateMachine):
 
     @invariant()
     def bare_index_equals_model(self):
-        for slab, expected in zip(self.bare._slabs, self.model):
-            assert set(slab.rows) == set(expected)
+        for slab, expected, handles in zip(
+            self.bare._slabs, self.model, self.handles
+        ):
+            assert ref_slab_rows(slab) == handles
+            assert set(handles) == set(expected)
             for rid, (fvals, ivals) in expected.items():
-                row = slab.rows[rid]
+                row = handles[rid]
                 assert tuple(slab.fdata[row].tolist()) == fvals
                 assert tuple(slab.idata[row].tolist()) == ivals
         rows = sum(len(expected) for expected in self.model)
@@ -216,6 +245,10 @@ class ArenaMachine(RuleBasedStateMachine):
     @invariant()
     def engine_index_mirrors_cluster_index(self):
         assert self.engine.flat_index.divergences(self.engine) == []
+
+    @invariant()
+    def engine_row_handles_name_their_rows(self):
+        assert_row_handles(self.engine.flat_index, self.engine.cluster_index)
 
 
 def test_arena_state_machine(small_region, small_city):

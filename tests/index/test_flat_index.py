@@ -44,66 +44,76 @@ _IVALS = (0, 1, 2, 3, 4, 5)
 
 
 class TestSlabMechanics:
-    def test_put_grow_and_lookup(self):
+    """A slab works on storage rows; the ride -> row handles live in the
+    index (here, in a dict kept the way ``FlatSearchIndex`` keeps them)."""
+
+    def test_append_grow_and_lookup(self):
         slab = _slab()
+        rows = {}
         for rid in range(50):  # force several capacity doublings
-            slab.put(rid, _fvals(float(rid)), _IVALS)
+            rows[rid] = slab.append(rid, _fvals(float(rid)), _IVALS)
         assert slab.n == 50
         for rid in range(50):
-            row = slab.rows[rid]
+            row = rows[rid]
             assert slab.rids[row] == rid
             assert slab.fdata[row, F_ETA] == float(rid)
 
-    def test_swap_remove_keeps_row_map_consistent(self):
+    def test_swap_remove_keeps_row_handles_consistent(self):
         slab = _slab()
+        rows = {}
         for rid in range(10):
-            slab.put(rid, _fvals(float(rid)), _IVALS)
-        assert slab.remove(3)
-        assert not slab.remove(3)  # second remove is a no-op
+            rows[rid] = slab.append(rid, _fvals(float(rid)), _IVALS)
+        hole = rows.pop(3)
+        moved = slab.remove_row(hole)
+        assert moved == 9  # the last row fills the hole ...
+        rows[moved] = hole  # ... and its handle is patched
+        assert rows.pop(3, None) is None  # a second remove has no handle
         assert slab.n == 9
-        assert 3 not in slab.rows
-        for rid, row in slab.rows.items():
+        assert 3 not in rows
+        for rid, row in rows.items():
             assert 0 <= row < slab.n
             assert slab.rids[row] == rid
             assert slab.fdata[row, F_ETA] == float(rid)
+        # Removing the last row moves nothing.
+        assert slab.remove_row(rows.pop(8)) is None
+        assert slab.n == 8
 
-    def test_put_existing_updates_in_place(self):
+    def test_reappend_replaces_the_row(self):
         slab = _slab()
-        slab.put(7, _fvals(100.0), _IVALS)
-        slab.put(7, _fvals(250.0, detour=9.0), _IVALS)
+        row = slab.append(7, _fvals(100.0), _IVALS)
+        assert slab.remove_row(row) is None
+        row = slab.append(7, _fvals(250.0, detour=9.0), _IVALS)
         assert slab.n == 1
-        row = slab.rows[7]
         assert slab.fdata[row, F_ETA] == 250.0
         assert slab.fdata[row, F_DETOUR] == 9.0
 
     def test_eta_change_dirties_update_pickup_does_not(self):
         slab = _slab()
-        slab.put(1, _fvals(10.0), _IVALS)
+        row = slab.append(1, _fvals(10.0, detour=5.0), _IVALS)
         slab.rebuild()
-        assert not slab.dirty
-        # Same ETA: clean.
-        slab.put(1, _fvals(10.0, detour=5.0), _IVALS)
         assert not slab.dirty
         # Pickup refresh: clean by contract (row identity unchanged), and
         # only the pickup columns move.
-        slab.update_pickup(1, (9, 8, 7, 6.0))
+        slab.update_pickup(row, (9, 8, 7, 6.0))
         assert not slab.dirty
-        row = slab.rows[1]
         assert slab.fdata[row].tolist() == [10.0, 5.0, 6.0, 60.0]
         assert slab.idata[row].tolist() == [9, 1, 8, 7, 4, 5]
-        # ETA moved: the sorted views must re-sort.
-        slab.put(1, _fvals(11.0), _IVALS)
+        # ETA moved (a reindex: remove, then append): the sorted views must
+        # re-sort.
+        slab.remove_row(row)
+        slab.append(1, _fvals(11.0), _IVALS)
         assert slab.dirty
 
     def test_sorted_views_match_contents(self):
         rng = random.Random(4)
         slab = _slab()
+        rows = {}
         for rid in rng.sample(range(1000), 60):
-            slab.put(rid, _fvals(rng.uniform(0, 5000)), _IVALS)
+            rows[rid] = slab.append(rid, _fvals(rng.uniform(0, 5000)), _IVALS)
         slab.rebuild()
-        assert list(slab.rid_sorted) == sorted(slab.rows)
+        assert list(slab.rid_sorted) == sorted(rows)
         assert list(slab.eta_sorted) == sorted(
-            float(slab.fdata[r, F_ETA]) for r in slab.rows.values()
+            float(slab.fdata[r, F_ETA]) for r in rows.values()
         )
         # eta_rows values are global rows: gathering ETAs through them
         # must reproduce the sorted view, from the arena and from the slab.
@@ -128,7 +138,7 @@ class TestWindowQuery:
                 [rng.uniform(0, 6000), SLICE_S * rng.randint(0, 10)]
             )
             etas[rid] = eta
-            slab.put(rid, _fvals(eta), _IVALS)
+            slab.append(rid, _fvals(eta), _IVALS)
         for _ in range(80):
             start = rng.uniform(-100, 6100)
             end = rng.choice([start + rng.uniform(0, 2500), float("inf")])
@@ -144,7 +154,7 @@ class TestWindowQuery:
         slab = _slab()
         rids, etas, rows = _window(slab, 0.0, 100.0)
         assert len(rids) == 0
-        slab.put(1, _fvals(50.0), _IVALS)
+        slab.append(1, _fvals(50.0), _IVALS)
         rids, _, _ = _window(slab, 200.0, 100.0)  # end < start
         assert len(rids) == 0
         rids, _, _ = _window(slab, 50.0, 50.0)  # inclusive point hit
@@ -152,10 +162,10 @@ class TestWindowQuery:
 
     def test_mutations_between_queries_rebuild_lazily(self):
         slab = _slab()
-        slab.put(1, _fvals(100.0), _IVALS)
+        row = slab.append(1, _fvals(100.0), _IVALS)
         assert _window(slab, 0.0, 1000.0)[0].tolist() == [1]
-        slab.put(2, _fvals(200.0), _IVALS)
-        slab.remove(1)
+        slab.append(2, _fvals(200.0), _IVALS)
+        assert slab.remove_row(row) == 2
         assert _window(slab, 0.0, 1000.0)[0].tolist() == [2]
 
 
@@ -272,7 +282,7 @@ class TestDivergenceDetectionAndHealing:
         flat = engine.flat_index
         ride_id, clusters = next(iter(flat._ride_clusters.items()))
         slab = flat._slabs[clusters[0]]
-        slab.fdata[slab.rows[ride_id], F_ETA] += 123.0
+        slab.fdata[flat.row_of(clusters[0], ride_id), F_ETA] += 123.0
         problems = flat.divergences(engine)
         assert any("ETA" in detail for _rid, detail in problems)
 

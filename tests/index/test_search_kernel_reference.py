@@ -196,8 +196,8 @@ def test_segment_order_fallback_equals_reference(region, city, seed, monkeypatch
                 continue
             src = flat._slabs[match.pickup_cluster]
             dst = flat._slabs[match.dropoff_cluster]
-            src_cell = (src.rows[match.ride_id], I_SEG_E)
-            dst_cell = (dst.rows[match.ride_id], I_SEG_L)
+            src_cell = (flat.row_of(match.pickup_cluster, match.ride_id), I_SEG_E)
+            dst_cell = (flat.row_of(match.dropoff_cluster, match.ride_id), I_SEG_L)
             saved = int(src.idata[src_cell]), int(dst.idata[dst_cell])
             src.idata[src_cell], dst.idata[dst_cell] = 1, 0
             scalar_calls.clear()

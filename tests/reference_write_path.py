@@ -11,7 +11,10 @@ region builder's matrices as they stood before they were built in arrays
 ``np.ix_`` gathers; ALT's two Dijkstras per routing landmark), and the
 per-cluster potential-ride index as it stood before its two sorted lists
 became views of one dict (``RefClusterRideIndex``: both lists maintained
-on every write).  They are slow and obviously correct; the property tests
+on every write), a ride's route geometry as it stood before it became
+arrays (cumulative offsets and times as Python lists, ``bisect_right``
+for the index at a time), and the flat index's row lookup as it stood
+before per-ride row handles replaced each slab's ``ride -> row`` dict.  They are slow and obviously correct; the property tests
 require the production kernels to equal them with ``==`` — on floats, on
 node paths, on the *insertion order* of ``entry.reachable`` and on the order
 of equal ETAs in a window — so they must not be "improved".
@@ -20,6 +23,7 @@ of equal ETAs in a window — so they must not be "improved".
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
@@ -27,6 +31,7 @@ import numpy as np
 
 from repro.exceptions import NoPathError
 from repro.index import PassThrough, PotentialRide, SegmentMeta
+from repro.index.flat_index import F_ETA
 from repro.index.sorted_list import SortedKeyList
 
 
@@ -200,6 +205,62 @@ def ref_find_edge(network, source: int, target: int):
         if edge.target == target:
             return edge
     return None
+
+
+# ----------------------------------------------------------------------
+# core.ride: the route geometry as lists
+# ----------------------------------------------------------------------
+def ref_route_geometry(network, route: List[int]) -> Tuple[List[float], List[float]]:
+    """Cumulative offsets (m) and travel times (s) along ``route``."""
+    hops = network.frozen().hops
+    offset = elapsed = 0.0
+    offsets = [offset]
+    times = [elapsed]
+    for a, b in zip(route, route[1:]):
+        length_m, travel_s = hops[(a, b)]
+        offset += length_m
+        elapsed += travel_s
+        offsets.append(offset)
+        times.append(elapsed)
+    return offsets, times
+
+
+def ref_index_at_time(ride, times: List[float], now_s: float) -> int:
+    elapsed = now_s - ride.departure_s
+    if elapsed <= 0:
+        return 0
+    return min(bisect_right(times, elapsed) - 1, len(times) - 1)
+
+
+def _bits(values) -> List[str]:
+    return [float(value).hex() for value in values]
+
+
+def assert_geometry_equals_reference(ride) -> None:
+    """The ride's arrays and every accessor over them equal the list-based
+    geometry bit for bit; the accessors hand out Python scalars."""
+    route = ride.route
+    offsets, times = ref_route_geometry(ride.network, route)
+    geometry = ride.geometry
+    assert type(route) is list and all(type(node) is int for node in route)
+    assert geometry.route.tolist() == route
+    assert _bits(geometry.offsets_m) == _bits(offsets)
+    assert _bits(geometry.times_s) == _bits(times)
+    for column in geometry:
+        assert not column.flags.writeable
+    assert type(ride.length_m) is float and ride.length_m == offsets[-1]
+    assert type(ride.duration_s) is float and ride.duration_s == times[-1]
+    for index, (offset, elapsed) in enumerate(zip(offsets, times)):
+        eta = ride.eta_at_index(index)
+        assert type(eta) is float and eta.hex() == (ride.departure_s + elapsed).hex()
+        assert ride.offset_at_index(index).hex() == offset.hex()
+    probes = [ride.departure_s - 1.0, ride.departure_s, ride.arrival_s + 1.0]
+    for elapsed in times:
+        now = ride.departure_s + elapsed
+        probes += [now, np.nextafter(now, -np.inf), np.nextafter(now, np.inf)]
+    for now in probes:
+        now = float(now)
+        assert ride.index_at_time(now) == ref_index_at_time(ride, times, now)
 
 
 # ----------------------------------------------------------------------
@@ -498,6 +559,34 @@ def _via_landmark(region, ride, segment_index: int, visits) -> int:
 # ----------------------------------------------------------------------
 # index.flat_index
 # ----------------------------------------------------------------------
+def ref_slab_rows(slab) -> Dict[int, int]:
+    """The slab's ``ride -> storage row`` map, by a scan of its live rows."""
+    rows = {int(rid): row for row, rid in enumerate(slab.rids[: slab.n].tolist())}
+    assert len(rows) == slab.n, "a ride holds two rows of one slab"
+    return rows
+
+
+def assert_row_handles(flat, cluster_index=None) -> int:
+    """Every ride's row handles name, cluster by cluster, the slab row that
+    holds that ride (with the ETA ``cluster_index`` stores, when given),
+    and every live slab row is named by exactly one handle."""
+    assert set(flat._ride_rows) == set(flat._ride_clusters)
+    named = 0
+    maps = [ref_slab_rows(slab) for slab in flat._slabs]
+    for ride_id, clusters in flat._ride_clusters.items():
+        rows = flat._ride_rows[ride_id]
+        assert rows.itemsize == 4 and len(rows) == len(clusters)
+        assert len(set(clusters)) == len(clusters)
+        for cluster_id, row in zip(clusters, rows.tolist()):
+            assert maps[cluster_id].get(ride_id) == row, (ride_id, cluster_id)
+            if cluster_index is not None:
+                stored = flat._slabs[cluster_id].fdata[row, F_ETA]
+                assert stored == cluster_index.eta(cluster_id, ride_id)
+            named += 1
+    assert named == sum(slab.n for slab in flat._slabs)
+    return named
+
+
 def _segment_meta(entry, segment: int) -> Tuple[int, int, float]:
     if 0 <= segment < len(entry.segments):
         meta = entry.segments[segment]

@@ -1,5 +1,5 @@
-"""Package re-exports resolve on first use, and a shard child imports only
-its own stack."""
+"""Package re-exports resolve on first use, a shard child imports only its
+own stack, and the service layers load no HTTP client stack until one dials."""
 
 from __future__ import annotations
 
@@ -23,6 +23,10 @@ NOT_IN_THE_CHILD = (
     "repro.service.proc.client",
     "repro.service.proc.supervisor",
 )
+
+#: What resolving the serving layers must not load: ``http.client`` and
+#: what it pulls in (≈ 2 MB resident in a process that never dials).
+NO_HTTP_CLIENT = ("http.client", "ssl", "email.parser")
 
 
 @pytest.mark.parametrize("name", PACKAGES)
@@ -60,6 +64,22 @@ def test_the_shard_child_imports_only_its_stack():
     probe = (
         "import sys, repro.service.proc.worker\n"
         f"print('\\n'.join(m for m in {NOT_IN_THE_CHILD!r} "
+        "if m in sys.modules))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], check=True, capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": src},
+    ).stdout.split()
+    assert out == []
+
+
+def test_the_service_layers_load_no_http_client():
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    probe = (
+        "import sys\n"
+        "from repro.service import (\n"
+        "    Gateway, HttpServiceClient, ProcRouter, ShardRouter)\n"
+        f"print('\\n'.join(m for m in {NO_HTTP_CLIENT!r} "
         "if m in sys.modules))\n"
     )
     out = subprocess.run(
