@@ -31,10 +31,6 @@ class CandidateGraph:
     #: request_index -> MatchOption keyed by ride_id (for commit lookup).
     option_by_ride: Dict[int, Dict[int, Any]] = field(default_factory=dict)
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.candidates)
-
 
 def edge_cost(option: Any, detour_weight: float) -> float:
     """Scalar edge cost: walk metres plus weighted detour metres."""

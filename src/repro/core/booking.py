@@ -388,17 +388,14 @@ def cancel_booking_ride(
 def _splice_path(engine: "XAREngine", a: int, b: int) -> List[int]:
     """The shortest path ``a .. b`` a splice inserts.
 
-    The engine's router, when it has one, answers first (the ALT ablation's
-    routes are its own).  Otherwise a path that starts at a landmark node is
-    read from the region's shortest-path trees, and only the rest is
-    searched with ``dijkstra_path`` — looked up here at call time, so a
-    wrapper installed on this module sees every search.  Callers count
-    ``a != b`` as one shortest-path computation either way.
+    A path that starts at a landmark node is read from the region's
+    shortest-path trees, and only the rest is searched with
+    ``dijkstra_path`` — looked up here at call time, so a wrapper installed
+    on this module sees every search.  Callers count ``a != b`` as one
+    shortest-path computation either way.
     """
     if a == b:
         return [a]
-    if engine.router is not None:
-        return engine.router.shortest_path(a, b)[1]
     region = engine.region
     path = region.path_trees().path(a, b)
     if path is None:

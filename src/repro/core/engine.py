@@ -52,9 +52,6 @@ class _IdSequence:
         self.next_value = start
         self.step = step
 
-    def __iter__(self) -> "_IdSequence":
-        return self
-
     def __next__(self) -> int:
         value = self.next_value
         self.next_value += self.step
@@ -72,7 +69,6 @@ class XAREngine:
         region: DiscretizedRegion,
         detour_slack_m: Optional[float] = None,
         optimize_insertion: bool = False,
-        router=None,
         strict_coverage: bool = False,
         ride_id_start: int = 1,
         ride_id_step: int = 1,
@@ -90,10 +86,6 @@ class XAREngine:
         #: landmark matrix and splices the cheapest (still <= 4 shortest
         #: paths) — see booking._best_segment_pair.
         self.optimize_insertion = optimize_insertion
-        #: Optional accelerated router (e.g. roadnet.ALTRouter) used by the
-        #: create and book back-ends; anything with
-        #: ``shortest_path(a, b) -> (distance, node_path)``.
-        self.router = router
         self.cluster_index = ClusterRideIndex(region.n_clusters)
         #: Flat struct-of-arrays mirror of the cluster index + per-ride
         #: budgets; when present, ``search`` runs the vectorized two-step
@@ -196,12 +188,7 @@ class XAREngine:
                 raise RideError("ride source and destination snap to the same node")
             if route is None:
                 with span.stage("route"):
-                    if self.router is not None:
-                        _length, route = self.router.shortest_path(
-                            source_node, destination_node
-                        )
-                    else:
-                        _length, route = astar(network, source_node, destination_node)
+                    _length, route = astar(network, source_node, destination_node)
             ride = Ride(
                 ride_id=next(self._ride_ids),
                 network=network,

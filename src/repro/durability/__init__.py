@@ -31,7 +31,6 @@ from .reshard import (
     merge_engine_states,
     read_topology,
     split_engine_state,
-    state_ride_ids,
     topology_path,
     write_topology,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "restore_engine_state",
     "scan_wal",
     "split_engine_state",
-    "state_ride_ids",
     "topology_path",
     "write_checkpoint",
     "write_checkpoint_state",

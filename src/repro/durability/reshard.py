@@ -188,11 +188,3 @@ def merge_engine_states(
     merged["tracked_to"] = sorted(merged["tracked_to"])
     return merged
 
-
-def state_ride_ids(state: Dict[str, Any]) -> List[int]:
-    """All ride ids (live + completed) a serialized state holds."""
-    return sorted(
-        int(ride["ride_id"])
-        for key in ("rides", "completed_rides")
-        for ride in state.get(key, [])
-    )

@@ -29,9 +29,9 @@ The CRC covers the payload bytes.  Record kinds:
 Durability batching: every append is *written and flushed* to the OS
 immediately (so a simulated crash that merely stops the process loses
 nothing), but ``fsync`` — the expensive disk barrier — runs every
-``fsync_every`` appends and on close.  Torn tails from a real power cut (or
-the :class:`~repro.sim.faults.TornWrite` policy) are detected on open by the
-CRC framing and truncated to the last complete record.
+``fsync_every`` appends and on close.  Torn tails from a real power cut are
+detected on open by the CRC framing and truncated to the last complete
+record.
 """
 
 from __future__ import annotations

@@ -410,10 +410,6 @@ class FlatSearchIndex:
         self._ride_rows: Dict[int, array] = {}
         self._budget = _BudgetStore()
 
-    @property
-    def n_clusters(self) -> int:
-        return len(self._slabs)
-
     # ------------------------------------------------------------------
     # Mutation seams (mirroring the ClusterRideIndex maintenance points)
     # ------------------------------------------------------------------

@@ -39,10 +39,6 @@ class Landmark:
     category: str
     importance: float
 
-    def distance_to(self, other: "Landmark") -> float:
-        """Great-circle distance between two landmarks, metres."""
-        return self.position.distance_to(other.position)
-
 
 def filter_by_separation(
     pois: Iterable[POI],

@@ -5,22 +5,16 @@ This package provides the equivalent substrate from scratch:
 
 * :class:`~repro.roadnet.graph.RoadNetwork` — a directed, weighted road graph
   whose nodes carry coordinates (OSM "waypoints"),
-* :mod:`~repro.roadnet.shortest_path` — Dijkstra / bidirectional Dijkstra /
-  A* / multi-source Dijkstra,
+* :mod:`~repro.roadnet.shortest_path` — A* (ride creation), Dijkstra and
+  landmark shortest-path trees (booking splices), and the many-source
+  kernels the region builder uses,
 * :mod:`~repro.roadnet.generators` — parametric synthetic cities (Manhattan
   lattice, radial, random planar) standing in for the NYC OSM extract,
 * :mod:`~repro.roadnet.travel_time` — distance→time models.
 """
 
 from .graph import RoadEdge, RoadNetwork
-from .shortest_path import (
-    astar,
-    bidirectional_dijkstra,
-    dijkstra_all,
-    dijkstra_path,
-    multi_source_nearest,
-    shortest_distance,
-)
+from .shortest_path import astar, dijkstra_path
 from .generators import (
     manhattan_city,
     radial_city,
@@ -28,17 +22,12 @@ from .generators import (
 )
 from .travel_time import TravelTimeModel, UniformSpeedModel, EdgeSpeedModel
 from .io import load_network, save_network, network_from_dict, network_to_dict
-from .alt import ALTRouter
 
 __all__ = [
     "RoadEdge",
     "RoadNetwork",
-    "dijkstra_all",
     "dijkstra_path",
-    "bidirectional_dijkstra",
     "astar",
-    "multi_source_nearest",
-    "shortest_distance",
     "manhattan_city",
     "radial_city",
     "random_planar_city",
@@ -49,5 +38,4 @@ __all__ = [
     "load_network",
     "network_to_dict",
     "network_from_dict",
-    "ALTRouter",
 ]

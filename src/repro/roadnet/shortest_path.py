@@ -2,19 +2,18 @@
 
 The paper's design principle is that shortest paths are computed only at ride
 *creation* and *booking* time, never during search.  These are the routines
-those operations use:
+those operations and the region builder use:
 
-* :func:`dijkstra_all` — one-to-all distances (optionally early-terminated),
-* :func:`many_source_distances` — many-to-many distances as one array,
-  every source at once (the landmark matrix and the ALT tables),
-* :func:`dijkstra_path` — one-to-one distance + node path,
+* :func:`astar` — haversine-guided one-to-one path search (ride creation),
+* :func:`dijkstra_path` — one-to-one distance + node path (a booking splice
+  that no landmark tree answers),
 * :func:`shortest_path_trees` — :func:`dijkstra_path`'s paths from many
   roots at once, as parent slots (the booking splice from a landmark),
-* :func:`bidirectional_dijkstra` — faster one-to-one distance queries,
-* :func:`astar` — haversine-guided one-to-one path search,
-* :func:`multi_source_nearest` — nearest-source labelling used by the
-  discretization builder to associate every grid with its closest landmark in
-  a single pass (instead of one Dijkstra per grid).
+* :func:`many_source_distances` — many-to-many distances as one array,
+  every source at once (the landmark matrix and the trees' labels),
+* :func:`multi_source_nearest_reverse` — nearest-landmark labelling used by
+  the discretization builder to associate every grid with its closest
+  landmark in a single pass (instead of one Dijkstra per grid).
 
 All distances are metres over edge lengths; time-weighted variants are
 obtained by passing ``weight="time"``.
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,58 +60,6 @@ def _weight_column(weight: str) -> int:
         raise ValueError(f"unknown weight {weight!r}, expected 'length' or 'time'")
 
 
-def dijkstra_all(
-    network: RoadNetwork,
-    source: int,
-    weight: str = "length",
-    cutoff: Optional[float] = None,
-    targets: Optional[Set[int]] = None,
-) -> Dict[int, float]:
-    """One-to-all Dijkstra from ``source``.
-
-    ``cutoff`` stops expanding beyond that distance; ``targets`` stops as soon
-    as every target has been settled (whichever comes first).  Returns settled
-    distances only.
-    """
-    frozen = network.frozen()
-    start = frozen.index.get(source)
-    if start is None:
-        raise RoadNetworkError(f"unknown source node {source}")
-    w = _weight_column(weight)
-    ids, out = frozen.ids, frozen.out
-    pop, push = heapq.heappop, heapq.heappush
-    dist: Dict[int, float] = {}
-    # Best pushed distance per node.  A push that does not improve it is
-    # dominated by an entry already in the heap (same node, key <= its own),
-    # so it could only ever pop as a stale duplicate: never pushing it
-    # leaves the settle order — and so the result — unchanged.  Weights are
-    # >= 0, so a settled node never improves and a popped entry is stale
-    # exactly when it is worse than the node's best.
-    seen = [_INF] * len(ids)
-    seen[start] = 0.0
-    remaining = set(targets) if targets is not None else None
-    heap: List[Tuple[float, int]] = [(0.0, start)]
-    while heap:
-        d, i = pop(heap)
-        if d > seen[i]:
-            continue
-        if cutoff is not None and d > cutoff:
-            break
-        node = ids[i]
-        dist[node] = d
-        if remaining is not None:
-            remaining.discard(node)
-            if not remaining:
-                break
-        for edge in out[i]:
-            j = edge[0]
-            nd = d + edge[w]
-            if nd < seen[j]:
-                seen[j] = nd
-                push(heap, (nd, j))
-    return dist
-
-
 #: Labels per source block of :func:`many_source_distances` (16 bytes each
 #: with its stamp): 1 MB of buffers, and sweep temporaries in proportion,
 #: whatever the source count.  Set by the peak, not the speed: building the
@@ -136,7 +83,7 @@ def many_source_distances(
     unreachable.  With ``reverse`` the distances run the other way, from
     each target *to* the source.
 
-    Every value equals :func:`dijkstra_all`'s, bit for bit.  The kernel is
+    Every value equals a one-to-all Dijkstra's, bit for bit.  The kernel is
     label-correcting: each sweep relaxes the out-edges of exactly the
     (source, node) labels that dropped in the sweep before, and it stops
     when none drops — at the least fixed point of
@@ -411,60 +358,6 @@ def _trace(ids: List[int], parent: List[int], start: int, goal: int) -> List[int
     return path
 
 
-def bidirectional_dijkstra(
-    network: RoadNetwork,
-    source: int,
-    target: int,
-    weight: str = "length",
-) -> float:
-    """Distance-only bidirectional Dijkstra (typically ~2x faster)."""
-    if not network.has_node(source):
-        raise RoadNetworkError(f"unknown source node {source}")
-    if not network.has_node(target):
-        raise RoadNetworkError(f"unknown target node {target}")
-    if source == target:
-        return 0.0
-    wf = _weight_fn(weight)
-    dist_f: Dict[int, float] = {}
-    dist_b: Dict[int, float] = {}
-    heap_f: List[Tuple[float, int]] = [(0.0, source)]
-    heap_b: List[Tuple[float, int]] = [(0.0, target)]
-    best = float("inf")
-    while heap_f and heap_b:
-        if heap_f[0][0] + heap_b[0][0] >= best:
-            break
-        # Expand the smaller frontier.
-        if heap_f[0][0] <= heap_b[0][0]:
-            d, node = heapq.heappop(heap_f)
-            if node in dist_f:
-                continue
-            dist_f[node] = d
-            if node in dist_b:
-                best = min(best, d + dist_b[node])
-            for edge in network.out_edges(node):
-                if edge.target not in dist_f:
-                    nd = d + wf(edge)
-                    heapq.heappush(heap_f, (nd, edge.target))
-                    if edge.target in dist_b:
-                        best = min(best, nd + dist_b[edge.target])
-        else:
-            d, node = heapq.heappop(heap_b)
-            if node in dist_b:
-                continue
-            dist_b[node] = d
-            if node in dist_f:
-                best = min(best, d + dist_f[node])
-            for edge in network.in_edges(node):
-                if edge.source not in dist_b:
-                    nd = d + wf(edge)
-                    heapq.heappush(heap_b, (nd, edge.source))
-                    if edge.source in dist_f:
-                        best = min(best, nd + dist_f[edge.source])
-    if best == float("inf"):
-        raise NoPathError(source, target)
-    return best
-
-
 def astar(
     network: RoadNetwork,
     source: int,
@@ -531,52 +424,17 @@ def astar(
     raise NoPathError(source, target)
 
 
-def multi_source_nearest(
-    network: RoadNetwork,
-    sources: Iterable[int],
-    weight: str = "length",
-    cutoff: Optional[float] = None,
-) -> Dict[int, Tuple[int, float]]:
-    """Label every reachable node with its nearest source and the distance.
-
-    One heap pass from all sources simultaneously — the classic trick the
-    discretization builder uses to associate every grid/node with its closest
-    landmark without running a Dijkstra per grid.
-
-    Note: distances here are *from source to node* following edge directions;
-    for "driving distance from grid to landmark" semantics the caller passes
-    the landmark set and we search the reverse graph.
-    """
-    wf = _weight_fn(weight)
-    label: Dict[int, Tuple[int, float]] = {}
-    heap: List[Tuple[float, int, int]] = []
-    for src in sources:
-        if not network.has_node(src):
-            raise RoadNetworkError(f"unknown source node {src}")
-        heapq.heappush(heap, (0.0, src, src))
-    while heap:
-        d, node, origin = heapq.heappop(heap)
-        if node in label:
-            continue
-        if cutoff is not None and d > cutoff:
-            break
-        label[node] = (origin, d)
-        for edge in network.out_edges(node):
-            if edge.target not in label:
-                heapq.heappush(heap, (d + wf(edge), edge.target, origin))
-    return label
-
-
 def multi_source_nearest_reverse(
     network: RoadNetwork,
     sources: Iterable[int],
     weight: str = "length",
     cutoff: Optional[float] = None,
 ) -> Dict[int, Tuple[int, float]]:
-    """Like :func:`multi_source_nearest` but over reversed edges.
+    """Label every reachable node with its nearest source and the distance,
+    in one heap pass from all sources over reversed edges.
 
-    The label of node ``v`` is then the nearest source *measured as the
-    driving distance from v to the source*, which is the correct semantics for
+    The label of node ``v`` is the nearest source *measured as the driving
+    distance from v to the source*, which is the correct semantics for
     "drive from this grid to its landmark".
     """
     wf = _weight_fn(weight)
@@ -598,12 +456,3 @@ def multi_source_nearest_reverse(
                 heapq.heappush(heap, (d + wf(edge), edge.source, origin))
     return label
 
-
-def shortest_distance(
-    network: RoadNetwork,
-    source: int,
-    target: int,
-    weight: str = "length",
-) -> float:
-    """Convenience wrapper: distance only, bidirectional under the hood."""
-    return bidirectional_dijkstra(network, source, target, weight)

@@ -167,9 +167,6 @@ class Gateway:
         p95 = self._rtt.p95_s()
         return None if p95 is None else p95 * 1000.0
 
-    def shed_count(self, reason: str) -> int:
-        return int(self._c_shed.labels(reason=reason).value)
-
     # ------------------------------------------------------------------
     # Admission control
     # ------------------------------------------------------------------

@@ -79,10 +79,6 @@ class ShardStats:
             "queue_peak": self.queue_peak,
         }
 
-    @property
-    def total_shed(self) -> int:
-        return sum(self.shed.values())
-
 
 class _Job:
     __slots__ = ("operation", "fn", "future", "enqueued_at")
@@ -442,7 +438,3 @@ class ShardWorker:
         if not self.crashed:
             self._queue.put(_STOP)  # blocks until there is room: queue drains
         self._thread.join(timeout=timeout_s)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed

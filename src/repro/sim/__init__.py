@@ -14,9 +14,7 @@ from .faults import (
     FaultPolicy,
     IndexCorruption,
     RouterFault,
-    TornWrite,
     TrackingDropout,
-    WorkerCrash,
     default_fault_policies,
 )
 from .metrics import OperationTimings, SimulationReport, percentile
@@ -33,8 +31,6 @@ __all__ = [
     "TrackingDropout",
     "DriverCancellation",
     "IndexCorruption",
-    "TornWrite",
-    "WorkerCrash",
     "default_fault_policies",
     "OperationTimings",
     "SimulationReport",

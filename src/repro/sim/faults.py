@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..core.request import RideRequest
-from ..exceptions import NoPathError, TransientFaultError, WorkerCrashError
+from ..exceptions import NoPathError, TransientFaultError
 from ..geo import GeoPoint
 from .adapters import DelegatingAdapter, raw_engine
 
@@ -221,143 +221,6 @@ class IndexCorruption(FaultPolicy):
             victim = ctx.rng.choice(entries)
             index.remove(cluster_id, victim.ride_id)
             self.injections += 1
-
-
-class WorkerCrash(FaultPolicy):
-    """Seeded worker deaths: a mutating op raises
-    :class:`~repro.exceptions.WorkerCrashError` instead of running.
-
-    Three flavours, matching the windows durability must close:
-
-    * ``rate`` — the op dies *before* it starts (crash between dequeue and
-      execute; nothing logged, nothing applied);
-    * ``mid_book_rate`` — arms the engine's one-shot ``fault_hook`` so the
-      booking dies **between its WAL append + transactional snapshot and
-      the route splice**: the op is on disk but not applied, the exact gap
-      crash recovery replays forward;
-    * ``kill=True`` — process mode: instead of raising in the caller, the
-      policy SIGKILLs a random shard *subprocess* through the stack's
-      ``crash_shard(victim, kill=True)`` hook (the op then proceeds against
-      the dying fleet — in-flight RPCs see EOF exactly as a real crash).
-      Falls back to the in-process raise when the stack has no
-      ``crash_shard`` (e.g. a bare engine).
-
-    Only meaningful on a stack with a durability layer underneath (a plain
-    engine cannot recover); the service's failover supervisor — thread
-    router or process supervisor — catches the death, replays the shard's
-    WAL and resumes.
-    """
-
-    name = "crash"
-
-    def __init__(self, rate: float = 0.0, mid_book_rate: float = 0.0,
-                 kill: bool = False):
-        super().__init__()
-        if not (0.0 <= rate <= 1.0) or not (0.0 <= mid_book_rate <= 1.0):
-            raise ValueError("fault rates must be within [0, 1]")
-        self.rate = rate
-        self.mid_book_rate = mid_book_rate
-        self.kill = kill
-
-    def _kill_one(self, ctx: FaultContext, *, mid_book: bool) -> bool:
-        """SIGKILL flavour: crash a random shard via the stack's own chaos
-        hook; False when the stack cannot kill (caller raises instead)."""
-        stack = ctx.adapter.inner
-        crash_shard = getattr(stack, "crash_shard", None)
-        n_shards = getattr(stack, "n_shards", 0)
-        if crash_shard is None or not n_shards:
-            return False
-        victim = ctx.rng.randrange(n_shards)
-        try:
-            crash_shard(victim, mid_book=mid_book, kill=True)
-        except Exception:  # noqa: BLE001 - chaos must never take down the run
-            return False
-        self.injections += 1
-        return True
-
-    def _roll(self, ctx: FaultContext, operation: str) -> None:
-        if self.rate > 0 and ctx.rng.random() < self.rate:
-            if self.kill and self._kill_one(ctx, mid_book=False):
-                return
-            self.injections += 1
-            raise WorkerCrashError(f"injected worker crash before {operation}")
-
-    def before_create(self, ctx: FaultContext) -> None:
-        self._roll(ctx, "create")
-
-    def before_book(self, ctx: FaultContext) -> None:
-        if self.mid_book_rate > 0 and ctx.rng.random() < self.mid_book_rate:
-            if self.kill and self._kill_one(ctx, mid_book=True):
-                return
-            engine = ctx.engine
-            if engine is not None:
-                self.injections += 1
-
-                def hook(point: str) -> None:
-                    if point == "book:post-snapshot":
-                        engine.fault_hook = None
-                        raise WorkerCrashError(f"injected crash at {point}")
-
-                engine.fault_hook = hook
-                return
-        self._roll(ctx, "book")
-
-
-class TornWrite(FaultPolicy):
-    """Torn tail on crash: the dying shard's WAL loses random tail bytes.
-
-    Models the difference between a process death (flushed bytes survive)
-    and a power cut (the last, not-yet-fsynced frames are half-written).
-    The policy itself never fires during normal operation — call
-    :meth:`maybe_tear` on the WAL path *after* a crash, before recovery
-    runs; with probability ``rate`` it truncates the file at a uniformly
-    random byte offset past the header.  Recovery must then detect the torn
-    tail via CRC framing and resume from the last complete record.
-    """
-
-    name = "torn-write"
-
-    def __init__(self, rate: float = 1.0, max_tear_bytes: int = 256):
-        super().__init__()
-        if not (0.0 <= rate <= 1.0):
-            raise ValueError("fault rates must be within [0, 1]")
-        self.rate = rate
-        self.max_tear_bytes = max(1, max_tear_bytes)
-        self.rng = random.Random(0xBAD5EED)
-
-    def seed(self, seed: int) -> "TornWrite":
-        self.rng = random.Random(seed)
-        return self
-
-    def maybe_tear(self, wal_path: str) -> int:
-        """Truncate the WAL at a random byte; returns bytes torn off (0 =
-        the dice said no, or the log holds nothing beyond its header)."""
-        import os
-
-        from ..durability.wal import iter_frames
-
-        if self.rate <= 0 or self.rng.random() >= self.rate:
-            return 0
-        size = os.path.getsize(wal_path)
-        frames = iter_frames(wal_path)
-        try:
-            next(frames)  # header
-            second = next(frames)
-        except StopIteration:
-            return 0  # header only (or less): nothing to tear
-        # Never tear into the header frame — a destroyed header is file
-        # corruption, not a torn tail; a power cut can also only lose bytes
-        # near the (un-fsynced) end, hence the max_tear_bytes bound.
-        header_end = second.offset
-        if header_end >= size:
-            return 0
-        tear_at = self.rng.randrange(
-            max(header_end, size - self.max_tear_bytes), size
-        )
-        with open(wal_path, "r+b") as handle:
-            handle.truncate(tear_at)
-        self.injections += 1
-        return size - tear_at
 
 
 class FaultInjectingAdapter(DelegatingAdapter):

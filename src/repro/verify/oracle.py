@@ -40,7 +40,7 @@ from ..core.reachability import build_ride_entry
 from ..core.request import RideRequest
 from ..core.ride import Ride
 from ..core.search import MatchOption, _splice_estimate
-from ..core.tracking import track_all, track_ride
+from ..core.tracking import track_all
 from ..discretization import DiscretizedRegion, WalkOption
 from ..exceptions import RideError, UnknownRideError, XARError
 from ..geo import GeoPoint
@@ -118,7 +118,6 @@ class OracleEngine:
         )
         #: The shared booking splice consults these engine knobs.
         self.optimize_insertion = False
-        self.router = None
         self._ride_ids = itertools.count(ride_id_start, ride_id_step)
         self._request_ids = itertools.count(1)
 
@@ -531,9 +530,6 @@ class OracleEngine:
                 restore_ride(self, snapshot)
             raise
 
-    def track(self, ride_id: int, now_s: float) -> None:
-        track_ride(self, ride_id, now_s)
-
     def track_all(self, now_s: float) -> int:
         return track_all(self, now_s)
 
@@ -543,10 +539,6 @@ class OracleEngine:
     @property
     def n_active_rides(self) -> int:
         return len(self.rides)
-
-    def driver_of(self, ride_id: int) -> Optional[int]:
-        ride = self.rides.get(ride_id)
-        return ride.driver_id if ride is not None else None
 
     def index_stats(self) -> Dict[str, int]:
         return {

@@ -6,8 +6,8 @@ import random
 import pytest
 
 import repro.core.search as search_module
-import repro.roadnet.shortest_path as sp_module
 from repro.core import XAREngine
+from tests.shortest_path_guard import forbid_shortest_paths
 
 
 @pytest.fixture
@@ -89,12 +89,7 @@ class TestNoShortestPathInvariant:
         self, populated, city, rng, monkeypatch
     ):
         """The paper's defining property: O1 does no shortest-path work."""
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("search invoked a shortest-path routine")
-
-        for name in ("dijkstra_all", "dijkstra_path", "bidirectional_dijkstra", "astar"):
-            monkeypatch.setattr(sp_module, name, forbidden)
+        forbid_shortest_paths(monkeypatch)
         for _trial in range(20):
             request = random_request(populated, city, rng)
             populated.search(request)  # must not raise

@@ -51,6 +51,9 @@ from tests.reference_write_path import (
     ref_obsolescence,
 )
 
+#: Selected by ``pytest -m reference -k <seed>`` (CI's unpinned-seed run).
+pytestmark = pytest.mark.reference
+
 #: The tier-1 seeds of the step-by-step entry comparison, plus any the
 #: environment names: CI adds one derived from its run number.
 SEEDS = [11, 12, 13] + [

@@ -41,6 +41,10 @@ WINDOWS = (
     (-1.0, float("inf")), (600.0, 1200.0), (600.0, 600.0), (1200.0, 0.0),
     (0.0, float("inf")),
 )
+
+#: Selected by ``pytest -m reference -k <seed>`` (CI's unpinned-seed run).
+pytestmark = pytest.mark.reference
+
 #: The tier-1 seeds, plus any the environment names: CI adds one derived
 #: from its run number, so every run drives an interleaving nobody has
 #: looked at.

@@ -30,6 +30,10 @@ from repro.workloads import NYCWorkloadGenerator, trips_to_requests
 from tests.reference_search_kernel import ReferenceIndex, ref_flat_search_rides
 
 KS = (None, 1, 10)
+
+#: Selected by ``pytest -m reference -k <seed>`` (CI's unpinned-seed run).
+pytestmark = pytest.mark.reference
+
 #: The tier-1 seeds, plus any the environment names: CI adds one derived
 #: from its run number, so every run compares a new interleaving.
 SEEDS = [11, 12, 13] + [

@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-import repro.roadnet.shortest_path as sp_module
 from repro.baselines import TShareEngine
 from repro.core import XAREngine
 from repro.sim import RideShareSimulator, TShareAdapter, XARAdapter
 from repro.sim.simulator import SimulatorConfig
+from tests.shortest_path_guard import forbid_shortest_paths
 
 
 class TestFullReplayXAR:
@@ -63,12 +63,7 @@ class TestFullReplayXAR:
         """Replay half the stream, then forbid SP routines and search again."""
         engine = XAREngine(region)
         RideShareSimulator(XARAdapter(engine)).run(workload[:200])
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("search touched a shortest-path routine")
-
-        for name in ("dijkstra_all", "dijkstra_path", "bidirectional_dijkstra", "astar"):
-            monkeypatch.setattr(sp_module, name, forbidden)
+        forbid_shortest_paths(monkeypatch)
         for request in workload[200:260]:
             engine.search(request)
 

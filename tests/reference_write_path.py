@@ -1,20 +1,22 @@
 """Reference implementations of the write-path kernels.
 
-These are the loop bodies of ``dijkstra_all`` / ``dijkstra_path`` / ``astar``,
-``build_ride_entry`` and ``_feasibility_row`` exactly as they stood before
-the write path was flattened (per-edge attribute lookups, a Python loop per
-(visit, candidate) pair, two ``segment_for`` scans per slab row), the ride's
-index entry as it stood before it became arrays (a dict of ``ReachableInfo``
-objects with a ``set`` of supports each, shrunk in place by tracking), and the
-region builder's matrices as they stood before they were built in arrays
-(one Dijkstra per landmark, an L-long inner loop per source, a C² loop of
-``np.ix_`` gathers; ALT's two Dijkstras per routing landmark), and the
-per-cluster potential-ride index as it stood before its two sorted lists
-became views of one dict (``RefClusterRideIndex``: both lists maintained
-on every write), a ride's route geometry as it stood before it became
-arrays (cumulative offsets and times as Python lists, ``bisect_right``
-for the index at a time), and the flat index's row lookup as it stood
-before per-ride row handles replaced each slab's ``ride -> row`` dict.  They are slow and obviously correct; the property tests
+These are a plain one-to-all Dijkstra (the distances every
+``many_source_distances`` row must equal) and the loop bodies of
+``dijkstra_path`` / ``astar``, ``build_ride_entry`` and ``_feasibility_row``
+exactly as they stood before the write path was flattened (per-edge
+attribute lookups, a Python loop per (visit, candidate) pair, two
+``segment_for`` scans per slab row), the ride's index entry as it stood
+before it became arrays (a dict of ``ReachableInfo`` objects with a ``set``
+of supports each, shrunk in place by tracking), the region builder's
+matrices as they stood before they were built in arrays (one Dijkstra per
+landmark, an L-long inner loop per source, a C² loop of ``np.ix_``
+gathers), the per-cluster potential-ride index as it stood before its two
+sorted lists became views of one dict (``RefClusterRideIndex``: both lists
+maintained on every write), a ride's route geometry as it stood before it
+became arrays (cumulative offsets and times as Python lists,
+``bisect_right`` for the index at a time), and the flat index's row lookup
+as it stood before per-ride row handles replaced each slab's
+``ride -> row`` dict.  They are slow and obviously correct; the property tests
 require the production kernels to equal them with ``==`` — on floats, on
 node paths, on the *insertion order* of ``entry.reachable`` and on the order
 of equal ETAs in a window — so they must not be "improved".
@@ -134,40 +136,10 @@ def _trace(parent: Dict[int, int], source: int, target: int) -> List[int]:
     return path
 
 
-def ref_reverse_dijkstra(network, source: int) -> Dict[int, float]:
-    """Length-weighted distances *to* ``source`` over in-edges (ALT's)."""
-    dist: Dict[int, float] = {}
-    heap: List[Tuple[float, int]] = [(0.0, source)]
-    while heap:
-        d, node = heapq.heappop(heap)
-        if node in dist:
-            continue
-        dist[node] = d
-        for edge in network.in_edges(node):
-            if edge.source not in dist:
-                heapq.heappush(heap, (d + edge.length_m, edge.source))
-    return dist
-
-
-def ref_alt_tables(network, landmarks: List[int], nodes: List[int]):
-    """``(to_landmark, from_landmark)``, k x n over ``nodes`` in order."""
-    node_index = {node: i for i, node in enumerate(nodes)}
-    to_landmark = np.full((len(landmarks), len(nodes)), np.inf)
-    from_landmark = np.full((len(landmarks), len(nodes)), np.inf)
-    for l_index, landmark in enumerate(landmarks):
-        forward = ref_dijkstra_all(network, landmark)
-        for node, dist in forward.items():
-            from_landmark[l_index, node_index[node]] = dist
-        backward = ref_reverse_dijkstra(network, landmark)
-        for node, dist in backward.items():
-            to_landmark[l_index, node_index[node]] = dist
-    return to_landmark, from_landmark
-
-
 def ref_landmark_distance_matrix(network, landmarks) -> np.ndarray:
     """The landmark matrix, max-symmetrised (the values of the
-    ``DistanceMatrix`` the builder hands on), with ``ref_dijkstra_all``
-    standing in for the ``dijkstra_all`` it equals."""
+    ``DistanceMatrix`` the builder hands on), one ``ref_dijkstra_all`` per
+    landmark."""
     n = len(landmarks)
     nodes = [lm.node for lm in landmarks]
     node_set = set(nodes)

@@ -2,37 +2,41 @@
 
 import pytest
 
+import repro.core.booking as booking
 from repro.core import XAREngine
 from repro.core.booking import book_ride
 from repro.exceptions import BookingError, NoPathError
 from repro.resilience import InvariantAuditor, diff_ride, restore_ride, snapshot_ride
-from repro.roadnet import dijkstra_path
 from tests.entry_faults import corrupt_entry
 
 
-class FlakyRouter:
-    """Delegates to Dijkstra; raises NoPathError on armed call numbers."""
+class FlakySplices:
+    """Wraps the booking's splice path search; raises NoPathError on armed
+    call numbers (counting only real shortest-path computations)."""
 
-    def __init__(self, network):
-        self.network = network
+    def __init__(self, splice_path):
+        self.splice_path = splice_path
         self.calls = 0
         self.fail_calls = set()
 
     def arm(self, *call_numbers):
         self.fail_calls = set(call_numbers)
 
-    def shortest_path(self, a, b):
-        self.calls += 1
-        if self.calls in self.fail_calls:
-            raise NoPathError(a, b)
-        return dijkstra_path(self.network, a, b)
+    def __call__(self, engine, a, b):
+        if a != b:
+            self.calls += 1
+            if self.calls in self.fail_calls:
+                raise NoPathError(a, b)
+        return self.splice_path(engine, a, b)
 
 
 @pytest.fixture
-def flaky_setup(region, city, rng):
-    """Engine on a flaky router, one ride, one bookable match."""
-    router = FlakyRouter(city)
-    engine = XAREngine(region, router=router)
+def flaky_setup(region, city, rng, monkeypatch):
+    """Engine whose splices can be made to fail, one ride, one bookable
+    match."""
+    splices = FlakySplices(booking._splice_path)
+    monkeypatch.setattr(booking, "_splice_path", splices)
+    engine = XAREngine(region)
     nodes = list(city.nodes())
     for _i in range(60):
         a, b = rng.sample(nodes, 2)
@@ -47,7 +51,7 @@ def flaky_setup(region, city, rng):
         request = engine.make_request(city.position(a), city.position(b), 0.0, 3600.0)
         matches = engine.search(request)
         if matches:
-            return engine, router, request, matches[0]
+            return engine, splices, request, matches[0]
     pytest.skip("no bookable match produced")
 
 
@@ -55,14 +59,14 @@ class TestRollbackOnRoutingFailure:
     def test_nopath_mid_splice_is_a_noop(self, flaky_setup):
         """The acceptance criterion: injected NoPathError during the splice
         leaves seats, detour budget and index membership byte-identical."""
-        engine, router, request, match = flaky_setup
+        engine, splices, request, match = flaky_setup
         auditor = InvariantAuditor(engine)
         before = auditor.snapshot(match.ride_id)
         assert before is not None
 
         # Fail the *second* shortest-path computation: the splice is
         # genuinely mid-flight when the fault hits.
-        router.arm(router.calls + 2)
+        splices.arm(splices.calls + 2)
         try:
             engine.book(request, match)
         except NoPathError:
@@ -74,8 +78,8 @@ class TestRollbackOnRoutingFailure:
         assert auditor.audit().ok
 
     def test_rollback_recorded(self, flaky_setup):
-        engine, router, request, match = flaky_setup
-        router.arm(router.calls + 1)
+        engine, splices, request, match = flaky_setup
+        splices.arm(splices.calls + 1)
         with pytest.raises(NoPathError):
             engine.book(request, match)
         assert len(engine.rollbacks) == 1
@@ -85,18 +89,18 @@ class TestRollbackOnRoutingFailure:
         assert rollback.error == "NoPathError"
 
     def test_booking_succeeds_after_transient_fault_clears(self, flaky_setup):
-        engine, router, request, match = flaky_setup
-        router.arm(router.calls + 1)
+        engine, splices, request, match = flaky_setup
+        splices.arm(splices.calls + 1)
         with pytest.raises(NoPathError):
             engine.book(request, match)
-        router.arm()  # fault clears
+        splices.arm()  # fault clears
         record = engine.book(request, match)
         assert record.ride_id == match.ride_id
         assert auditor_ok(engine)
 
     def test_failed_booking_then_search_still_consistent(self, flaky_setup):
-        engine, router, request, match = flaky_setup
-        router.arm(router.calls + 1)
+        engine, splices, request, match = flaky_setup
+        splices.arm(splices.calls + 1)
         with pytest.raises(NoPathError):
             engine.book(request, match)
         # The ride must still be discoverable exactly as before the failure.
@@ -106,7 +110,7 @@ class TestRollbackOnRoutingFailure:
 
 class TestStaleMatchRollback:
     def test_stale_match_rolls_back(self, flaky_setup):
-        engine, router, request, match = flaky_setup
+        engine, splices, request, match = flaky_setup
         # Make the match stale: forget the pickup cluster server-side.
         with corrupt_entry(engine.ride_entries, match.ride_id) as entry:
             entry.reachable.pop(match.pickup_cluster, None)
@@ -120,7 +124,7 @@ class TestStaleMatchRollback:
 
 class TestSnapshotRestore:
     def test_restore_is_idempotent(self, flaky_setup):
-        engine, _router, _request, match = flaky_setup
+        engine, _splices, _request, match = flaky_setup
         snap = snapshot_ride(engine, match.ride_id)
         restore_ride(engine, snap)
         restore_ride(engine, snap)
@@ -131,7 +135,7 @@ class TestSnapshotRestore:
         assert snapshot_ride(engine, 424242) is None
 
     def test_diff_detects_seat_change(self, flaky_setup):
-        engine, _router, _request, match = flaky_setup
+        engine, _splices, _request, match = flaky_setup
         snap = snapshot_ride(engine, match.ride_id)
         engine.rides[match.ride_id].seats_available -= 1
         assert any("seats" in d for d in diff_ride(engine, snap))
@@ -141,7 +145,7 @@ class TestSeatExhaustionGuard:
     def test_book_refuses_when_seats_vanish_mid_splice(self, flaky_setup):
         """Look-to-book race: seats hit 0 between the entry check and the
         splice must raise BookingError, never over-book."""
-        engine, _router, request, match = flaky_setup
+        engine, _splices, request, match = flaky_setup
         ride = engine.rides[match.ride_id]
         route_before = ride.route
         original = ride.replace_route
@@ -160,7 +164,7 @@ class TestSeatExhaustionGuard:
         assert "pickup" not in [via.label for via in ride.via_points]
 
     def test_exhausted_ride_rejects_next_booking(self, flaky_setup):
-        engine, _router, request, match = flaky_setup
+        engine, _splices, request, match = flaky_setup
         engine.rides[match.ride_id].seats_available = 0
         with pytest.raises(BookingError):
             engine.book(request, match)

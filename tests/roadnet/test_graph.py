@@ -130,7 +130,8 @@ class TestFrozenAdjacency:
     route validation: dropped by every mutation, complete when published."""
 
     def test_add_edge_after_a_query_is_seen_by_the_next(self, triangle):
-        from repro.roadnet import astar, dijkstra_all, dijkstra_path
+        from repro.roadnet import astar, dijkstra_path
+        from repro.roadnet.shortest_path import many_source_distances
 
         far = destination_point(triangle.position(1), 90.0, 500.0)
         triangle.add_node(3, far)
@@ -141,7 +142,7 @@ class TestFrozenAdjacency:
         triangle.add_edge(0, 3, length_m=1.0)
         assert dijkstra_path(triangle, 0, 3) == (1.0, [0, 3])
         assert astar(triangle, 0, 3) == (1.0, [0, 3])
-        assert dijkstra_all(triangle, 0)[3] == 1.0
+        assert many_source_distances(triangle, [0], targets=[3])[0, 0] == 1.0
         assert triangle.route_length_m([0, 3]) == 1.0
         assert before > 1.0
 

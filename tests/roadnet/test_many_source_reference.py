@@ -5,8 +5,7 @@ drops; its rows must equal ``ref_dijkstra_all`` (unreachable -> ``inf``)
 with ``==`` on the bytes — on every network of the shortest-path reference
 suite (zero-length, parallel and one-way edges, an unreachable pocket), for
 both weights, forward and over reversed edges, with sources shuffled,
-repeated and spread over many blocks.  ALT's tables, now two kernel calls,
-must equal the two-Dijkstras-per-landmark loops they replaced.
+repeated and spread over many blocks.
 """
 
 from __future__ import annotations
@@ -19,10 +18,13 @@ import pytest
 
 import repro.roadnet.shortest_path as shortest_path
 from repro.exceptions import RoadNetworkError
-from repro.roadnet import ALTRouter, RoadNetwork, random_planar_city
+from repro.roadnet import RoadNetwork, random_planar_city
 from repro.roadnet.shortest_path import many_source_distances
-from tests.reference_write_path import ref_alt_tables, ref_dijkstra_all
+from tests.reference_write_path import ref_dijkstra_all
 from tests.roadnet.test_shortest_path_reference import NETWORKS, NODES
+
+#: Selected by ``pytest -m reference -k <seed>`` (CI's unpinned-seed run).
+pytestmark = pytest.mark.reference
 
 #: The tier-1 seeds, plus any the environment names: CI adds one derived
 #: from its run number, so every run compares sources nobody has looked at.
@@ -106,13 +108,3 @@ def test_empty_and_unknown():
     with pytest.raises(ValueError):
         many_source_distances(network, nodes[:1], weight="hops")
 
-
-@pytest.mark.parametrize("name", sorted(NETWORKS))
-def test_alt_tables_equal_the_two_dijkstra_loops(name):
-    network = NETWORKS[name]
-    router = ALTRouter(network, n_landmarks=6)
-    to_landmark, from_landmark = ref_alt_tables(
-        network, router.landmarks, list(network.nodes())
-    )
-    assert_bytes_equal(router._to_landmark, to_landmark)
-    assert_bytes_equal(router._from_landmark, from_landmark)

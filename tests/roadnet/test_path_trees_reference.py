@@ -32,6 +32,9 @@ from repro.roadnet.shortest_path import shortest_path_trees
 from tests.reference_write_path import ref_dijkstra_all
 from tests.roadnet.test_shortest_path_reference import NETWORKS, NODES, _outcome
 
+#: Selected by ``pytest -m reference -k <seed>`` (CI's unpinned-seed run).
+pytestmark = pytest.mark.reference
+
 #: The tier-1 seeds, plus any the environment names: CI adds one derived
 #: from its run number, so every run builds trees nobody has looked at.
 SEEDS = [11, 12, 13] + [

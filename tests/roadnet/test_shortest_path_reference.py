@@ -21,7 +21,6 @@ from repro.geo import GeoPoint
 from repro.roadnet import (
     RoadNetwork,
     astar,
-    dijkstra_all,
     dijkstra_path,
     manhattan_city,
     radial_city,
@@ -29,7 +28,6 @@ from repro.roadnet import (
 )
 from tests.reference_write_path import (
     ref_astar,
-    ref_dijkstra_all,
     ref_dijkstra_path,
     ref_find_edge,
 )
@@ -121,25 +119,6 @@ class TestKernelsEqualReference:
     @given(queries)
     def test_astar(self, query):
         assert_astar_exact(*_pick(*query))
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        queries,
-        st.sampled_from(["length", "time"]),
-        st.one_of(st.none(), st.floats(min_value=0.0, max_value=3000.0)),
-        st.one_of(st.none(), st.lists(st.integers(0, 10**6), max_size=6)),
-    )
-    def test_dijkstra_all(self, query, weight, cutoff, target_picks):
-        network, source, _unused = _pick(*query)
-        nodes = NODES[query[0]]
-        targets = (
-            None if target_picks is None
-            else {nodes[pick % len(nodes)] for pick in target_picks}
-        )
-        got = dijkstra_all(network, source, weight, cutoff, targets)
-        want = ref_dijkstra_all(network, source, weight, cutoff, targets)
-        assert got == want
-        assert list(got) == list(want)  # settle order, too
 
     @pytest.mark.parametrize("name", sorted(NETWORKS))
     def test_every_pair_from_a_few_sources(self, name):
