@@ -83,17 +83,15 @@ from .service import (
 from .service.routing import RoutingTable
 from .service.transport import ThreadTransport
 from .sim import (
-    DriverCancellation,
     FaultInjectingAdapter,
-    IndexCorruption,
     RideShareSimulator,
-    RouterFault,
-    TrackingDropout,
     TShareAdapter,
     XARAdapter,
+    parse_fault_policies,
 )
 from .sim.simulator import SimulatorConfig
 from .sim.modes import compare_modes
+from .verify.differential import FACADE_NAMES
 from .workloads import NYCWorkloadGenerator, trips_to_requests
 
 
@@ -153,28 +151,6 @@ def _workload(region_network, args):
     return trips_to_requests(trips, window_s=args.window, walk_threshold_m=args.walk)
 
 
-def _parse_faults(spec: str) -> List:
-    """``router=0.05,dropout=0.1,cancel=0.02,corrupt=0.01`` → policies."""
-    makers = {
-        "router": lambda rate: RouterFault(rate=rate),
-        "dropout": lambda rate: TrackingDropout(rate=rate),
-        "cancel": lambda rate: DriverCancellation(rate=rate),
-        "corrupt": lambda rate: IndexCorruption(rate=rate),
-    }
-    policies = []
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        name, _sep, value = part.partition("=")
-        if name not in makers:
-            raise SystemExit(
-                f"unknown fault policy {name!r} (choose from {sorted(makers)})"
-            )
-        policies.append(makers[name](float(value) if value else 0.05))
-    return policies
-
-
 def _simulate(args: argparse.Namespace) -> int:
     region = load_region(args.region)
     requests = _workload(region.network, args)
@@ -186,8 +162,12 @@ def _simulate(args: argparse.Namespace) -> int:
     else:
         adapter = TShareAdapter(TShareEngine(region.network))
     if args.faults:
+        try:
+            policies = parse_fault_policies(args.faults)
+        except ValueError as exc:
+            raise SystemExit(str(exc)) from None
         adapter = FaultInjectingAdapter(
-            adapter, _parse_faults(args.faults), seed=args.fault_seed
+            adapter, policies, seed=args.fault_seed
         )
     if args.resilient:
         adapter = ResilientEngine(adapter, ResilienceConfig(seed=args.fault_seed))
@@ -1199,8 +1179,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of operations to generate")
     p.add_argument("--engines", default="xar,shard2",
                    help="comma-separated façades to diff against the oracle "
-                        "(xar, shard1, shard2, shard4, resilient, durable, "
-                        "batch — batch runs relaxed: quality checks only)")
+                        f"({', '.join(FACADE_NAMES)}; shardN and procN take "
+                        "any N; batch runs relaxed: quality checks only)")
     p.add_argument("--shrink", action="store_true",
                    help="delta-debug a failing sequence to a minimal repro")
     p.add_argument("--corpus-out",

@@ -16,8 +16,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
-import shutil
-import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -25,14 +23,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..exceptions import ScenarioError, XARError
 from ..resilience import ResilienceConfig, ResilientEngine
 from ..resilience.audit import InvariantAuditor
-from ..service import ProcRouter, SupervisorConfig
-from ..sim import (
-    DriverCancellation,
-    FaultInjectingAdapter,
-    IndexCorruption,
-    RouterFault,
-    TrackingDropout,
-)
+from ..sim import FaultInjectingAdapter, parse_fault_policies
 from ..verify.differential import Facade, make_facade
 from ..workloads import trips_to_requests
 from ..workloads.nyc import TripRecord
@@ -122,58 +113,17 @@ class ScenarioReport:
         return "\n".join(lines)
 
 
-def _parse_policies(spec: str, seed: int) -> List[Any]:
-    """The CLI fault mini-language, raising ScenarioError on bad input."""
-    makers = {
-        "router": RouterFault,
-        "dropout": TrackingDropout,
-        "cancel": DriverCancellation,
-        "corrupt": IndexCorruption,
-    }
-    policies: List[Any] = []
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        name, _sep, value = part.partition("=")
-        if name not in makers:
-            raise ScenarioError(
-                f"unknown fault policy {name!r} (choose from {sorted(makers)})"
-            )
-        policies.append(makers[name](rate=float(value) if value else 0.05))
-    return policies
-
-
 def build_facade(spec: ScenarioSpec, region) -> Facade:
     """Build the spec's façade (with fault/resilience wrapping applied)."""
-    name = spec.facade
-    if name.startswith("proc"):
-        n_shards = int(name[len("proc"):])
-        run_dir = tempfile.mkdtemp(prefix="xar-scenario-proc-")
-        router = ProcRouter(
-            region,
-            SupervisorConfig(
-                n_shards=n_shards,
-                run_dir=run_dir,
-                queue_depth=4096,
-                seed=spec.seed,
-            ),
-            fanout="all",
-        )
-
-        def close() -> None:
-            router.close()
-            shutil.rmtree(run_dir, ignore_errors=True)
-
-        facade = Facade(name, router, closer=close)
-    else:
-        facade = make_facade(name, region, seed=spec.seed)
-
+    facade = make_facade(spec.facade, region, seed=spec.seed)
     target = facade.target
     if spec.faults.policies:
+        try:
+            policies = parse_fault_policies(spec.faults.policies)
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from None
         target = FaultInjectingAdapter(
-            target, _parse_policies(spec.faults.policies, spec.faults.seed),
-            seed=spec.faults.seed,
+            target, policies, seed=spec.faults.seed
         )
     if spec.faults.resilient:
         target = ResilientEngine(

@@ -21,16 +21,12 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from ..exceptions import ScenarioError
+from ..verify.differential import FACADE_NAMES
 
 try:  # Python 3.11+; requires-python is 3.9 so the import is optional.
     import tomllib
 except ImportError:  # pragma: no cover - version-dependent
     tomllib = None
-
-#: Façades the runner can build.  ``shardN``/``procN`` accept any N >= 1.
-KNOWN_FACADES = (
-    "xar", "legacy", "oracle", "resilient", "durable", "batch",
-)
 
 #: Workload generators the demand section understands.
 KNOWN_WORKLOADS = ("uniform", "corridor", "hotspot")
@@ -226,9 +222,9 @@ class ScenarioSpec:
             suffix = base[5:] if base.startswith("shard") else base[4:]
             if not suffix.isdigit() or int(suffix) < 1:
                 raise ScenarioError(f"malformed façade name {base!r}")
-        elif base not in KNOWN_FACADES:
+        elif base not in FACADE_NAMES:
             raise ScenarioError(
-                f"unknown façade {base!r} (choose from {KNOWN_FACADES}, "
+                f"unknown façade {base!r} (choose from {FACADE_NAMES}, "
                 f"shardN, or procN)"
             )
         if self.faults.crash_every and not self.facade.startswith("proc"):

@@ -795,15 +795,17 @@ class ShardSupervisor:
 
     def _heartbeat_loop(self, shard: ProcShard, generation: int,
                         hb_sock: socket.socket) -> None:
-        hb_sock.settimeout(None)
-        while not self._closing.is_set():
-            try:
+        try:
+            # Inside the try: the socket may already be closed (the
+            # generation died before this thread started).
+            hb_sock.settimeout(None)
+            while not self._closing.is_set():
                 read_frame(hb_sock)
-            except Exception:  # noqa: BLE001 - EOF/reset ends this generation
-                return
-            if shard.generation != generation:
-                return
-            shard.last_heartbeat = time.monotonic()
+                if shard.generation != generation:
+                    return
+                shard.last_heartbeat = time.monotonic()
+        except Exception:  # noqa: BLE001 - EOF/reset ends this generation
+            return
 
     def _stop_process(self, shard: ProcShard, *, force: bool = False) -> None:
         """Bring a shard's process down and drop its channels: SIGTERM (the

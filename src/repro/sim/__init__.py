@@ -16,6 +16,7 @@ from .faults import (
     RouterFault,
     TrackingDropout,
     default_fault_policies,
+    parse_fault_policies,
 )
 from .metrics import OperationTimings, SimulationReport, percentile
 from .simulator import RideShareSimulator, SimulatorConfig
@@ -32,6 +33,7 @@ __all__ = [
     "DriverCancellation",
     "IndexCorruption",
     "default_fault_policies",
+    "parse_fault_policies",
     "OperationTimings",
     "SimulationReport",
     "percentile",

@@ -315,3 +315,26 @@ def default_fault_policies(
         DriverCancellation(rate=cancellation_rate),
         IndexCorruption(rate=corruption_rate),
     ]
+
+
+def parse_fault_policies(spec: str) -> List[FaultPolicy]:
+    """The fault mini-language: ``router=0.05,dropout=0.1,cancel=0.02,
+    corrupt=0.01`` (a bare name takes rate 0.05).  Raises ValueError on an
+    unknown policy or a bad rate."""
+    makers = {
+        "router": RouterFault,
+        "dropout": TrackingDropout,
+        "cancel": DriverCancellation,
+        "corrupt": IndexCorruption,
+    }
+    policies: List[FaultPolicy] = []
+    for part in spec.split(","):
+        name, _sep, value = part.strip().partition("=")
+        if not name:
+            continue
+        if name not in makers:
+            raise ValueError(
+                f"unknown fault policy {name!r} (choose from {sorted(makers)})"
+            )
+        policies.append(makers[name](rate=float(value) if value else 0.05))
+    return policies

@@ -20,7 +20,6 @@ from .differential import (
     DifferentialHarness,
     DifferentialReport,
     Divergence,
-    DurableFacade,
     FACADE_NAMES,
     make_facade,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "DifferentialHarness",
     "DifferentialReport",
     "Divergence",
-    "DurableFacade",
     "FACADE_NAMES",
     "FuzzConfig",
     "OracleAdapter",

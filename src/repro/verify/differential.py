@@ -2,9 +2,10 @@
 
 The harness drives the same seeded operation sequence through every façade
 (:class:`~repro.core.engine.XAREngine`, :class:`~repro.service.ShardRouter`
-at 1/2/4 shards, :class:`~repro.resilience.ResilientEngine`, and the
-brute-force :class:`~repro.verify.oracle.OracleEngine`) and checks after
-every operation that:
+at 1/2/4 shards, :class:`~repro.service.ProcRouter` over process shards,
+:class:`~repro.resilience.ResilientEngine`, and the brute-force
+:class:`~repro.verify.oracle.OracleEngine`) and checks after every
+operation that:
 
 * **create** — the new ride's schedule fingerprint (route, length,
   departure, seats, detour budget, via-point labels) matches the oracle's
@@ -14,27 +15,40 @@ every operation that:
   are *identical* across façades, and every returned match's detour
   estimate is within the ε-bound of the oracle's exhaustive optimum;
 * **book** — every façade books the same-ranked match, the resulting
-  :class:`~repro.core.booking.BookingRecord` fields and the post-booking
-  ride fingerprints (spliced schedule, seat counts, detour budget) match
+  :class:`~repro.core.booking.BookingRecord` fields and the live ride
+  fingerprints (spliced schedule, seat counts, detour budget) match
   exactly, and failures fail uniformly with the same error type;
-* **cancel / track** — outcomes agree and the live/completed ride sets and
-  their fingerprints stay equal;
+* **cancel / cancel_booking / track** — outcomes and records agree and the
+  live ride sets and their fingerprints stay equal;
 * periodically, every underlying :class:`XAREngine` passes the
   :class:`~repro.resilience.audit.InvariantAuditor` sweep (shared with the
-  resilience subsystem), so a divergence-free run is also structurally
+  resilience subsystem; process shards run it in their workers through
+  the router's ``audit()``), so a divergence-free run is also structurally
   sound.
+
+Every op but ``search``, ``crash`` and ``reshard`` is one row of
+:data:`_STEPS`: a call made on every façade, diffed against the oracle by
+error name and then by a fingerprint of its result.
 
 Ride ids are façade-local (sharded deployments allocate ids from per-shard
 arithmetic lanes), so cross-façade identity uses *handles*: the creation
-order of rides within the op sequence.  Normalization maps each façade's
-ride ids back to handles and canonically re-sorts exact rank ties, making
-list equality well-defined even when id lanes differ.
+order of rides within the op sequence.  A façade keeps only the map between
+its handles and its ride ids — ids survive WAL replay and reshard carves —
+and reads ride state fresh from its target whenever a check needs it, so a
+recovery or a reshard that swaps every ride object under it needs no
+bookkeeping.  Normalization maps each façade's ride ids back to handles and
+canonically re-sorts exact rank ties, making list equality well-defined
+even when id lanes differ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from types import SimpleNamespace
+from typing import (
+    Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import os
 import shutil
@@ -50,27 +64,22 @@ from ..durability import (
     WriteAheadLog,
     recover_engine,
 )
-from ..exceptions import (
-    BookingError,
-    ReshardError,
-    WorkerCrashError,
-    XARError,
-)
+from ..exceptions import ReshardError, WorkerCrashError, XARError
 from ..geo import GeoPoint
 from ..obs import MetricsRegistry
 from ..resilience import ResilienceConfig, ResilientEngine
 from ..resilience.audit import InvariantAuditor
-from ..service import ReshardConfig, ShardRouter
+from ..service import ProcRouter, ReshardConfig, ShardRouter, SupervisorConfig
 from ..sim.adapters import DelegatingAdapter, XARAdapter
 from .oracle import OracleAdapter, OracleEngine
 
-#: Façade names the harness understands (``shardN`` for any N >= 1).
-#: ``xar`` runs the flat search core (the default engine); ``legacy`` pins
-#: the pre-flat per-object search path, so a run containing both is the
-#: old-vs-new search differential.
+#: Façade names the harness understands (``shardN`` and ``procN`` for any
+#: N >= 1).  ``xar`` runs the flat search core (the default engine);
+#: ``legacy`` pins the pre-flat per-object search path, so a run containing
+#: both is the old-vs-new search differential.
 FACADE_NAMES = (
     "oracle", "xar", "legacy", "shard1", "shard2", "shard4", "resilient",
-    "durable", "batch", "reshard",
+    "durable", "batch", "reshard", "proc2",
 )
 
 
@@ -130,21 +139,18 @@ class DifferentialReport:
 
 
 class Facade:
-    """One engine façade under test: adapter + handle bookkeeping."""
+    """One engine façade under test: its target and the handle ↔ ride id
+    map.  Ride state is never held here; checks read it from the target."""
 
     def __init__(
         self,
         name: str,
         target: Any,
-        engines: Sequence[XAREngine] = (),
         closer: Optional[Callable[[], None]] = None,
         relaxed: bool = False,
     ):
         self.name = name
         self.target = target
-        #: Underlying XAR engines for the shared invariant audit (empty for
-        #: the oracle, which has no cluster index to damage).
-        self.xar_engines = list(engines)
         self._closer = closer
         #: Relaxed façades (the batch matcher) are held to *quality*
         #: guarantees, not schedule equality: creates must fingerprint-match,
@@ -152,14 +158,30 @@ class Facade:
         #: oracle over the façade's own state), but search lists, booking
         #: choices and hence later live state may legitimately differ.
         self.relaxed = relaxed
-        #: handle (creation ordinal) -> this façade's ride object.
-        self.rides_by_handle: Dict[int, Any] = {}
+        #: handle (creation ordinal) -> this façade's ride id.
+        self.ride_ids: Dict[int, int] = {}
         #: this façade's ride id -> handle.
         self.handle_of_ride: Dict[int, int] = {}
 
-    def register(self, handle: int, ride: Any) -> None:
-        self.rides_by_handle[handle] = ride
-        self.handle_of_ride[ride.ride_id] = handle
+    def register(self, handle: int, ride_id: int) -> None:
+        self.ride_ids[handle] = ride_id
+        self.handle_of_ride[ride_id] = handle
+
+    @property
+    def xar_engines(self) -> List[XAREngine]:
+        """The in-process engines behind the target, found afresh (a
+        recovery or reshard swaps them): a thread router's active slots, or
+        the engine at the bottom of an adapter stack.  Empty for the oracle
+        and for process shards, whose engines live in worker processes."""
+        node = self.target
+        while node is not None:
+            if isinstance(node, XAREngine):
+                return [node]
+            shards = getattr(node, "shards", None)
+            if shards is not None:
+                return [shard.engine for shard in shards if shard.active]
+            node = getattr(node, "engine", None) or getattr(node, "inner", None)
+        return []
 
     def close(self) -> None:
         if self._closer is not None:
@@ -169,63 +191,36 @@ class Facade:
 class _DurableTarget(DelegatingAdapter):
     """A WAL-backed single engine that the harness can crash and recover.
 
-    Delegates the :class:`~repro.sim.adapters.EngineAdapter` surface to an
-    :class:`XARAdapter` + :class:`DurableAdapter` stack (``.inner``, rebuilt
-    by every recovery) rooted in a private directory; only ``book`` is
-    overridden.  Two crash shapes are supported:
-
-    * :meth:`crash` — a clean between-ops crash: drop the WAL handle
-      without the final fsync (as a dying process would) and rebuild the
-      engine by replaying the log;
-    * :meth:`arm_mid_book` — the next booking dies at the engine's
-      ``book:post-snapshot`` seam, *after* its WAL record is written but
-      *before* the splice mutates the ride.  :meth:`book` catches the
-      resulting :class:`~repro.exceptions.WorkerCrashError`, recovers, and
-      resolves the interrupted booking from the recovered engine — exactly
-      the contract the service's shard failover provides.
+    An :class:`XARAdapter` + :class:`DurableAdapter` stack (``.inner``,
+    rebuilt by every recovery) in a private directory.  :meth:`crash` drops
+    the WAL handle without the final fsync and replays the log;
+    :meth:`arm_mid_book` makes the next booking die at the engine's
+    ``book:post-snapshot`` seam, after its WAL record and before the
+    splice, and :meth:`book` then recovers and resolves the interrupted
+    booking — the contract the service's shard failover provides.
     """
 
-    def __init__(
-        self,
-        region: DiscretizedRegion,
-        directory: str,
-        *,
-        fsync_every: int = 16,
-        checkpoint_every: int = 20,
-    ):
+    def __init__(self, region: DiscretizedRegion, directory: str):
         self.region = region
         self.directory = directory
-        self.fsync_every = fsync_every
-        self.checkpoint_every = checkpoint_every
         self._digest = region_digest(region)
         self._wal_path = os.path.join(directory, "shard0.wal")
         self._checkpoint_path = os.path.join(directory, "shard0.ckpt")
-        #: Called with the recovered engine after every recovery, before
-        #: the interrupted op resolves (the façade re-points its handles).
-        self.on_recovered: Optional[Callable[[XAREngine], None]] = None
         self.last_recovery = None
         self.recoveries = 0
         self._attach(XAREngine(region))
 
     def _attach(self, engine: XAREngine) -> None:
         wal = WriteAheadLog.open(
-            self._wal_path,
-            shard_id=0,
-            ride_id_start=1,
-            ride_id_step=1,
-            region_digest=self._digest,
-            fsync_every=self.fsync_every,
+            self._wal_path, shard_id=0, ride_id_start=1, ride_id_step=1,
+            region_digest=self._digest, fsync_every=16,
         )
         self.inner = DurableAdapter(
-            XARAdapter(engine),
-            wal,
-            checkpoint_path=self._checkpoint_path,
-            checkpoint_every=self.checkpoint_every,
-            digest=self._digest,
+            XARAdapter(engine), wal, checkpoint_path=self._checkpoint_path,
+            checkpoint_every=20, digest=self._digest,
         )
         self.name = f"{self.inner.name}+crashy"
 
-    # -- crash / recovery ------------------------------------------------
     def crash(self) -> None:
         """Kill the process between ops, then recover from disk."""
         self.engine.fault_hook = None
@@ -255,8 +250,6 @@ class _DurableTarget(DelegatingAdapter):
         self.last_recovery = result
         self.recoveries += 1
         self._attach(result.engine)
-        if self.on_recovered is not None:
-            self.on_recovered(result.engine)
         return result
 
     def book(self, request, match):
@@ -268,16 +261,12 @@ class _DurableTarget(DelegatingAdapter):
             # the live engine would have reached.
             self.inner.abandon()
             self.recover()
-            engine = self.engine
-            for record in reversed(engine.bookings):
+            for record in reversed(self.engine.bookings):
                 if record.request_id == request.request_id:
                     return record
-            for rollback in reversed(engine.rollbacks):
-                if rollback.request_id == request.request_id:
-                    raise _exception_by_name(rollback.error)(rollback.reason)
-            raise BookingError(
-                f"request {request.request_id} vanished during recovery"
-            )
+            # The replay refused it: the recovered engine is the pre-booking
+            # state, so asking again fails as the live engine would have.
+            return self.inner.book(request, match)
 
     def close(self) -> None:
         try:
@@ -288,133 +277,62 @@ class _DurableTarget(DelegatingAdapter):
         shutil.rmtree(self.directory, ignore_errors=True)
 
 
-def _exception_by_name(name: str):
-    """Resolve a rollback's recorded error class back to an exception type."""
-    from .. import exceptions as _exceptions
-
-    candidate = getattr(_exceptions, name, BookingError)
-    if isinstance(candidate, type) and issubclass(candidate, XARError):
-        return candidate
-    return BookingError
-
-
-class DurableFacade(Facade):
-    """Facade whose handle maps survive crash-recovery engine swaps.
-
-    Recovery replays the WAL into a *new* engine with new ride objects;
-    ride ids are stable across replay (create records pin the allocator),
-    so every handle is re-pointed at the recovered object with the same
-    id.  Handles whose rides no longer exist (cancelled or completed away
-    before the crash) keep their stale object — later ops on them then
-    fail with the same errors the reference sees.
-    """
-
-    def __init__(self, name: str, target: _DurableTarget):
-        super().__init__(
-            name, target, engines=[target.engine], closer=target.close
-        )
-        target.on_recovered = self._on_recovered
-
-    def _on_recovered(self, engine: XAREngine) -> None:
-        self.xar_engines = [engine]
-        for handle, ride in list(self.rides_by_handle.items()):
-            recovered = engine.rides.get(ride.ride_id)
-            if recovered is None:
-                recovered = engine.completed_rides.get(ride.ride_id)
-            if recovered is not None:
-                self.rides_by_handle[handle] = recovered
-
-
 class _ReshardTarget:
-    """A reshard-enabled durable :class:`ShardRouter` the harness can split,
-    merge, and SIGKILL at any phase of a split, rebuilding from disk.
+    """A reshard-enabled durable 2-slot :class:`ShardRouter` the harness can
+    split, merge, and SIGKILL at any phase of a split, rebuilding from disk.
 
-    Attribute access falls through to the *current* router, so the façade's
-    op surface survives every rebuild.  ``reshard(op)`` executes one
-    split/merge; when the op carries a ``crash_phase``, a fault hook raises
-    from that phase seam and the target simulates full process death —
-    every WAL handle is abandoned without its final fsync and a fresh
-    router is built from the directory, exactly the recovery a restart
-    performs.  The harness then diffs the recovered live state against the
-    uninterrupted reference: crash-during-split must land on either the old
-    or the new topology with nothing lost, never a mix.
+    Attribute access falls through to the *current* router.  ``reshard``
+    runs one split/merge; with a ``crash_phase`` the target dies at that
+    seam and restarts from disk.  Either way it must land on the old or the
+    new topology with nothing lost, never a mix.
     """
 
-    _PHASES = ("drained", "synced", "carved", "committed", "swapped")
-
-    def __init__(
-        self,
-        region: DiscretizedRegion,
-        directory: str,
-        *,
-        seed: int = 0,
-        n_shards: int = 2,
-        max_shards: int = 6,
-    ):
+    def __init__(self, region: DiscretizedRegion, directory: str, seed: int):
         self.region = region
         self.directory = directory
         self.seed = seed
-        self.n_shards = n_shards
-        self.max_shards = max_shards
-        #: Called with the new router after every rebuild (the façade
-        #: re-points its handle maps and audit engine list).
-        self.on_rebuilt: Optional[Callable[[ShardRouter], None]] = None
-        self.reshards = 0
         self.rebuilds = 0
         self.router = self._build()
 
     def _build(self) -> ShardRouter:
         return ShardRouter(
-            self.region,
-            self.n_shards,
-            fanout="all",
-            queue_depth=4096,
-            seed=self.seed,
+            self.region, 2, fanout="all", queue_depth=4096, seed=self.seed,
             durability=DurabilityConfig(
                 directory=self.directory, fsync_every=8, checkpoint_every=25
             ),
-            reshard=ReshardConfig(max_shards=self.max_shards),
+            reshard=ReshardConfig(max_shards=6),
         )
 
     def __getattr__(self, name: str):
         return getattr(self.router, name)
 
-    def kill_and_rebuild(self) -> None:
-        """Simulate SIGKILL: drop every WAL handle un-fsynced, restart."""
-        self.router.abandon()
-        self.router = self._build()
-        self.rebuilds += 1
-        if self.on_rebuilt is not None:
-            self.on_rebuilt(self.router)
-
     def reshard(self, op: Dict[str, Any]) -> None:
         router = self.router
         phase = op.get("crash_phase")
-        hook = None
-        if phase is not None:
 
-            def hook(point: str) -> None:
-                if point == phase:
-                    raise WorkerCrashError(
-                        f"injected process death after reshard phase {point}"
-                    )
+        def hook(point: str) -> None:
+            if point == phase:
+                raise WorkerCrashError(
+                    f"injected process death after reshard phase {point}"
+                )
 
         try:
             if op.get("action") == "merge":
                 pairs = router.shard_map.adjacent_pairs()
-                if not pairs:
-                    return
-                dst, src = pairs[op.get("slot_index", 0) % len(pairs)]
-                router.merge_shards(dst, src, fault_hook=hook)
+                if pairs:
+                    dst, src = pairs[op.get("slot_index", 0) % len(pairs)]
+                    router.merge_shards(dst, src, fault_hook=hook)
             else:
                 active = sorted(router.active_slot_ids())
                 slot = active[op.get("slot_index", 0) % len(active)]
                 router.split_shard(slot, fault_hook=hook)
-            self.reshards += 1
         except WorkerCrashError:
             # The injected death: whatever the router managed in process is
-            # moot — truth is on disk.  Recover like a restart would.
-            self.kill_and_rebuild()
+            # moot — truth is on disk.  Recover like a restart would: every
+            # WAL handle dropped un-fsynced, a fresh router over the files.
+            router.abandon()
+            self.router = self._build()
+            self.rebuilds += 1
         except ReshardError:
             # Refused (lane budget spent, slot owns one cluster): a no-op,
             # uniformly — the refusal mutates nothing.
@@ -428,101 +346,69 @@ class _ReshardTarget:
         shutil.rmtree(self.directory, ignore_errors=True)
 
 
-class ReshardFacade(Facade):
-    """Facade whose handle maps survive splits, merges, and mid-split
-    crash rebuilds.
-
-    Every reshard recovers engines from carved checkpoints (and a rebuild
-    replaces the whole fleet), so ride *objects* churn while ride ids stay
-    stable — after each such event the façade re-points every handle at the
-    current owner and refreshes the audit engine list.
-    """
-
-    def __init__(self, name: str, target: _ReshardTarget):
-        super().__init__(name, target, closer=target.close)
-        target.on_rebuilt = lambda _router: self.refresh()
-        self.refresh()
-
-    def refresh(self) -> None:
-        router = self.target.router
-        self.xar_engines = [
-            shard.engine for shard in router.shards if shard.active
-        ]
-        for handle, ride in list(self.rides_by_handle.items()):
-            for engine in self.xar_engines:
-                recovered = engine.rides.get(ride.ride_id)
-                if recovered is None:
-                    recovered = engine.completed_rides.get(ride.ride_id)
-                if recovered is not None:
-                    self.rides_by_handle[handle] = recovered
-                    break
-
-
 def make_facade(
     name: str, region: DiscretizedRegion, seed: int = 0
 ) -> Facade:
-    """Build one façade by name: ``oracle | xar | legacy | shardN |
-    resilient | durable``."""
+    """Build one façade by name: ``oracle | xar | legacy | shardN | procN |
+    resilient | durable | reshard | batch``."""
     if name == "oracle":
-        engine = OracleEngine(region)
-        return Facade(name, OracleAdapter(engine))
+        return Facade(name, OracleAdapter(OracleEngine(region)))
     if name == "xar":
-        engine = XAREngine(region)
-        return Facade(name, XARAdapter(engine), engines=[engine])
+        return Facade(name, XARAdapter(XAREngine(region)))
     if name == "legacy":
         # The pre-flat per-object search path, kept as a differential
         # reference: result lists must equal the flat core's verbatim.
-        engine = XAREngine(region, use_flat_index=False)
-        return Facade(name, XARAdapter(engine), engines=[engine])
+        return Facade(
+            name, XARAdapter(XAREngine(region, use_flat_index=False))
+        )
     if name.startswith("shard"):
-        n_shards = int(name[len("shard"):])
         # fanout="all" reproduces the single-engine ordering exactly; a
         # deep queue keeps the single-threaded replay from ever shedding.
         router = ShardRouter(
-            region,
-            n_shards,
-            fanout="all",
-            queue_depth=4096,
+            region, int(name[len("shard"):]), fanout="all", queue_depth=4096,
             seed=seed,
         )
-        return Facade(
-            name,
-            router,
-            engines=[shard.engine for shard in router.shards],
-            closer=router.close,
+        return Facade(name, router, closer=router.close)
+    if name.startswith("proc"):
+        run_dir = tempfile.mkdtemp(prefix="xar-differential-proc-")
+        config = SupervisorConfig(
+            n_shards=int(name[len("proc"):]), run_dir=run_dir,
+            queue_depth=4096, seed=seed,
         )
+        router = ProcRouter(region, config, fanout="all")
+
+        def close() -> None:
+            router.close()
+            shutil.rmtree(run_dir, ignore_errors=True)
+
+        return Facade(name, router, closer=close)
     if name == "resilient":
-        engine = XAREngine(region)
         config = ResilienceConfig(seed=seed, sleep=lambda _s: None)
         return Facade(
-            name,
-            ResilientEngine(XARAdapter(engine), config),
-            engines=[engine],
+            name, ResilientEngine(XARAdapter(XAREngine(region)), config)
         )
     if name == "durable":
         directory = tempfile.mkdtemp(prefix="xar-differential-durable-")
-        return DurableFacade(name, _DurableTarget(region, directory))
+        target = _DurableTarget(region, directory)
+        return Facade(name, target, closer=target.close)
     if name == "reshard":
         directory = tempfile.mkdtemp(prefix="xar-differential-reshard-")
-        return ReshardFacade(
-            name, _ReshardTarget(region, directory, seed=seed)
-        )
+        target = _ReshardTarget(region, directory, seed=seed)
+        return Facade(name, target, closer=target.close)
     if name == "batch":
         # window_s=0: the replay is single-threaded, so each search must
         # flush solo or the driver would deadlock waiting on its own window.
         # Multi-request windows are exercised by the batch test suite and
         # the rush-hour benchmark; here the harness checks the quality
         # contract (ε-bound, invariants, no request lost).
-        engine = XAREngine(region)
         matcher = BatchMatcher(
-            XARAdapter(engine), BatchConfig(window_s=0.0, max_batch=8)
+            XARAdapter(XAREngine(region)),
+            BatchConfig(window_s=0.0, max_batch=8),
         )
-        return Facade(
-            name, matcher, engines=[engine], closer=matcher.close,
-            relaxed=True,
-        )
+        return Facade(name, matcher, closer=matcher.close, relaxed=True)
     raise ValueError(
-        f"unknown façade {name!r} (choose from {FACADE_NAMES} or shardN)"
+        f"unknown façade {name!r} (choose from {FACADE_NAMES}, shardN "
+        f"or procN)"
     )
 
 
@@ -548,19 +434,161 @@ def _ride_fingerprint(ride: Any) -> Tuple:
     )
 
 
-def _booking_fingerprint(record: Any) -> Tuple:
-    return (
-        record.request_id,
-        record.pickup_landmark,
-        record.dropoff_landmark,
-        record.walk_source_m,
-        record.walk_destination_m,
-        record.eta_pickup_s,
-        record.eta_dropoff_s,
-        record.detour_estimate_m,
-        record.detour_actual_m,
-        record.shortest_paths_computed,
+_booking_fingerprint = attrgetter(
+    "request_id", "pickup_landmark", "dropoff_landmark", "walk_source_m",
+    "walk_destination_m", "eta_pickup_s", "eta_dropoff_s",
+    "detour_estimate_m", "detour_actual_m", "shortest_paths_computed",
+)
+_cancellation_fingerprint = attrgetter(
+    "request_id", "route_delta_m", "detour_restored_m",
+    "shortest_paths_computed",
+)
+#: A match minus its façade-local ride id (:meth:`DifferentialHarness.
+#: _normalize` appends the handle).  Sorting on this order is what puts
+#: exact rank ties in one canonical cross-façade order.
+_match_fingerprint = attrgetter(
+    "walk_source_m", "walk_destination_m", "eta_pickup_s", "eta_dropoff_s",
+    "pickup_cluster", "pickup_landmark", "dropoff_cluster",
+    "dropoff_landmark", "detour_estimate_m",
+)
+
+
+class _MissingHandle(XARError):
+    """The façade never created the handle's ride (its create diverged)."""
+
+
+class _Rejected(Exception):
+    """A result unfit for comparison: ``(divergence kind, detail)``."""
+
+
+def _ride_id(facade: Facade, handle: int) -> int:
+    try:
+        return facade.ride_ids[handle]
+    except KeyError:
+        raise _MissingHandle(f"handle {handle}") from None
+
+
+def _normalize(facade: Facade, matches: Optional[Sequence[Any]]) -> List:
+    """Map a façade's raw match list to a canonical handle-keyed form.
+
+    Verifies the raw list obeys the engine's strict total rank order
+    first; then replaces façade-local ride ids with handles and re-sorts
+    so exact (walk, ETA) ties land in one canonical cross-façade order.
+    """
+    previous = None
+    normalized = []
+    for match in matches or ():
+        key = (match.total_walk_m, match.eta_pickup_s, match.ride_id)
+        if previous is not None and key <= previous:
+            raise _Rejected(
+                "rank-order", f"raw results not strictly rank-ordered at {key}"
+            )
+        previous = key
+        handle = facade.handle_of_ride.get(match.ride_id)
+        if handle is None:
+            raise _Rejected(
+                "unknown-ride",
+                f"search returned untracked ride id {match.ride_id}",
+            )
+        normalized.append(_match_fingerprint(match) + (handle,))
+    normalized.sort()
+    return normalized
+
+
+def _create(facade: Facade, op: Dict[str, Any], _arg: Any) -> Any:
+    ride = facade.target.create(
+        GeoPoint(*op["src"]),
+        GeoPoint(*op["dst"]),
+        op["depart_s"],
+        seats=op.get("seats"),
+        detour_limit_m=op.get("detour_limit_m"),
+        shift_end_s=op.get("shift_end_s"),
     )
+    facade.register(op["handle"], ride.ride_id)
+    return ride
+
+
+def _cancel(facade: Facade, op: Dict[str, Any], _arg: Any) -> None:
+    # Every cancel reads only ``ride.ride_id`` of the ride it withdraws.
+    ride_id = _ride_id(facade, op["handle"])
+    facade.target.cancel(SimpleNamespace(ride_id=ride_id))
+
+
+def _book(facade: Facade, op: Dict[str, Any], arg: Any) -> Any:
+    """Book the reference's chosen handle: ``arg`` is (request, handle,
+    each façade's search results by name)."""
+    request, handle, matches = arg
+    ride_id = _ride_id(facade, handle)
+    match = next(m for m in matches[facade.name] if m.ride_id == ride_id)
+    return facade.target.book(request, match)
+
+
+class _Step(NamedTuple):
+    """One op as a call per façade plus a fingerprint of its result."""
+
+    #: ``call(facade, op, arg)``; an ``XARError`` is an outcome, by name.
+    call: Callable[[Facade, Dict[str, Any], Any], Any]
+    #: Divergence kind when error names differ from the reference's.
+    outcome: str
+    #: Divergence kind when result fingerprints differ ("": not compared).
+    record: str = ""
+    #: ``fingerprint(facade, result)``; may raise :class:`_Rejected`.
+    fingerprint: Callable[[Facade, Any], Any] = lambda _facade, result: result
+    #: ``detail(handle, mine, ref)`` of a record divergence.
+    detail: Callable[[Any, Any, Any], str] = lambda handle, mine, ref: ""
+    #: The op names a ride by ``op["handle"]``: skipped when the reference
+    #: never created it (e.g. its create was shrunk away).
+    on_ride: bool = False
+    #: Diff every live ride against the reference's afterwards.
+    live: bool = False
+    #: Diff relaxed façades too (a create does not depend on bookings).
+    every: bool = False
+
+
+#: Op name -> its step.  ``book`` is a ``search`` step and then, on the
+#: reference's chosen match, the ``book`` step; ``crash`` and ``reshard``
+#: are hand-written.
+_STEPS: Dict[str, _Step] = {
+    "create": _Step(
+        _create, "create-outcome", "ride-state",
+        lambda _facade, ride: _ride_fingerprint(ride),
+        lambda handle, mine, ref:
+            f"created ride fingerprint differs for handle {handle}",
+        every=True,
+    ),
+    "search": _Step(
+        lambda facade, op, request: facade.target.search(request, op.get("k")),
+        "search-outcome", "search-mismatch", _normalize,
+        lambda handle, mine, ref:
+            f"{len(mine)} matches vs oracle's {len(ref)}; first diff at "
+            f"rank {_first_diff(mine, ref)}",
+    ),
+    "book": _Step(
+        _book, "book-outcome", "booking-record",
+        lambda _facade, record: _booking_fingerprint(record),
+        lambda handle, mine, ref:
+            f"booking record differs for handle {handle}",
+        live=True,
+    ),
+    "cancel": _Step(_cancel, "cancel-outcome", on_ride=True),
+    "cancel_booking": _Step(
+        lambda facade, op, _arg: facade.target.cancel_booking(
+            op["request_id"], _ride_id(facade, op["handle"])
+        ),
+        "cancel-booking-outcome", "cancellation-record",
+        lambda _facade, record: _cancellation_fingerprint(record),
+        lambda handle, mine, ref:
+            f"cancellation record differs for handle {handle}",
+        on_ride=True, live=True,
+    ),
+    "track": _Step(
+        lambda facade, op, _arg: facade.target.track_all(op["now_s"]),
+        "track-count", "track-count",
+        detail=lambda handle, mine, ref:
+            f"completed {mine} rides vs reference {ref}",
+        live=True,
+    ),
+}
 
 
 class DifferentialHarness:
@@ -590,8 +618,7 @@ class DifferentialHarness:
         #: Additive tolerance for the search-vs-optimum detour comparison;
         #: defaults to the engine's own booking slack, 4ε (ε = 4δ).
         self.epsilon_bound_m = (
-            epsilon_bound_m
-            if epsilon_bound_m is not None
+            epsilon_bound_m if epsilon_bound_m is not None
             else 4.0 * region.config.epsilon_m
         )
         self._facade_factory = facade_factory or make_facade
@@ -618,30 +645,20 @@ class DifferentialHarness:
     # ------------------------------------------------------------------
     def run(self, ops: Sequence[Dict[str, Any]]) -> DifferentialReport:
         report = DifferentialReport(engines=list(self.engine_names))
-        facades = [
-            self._facade_factory(name, self.region, self.seed)
-            for name in self.engine_names
-        ]
-        reference = facades[0]
-        others = facades[1:]
+        facades: List[Facade] = []
         self._request_id = 0
         #: Per-relaxed-façade shadow oracles (see :meth:`_shadow_oracle`).
         self._shadows: Dict[str, OracleEngine] = {}
         try:
+            for name in self.engine_names:
+                facades.append(self._facade_factory(name, self.region, self.seed))
             for op_index, op in enumerate(ops):
                 kind = op.get("op")
                 report.n_ops += 1
                 report.op_counts[kind] = report.op_counts.get(kind, 0) + 1
                 if self._m_ops is not None:
                     self._m_ops.labels(op=str(kind)).inc()
-                handler = getattr(self, f"_op_{kind}", None)
-                if handler is None:
-                    self._diverge(
-                        report, op_index, op, "bad-op", "harness",
-                        f"unknown op kind {kind!r}",
-                    )
-                else:
-                    handler(report, op_index, op, reference, others)
+                self._replay(report, op_index, op, facades)
                 if self.audit_every and (op_index + 1) % self.audit_every == 0:
                     self._audit(report, op_index, op, facades)
                 if report.divergences and self.stop_on_divergence:
@@ -653,15 +670,25 @@ class DifferentialHarness:
                 facade.close()
         return report
 
-    def _diverge(
-        self,
-        report: DifferentialReport,
-        op_index: int,
-        op: Dict[str, Any],
-        kind: str,
-        facade: str,
-        detail: str,
-    ) -> None:
+    def _replay(self, report, op_index, op, facades: List[Facade]) -> None:
+        kind = op.get("op")
+        if kind in ("search", "book"):
+            self._search(report, op_index, op, facades)
+        elif kind == "crash":
+            self._crash(report, op_index, op, facades)
+        elif kind == "reshard":
+            self._reshard(report, op_index, op, facades)
+        elif kind in _STEPS:
+            self._step(report, op_index, op, facades, _STEPS[kind])
+        else:
+            self._diverge(
+                report, op_index, op, "bad-op", "harness",
+                f"unknown op kind {kind!r}",
+            )
+
+    def _diverge(self, report: DifferentialReport, op_index: int,
+                 op: Dict[str, Any], kind: str, facade: str,
+                 detail: str) -> None:
         report.divergences.append(
             Divergence(op_index=op_index, op=dict(op), kind=kind,
                        facade=facade, detail=detail)
@@ -670,44 +697,66 @@ class DifferentialHarness:
             self._m_divergences.labels(kind=kind).inc()
 
     # ------------------------------------------------------------------
-    # Op handlers
+    # The one apply-and-compare step
     # ------------------------------------------------------------------
-    def _op_create(self, report, op_index, op, reference, others) -> None:
-        handle = op["handle"]
-        source = GeoPoint(*op["src"])
-        destination = GeoPoint(*op["dst"])
-        outcomes: List[Tuple[Facade, Any, Optional[str]]] = []
-        for facade in [reference] + others:
+    @staticmethod
+    def _apply(
+        facades: Sequence[Facade], call: Callable[[Facade], Any]
+    ) -> List[Tuple[Facade, Any, Optional[str]]]:
+        """Run ``call`` on every façade: (façade, result, error name)."""
+        outcomes = []
+        for facade in facades:
             try:
-                ride = facade.target.create(
-                    source,
-                    destination,
-                    op["depart_s"],
-                    seats=op.get("seats"),
-                    detour_limit_m=op.get("detour_limit_m"),
-                    shift_end_s=op.get("shift_end_s"),
-                )
-                outcomes.append((facade, ride, None))
+                outcomes.append((facade, call(facade), None))
             except XARError as exc:
                 outcomes.append((facade, None, type(exc).__name__))
-        _facade, ref_ride, ref_error = outcomes[0]
-        ref_print = _ride_fingerprint(ref_ride) if ref_ride is not None else None
-        for facade, ride, error in outcomes:
-            if error != ref_error:
-                self._diverge(
-                    report, op_index, op, "create-outcome", facade.name,
-                    f"{error or 'ok'} vs reference {ref_error or 'ok'}",
-                )
-                continue
-            if ride is None:
-                continue
-            facade.register(handle, ride)
-            if _ride_fingerprint(ride) != ref_print:
-                self._diverge(
-                    report, op_index, op, "ride-state", facade.name,
-                    f"created ride fingerprint differs for handle {handle}",
-                )
+        return outcomes
 
+    def _step(
+        self, report, op_index, op, facades: List[Facade], step: _Step,
+        arg: Any = None, handle: Optional[int] = None,
+    ) -> Optional[List[Tuple[Facade, Any, Optional[str]]]]:
+        """Apply ``step`` on every façade, then diff each compared façade's
+        error name and result fingerprint against the reference's.
+
+        Returns every façade's (façade, result, error name) when all the
+        compared ones agree, else None."""
+        handle = op.get("handle") if handle is None else handle
+        if step.on_ride and handle not in facades[0].ride_ids:
+            return None
+        outcomes = self._apply(facades, lambda f: step.call(f, op, arg))
+        compared = [o for o in outcomes if step.every or not o[0].relaxed]
+        ref_error = compared[0][2]
+        ref_print = None
+        agreed = True
+        for index, (facade, result, error) in enumerate(compared):
+            try:
+                if error != ref_error:
+                    raise _Rejected(
+                        step.outcome,
+                        f"{error or 'ok'} vs reference {ref_error or 'ok'}",
+                    )
+                if step.record and error is None:
+                    mine = step.fingerprint(facade, result)
+                    if index == 0:
+                        ref_print = mine
+                    elif mine != ref_print:
+                        raise _Rejected(
+                            step.record, step.detail(handle, mine, ref_print)
+                        )
+            except _Rejected as rejected:
+                kind, detail = rejected.args
+                self._diverge(report, op_index, op, kind, facade.name, detail)
+                agreed = False
+                if index == 0:
+                    break  # no reference to compare against
+        if step.live:
+            self._compare_live_state(report, op_index, op, facades)
+        return outcomes if agreed else None
+
+    # ------------------------------------------------------------------
+    # Search (and the book op built on it)
+    # ------------------------------------------------------------------
     def _make_request(self, op: Dict[str, Any]) -> RideRequest:
         self._request_id += 1
         return RideRequest(
@@ -720,158 +769,56 @@ class DifferentialHarness:
             max_detour_m=op.get("max_detour_m"),
         )
 
-    def _normalize(
-        self,
-        report,
-        op_index,
-        op,
-        facade: Facade,
-        matches: Sequence[Any],
-    ) -> Optional[List[Tuple]]:
-        """Map a façade's raw match list to a canonical handle-keyed form.
+    def _search(self, report, op_index, op, facades: List[Facade]) -> None:
+        """Search every façade and diff the answers; a book op then books
+        the reference's ranked match on every strict façade.
 
-        Verifies the raw list obeys the engine's strict total rank order
-        first; then replaces façade-local ride ids with handles and re-sorts
-        so exact (walk, ETA) ties land in one canonical cross-façade order.
-        """
-        previous = None
-        normalized: List[Tuple] = []
-        for match in matches:
-            key = (match.total_walk_m, match.eta_pickup_s, match.ride_id)
-            if previous is not None and key <= previous:
-                self._diverge(
-                    report, op_index, op, "rank-order", facade.name,
-                    f"raw results not strictly rank-ordered at {key}",
-                )
-                return None
-            previous = key
-            handle = facade.handle_of_ride.get(match.ride_id)
-            if handle is None:
-                self._diverge(
-                    report, op_index, op, "unknown-ride", facade.name,
-                    f"search returned untracked ride id {match.ride_id}",
-                )
-                return None
-            normalized.append(
-                (
-                    match.walk_source_m,
-                    match.walk_destination_m,
-                    match.eta_pickup_s,
-                    match.eta_dropoff_s,
-                    match.pickup_cluster,
-                    match.pickup_landmark,
-                    match.dropoff_cluster,
-                    match.dropoff_landmark,
-                    match.detour_estimate_m,
-                    handle,
-                )
-            )
-        normalized.sort()
-        return normalized
-
-    def _run_search(
-        self, report, op_index, op, reference, others
-    ) -> Optional[Tuple]:
-        """Shared search flow for the search and book ops.
-
-        Returns (request, per-façade raw matches, reference normalized list,
-        relaxed façades' raw matches) or None when a divergence was
-        recorded.  Relaxed façades search against their *own* (divergent)
-        state, so their lists are held only to the per-façade quality checks
-        in :meth:`_check_relaxed_matches`, never to cross-façade equality.
+        Relaxed façades search against their *own* (divergent) state, so
+        their lists are held only to the ε-bound over that state, never to
+        cross-façade equality, and they book like a real client.
         """
         request = self._make_request(op)
-        k = op.get("k")
-        raw: List[Tuple[Facade, List[Any]]] = []
-        errors: List[Tuple[Facade, Optional[str]]] = []
-        relaxed_raw: List[Tuple[Facade, List[Any]]] = []
-        for facade in [reference] + others:
-            if facade.relaxed:
-                try:
-                    matches = facade.target.search(request, k)
-                except XARError:
-                    continue  # façade-local refusal; its audits still run
-                self._check_relaxed_matches(
-                    report, op_index, op, facade, request, matches
-                )
-                relaxed_raw.append((facade, matches))
-                continue
-            try:
-                raw.append((facade, facade.target.search(request, k)))
-                errors.append((facade, None))
-            except XARError as exc:
-                raw.append((facade, []))
-                errors.append((facade, type(exc).__name__))
-        ref_search_error = errors[0][1]
-        for facade, error in errors:
-            if error != ref_search_error:
-                self._diverge(
-                    report, op_index, op, "search-outcome", facade.name,
-                    f"{error or 'ok'} vs reference {ref_search_error or 'ok'}",
-                )
-                return None
-        ref_normalized = self._normalize(report, op_index, op, reference, raw[0][1])
-        if ref_normalized is None:
-            return None
-        for facade, matches in raw[1:]:
-            normalized = self._normalize(report, op_index, op, facade, matches)
-            if normalized is None:
-                return None
-            if normalized != ref_normalized:
-                self._diverge(
-                    report, op_index, op, "search-mismatch", facade.name,
-                    f"{len(normalized)} matches vs oracle's "
-                    f"{len(ref_normalized)}; first diff at rank "
-                    f"{_first_diff(normalized, ref_normalized)}",
-                )
-                return None
-        self._check_bound(report, op_index, op, reference, request, ref_normalized)
-        report.searches_checked += 1
-        return request, raw, ref_normalized, relaxed_raw
-
-    def _check_bound(
-        self, report, op_index, op, reference: Facade, request, normalized
-    ) -> None:
-        """ε-bound: every returned detour estimate is within ``epsilon_bound_m``
-        of the oracle's exhaustive insertion-point optimum for that ride."""
-        if not normalized:
+        outcomes = self._step(report, op_index, op, facades, _STEPS["search"],
+                              arg=request)
+        if outcomes is None:
             return
-        oracle: OracleEngine = reference.target.engine
-        optimum = oracle.optimum(request)
-        for row in normalized:
-            detour, handle = row[8], row[9]
-            ride = reference.rides_by_handle.get(handle)
-            best = optimum.get(ride.ride_id) if ride is not None else None
-            if best is None:
-                self._diverge(
-                    report, op_index, op, "epsilon-bound", reference.name,
-                    f"handle {handle} matched but the exhaustive scan finds "
-                    f"no feasible insertion at all",
-                )
-                continue
-            report.bound_checks += 1
-            if self._m_bound is not None:
-                self._m_bound.labels().inc()
-            gap = detour - best.min_detour_m
-            if gap > report.max_bound_gap_m:
-                report.max_bound_gap_m = gap
-            if detour > best.min_detour_m + self.epsilon_bound_m:
-                self._diverge(
-                    report, op_index, op, "epsilon-bound", reference.name,
-                    f"handle {handle}: detour estimate {detour:.1f} m exceeds "
-                    f"exhaustive optimum {best.min_detour_m:.1f} m by more "
-                    f"than the ε-bound {self.epsilon_bound_m:.1f} m",
-                )
+        for facade, matches, _error in outcomes:
+            if facade.relaxed or facade is facades[0]:
+                self._check_bound(report, op_index, op, facade, request,
+                                  matches)
+        report.searches_checked += 1
+        if op.get("op") == "search":
+            return
+        matches = {facade.name: found or [] for facade, found, _e in outcomes}
+        rank = op.get("rank", 0)
+        # A relaxed façade books the ranked option at ``rank`` when it
+        # exists, falling through stale matches greedily.  No cross-façade
+        # comparison — the matcher's ledger (checked in :meth:`_audit`)
+        # proves no request was lost.
+        for facade in (facade for facade in facades if facade.relaxed):
+            for match in matches[facade.name][rank:rank + 3]:
+                try:
+                    facade.target.book(request, match)
+                    break
+                except XARError:
+                    continue
+        ranked = _normalize(facades[0], matches[facades[0].name])
+        if rank >= len(ranked):
+            return  # uniform no-match / rank out of range: nothing to book
+        handle = ranked[rank][-1]
+        strict = [facade for facade in facades if not facade.relaxed]
+        self._step(report, op_index, op, strict, _STEPS["book"],
+                   arg=(request, handle, matches), handle=handle)
+        report.bookings_checked += 1
 
+    # ------------------------------------------------------------------
+    # The ε-bound, for the reference and for relaxed façades alike
+    # ------------------------------------------------------------------
     def _shadow_oracle(self, facade: Facade) -> OracleEngine:
-        """An oracle view over a relaxed façade's *own* engine state.
-
-        The oracle's exhaustive scan only reads ``rides`` and
-        ``ride_entries`` — both built by the same ``build_ride_entry`` the
-        real engine uses — so repointing those dicts at the façade's engine
-        yields the exact insertion-point optimum for the state that façade's
-        search actually ran against, bookings-divergence and all.
-        """
+        """An oracle over a relaxed façade's *own* engine state: its
+        exhaustive scan reads only ``rides`` and ``ride_entries``, so
+        repointing those at the façade's engine yields the exact optimum for
+        the state that façade's search ran against."""
         oracle = self._shadows.get(facade.name)
         if oracle is None:
             oracle = OracleEngine(self.region)
@@ -881,21 +828,25 @@ class DifferentialHarness:
             self._shadows[facade.name] = oracle
         return oracle
 
-    def _check_relaxed_matches(
+    def _check_bound(
         self, report, op_index, op, facade: Facade, request, matches
     ) -> None:
-        """Quality gate for a relaxed façade's search answers.
-
-        Every returned match must name a ride the harness created, and its
-        detour estimate must sit within the ε-bound of the exhaustive
-        optimum *for this façade's state* — rank order and list membership
-        are free (the batch matcher reorders assigned-first).
-        """
+        """ε-bound: every returned detour estimate is within
+        ``epsilon_bound_m`` of the exhaustive insertion-point optimum for
+        that ride — the oracle's own state for the reference, a shadow
+        oracle over the façade's own state for a relaxed façade (whose rank
+        order and list membership are free: the batch matcher reorders
+        assigned-first)."""
         if not matches:
             return
-        optimum = self._shadow_oracle(facade).optimum(request)
+        oracle = (
+            self._shadow_oracle(facade) if facade.relaxed
+            else facade.target.engine
+        )
+        optimum = oracle.optimum(request)
         for match in matches:
-            if match.ride_id not in facade.handle_of_ride:
+            handle = facade.handle_of_ride.get(match.ride_id)
+            if handle is None:
                 self._diverge(
                     report, op_index, op, "unknown-ride", facade.name,
                     f"search returned untracked ride id {match.ride_id}",
@@ -905,8 +856,8 @@ class DifferentialHarness:
             if best is None:
                 self._diverge(
                     report, op_index, op, "epsilon-bound", facade.name,
-                    f"ride {match.ride_id} matched but the exhaustive scan "
-                    f"finds no feasible insertion at all",
+                    f"handle {handle} matched but the exhaustive scan finds "
+                    f"no feasible insertion at all",
                 )
                 continue
             report.bound_checks += 1
@@ -918,244 +869,54 @@ class DifferentialHarness:
             if gap > self.epsilon_bound_m:
                 self._diverge(
                     report, op_index, op, "epsilon-bound", facade.name,
-                    f"ride {match.ride_id}: detour estimate "
+                    f"handle {handle}: detour estimate "
                     f"{match.detour_estimate_m:.1f} m exceeds exhaustive "
                     f"optimum {best.min_detour_m:.1f} m by more than the "
                     f"ε-bound {self.epsilon_bound_m:.1f} m",
                 )
 
-    def _op_search(self, report, op_index, op, reference, others) -> None:
-        self._run_search(report, op_index, op, reference, others)
-
-    def _op_book(self, report, op_index, op, reference, others) -> None:
-        result = self._run_search(report, op_index, op, reference, others)
-        if result is None:
-            return
-        request, raw, ref_normalized, relaxed_raw = result
-        rank = op.get("rank", 0)
-        # Relaxed façades book like a real client: the ranked option at
-        # ``rank`` when it exists, falling through stale matches greedily.
-        # No cross-façade comparison — the matcher's ledger (checked in
-        # :meth:`_audit`) proves no request was lost.
-        for facade, matches in relaxed_raw:
-            for match in matches[rank:rank + 3]:
-                try:
-                    facade.target.book(request, match)
-                    break
-                except XARError:
-                    continue
-        if rank >= len(ref_normalized):
-            return  # uniform no-match / rank out of range: nothing to book
-        target_handle = ref_normalized[rank][9]
-        outcomes: List[Tuple[Facade, Any, Optional[str]]] = []
-        for facade, matches in raw:
-            chosen = None
-            for match in matches:
-                if facade.handle_of_ride.get(match.ride_id) == target_handle:
-                    chosen = match
-                    break
-            if chosen is None:
-                self._diverge(
-                    report, op_index, op, "book-target", facade.name,
-                    f"handle {target_handle} absent from this façade's matches",
-                )
-                return
-            try:
-                outcomes.append((facade, facade.target.book(request, chosen), None))
-            except XARError as exc:
-                outcomes.append((facade, None, type(exc).__name__))
-        _f, ref_record, ref_error = outcomes[0]
-        ref_booking = (
-            _booking_fingerprint(ref_record) if ref_record is not None else None
-        )
-        ref_ride_print = _ride_fingerprint(
-            outcomes[0][0].rides_by_handle[target_handle]
-        )
-        for facade, record, error in outcomes:
-            if error != ref_error:
-                self._diverge(
-                    report, op_index, op, "book-outcome", facade.name,
-                    f"{error or 'ok'} vs reference {ref_error or 'ok'}",
-                )
-                continue
-            if record is not None and _booking_fingerprint(record) != ref_booking:
-                self._diverge(
-                    report, op_index, op, "booking-record", facade.name,
-                    f"booking record differs for handle {target_handle}",
-                )
-            post = _ride_fingerprint(facade.rides_by_handle[target_handle])
-            if post != ref_ride_print:
-                self._diverge(
-                    report, op_index, op, "ride-state", facade.name,
-                    f"post-booking schedule/seats differ for handle "
-                    f"{target_handle}",
-                )
-        report.bookings_checked += 1
-
-    def _op_cancel(self, report, op_index, op, reference, others) -> None:
-        handle = op["handle"]
-        if handle not in reference.rides_by_handle:
-            return  # handle never created (e.g. its create was shrunk away)
-        outcomes: List[Tuple[Facade, Optional[str]]] = []
-        for facade in [reference] + others:
-            ride = facade.rides_by_handle.get(handle)
-            if facade.relaxed:
-                # Divergent bookings shift completion times, so a relaxed
-                # façade may legitimately reach a different cancel outcome.
-                if ride is not None:
-                    try:
-                        facade.target.cancel(ride)
-                    except XARError:
-                        pass
-                continue
-            if ride is None:
-                outcomes.append((facade, "missing-handle"))
-                continue
-            try:
-                facade.target.cancel(ride)
-                outcomes.append((facade, None))
-            except XARError as exc:
-                outcomes.append((facade, type(exc).__name__))
-        ref_error = outcomes[0][1]
-        for facade, error in outcomes:
-            if error != ref_error:
-                self._diverge(
-                    report, op_index, op, "cancel-outcome", facade.name,
-                    f"{error or 'ok'} vs reference {ref_error or 'ok'}",
-                )
-
-    def _op_cancel_booking(self, report, op_index, op, reference, others) -> None:
-        """Cancel one passenger's booking on every façade and diff the
-        un-splice: the cancellation record (route delta, budget restored,
-        SPs computed) and the post-cancel ride fingerprint must match."""
-        handle = op["handle"]
-        request_id = op["request_id"]
-        if handle not in reference.rides_by_handle:
-            return
-        outcomes: List[Tuple[Facade, Any, Optional[str]]] = []
-        for facade in [reference] + others:
-            ride = facade.rides_by_handle.get(handle)
-            if facade.relaxed:
-                # Divergent bookings mean the request may not be on this
-                # façade's ride at all; its audits still verify the ledger.
-                if ride is not None:
-                    try:
-                        facade.target.cancel_booking(request_id, ride.ride_id)
-                    except XARError:
-                        pass
-                continue
-            if ride is None:
-                outcomes.append((facade, None, "missing-handle"))
-                continue
-            try:
-                record = facade.target.cancel_booking(request_id, ride.ride_id)
-                outcomes.append((facade, record, None))
-            except XARError as exc:
-                outcomes.append((facade, None, type(exc).__name__))
-        _f, ref_record, ref_error = outcomes[0]
-        ref_print = (
-            (
-                ref_record.request_id,
-                ref_record.route_delta_m,
-                ref_record.detour_restored_m,
-                ref_record.shortest_paths_computed,
-            )
-            if ref_record is not None
-            else None
-        )
-        for facade, record, error in outcomes:
-            if error != ref_error:
-                self._diverge(
-                    report, op_index, op, "cancel-booking-outcome", facade.name,
-                    f"{error or 'ok'} vs reference {ref_error or 'ok'}",
-                )
-                continue
-            if record is None:
-                continue
-            this_print = (
-                record.request_id,
-                record.route_delta_m,
-                record.detour_restored_m,
-                record.shortest_paths_computed,
-            )
-            if this_print != ref_print:
-                self._diverge(
-                    report, op_index, op, "cancellation-record", facade.name,
-                    f"cancellation record differs for handle {handle}",
-                )
-        self._compare_live_state(report, op_index, op, reference, others)
-
-    def _op_crash(self, report, op_index, op, reference, others) -> None:
+    # ------------------------------------------------------------------
+    # Fuzz-only ops: crash recovery and resharding
+    # ------------------------------------------------------------------
+    def _crash(self, report, op_index, op, facades) -> None:
         """Crash-recover every durable façade, then diff recovered state.
 
-        ``mode="clean"`` kills the process between ops: the WAL handle is
-        dropped without a final fsync and the engine is rebuilt by replay;
-        the recovered live state must equal the reference's exactly.
-        ``mode="mid-book"`` kills it *inside* the next booking (the op dict
-        carries the same fields as a book op), after the WAL record lands
-        but before the splice — recovery must complete the booking so the
-        op's outcome still matches the reference's uninterrupted one.
+        ``mode="clean"`` kills it between ops; ``mode="mid-book"`` inside
+        the op's booking (the op carries a book op's fields), whose outcome
+        must still match the reference's uninterrupted one.
         """
-        durables = [
-            facade
-            for facade in [reference] + others
-            if isinstance(facade.target, _DurableTarget)
-        ]
+        durables = [facade.target for facade in facades
+                    if isinstance(facade.target, _DurableTarget)]
         if not durables:
             return  # no durable façade in this run: crash ops are no-ops
         if op.get("mode", "clean") == "mid-book":
-            for facade in durables:
-                facade.target.arm_mid_book()
+            for target in durables:
+                target.arm_mid_book()
             try:
-                self._op_book(report, op_index, op, reference, others)
+                self._search(report, op_index, op, facades)
             finally:
                 # A book that never reached the engine (no match / rank out
                 # of range) leaves the hook armed; a later op must not trip it.
-                for facade in durables:
-                    facade.target.disarm()
+                for target in durables:
+                    target.disarm()
         else:
-            for facade in durables:
-                facade.target.crash()
-        self._compare_live_state(report, op_index, op, reference, others)
+            for target in durables:
+                target.crash()
+        self._compare_live_state(report, op_index, op, facades)
 
-    def _op_reshard(self, report, op_index, op, reference, others) -> None:
-        """Reshard every reshard-capable façade, then diff recovered state.
-
-        The op names an action (``split`` | ``merge``), a ``slot_index``
-        resolved modulo the façade's current active slots / adjacent pairs,
-        and optionally a ``crash_phase`` — one of the split/merge phase
-        seams; the façade then dies at that seam (WAL handles dropped
-        without the final fsync) and restarts from disk.  Either way the
-        façade's live state afterwards must equal the never-resharded
-        reference's exactly: a reshard — even one killed halfway — is
-        invisible to clients.
-        """
-        for facade in [reference] + others:
+    def _reshard(self, report, op_index, op, facades) -> None:
+        """Reshard every reshard-capable façade (see :class:`_ReshardTarget`),
+        then diff its live state against the never-resharded reference's: a
+        reshard, even one killed halfway, is invisible to clients."""
+        for facade in facades:
             if isinstance(facade.target, _ReshardTarget):
                 facade.target.reshard(op)
-                facade.refresh()
-        self._compare_live_state(report, op_index, op, reference, others)
-
-    def _op_track(self, report, op_index, op, reference, others) -> None:
-        now_s = op["now_s"]
-        counts: List[Tuple[Facade, int]] = []
-        for facade in [reference] + others:
-            count = facade.target.track_all(now_s)
-            if not facade.relaxed:
-                counts.append((facade, count))
-        ref_count = counts[0][1]
-        for facade, count in counts[1:]:
-            if count != ref_count:
-                self._diverge(
-                    report, op_index, op, "track-count", facade.name,
-                    f"completed {count} rides vs reference {ref_count}",
-                )
-        self._compare_live_state(report, op_index, op, reference, others)
+        self._compare_live_state(report, op_index, op, facades)
 
     # ------------------------------------------------------------------
     # Cross-façade state comparison + shared invariant audit
     # ------------------------------------------------------------------
-    def _live_state(self, facade: Facade) -> Dict[int, Tuple]:
+    def _live_state(self, facade: Facade) -> Dict[Any, Tuple]:
         live = {}
         for ride in facade.target.active_rides():
             handle = facade.handle_of_ride.get(ride.ride_id)
@@ -1163,24 +924,18 @@ class DifferentialHarness:
             live[key] = _ride_fingerprint(ride)
         return live
 
-    def _compare_live_state(
-        self, report, op_index, op, reference, others
-    ) -> None:
-        ref_live = self._live_state(reference)
-        for facade in others:
+    def _compare_live_state(self, report, op_index, op, facades) -> None:
+        ref_live = self._live_state(facades[0])
+        for facade in facades[1:]:
             if facade.relaxed:
                 continue  # booking choices diverge, so live state does too
             live = self._live_state(facade)
-            if set(live) != set(ref_live):
-                only_here = sorted(
-                    str(h) for h in set(live) - set(ref_live)
-                )
-                only_ref = sorted(
-                    str(h) for h in set(ref_live) - set(live)
-                )
+            if live.keys() != ref_live.keys():
+                extra = sorted(map(str, live.keys() - ref_live.keys()))
+                missing = sorted(map(str, ref_live.keys() - live.keys()))
                 self._diverge(
                     report, op_index, op, "live-set", facade.name,
-                    f"extra handles {only_here} / missing handles {only_ref}",
+                    f"extra handles {extra} / missing handles {missing}",
                 )
                 continue
             for handle, fingerprint in live.items():
@@ -1193,13 +948,23 @@ class DifferentialHarness:
     def _audit(self, report, op_index, op, facades: Sequence[Facade]) -> None:
         report.audits_run += 1
         for facade in facades:
-            for engine in facade.xar_engines:
+            engines = facade.xar_engines
+            for engine in engines:
                 audit = InvariantAuditor(engine).audit()
                 if not audit.ok:
-                    kinds = audit.by_kind()
                     self._diverge(
                         report, op_index, op, "invariant", facade.name,
-                        f"invariant audit failed: {kinds}",
+                        f"invariant audit failed: {audit.by_kind()}",
+                    )
+            # A façade whose engines live in worker processes runs the
+            # same auditor there, through its router.
+            remote_audit = getattr(facade.target, "audit", None)
+            if not engines and callable(remote_audit):
+                result = remote_audit()
+                if result["violations"]:
+                    self._diverge(
+                        report, op_index, op, "invariant", facade.name,
+                        f"in-worker invariant audit failed: {result}",
                     )
             # No-request-lost accounting for façades that keep a ledger
             # (the batch matcher): every submitted search must land in

@@ -88,6 +88,21 @@ def test_malformed_facades_rejected(facade):
         ScenarioSpec(name="x", facade=facade).validate()
 
 
+def test_every_facade_the_harness_builds_is_a_valid_scenario_facade():
+    from repro.verify import FACADE_NAMES
+
+    for facade in FACADE_NAMES:
+        ScenarioSpec(name="x", facade=facade).validate()
+
+
+def test_bad_fault_policy_is_a_scenario_error(small_region):
+    from repro.scenarios import build_facade
+
+    spec = ScenarioSpec(name="x", faults=FaultSpec(policies="router=0.1,warp"))
+    with pytest.raises(ScenarioError, match="unknown fault policy 'warp'"):
+        build_facade(spec, small_region)
+
+
 def test_crash_injection_needs_a_proc_facade():
     spec = ScenarioSpec(name="x", facade="shard2",
                         faults=FaultSpec(crash_every=10))

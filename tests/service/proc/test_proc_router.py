@@ -10,7 +10,12 @@ import time
 
 import pytest
 
-from repro.exceptions import ShardQuarantinedError, UnknownRideError
+from repro.exceptions import (
+    RpcTransportError,
+    ShardQuarantinedError,
+    UnknownRideError,
+)
+from repro.service.ops import OPS
 from repro.service.proc import ProcRouter
 from repro.service.proc.supervisor import LIVE, QUARANTINED
 
@@ -94,6 +99,50 @@ class TestMidBookCrash:
         assert proc_service.audit()["violations"] == 0
         shard = proc_service.supervisor.shards[home]
         assert shard.restarts == 1
+
+
+class TestRetriedCancellation:
+    def test_resent_cancel_booking_returns_the_first_record_once(
+        self, proc_service, small_region, small_city, monkeypatch
+    ):
+        """The same cancel_booking sent twice — once re-sent by the
+        transport after its answer was lost on the way back, once more by
+        the client — returns the first record and un-splices once."""
+        src = small_city.position(0)
+        dst = small_city.position(small_city.node_count - 1)
+        ride = proc_service.create(src, dst, 0.0, 3, None)
+        request = make_request(small_region, 778, src, dst)
+        match = next(m for m in proc_service.search(request)
+                     if m.ride_id == ride.ride_id)
+        proc_service.book(request, match)
+        assert proc_service.find_ride(ride.ride_id).seats_available == 2
+
+        shard = proc_service.supervisor.shards[
+            proc_service.shard_of_ride(ride.ride_id)]
+        receive = shard._receive
+        answers = []
+
+        def lose_first_answer(sent):
+            answer = receive(sent)  # the child has applied the call
+            if not answers:
+                answers.append(answer)
+                raise RpcTransportError("answer lost", request_sent=True)
+            return answer
+
+        monkeypatch.setattr(shard, "_receive", lose_first_answer)
+        record = proc_service.cancel_booking(778, ride.ride_id)
+        monkeypatch.undo()
+
+        assert record == OPS["cancel_booking"].decode_result(
+            answers[0], small_region)
+        after = proc_service.find_ride(ride.ride_id)
+        assert after.seats_available == 3
+        assert not after.passengers
+        assert after.route == ride.route
+        assert proc_service.cancel_booking(778, ride.ride_id) == record
+        again = proc_service.find_ride(ride.ride_id)
+        assert (again.seats_available, again.route) == (3, ride.route)
+        assert proc_service.audit()["violations"] == 0
 
 
 class TestDegradation:

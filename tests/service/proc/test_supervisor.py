@@ -7,13 +7,16 @@ per test, several behaviours per fleet where that does not blur causes.
 from __future__ import annotations
 
 import os
+import socket
+import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro.exceptions import ShardQuarantinedError
 from repro.service.proc import ProcRouter
-from repro.service.proc.supervisor import LIVE, QUARANTINED
+from repro.service.proc.supervisor import LIVE, QUARANTINED, ShardSupervisor
 
 from .conftest import fast_config, seed_fleet
 
@@ -146,3 +149,15 @@ class TestDrain:
             assert sorted(b.request_id for b in second.bookings()) == bookings
             assert sorted(r.ride_id for r in second.active_rides()) == rides
             assert second.audit()["violations"] == 0
+
+
+def test_heartbeat_loop_returns_on_a_socket_closed_before_it_starts():
+    """A generation can die between adopting its heartbeat socket and the
+    heartbeat thread's first statement: the loop must end, not raise."""
+    ours, theirs = socket.socketpair()
+    ours.close()
+    theirs.close()
+    supervisor = SimpleNamespace(_closing=threading.Event())
+    shard = SimpleNamespace(generation=1, last_heartbeat=0.0)
+    assert ShardSupervisor._heartbeat_loop(supervisor, shard, 1, ours) is None
+    assert shard.last_heartbeat == 0.0

@@ -54,6 +54,13 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "engine            : XAR" in out
 
+    def test_simulate_rejects_an_unknown_fault_policy(self, region_dir):
+        with pytest.raises(SystemExit, match="unknown fault policy 'warp'"):
+            main([
+                "simulate", str(region_dir), "--requests", "10",
+                "--faults", "router=0.1,warp",
+            ])
+
     def test_simulate_tshare(self, region_dir, capsys):
         assert main([
             "simulate", str(region_dir), "--engine", "tshare", "--requests", "40",

@@ -56,8 +56,7 @@ def test_ledger_imbalance_is_reported_as_request_lost(small_region, smoke_ops):
         facade = make_facade(name, region, seed)
         if name == "batch":
             facade = Facade(
-                name, _LossyLedger(facade.target),
-                engines=facade.xar_engines, closer=facade.close,
+                name, _LossyLedger(facade.target), closer=facade.close,
                 relaxed=True,
             )
         return facade
