@@ -75,6 +75,7 @@ from ...exceptions import (
 )
 from ...obs import DEFAULT_LATENCY_BUCKETS_S, MetricsRegistry
 from ..ops import OPS
+from ..shard import ENGINE_TURN
 from ..sharding import derive_seed
 from ..stack import Rerouted, ShardSpec, StackConfig, make_engine
 from .rpc import (
@@ -731,7 +732,9 @@ class ShardSupervisor:
         try:
             launch.listener.bind(paths["socket"])
             launch.listener.listen(cfg.ops_connections + 1)
-            with open(paths["log"], "ab") as log_handle:
+            # A child forked from a thread the turn has bound would inherit
+            # its one-CPU mask: start it under the thread's unbound mask.
+            with open(paths["log"], "ab") as log_handle, ENGINE_TURN.unbound():
                 launch.process = subprocess.Popen(
                     [sys.executable, "-m", "repro.service.proc.worker",
                      paths["config"]],

@@ -31,6 +31,19 @@ queue wait, never service time.  WAL fsyncs and checkpoints happen inside
 the turn (at most one ~2.4 ms fsync per ``fsync_every`` = 64 appends); the
 resilient runtime's retry backoff does not (:meth:`_Turn.sleep`).
 
+**The turn's threads run on one CPU.**  While a thread transport is open
+(:meth:`_Turn.place`), each thread that takes the turn — shard workers and
+every caller thread that reads inline — is bound to one CPU the first time
+it does so: the lowest CPU the placement's first binder was allowed.
+Handing the turn over then wakes a thread on the same core instead of the
+other one.  When the last thread transport closes or is abandoned, every
+bound thread still alive gets its old mask back.  A process that opens no
+thread transport (a shard child, a bare :class:`ShardWorker`) binds
+nothing, and a shard child is started under its launcher's unbound mask
+(:meth:`_Turn.unbound`).  Binding is best effort: a thread it fails for
+runs unbound.  One thread-mode interpreter therefore uses one core; more
+cores are what process mode is for.
+
 Observability: given a :class:`~repro.obs.MetricsRegistry` the worker
 reports queue depth (gauge), queue **wait** time vs **service** time
 (histograms — the classic "is latency the queue or the work?" split; the
@@ -42,13 +55,15 @@ race-free via :meth:`ShardWorker.stats_snapshot`.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import queue
 import random
 import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Iterator, Optional
 
 from ..exceptions import (
     ServiceClosedError,
@@ -100,11 +115,29 @@ class _Turn:
     Not re-entrant — a job that asks for the turn it already holds (an op
     calling back into a shard worker) would wait for itself forever, so it
     raises instead.
+
+    While at least one placement is open (:meth:`place`, one per open
+    thread transport), every thread that takes the turn is bound to one CPU
+    the first time it does so, and gets its old mask back when the last
+    placement closes (:meth:`unplace`).  Binding is best effort: where it
+    fails, or the platform has no ``os.sched_setaffinity``, the op runs on
+    an unbound thread.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._holder: Optional[int] = None
+        #: Placement state, guarded by ``_place_lock`` (taken inside the
+        #: turn when binding, alone when placing — never the other way).
+        self._place_lock = threading.Lock()
+        self._placements = 0
+        self._generation = 0
+        self._cpu: Optional[int] = None
+        self._first_mask: Optional[frozenset] = None
+        #: Thread -> the mask it had before it was bound.
+        self._saved: Dict[threading.Thread, frozenset] = {}
+        #: Per thread: the generation it last tried to bind under.
+        self._local = threading.local()
 
     def acquire(self) -> None:
         me = threading.get_ident()
@@ -114,6 +147,92 @@ class _Turn:
             )
         self._lock.acquire()
         self._holder = me
+        if (self._placements
+                and getattr(self._local, "generation", None)
+                != self._generation):
+            self._bind()
+
+    # ------------------------------------------------------------------
+    # CPU placement
+    # ------------------------------------------------------------------
+    def place(self) -> None:
+        """Open a placement: threads taking the turn are bound from now."""
+        with self._place_lock:
+            if self._placements == 0:
+                self._generation += 1
+            self._placements += 1
+
+    def unplace(self) -> None:
+        """Close a placement; the last one gives every thread it bound its
+        old mask back (threads that have exited are skipped)."""
+        with self._place_lock:
+            self._placements -= 1
+            if self._placements:
+                return
+            self._generation += 1
+            for thread, mask in self._saved.items():
+                if thread.is_alive():
+                    try:
+                        os.sched_setaffinity(thread.native_id, mask)
+                    except OSError:
+                        pass  # exited since (ESRCH) or mask gone (EINVAL)
+            self._saved.clear()
+
+    def _unbound_mask(self, mask: frozenset) -> frozenset:
+        """What a thread now on ``mask`` had before any placement bound
+        it: its saved mask, else — a thread started by a bound thread
+        inherits the one-CPU mask, and keeps it after the placement closes —
+        the last placement's first binder's, else ``mask`` itself."""
+        saved = self._saved.get(threading.current_thread())
+        if saved is not None:
+            return saved
+        if self._first_mask is not None and mask == {self._cpu}:
+            return self._first_mask
+        return mask
+
+    def _bind(self) -> None:
+        """Bind the calling thread (holding the turn) to the placement's
+        CPU, once per thread and placement; any failure leaves it unbound."""
+        with self._place_lock:
+            self._local.generation = self._generation
+            if not self._placements or not hasattr(os, "sched_setaffinity"):
+                return
+            first = not self._saved  # the placement's first binder
+            try:
+                mask = frozenset(os.sched_getaffinity(0))
+                old = self._unbound_mask(mask)
+                cpu = min(old) if first else self._cpu
+                os.sched_setaffinity(0, {cpu})
+            except OSError:
+                return
+            if first:
+                self._cpu, self._first_mask = cpu, old
+            self._saved[threading.current_thread()] = old
+
+    @contextlib.contextmanager
+    def unbound(self) -> Iterator[None]:
+        """Run the block on the calling thread's unbound mask: a process
+        started inside it inherits that mask, not the placement's CPU."""
+        with self._place_lock:
+            generation = self._generation
+            try:
+                mask = frozenset(os.sched_getaffinity(0))
+                old = self._unbound_mask(mask)
+                if old != mask:
+                    os.sched_setaffinity(0, old)
+            except (AttributeError, OSError):
+                old = mask = None
+        try:
+            yield
+        finally:
+            if old != mask:
+                with self._place_lock:
+                    # A placement that closed meanwhile ended the binding.
+                    if self._generation == generation:
+                        try:
+                            os.sched_setaffinity(0, mask)
+                        except OSError:
+                            pass
 
     def release(self) -> None:
         self._holder = None

@@ -27,6 +27,7 @@ from ..exceptions import (
 )
 from ..obs import MetricsRegistry
 from .ops import OPS
+from .shard import ENGINE_TURN
 from .stack import Rerouted, ShardSpec, ShardStack, StackConfig
 
 #: The core's routing re-check ("does routing still point at this slot?").
@@ -129,6 +130,15 @@ class ThreadTransport:
                 # Merged away before this restart: a stackless tombstone
                 # (no routing table can name it).
                 self.shards.append(ShardStack.tombstone(slot))
+        #: Open while the transport is: every thread that takes the turn
+        #: meanwhile runs on one CPU (:class:`~repro.service.shard._Turn`).
+        ENGINE_TURN.place()
+        self._placed = True
+
+    def _unplace(self) -> None:
+        if self._placed:
+            self._placed = False
+            ENGINE_TURN.unplace()
 
     def _active(self) -> List[ShardStack]:
         return [shard for shard in self.shards if shard.active]
@@ -348,18 +358,24 @@ class ThreadTransport:
         its final fsync barrier, then the workers stop.  What a restart
         finds on disk is what a SIGKILL would have left."""
         self._closed = True
-        for shard in self._active():
-            shard.engine.fault_hook = None
-            shard.release_wal(sync=False)
-        for shard in self._active():
-            shard.worker.close()
+        try:
+            for shard in self._active():
+                shard.engine.fault_hook = None
+                shard.release_wal(sync=False)
+            for shard in self._active():
+                shard.worker.close()
+        finally:
+            self._unplace()
 
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
-        for shard in self._active():
-            shard.worker.close()
-            # Final fsync barrier: everything the service acknowledged is
-            # on disk before the handles go away.
-            shard.release_wal(sync=True)
+        try:
+            for shard in self._active():
+                shard.worker.close()
+                # Final fsync barrier: everything the service acknowledged
+                # is on disk before the handles go away.
+                shard.release_wal(sync=True)
+        finally:
+            self._unplace()

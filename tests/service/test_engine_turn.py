@@ -2,22 +2,31 @@
 
 ``ShardWorker`` takes the process-wide ``ENGINE_TURN`` around every job it
 runs — inline read or queued mutation — after admission and before the
-service clock starts.  These tests pin what that must and must not change.
+service clock starts.  While a thread transport is open, every thread that
+takes the turn runs on one CPU.  These tests pin what that must and must
+not change.
 """
 
 from __future__ import annotations
 
+import errno
+import os
+import queue
+import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import Future
 
 import pytest
 
 from repro.durability import DurabilityConfig
 from repro.exceptions import TransientFaultError
 from repro.obs import MetricsRegistry
-from repro.service import ShardRouter, ShardWorker
+from repro.service import ProcRouter, ShardRouter, ShardWorker
 from repro.service.shard import ENGINE_TURN
+
+from .proc.conftest import fast_config
 
 JOIN_S = 30.0
 
@@ -281,3 +290,241 @@ def test_a_job_that_raises_releases_the_turn(region, city, tmp_path):
         assert service.metrics.get("xar_failovers_total").labels(
             shard="0").value == 1
         assert len(service.active_rides()) == 6
+
+
+# ----------------------------------------------------------------------
+# CPU placement: the turn binds the threads that take it
+# ----------------------------------------------------------------------
+needs_affinity = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs os.sched_setaffinity and at least two allowed CPUs",
+)
+
+
+def _mask():
+    return frozenset(os.sched_getaffinity(0))
+
+
+#: The mask this process runs under, read before any test took the turn:
+#: a binding an earlier test left behind shows up as a difference.
+UNBOUND = _mask() if hasattr(os, "sched_getaffinity") else None
+
+
+class _Clients:
+    """Long-lived client threads: ``run(fn)`` calls ``fn`` once on each and
+    returns what each returned, in thread order."""
+
+    def __init__(self, n):
+        self._inboxes = [queue.Queue() for _ in range(n)]
+        self._threads = [
+            threading.Thread(target=self._serve, args=(inbox,), daemon=True)
+            for inbox in self._inboxes
+        ]
+        for thread in self._threads:
+            thread.start()
+
+    @staticmethod
+    def _serve(inbox):
+        while True:
+            fn, future = inbox.get()
+            if fn is None:
+                return
+            try:
+                future.set_result(fn())
+            except BaseException as exc:  # noqa: BLE001 - relayed
+                future.set_exception(exc)
+
+    def run(self, fn):
+        futures = []
+        for index, inbox in enumerate(self._inboxes):
+            future = Future()
+            inbox.put((lambda index=index: fn(index), future))
+            futures.append(future)
+        return [future.result(timeout=JOIN_S) for future in futures]
+
+    def close(self):
+        for inbox in self._inboxes:
+            inbox.put((None, None))
+        _join(self._threads)
+
+
+@pytest.fixture
+def clients():
+    pool = _Clients(2)
+    yield pool
+    pool.close()
+
+
+def _durable_router(region, directory):
+    return ShardRouter(region, 2, seed=11, durability=DurabilityConfig(
+        directory=str(directory), fsync_every=8))
+
+
+def _fill(service, supply):
+    return [service.create(*ride).ride_id for ride in supply]
+
+
+@needs_affinity
+def test_every_thread_that_takes_the_turn_shares_one_cpu(
+    region, city, workload, clients
+):
+    assert _mask() == UNBOUND
+    with ShardRouter(region, 2, seed=11) as service:
+        _fill(service, _supply(city, 40))  # the workers take the turn
+        clients.run(lambda i: _answers(service, workload[i:40:2]))
+        masks = clients.run(lambda i: _mask())
+        masks += [
+            frozenset(os.sched_getaffinity(shard.worker._thread.native_id))
+            for shard in service.shards]
+        assert masks == [frozenset({min(UNBOUND)})] * 4
+        assert _mask() == UNBOUND  # submitted, never took the turn itself
+
+
+@needs_affinity
+@pytest.mark.parametrize("teardown", ["close", "abandon"])
+def test_teardown_restores_every_bound_thread_and_a_second_router_rebinds(
+    region, city, workload, clients, tmp_path, teardown
+):
+    before = clients.run(lambda i: _mask())
+    assert before == [UNBOUND] * 2
+    one_cpu = frozenset({min(UNBOUND)})
+    service = _durable_router(region, tmp_path / "first")
+    try:
+        _fill(service, _supply(city, 20))
+        clients.run(lambda i: _answers(service, workload[i:20:2]))
+        assert clients.run(lambda i: _mask()) == [one_cpu] * 2
+    finally:
+        getattr(service, teardown)()
+    assert clients.run(lambda i: _mask()) == before
+
+    with _durable_router(region, tmp_path / "second") as again:
+        _fill(again, _supply(city, 20))
+        clients.run(lambda i: _answers(again, workload[i:20:2]))
+        assert clients.run(lambda i: _mask()) == [one_cpu] * 2
+    assert clients.run(lambda i: _mask()) == before
+
+
+@needs_affinity
+def test_binding_that_fails_changes_no_answer_and_binds_nothing(
+    region, city, workload, clients, monkeypatch
+):
+    supply = _supply(city, 40)
+
+    def run():
+        with ShardRouter(region, 2, seed=11) as service:
+            created = _fill(service, supply)
+            answers = clients.run(
+                lambda i: _answers(service, workload[i:60:2]))
+            masks = clients.run(lambda i: _mask())
+            masks += [
+                frozenset(os.sched_getaffinity(shard.worker._thread.native_id))
+                for shard in service.shards]
+        return created, answers, masks
+
+    expected_created, expected_answers, _ = run()
+    attempts = []
+
+    def refuse(pid, mask):
+        attempts.append(pid)
+        raise OSError(errno.EPERM, "affinity refused")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    created, answers, masks = run()
+    assert attempts  # binding was tried, refused, and every op ran anyway
+    assert created == expected_created
+    assert answers == expected_answers
+    assert masks == [UNBOUND] * 4
+
+
+@needs_affinity
+def test_placements_opened_and_closed_from_many_threads_bind_and_restore():
+    """More threads than CPUs open and close placements around a turn, with
+    a short switch interval: every turn taken inside a placement runs on the
+    one CPU, and once the last placement is closed every thread is unbound."""
+    one_cpu = frozenset({min(UNBOUND)})
+    n_threads, rounds = 6, 40
+    all_closed = threading.Barrier(n_threads + 1)
+    inside, after = [], []
+
+    def churn():
+        for _ in range(rounds):
+            ENGINE_TURN.place()
+            try:
+                with ENGINE_TURN:
+                    inside.append(_mask())
+            finally:
+                ENGINE_TURN.unplace()
+        all_closed.wait(timeout=JOIN_S)
+        after.append(_mask())
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=churn) for _ in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        all_closed.wait(timeout=JOIN_S)
+        _join(threads)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert inside == [one_cpu] * (n_threads * rounds)
+    assert after == [UNBOUND] * n_threads
+    assert _mask() == UNBOUND
+
+
+@needs_affinity
+def test_a_bare_worker_binds_nothing():
+    worker = ShardWorker(0, None, queue_depth=4)
+    try:
+        assert worker.call("op", _mask) == UNBOUND
+        assert worker.execute_inline("search", _mask) == UNBOUND
+    finally:
+        worker.close()
+
+
+@needs_affinity
+def test_a_proc_child_launched_from_a_bound_thread_starts_unbound(
+    region, saved_region, workload, tmp_path
+):
+    with ShardRouter(region, 2, seed=11) as service:
+        service.search(workload[0])  # this thread takes the turn: bound
+        assert _mask() == {min(UNBOUND)}
+        procs = ProcRouter(region, fast_config(
+            str(tmp_path / "run"), saved_region, n_shards=1))
+        try:
+            assert procs.wait_all_live(30.0)
+            (child,) = procs.supervisor.shards
+            assert os.sched_getaffinity(child.process.pid) == UNBOUND
+            assert _mask() == {min(UNBOUND)}  # still bound after the launch
+        finally:
+            procs.close()
+    assert _mask() == UNBOUND
+
+
+@needs_affinity
+def test_a_thread_that_inherited_the_binding_launches_unbound_after_close(
+    region, workload
+):
+    one_cpu = frozenset({min(UNBOUND)})
+    with ShardRouter(region, 2, seed=11) as service:
+        service.search(workload[0])  # this thread takes the turn: bound
+        heir = _Clients(1)  # started from the bound thread: inherits it
+
+    def launch(_index):
+        with ENGINE_TURN.unbound():
+            child = subprocess.Popen(
+                [sys.executable, "-c", "import time; time.sleep(60)"])
+        try:
+            return os.sched_getaffinity(child.pid), _mask()
+        finally:
+            child.kill()
+            child.wait(timeout=JOIN_S)
+
+    try:
+        assert _mask() == UNBOUND
+        # Never took the turn, so the close did not restore it ...
+        assert heir.run(lambda i: _mask()) == [one_cpu]
+        # ... but what it launches starts unbound, and it keeps its mask.
+        assert heir.run(launch) == [(UNBOUND, one_cpu)]
+    finally:
+        heir.close()
