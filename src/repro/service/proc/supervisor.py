@@ -13,6 +13,13 @@ and its own stderr log.  Liveness is judged by two independent signals:
   dead shard get the same treatment, because callers cannot tell them
   apart).
 
+**Placement.**  Slot *k*'s child is launched on one CPU,
+``sorted(allowed)[k % len(allowed)]`` of the launching thread's unbound
+mask, so it and every thread it starts run there from birth; a respawned
+generation and a reshard successor at the slot get the same CPU.  The
+parent's own threads stay unbound.  Binding is best effort: where the
+mask is refused the child starts unbound.
+
 Every failure feeds the same restart path: crash recovery in the child
 (`worker.py` replays the shard's WAL on boot), scheduled with exponential
 backoff.  A shard that keeps dying — more than ``max_restarts`` consecutive
@@ -732,9 +739,11 @@ class ShardSupervisor:
         try:
             launch.listener.bind(paths["socket"])
             launch.listener.listen(cfg.ops_connections + 1)
-            # A child forked from a thread the turn has bound would inherit
-            # its one-CPU mask: start it under the thread's unbound mask.
-            with open(paths["log"], "ab") as log_handle, ENGINE_TURN.unbound():
+            # Place the child: it is born on its slot's CPU of the
+            # launcher's unbound mask, never on a one-CPU mask the turn
+            # gave the launching thread (best effort: unbound if refused).
+            with open(paths["log"], "ab") as log_handle, \
+                    ENGINE_TURN.slot_cpu(shard.shard_id):
                 launch.process = subprocess.Popen(
                     [sys.executable, "-m", "repro.service.proc.worker",
                      paths["config"]],

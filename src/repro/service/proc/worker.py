@@ -1,13 +1,15 @@
 """The shard subprocess: ``python -m repro.service.proc.worker CONFIG.json``.
 
-One process per shard.  On start the child
+One process per shard, started by the supervisor already bound to its
+slot's CPU (``ENGINE_TURN.slot_cpu``), so it and every thread it starts —
+numpy's BLAS pool included — run there.  On start the child
 
 1. loads the discretized region from disk (regions are content-digested,
    so parent and child provably serve the same geometry) and builds its
    landmark shortest-path trees, so the first booking does not pay for them,
-2. builds the one :class:`~repro.service.stack.ShardStack` a thread shard
-   runs too — engine **recovered** from the spec's WAL when it exists
-   (restart *is* crash recovery; there is no separate cold path), then
+2. builds the :class:`~repro.service.stack.ShardStack` a thread shard runs
+   too — engine **recovered** from the spec's WAL when it exists (restart
+   *is* crash recovery; there is no separate cold path), then
    ``XARAdapter`` → ``DurableAdapter`` → optional ``ResilientEngine``
    behind a :class:`~repro.service.shard.ShardWorker` — and serves each
    RPC by decoding it, calling the stack's local operation, and encoding
@@ -15,12 +17,20 @@ One process per shard.  On start the child
 3. connects back to the supervisor's UNIX socket: ``ops_connections``
    request/response channels plus one dedicated heartbeat channel.
 
+**Every op runs on the thread that read it.**  A connection thread serves
+its op through :meth:`~repro.service.shard.ShardWorker.execute_inline` —
+admission, the interpreter's turn, the shard's stats and ``xar_shard_*``
+metrics — mutations and admin reads as well as searches.  No op reaches
+the worker's queue, so the child starts no ``xar-shard-*`` thread; the
+heartbeat's ``depth`` is the number of ops in flight.
+
 Failure semantics: a :class:`~repro.exceptions.WorkerCrashError` surfacing
 from the engine (injected mid-book crashes included) terminates the process
 with ``os._exit`` *without answering the in-flight request* — the parent
 observes EOF mid-call, exactly like a real process death, and recovery
 completes the op from the WAL.  ``SIGTERM`` triggers a graceful drain: stop
-admitting, finish the queued mutations, fsync the WAL, exit 0.
+admitting, wait for the ops in flight and take the turn, fsync the WAL,
+exit 0.
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ import socket
 import sys
 import threading
 import time
-from typing import Any, Dict
+from typing import Any, Callable, Dict
 
 from ...discretization import load_region, region_digest
 from ...exceptions import (
@@ -45,11 +55,24 @@ from ...exceptions import (
 )
 from ...obs import MetricsRegistry
 from ..ops import OPS
+from ..shard import ENGINE_TURN
 from ..stack import ShardSpec, ShardStack, StackConfig
 from .rpc import error_response, read_frame, write_frame
 
 #: Exit code for simulated/real worker crashes (parent classifies by it).
 CRASH_EXIT_CODE = 13
+
+
+class _ChildStack(ShardStack):
+    """A shard child's stack: mutations and admin reads run inline on the
+    connection thread that read them, in its turn, like searches."""
+
+    def _serve(self, operation: str, fn: Callable[[], Any]) -> Any:
+        return self.worker.execute_inline(operation, fn)
+
+    def stats(self) -> Dict[str, Any]:
+        # Nothing waits in a child's queue: its load is the ops in flight.
+        return {**super().stats(), "depth": self.worker.in_flight}
 
 
 class ShardProcess:
@@ -64,10 +87,10 @@ class ShardProcess:
         # children build theirs at the same time.  (Thread shards share
         # one region and keep the lazy build.)
         region.path_trees()
-        #: The same stack a thread shard runs — recovered from the spec's
-        #: WAL when it exists — so admission control, the bounded queue and
-        #: the inline read path behave exactly as in thread mode.
-        self.stack = ShardStack(
+        #: The stack a thread shard runs — recovered from the spec's WAL
+        #: when it exists — with every op on the inline path, so admission
+        #: control and the turn behave exactly as a thread shard's reads.
+        self.stack = _ChildStack(
             region,
             ShardSpec(**config["spec"]),
             StackConfig(**config["stack"]),
@@ -78,6 +101,9 @@ class ShardProcess:
         self._draining = threading.Event()
         self._shutdown = threading.Event()
         self._hang_heartbeats = threading.Event()
+        #: SIGTERM's drain thread and the main thread both drain; the
+        #: second waits here until the first exits the process.
+        self._drain_lock = threading.Lock()
         self._hb_seq = 0
 
     # ------------------------------------------------------------------
@@ -140,7 +166,7 @@ class ShardProcess:
                 op, lambda adapter: checked(engine, adapter, *values))
             return {**spec.encode_result(record), **extra}
         if op == "active_rides":
-            # Encoded on the worker thread: rides are mutable, and there no
+            # Encoded inside the turn: rides are mutable, and there no
             # booking can splice one mid-serialisation.
             return stack.admin(
                 lambda: spec.encode_result(stack.adapter.active_rides()))
@@ -188,7 +214,7 @@ class ShardProcess:
                             "seq": self._hb_seq,
                             "pid": os.getpid(),
                             "generation": self.generation,
-                            "depth": self.stack.worker.depth,
+                            "depth": self.stack.worker.in_flight,
                         })
                     except RpcError:
                         return
@@ -200,11 +226,14 @@ class ShardProcess:
     # Lifecycle
     # ------------------------------------------------------------------
     def drain_and_exit(self) -> None:
-        """Graceful shutdown: admit nothing new, finish the queue, sync."""
+        """Graceful shutdown: admit nothing new, let the ops in flight
+        finish, then sync the WAL inside the turn and exit 0."""
+        self._drain_lock.acquire()
         self._draining.set()
         self._shutdown.set()
-        self.stack.worker.close(timeout_s=30.0)
-        self.stack.release_wal(sync=True)
+        self.stack.worker.close(timeout_s=30.0)  # waits for the ops in flight
+        with ENGINE_TURN:
+            self.stack.release_wal(sync=True)
         # Give connection threads a beat to flush final responses.
         time.sleep(0.05)
         os._exit(0)
@@ -311,8 +340,8 @@ def main(argv=None) -> int:
     })
 
     def on_sigterm(_signum, _frame):
-        # Run the drain off the signal frame so in-flight worker jobs are
-        # never interrupted mid-mutation.
+        # Run the drain off the signal frame so an op in flight is never
+        # interrupted mid-mutation.
         threading.Thread(target=shard.drain_and_exit, daemon=True).start()
 
     signal.signal(signal.SIGTERM, on_sigterm)

@@ -1,24 +1,28 @@
-"""One shard: an engine adapter behind a worker thread and a bounded queue.
+"""One shard: an engine adapter behind a bounded queue and an inline path.
 
-Mutations (create / book / cancel / track) run on the shard's single worker
-thread, so write ordering per shard needs no cross-thread coordination
-beyond the queue itself.  The queue is *bounded*: when it is full,
-:meth:`ShardWorker.submit` refuses the job immediately with
-:class:`~repro.exceptions.ShardOverloadError` instead of buffering
-unbounded backlog.  That refusal is the service's load-shed response;
-callers count it against the shed-rate SLO rather than retrying blindly.
+Mutations (create / book / cancel / track) of a thread shard run on the
+shard's single worker thread, so write ordering per shard needs no
+cross-thread coordination beyond the queue itself.  The queue is
+*bounded*: when it is full, :meth:`ShardWorker.submit` refuses the job
+immediately with :class:`~repro.exceptions.ShardOverloadError` instead of
+buffering unbounded backlog.  That refusal is the service's load-shed
+response; callers count it against the shed-rate SLO rather than retrying
+blindly.  The worker thread is started by the first job queued, so a
+worker that never queues one has none.
 
 Reads take a different road: :meth:`ShardWorker.execute_inline` runs the
-job in the *calling* thread, synchronised by the engine's own lock rather
-than the queue.  A queue round-trip costs two thread hand-offs — several
-GIL scheduling quanta under load, an order of magnitude more than a small
-cluster search — so pushing every fan-out read through the mailbox would
-drown the win of searching 1/N of the supply.  Inline reads are still
-admission-controlled: a semaphore with the same ``queue_depth`` bound
-refuses (sheds) reads beyond the shard's concurrency budget.
+job in the *calling* thread, synchronised by the turn and the engine's own
+lock rather than the queue.  A queue round-trip costs two thread hand-offs
+— several GIL scheduling quanta under load, an order of magnitude more
+than a small cluster search — so pushing every fan-out read through the
+mailbox would drown the win of searching 1/N of the supply.  Inline jobs
+are still admission-controlled: a semaphore with the same ``queue_depth``
+bound refuses (sheds) jobs beyond the shard's concurrency budget.  A shard
+child serves *every* op this way (``service/proc/worker.py``): there the
+connection thread that read an op runs it, and no worker thread starts.
 
 **One engine op at a time per interpreter.**  Every job a worker runs —
-inline read or queued mutation, on any shard of the process — first takes
+inline or queued, on any shard of the process — first takes
 :data:`ENGINE_TURN`, a process-wide lock.  An engine op is a few hundred
 short numpy calls, each of which drops the GIL; two ops "overlapping" on
 one interpreter therefore trade it ~100 times per search and both finish
@@ -39,10 +43,10 @@ Handing the turn over then wakes a thread on the same core instead of the
 other one.  When the last thread transport closes or is abandoned, every
 bound thread still alive gets its old mask back.  A process that opens no
 thread transport (a shard child, a bare :class:`ShardWorker`) binds
-nothing, and a shard child is started under its launcher's unbound mask
-(:meth:`_Turn.unbound`).  Binding is best effort: a thread it fails for
-runs unbound.  One thread-mode interpreter therefore uses one core; more
-cores are what process mode is for.
+nothing.  A shard child is started on its slot's CPU of its launcher's
+unbound mask (:meth:`_Turn.slot_cpu`), so it runs there from birth.
+Binding is best effort: a thread or child it fails for runs unbound.  One
+thread-mode interpreter therefore uses one core.
 
 Observability: given a :class:`~repro.obs.MetricsRegistry` the worker
 reports queue depth (gauge), queue **wait** time vs **service** time
@@ -209,30 +213,60 @@ class _Turn:
                 self._cpu, self._first_mask = cpu, old
             self._saved[threading.current_thread()] = old
 
-    @contextlib.contextmanager
-    def unbound(self) -> Iterator[None]:
+    def unbound(self) -> "contextlib.AbstractContextManager[None]":
         """Run the block on the calling thread's unbound mask: a process
         started inside it inherits that mask, not the placement's CPU."""
+        return self._launch_mask(lambda allowed: allowed)
+
+    def slot_cpu(self, slot: int) -> "contextlib.AbstractContextManager[None]":
+        """Run the block on the one CPU a process shard's ``slot`` is placed
+        on — ``sorted(allowed)[slot % len(allowed)]`` of the calling
+        thread's unbound mask — so a child started inside it, and every
+        thread that child starts, runs there from birth.  Where that mask
+        is refused, the block runs on the unbound mask instead."""
+        def pick(allowed: frozenset) -> frozenset:
+            cpus = sorted(allowed)
+            return frozenset({cpus[slot % len(cpus)]})
+
+        return self._launch_mask(pick)
+
+    @contextlib.contextmanager
+    def _launch_mask(
+        self, pick: Callable[[frozenset], frozenset]
+    ) -> Iterator[None]:
+        """Swap the calling thread onto ``pick(its unbound mask)`` for the
+        block (best effort: the unbound mask if that is refused, the
+        current one if both are), then back."""
+        restore = old = None  # restore: the mask to put back once swapped
         with self._place_lock:
             generation = self._generation
             try:
                 mask = frozenset(os.sched_getaffinity(0))
                 old = self._unbound_mask(mask)
-                if old != mask:
-                    os.sched_setaffinity(0, old)
+                for want in (pick(old), old):
+                    if want == mask:
+                        break
+                    try:
+                        os.sched_setaffinity(0, want)
+                    except OSError:
+                        continue
+                    restore = mask
+                    break
             except (AttributeError, OSError):
-                old = mask = None
+                pass
         try:
             yield
         finally:
-            if old != mask:
+            if restore is not None:
                 with self._place_lock:
-                    # A placement that closed meanwhile ended the binding.
-                    if self._generation == generation:
-                        try:
-                            os.sched_setaffinity(0, mask)
-                        except OSError:
-                            pass
+                    # A placement that closed meanwhile ended the binding:
+                    # the thread goes back to its unbound mask instead.
+                    if self._generation != generation:
+                        restore = old
+                    try:
+                        os.sched_setaffinity(0, restore)
+                    except OSError:
+                        pass
 
     def release(self) -> None:
         self._holder = None
@@ -287,6 +321,10 @@ class ShardWorker:
         #: Concurrency budget for the inline read path (same bound as the
         #: write queue, enforced without a worker hand-off).
         self._read_gate = threading.Semaphore(queue_depth)
+        #: Inline jobs admitted and not yet finished; ``close`` waits on
+        #: ``_idle`` for them, and admission re-checks ``_closed`` under it.
+        self._in_flight = 0
+        self._idle = threading.Condition()
         self._stats_lock = threading.Lock()
         self._closed = False
         #: Set when the worker thread died on a :class:`WorkerCrashError`.
@@ -322,10 +360,10 @@ class ShardWorker:
                 buckets=DEFAULT_LATENCY_BUCKETS_S,
             )
         self._shard_label = str(shard_id)
-        self._thread = threading.Thread(
-            target=self._run, name=f"xar-shard-{shard_id}", daemon=True
-        )
-        self._thread.start()
+        #: The worker thread, started by the first job queued (under the
+        #: submit lock): a worker whose jobs all run inline — a shard
+        #: child's — never starts one.
+        self._thread: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------
     # Stats plumbing (legacy counters + registry, one call site each)
@@ -343,6 +381,11 @@ class ShardWorker:
     def depth(self) -> int:
         """Jobs currently waiting in the queue (racy read, load signal)."""
         return self._queue.qsize()
+
+    @property
+    def in_flight(self) -> int:
+        """Inline jobs admitted and not yet finished (racy read)."""
+        return self._in_flight
 
     def stats_snapshot(self) -> Dict[str, Any]:
         """Race-free copy of the legacy counters (dicts copied under the
@@ -376,6 +419,7 @@ class ShardWorker:
             except queue.Full:
                 self._count(self.stats.shed, operation, "shed")
                 raise ShardOverloadError(self.shard_id, operation) from None
+            self._start_thread()
         depth = self._queue.qsize()
         if depth > self.stats.queue_peak:
             self.stats.queue_peak = depth
@@ -383,17 +427,28 @@ class ShardWorker:
             self._m_depth.set(depth)
         return future
 
+    def _start_thread(self) -> None:
+        """Start the worker thread if no job has yet (submit lock held)."""
+        if self._thread is None:
+            self._thread = threading.Thread(
+                target=self._run, name=f"xar-shard-{self.shard_id}",
+                daemon=True)
+            self._thread.start()
+
     def call(self, operation: str, fn: Callable[[], Any]) -> Any:
         """Submit and wait: the synchronous single-shard path."""
         return self.submit(operation, fn).result()
 
     def execute_inline(self, operation: str, fn: Callable[[], Any]) -> Any:
-        """Read fast path: run ``fn`` in the caller's thread, no hand-off.
+        """Run ``fn`` in the caller's thread, in its turn: no hand-off.
 
-        Only safe for operations whose thread-safety the underlying engine
-        guarantees itself (search and other lock-protected reads).  Sheds
+        The read fast path of every transport, and the only path of a shard
+        child, whose connection threads serve every op this way.  Sheds
         with :class:`ShardOverloadError` when the shard's concurrency
-        budget — ``queue_depth`` simultaneous inline reads — is exhausted.
+        budget — ``queue_depth`` simultaneous inline jobs — is exhausted.
+        A :class:`WorkerCrashError` out of ``fn`` marks the worker crashed
+        before the turn is given away, so no later job runs against an
+        engine that may be behind its own WAL.
         """
         if self._closed:
             raise ServiceClosedError(f"shard {self.shard_id} is shut down")
@@ -407,11 +462,26 @@ class ShardWorker:
         if not self._read_gate.acquire(blocking=False):
             self._count(self.stats.shed, operation, "shed")
             raise ShardOverloadError(self.shard_id, operation)
+        with self._idle:
+            if self._closed:
+                self._read_gate.release()
+                raise ServiceClosedError(
+                    f"shard {self.shard_id} is shut down")
+            self._in_flight += 1
         admitted = time.perf_counter()
         try:
             with ENGINE_TURN:
+                if self.crashed:
+                    raise WorkerCrashError(
+                        f"shard {self.shard_id} worker is dead", mid_op=False
+                    )
                 started = self._service_begins(admitted)
-                result = fn()
+                try:
+                    result = fn()
+                except WorkerCrashError as exc:
+                    exc.mid_op = True
+                    self.crashed = True
+                    raise
         except BaseException:
             self._count(self.stats.errors, operation, "error")
             raise
@@ -424,6 +494,10 @@ class ShardWorker:
             return result
         finally:
             self._read_gate.release()
+            with self._idle:
+                self._in_flight -= 1
+                if not self._in_flight:
+                    self._idle.notify_all()
 
     def _service_begins(self, waiting_since: float) -> float:
         """Called with the turn just taken: books everything since admission
@@ -537,23 +611,29 @@ class ShardWorker:
                 self._queue.put_nowait(job)
             except queue.Full:
                 return False
+            self._start_thread()
         if self._m_depth is not None:
             self._m_depth.set(self._queue.qsize())
         return True
 
     def join(self, timeout_s: float = 5.0) -> None:
         """Wait for the worker thread to exit (crashed workers: no-op soon)."""
-        self._thread.join(timeout=timeout_s)
+        if self._thread is not None:
+            self._thread.join(timeout=timeout_s)
 
     # ------------------------------------------------------------------
     # Shutdown
     # ------------------------------------------------------------------
     def close(self, timeout_s: float = 5.0) -> None:
-        """Stop accepting work, drain the queue, join the thread."""
+        """Stop accepting work, drain the queue, join the thread, and wait
+        (within ``timeout_s``) for the inline jobs already admitted."""
         if self._closed:
             return
-        with self._submit_lock:
+        with self._submit_lock, self._idle:
             self._closed = True
-        if not self.crashed:
+            started = self._thread is not None
+        if started and not self.crashed:
             self._queue.put(_STOP)  # blocks until there is room: queue drains
-        self._thread.join(timeout=timeout_s)
+        self.join(timeout_s)
+        with self._idle:
+            self._idle.wait_for(lambda: not self._in_flight, timeout_s)

@@ -297,10 +297,16 @@ class ShardStack:
                 return _REROUTED
             return apply(self.adapter)
 
-        result = self.worker.call(operation, job)
+        result = self._serve(operation, job)
         if result is _REROUTED:
             raise Rerouted()
         return result
+
+    def _serve(self, operation: str, fn: Callable[[], Any]) -> Any:
+        """Run one of this shard's serialised jobs (a mutation, an admin
+        read) and return its result: queued for the worker thread here;
+        a shard child runs it inline on the thread that read the op."""
+        return self.worker.call(operation, fn)
 
     def search(self, request: RideRequest,
                k: Optional[int]) -> List[MatchOption]:
@@ -342,7 +348,7 @@ class ShardStack:
     def admin(self, fn: Callable[[], Any], operation: str = "admin") -> Any:
         """Run a read of this stack on its worker thread (serialised with
         the shard's mutations; ``fn`` must late-bind through ``self``)."""
-        return self.worker.call(operation, fn)
+        return self._serve(operation, fn)
 
     def active_rides(self) -> List[Any]:
         return self.admin(lambda: self.adapter.active_rides())

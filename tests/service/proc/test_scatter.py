@@ -328,6 +328,11 @@ class TestChaos:
             def wrapped(*args):
                 process = victim.process
                 os.kill(process.pid, signal.SIGSTOP)
+                # SIGSTOP takes effect when a thread of the child next runs:
+                # until the whole child has stopped, its connection thread
+                # could still read the scattered frame and answer it.
+                _pid, status = os.waitpid(process.pid, os.WUNTRACED)
+                assert os.WIFSTOPPED(status)
                 try:
                     out = scatter(*args)
                 finally:

@@ -483,18 +483,22 @@ def test_a_bare_worker_binds_nothing():
 
 
 @needs_affinity
-def test_a_proc_child_launched_from_a_bound_thread_starts_unbound(
+def test_a_proc_child_launched_from_a_bound_thread_is_placed_on_its_slot(
     region, saved_region, workload, tmp_path
 ):
+    """Child *k* runs on ``sorted(UNBOUND)[k % n]``: placed from the
+    launcher's unbound mask, not the one CPU the turn bound it to."""
+    cpus = sorted(UNBOUND)
     with ShardRouter(region, 2, seed=11) as service:
         service.search(workload[0])  # this thread takes the turn: bound
         assert _mask() == {min(UNBOUND)}
         procs = ProcRouter(region, fast_config(
-            str(tmp_path / "run"), saved_region, n_shards=1))
+            str(tmp_path / "run"), saved_region, n_shards=2))
         try:
             assert procs.wait_all_live(30.0)
-            (child,) = procs.supervisor.shards
-            assert os.sched_getaffinity(child.process.pid) == UNBOUND
+            for slot, child in enumerate(procs.supervisor.shards):
+                assert os.sched_getaffinity(child.process.pid) == {
+                    cpus[slot % len(cpus)]}
             assert _mask() == {min(UNBOUND)}  # still bound after the launch
         finally:
             procs.close()
