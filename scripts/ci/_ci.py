@@ -1,5 +1,5 @@
-"""What the process-shard CI scripts share: the repo's ``src`` on the
-import path, and the ``xar`` CLI run as a subprocess from the repo root."""
+"""What the CI scripts share: the repo's ``src`` on the import path, and
+the ``xar`` CLI run as a subprocess from the repo root."""
 
 from __future__ import annotations
 

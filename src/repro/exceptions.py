@@ -98,7 +98,7 @@ class ServiceError(XARError):
 
 
 class ShardOverloadError(ServiceError):
-    """A shard's bounded request queue is full; the operation was shed.
+    """A shard's admission budget is full; the operation was shed.
 
     Admission control, not a crash: the caller may retry later or count the
     response against the shed-rate SLO.

@@ -8,7 +8,8 @@ completes — the crash-differential fuzzer raises from it to prove every
 window recovers cleanly):
 
 1. **drained** — every source slot is parked: no new operation can reach
-   it; accepted ones are held for its successor or wait in their caller;
+   it, and one accepted before that which has not started waits in its
+   caller, to re-resolve once the reshard is done;
 2. **synced** — every source's WAL is durable and its engine state has
    been serialised (live engine, or offline recovery of a stopped child);
 3. **carved** — the states are partitioned by ride-source ownership (split)
@@ -200,7 +201,7 @@ class ReshardMachine:
 
         fire_forward("committed")
         # Exactly one source survives either action (the split slot's left
-        # half, the merge destination); it inherits what the others held.
+        # half, the merge destination); it restarts last.
         (heir,) = [slot for slot in sources if slot in specs]
         for slot in specs:
             if slot != heir:
@@ -209,7 +210,7 @@ class ReshardMachine:
         self._g_epoch.set(table.epoch)
         for slot in sources:
             if slot != heir:
-                transport.retire(slot, heir)
+                transport.retire(slot)
         transport.start(specs[heir])
         fire_forward("swapped")
         self._c_reshard.labels(action=action).inc()

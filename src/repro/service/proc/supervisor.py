@@ -550,7 +550,7 @@ class ShardSupervisor:
     :class:`~repro.service.transport.ShardTransport`."""
 
     #: The controller's load signal: parent-side RPC round-trip, which
-    #: includes the child's queue wait.
+    #: includes the child's wait for its turn.
     load_metric = "xar_proc_rpc_latency_seconds"
 
     @staticmethod
@@ -821,7 +821,7 @@ class ShardSupervisor:
 
     def _stop_process(self, shard: ProcShard, *, force: bool = False) -> None:
         """Bring a shard's process down and drop its channels: SIGTERM (the
-        child finishes its queue and fsyncs the WAL), escalating to SIGKILL
+        child finishes the ops in flight and fsyncs the WAL), escalating to SIGKILL
         past the drain timeout — or SIGKILL outright with ``force``."""
         process = shard.process
         if process is not None and process.poll() is None:
@@ -1075,15 +1075,14 @@ class ShardSupervisor:
         them), so the old generation recovers exactly where it left off."""
         self.start(self.shards[slot].spec)
 
-    def retire(self, slot, heir):
+    def retire(self, slot):
         """A merged-away slot stays STOPPED for good: no process, no
-        restarts; callers parked on it re-resolve to ``heir``."""
-        del heir  # callers carry no queue here: they wait, then re-route
+        restarts; callers parked on it wait, then re-resolve."""
         self.shards[slot].set_state(STOPPED)
 
     def close(self, *, force: bool = False) -> None:
         """Drain and stop the fleet: SIGTERM (graceful drain in the child,
-        finishing queued mutations and syncing the WAL), escalate to
+        finishing the ops in flight and syncing the WAL), escalate to
         SIGKILL only past the drain timeout."""
         self._closing.set()
         monitor = getattr(self, "_monitor_thread", None)

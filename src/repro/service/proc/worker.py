@@ -18,11 +18,10 @@ numpy's BLAS pool included — run there.  On start the child
    request/response channels plus one dedicated heartbeat channel.
 
 **Every op runs on the thread that read it.**  A connection thread serves
-its op through :meth:`~repro.service.shard.ShardWorker.execute_inline` —
-admission, the interpreter's turn, the shard's stats and ``xar_shard_*``
-metrics — mutations and admin reads as well as searches.  No op reaches
-the worker's queue, so the child starts no ``xar-shard-*`` thread; the
-heartbeat's ``depth`` is the number of ops in flight.
+its op through the stack, whose worker runs every job on its caller's
+thread — admission, the interpreter's turn, the shard's stats and
+``xar_shard_*`` metrics — exactly as in a thread shard.  The heartbeat's
+``depth`` is the number of ops in flight.
 
 Failure semantics: a :class:`~repro.exceptions.WorkerCrashError` surfacing
 from the engine (injected mid-book crashes included) terminates the process
@@ -42,7 +41,7 @@ import socket
 import sys
 import threading
 import time
-from typing import Any, Callable, Dict
+from typing import Any, Dict
 
 from ...discretization import load_region, region_digest
 from ...exceptions import (
@@ -63,18 +62,6 @@ from .rpc import error_response, read_frame, write_frame
 CRASH_EXIT_CODE = 13
 
 
-class _ChildStack(ShardStack):
-    """A shard child's stack: mutations and admin reads run inline on the
-    connection thread that read them, in its turn, like searches."""
-
-    def _serve(self, operation: str, fn: Callable[[], Any]) -> Any:
-        return self.worker.execute_inline(operation, fn)
-
-    def stats(self) -> Dict[str, Any]:
-        # Nothing waits in a child's queue: its load is the ops in flight.
-        return {**super().stats(), "depth": self.worker.in_flight}
-
-
 class ShardProcess:
     """Everything one shard subprocess owns; built from the config dict."""
 
@@ -87,10 +74,9 @@ class ShardProcess:
         # children build theirs at the same time.  (Thread shards share
         # one region and keep the lazy build.)
         region.path_trees()
-        #: The stack a thread shard runs — recovered from the spec's WAL
-        #: when it exists — with every op on the inline path, so admission
-        #: control and the turn behave exactly as a thread shard's reads.
-        self.stack = _ChildStack(
+        #: The stack a thread shard runs, recovered from the spec's WAL
+        #: when it exists.
+        self.stack = ShardStack(
             region,
             ShardSpec(**config["spec"]),
             StackConfig(**config["stack"]),

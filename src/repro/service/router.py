@@ -4,7 +4,8 @@
 :class:`~repro.service.transport.ThreadTransport`: it partitions the
 region's cluster space with a :class:`~repro.service.sharding.ShardMap` and
 gives every slot its own :class:`~repro.core.XAREngine` behind a
-:class:`~repro.service.shard.ShardWorker` (worker thread + bounded queue).
+:class:`~repro.service.shard.ShardWorker` (admission control; every op
+runs on its caller's thread).
 Routing, fan-out search, the tick watermark, introspection and elastic
 resharding are the core's (docs/service.md, docs/resharding.md); this
 module only validates the thread-mode options and wires the pieces.
@@ -37,7 +38,7 @@ from .transport import ThreadTransport
 
 
 class ShardRouter(RouterCore):
-    """Sharded, concurrent ride-matching service over worker threads."""
+    """Sharded, concurrent ride-matching service over in-process shards."""
 
     def __init__(
         self,

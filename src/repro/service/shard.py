@@ -1,67 +1,61 @@
-"""One shard: an engine adapter behind a bounded queue and an inline path.
+"""One shard: an engine adapter behind admission control and the turn.
 
-Mutations (create / book / cancel / track) of a thread shard run on the
-shard's single worker thread, so write ordering per shard needs no
-cross-thread coordination beyond the queue itself.  The queue is
-*bounded*: when it is full, :meth:`ShardWorker.submit` refuses the job
-immediately with :class:`~repro.exceptions.ShardOverloadError` instead of
-buffering unbounded backlog.  That refusal is the service's load-shed
-response; callers count it against the shed-rate SLO rather than retrying
-blindly.  The worker thread is started by the first job queued, so a
-worker that never queues one has none.
+Every job a shard runs — search, mutation, admin read, tracking tick — runs
+on the thread that asked for it.  :meth:`ShardWorker.execute_inline`
+returns the job's result; :meth:`ShardWorker.submit` returns a finished
+future holding it, and :meth:`ShardWorker.call` unwraps that.  There is no
+queue and no worker thread: every engine op in the interpreter takes one
+turn anyway (below), so handing a job to another thread would only add two
+thread switches.  A thread shard and a shard child
+(``service/proc/worker.py``, whose connection threads serve every op) run
+their jobs the same way.
 
-Reads take a different road: :meth:`ShardWorker.execute_inline` runs the
-job in the *calling* thread, synchronised by the turn and the engine's own
-lock rather than the queue.  A queue round-trip costs two thread hand-offs
-— several GIL scheduling quanta under load, an order of magnitude more
-than a small cluster search — so pushing every fan-out read through the
-mailbox would drown the win of searching 1/N of the supply.  Inline jobs
-are still admission-controlled: a semaphore with the same ``queue_depth``
-bound refuses (sheds) jobs beyond the shard's concurrency budget.  A shard
-child serves *every* op this way (``service/proc/worker.py``): there the
-connection thread that read an op runs it, and no worker thread starts.
+Admission comes first.  At most ``queue_depth`` jobs of a shard are
+admitted and not yet finished; the next one is refused at once with
+:class:`~repro.exceptions.ShardOverloadError` instead of waiting.  That
+refusal is the service's load-shed response; callers count it against the
+shed-rate SLO rather than retrying blindly.  Every caller blocks on its
+own job, so one caller's jobs reach a shard in the order it issued them,
+and jobs of different callers are linearised by the turn.
 
-**One engine op at a time per interpreter.**  Every job a worker runs —
-inline or queued, on any shard of the process — first takes
-:data:`ENGINE_TURN`, a process-wide lock.  An engine op is a few hundred
-short numpy calls, each of which drops the GIL; two ops "overlapping" on
-one interpreter therefore trade it ~100 times per search and both finish
-later than if they had taken turns (measured on a 2-shard router: one
-thread 1 300 searches/s, two threads 555/s in total, two threads taking
-turns 1 300/s — docs/service.md).  The turn is taken *after* admission
-(read gate, bounded queue — shedding and per-shard FIFO order are
-untouched) and *before* the service clock starts, so waiting for it is
-queue wait, never service time.  WAL fsyncs and checkpoints happen inside
-the turn (at most one ~2.4 ms fsync per ``fsync_every`` = 64 appends); the
-resilient runtime's retry backoff does not (:meth:`_Turn.sleep`).
+**One engine op at a time per interpreter.**  Every job a worker runs, on
+any shard of the process, first takes :data:`ENGINE_TURN`, a process-wide
+lock.  An engine op is a few hundred short numpy calls, each of which drops
+the GIL; two ops "overlapping" on one interpreter therefore trade it ~100
+times per search and both finish later than if they had taken turns
+(measured on a 2-shard router: one thread 1 300 searches/s, two threads
+555/s in total, two threads taking turns 1 300/s — docs/service.md).  The
+turn is taken *after* admission (shedding is untouched) and *before* the
+service clock starts, so waiting for it is queue wait, never service time.
+WAL fsyncs and checkpoints happen inside the turn (at most one ~2.4 ms
+fsync per ``fsync_every`` = 64 appends); the resilient runtime's retry
+backoff does not (:meth:`_Turn.sleep`).
 
 **The turn's threads run on one CPU.**  While a thread transport is open
-(:meth:`_Turn.place`), each thread that takes the turn — shard workers and
-every caller thread that reads inline — is bound to one CPU the first time
-it does so: the lowest CPU the placement's first binder was allowed.
-Handing the turn over then wakes a thread on the same core instead of the
-other one.  When the last thread transport closes or is abandoned, every
-bound thread still alive gets its old mask back.  A process that opens no
-thread transport (a shard child, a bare :class:`ShardWorker`) binds
-nothing.  A shard child is started on its slot's CPU of its launcher's
-unbound mask (:meth:`_Turn.slot_cpu`), so it runs there from birth.
-Binding is best effort: a thread or child it fails for runs unbound.  One
-thread-mode interpreter therefore uses one core.
+(:meth:`_Turn.place`), each thread that takes the turn is bound to one CPU
+the first time it does so: the lowest CPU the placement's first binder was
+allowed.  Handing the turn over then wakes a thread on the same core
+instead of the other one.  When the last thread transport closes or is
+abandoned, every bound thread still alive gets its old mask back.  A
+process that opens no thread transport (a shard child, a bare
+:class:`ShardWorker`) binds nothing.  A shard child is started on its
+slot's CPU of its launcher's unbound mask (:meth:`_Turn.slot_cpu`), so it
+runs there from birth.  Binding is best effort: a thread or child it fails
+for runs unbound.  One thread-mode interpreter therefore uses one core.
 
 Observability: given a :class:`~repro.obs.MetricsRegistry` the worker
-reports queue depth (gauge), queue **wait** time vs **service** time
-(histograms — the classic "is latency the queue or the work?" split; the
-wait includes the wait for the turn) and completed/shed/errored jobs per
-operation (counters), all labelled with the shard id.  The legacy
-:class:`ShardStats` counters remain and are always maintained; read them
-race-free via :meth:`ShardWorker.stats_snapshot`.
+reports the jobs in flight (gauge ``xar_shard_queue_depth``), queue **wait**
+time vs **service** time (histograms — the classic "is latency the queue or
+the work?" split; the wait is the wait for the turn) and completed/shed/
+errored jobs per operation (counters), all labelled with the shard id.  The
+legacy :class:`ShardStats` counters remain and are always maintained; read
+them race-free via :meth:`ShardWorker.stats_snapshot`.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
-import queue
 import random
 import threading
 import time
@@ -81,36 +75,20 @@ from ..obs import DEFAULT_LATENCY_BUCKETS_S, MetricsRegistry
 class ShardStats:
     """Counters one shard accumulates over its lifetime."""
 
-    #: Jobs executed per operation name (worker thread + inline readers,
-    #: serialised by the worker's stats lock).
+    #: Jobs executed per operation name (serialised by the worker's stats
+    #: lock).
     completed: Dict[str, int] = field(default_factory=dict)
     #: Jobs refused at admission per operation name.
     shed: Dict[str, int] = field(default_factory=dict)
     #: Jobs that raised (the error still reaches the caller).
     errors: Dict[str, int] = field(default_factory=dict)
-    queue_peak: int = 0
 
     def as_dict(self) -> Dict[str, Any]:
         return {
             "completed": dict(self.completed),
             "shed": dict(self.shed),
             "errors": dict(self.errors),
-            "queue_peak": self.queue_peak,
         }
-
-
-class _Job:
-    __slots__ = ("operation", "fn", "future", "enqueued_at")
-
-    def __init__(self, operation: str, fn: Callable[[], Any], future: Future,
-                 enqueued_at: float):
-        self.operation = operation
-        self.fn = fn
-        self.future = future
-        self.enqueued_at = enqueued_at
-
-
-_STOP = object()
 
 
 class _Turn:
@@ -213,11 +191,6 @@ class _Turn:
                 self._cpu, self._first_mask = cpu, old
             self._saved[threading.current_thread()] = old
 
-    def unbound(self) -> "contextlib.AbstractContextManager[None]":
-        """Run the block on the calling thread's unbound mask: a process
-        started inside it inherits that mask, not the placement's CPU."""
-        return self._launch_mask(lambda allowed: allowed)
-
     def slot_cpu(self, slot: int) -> "contextlib.AbstractContextManager[None]":
         """Run the block on the one CPU a process shard's ``slot`` is placed
         on — ``sorted(allowed)[slot % len(allowed)]`` of the calling
@@ -298,7 +271,8 @@ ENGINE_TURN = _Turn()
 
 
 class ShardWorker:
-    """A single-threaded executor owning one shard's engine adapter."""
+    """Admission control and the turn in front of one shard's adapter:
+    every job runs on the thread that asked for it."""
 
     def __init__(
         self,
@@ -317,21 +291,15 @@ class ShardWorker:
         #: anything stochastic a shard does draws from here so runs replay.
         self.rng = random.Random(seed)
         self.stats = ShardStats()
-        self._queue: "queue.Queue[Any]" = queue.Queue(maxsize=queue_depth)
-        #: Concurrency budget for the inline read path (same bound as the
-        #: write queue, enforced without a worker hand-off).
-        self._read_gate = threading.Semaphore(queue_depth)
-        #: Inline jobs admitted and not yet finished; ``close`` waits on
-        #: ``_idle`` for them, and admission re-checks ``_closed`` under it.
+        #: Jobs admitted and not yet finished, at most ``queue_depth``.
+        #: Guarded by ``_idle``, which ``close`` and ``retire`` wait on.
         self._in_flight = 0
         self._idle = threading.Condition()
         self._stats_lock = threading.Lock()
         self._closed = False
-        #: Set when the worker thread died on a :class:`WorkerCrashError`.
-        #: Guarded by ``_submit_lock`` on the mutation path so a submitter
-        #: can never slip a job past a concurrent failover's queue drain.
+        #: Set when a job died on a :class:`WorkerCrashError` or the worker
+        #: was retired: no job starts against this engine any more.
         self.crashed = False
-        self._submit_lock = threading.Lock()
         #: Registry instruments (None when the worker is uninstrumented).
         self._m_ops = self._m_depth = self._m_wait = self._m_service = None
         if metrics is not None:
@@ -343,13 +311,13 @@ class ShardWorker:
             )
             self._m_depth = metrics.gauge(
                 "xar_shard_queue_depth",
-                "Jobs currently waiting in the shard's bounded queue",
+                "Jobs admitted to the shard and not yet finished",
                 labels=("shard",),
             ).labels(shard=shard_label)
             self._m_wait = metrics.histogram(
                 "xar_shard_queue_wait_seconds",
-                "Time a job waited before running: in the shard queue and "
-                "for the interpreter's turn",
+                "Time a job waited before running: from admission to the "
+                "interpreter's turn",
                 labels=("shard",),
                 buckets=DEFAULT_LATENCY_BUCKETS_S,
             ).labels(shard=shard_label)
@@ -360,10 +328,6 @@ class ShardWorker:
                 buckets=DEFAULT_LATENCY_BUCKETS_S,
             )
         self._shard_label = str(shard_id)
-        #: The worker thread, started by the first job queued (under the
-        #: submit lock): a worker whose jobs all run inline — a shard
-        #: child's — never starts one.
-        self._thread: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------
     # Stats plumbing (legacy counters + registry, one call site each)
@@ -378,13 +342,8 @@ class ShardWorker:
             ).inc()
 
     @property
-    def depth(self) -> int:
-        """Jobs currently waiting in the queue (racy read, load signal)."""
-        return self._queue.qsize()
-
-    @property
     def in_flight(self) -> int:
-        """Inline jobs admitted and not yet finished (racy read)."""
+        """Jobs admitted and not yet finished (racy read, load signal)."""
         return self._in_flight
 
     def stats_snapshot(self) -> Dict[str, Any]:
@@ -395,87 +354,76 @@ class ShardWorker:
             return self.stats.as_dict()
 
     # ------------------------------------------------------------------
-    # Submission (any thread)
+    # Running a job (any thread)
     # ------------------------------------------------------------------
     def submit(self, operation: str, fn: Callable[[], Any]) -> "Future[Any]":
-        """Enqueue a job; sheds immediately when the queue is full.
+        """Run ``fn`` now, on the calling thread, in its turn; returns a
+        finished future holding its result or the exception it raised.
 
-        Raises :class:`~repro.exceptions.WorkerCrashError` (``mid_op=False``
-        — the job never started, safe to retry elsewhere) when the worker
-        thread has died; the router's failover supervisor turns that into a
+        Refusals raise instead: :class:`ShardOverloadError` (shed),
+        :class:`ServiceClosedError`, and :class:`WorkerCrashError` with
+        ``mid_op=False`` — the job never started, safe to retry elsewhere —
+        when the worker is dead; the transport's failover turns that into a
         recover-and-retry.
         """
+        self._admit(operation)
         future: "Future[Any]" = Future()
-        job = _Job(operation, fn, future, time.perf_counter())
-        with self._submit_lock:
-            if self._closed:
-                raise ServiceClosedError(f"shard {self.shard_id} is shut down")
-            if self.crashed:
-                raise WorkerCrashError(
-                    f"shard {self.shard_id} worker is dead", mid_op=False
-                )
-            try:
-                self._queue.put_nowait(job)
-            except queue.Full:
-                self._count(self.stats.shed, operation, "shed")
-                raise ShardOverloadError(self.shard_id, operation) from None
-            self._start_thread()
-        depth = self._queue.qsize()
-        if depth > self.stats.queue_peak:
-            self.stats.queue_peak = depth
-        if self._m_depth is not None:
-            self._m_depth.set(depth)
+        try:
+            future.set_result(self._serve(operation, fn))
+        except Exception as exc:  # noqa: BLE001 - relayed to the caller
+            future.set_exception(exc)
         return future
 
-    def _start_thread(self) -> None:
-        """Start the worker thread if no job has yet (submit lock held)."""
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._run, name=f"xar-shard-{self.shard_id}",
-                daemon=True)
-            self._thread.start()
-
     def call(self, operation: str, fn: Callable[[], Any]) -> Any:
-        """Submit and wait: the synchronous single-shard path."""
+        """:meth:`submit` and unwrap: the job's result, or its exception
+        raised."""
         return self.submit(operation, fn).result()
 
     def execute_inline(self, operation: str, fn: Callable[[], Any]) -> Any:
-        """Run ``fn`` in the caller's thread, in its turn: no hand-off.
+        """:meth:`submit` without the future: the read path of every
+        transport and every op of a shard child."""
+        self._admit(operation)
+        return self._serve(operation, fn)
 
-        The read fast path of every transport, and the only path of a shard
-        child, whose connection threads serve every op this way.  Sheds
-        with :class:`ShardOverloadError` when the shard's concurrency
-        budget — ``queue_depth`` simultaneous inline jobs — is exhausted.
-        A :class:`WorkerCrashError` out of ``fn`` marks the worker crashed
-        before the turn is given away, so no later job runs against an
-        engine that may be behind its own WAL.
-        """
-        if self._closed:
-            raise ServiceClosedError(f"shard {self.shard_id} is shut down")
-        if self.crashed:
-            # The in-memory engine may be behind its own write-ahead log
-            # (e.g. a booking logged but never spliced); answers from it
-            # would diverge from the recovered state, so reads fail over too.
-            raise WorkerCrashError(
-                f"shard {self.shard_id} worker is dead", mid_op=False
-            )
-        if not self._read_gate.acquire(blocking=False):
-            self._count(self.stats.shed, operation, "shed")
-            raise ShardOverloadError(self.shard_id, operation)
+    def _dead(self) -> WorkerCrashError:
+        # The in-memory engine may be behind its own write-ahead log (e.g.
+        # a booking logged but never spliced); answers from it would
+        # diverge from the recovered state, so every op fails over.
+        return WorkerCrashError(
+            f"shard {self.shard_id} worker is dead", mid_op=False)
+
+    def _admit(self, operation: str) -> None:
+        """Count a job in, or refuse it: shut down, dead, or shed when
+        ``queue_depth`` jobs are already in flight."""
         with self._idle:
             if self._closed:
-                self._read_gate.release()
-                raise ServiceClosedError(
-                    f"shard {self.shard_id} is shut down")
+                raise ServiceClosedError(f"shard {self.shard_id} is shut down")
+            if self.crashed:
+                raise self._dead()
+            if self._in_flight >= self.queue_depth:
+                self._count(self.stats.shed, operation, "shed")
+                raise ShardOverloadError(self.shard_id, operation)
             self._in_flight += 1
+            if self._m_depth is not None:
+                self._m_depth.set(self._in_flight)
+
+    def _serve(self, operation: str, fn: Callable[[], Any]) -> Any:
+        """Run an admitted job in the caller's turn, then count it out.
+
+        A job that takes the turn after the worker died or was retired
+        bounces unstarted.  A :class:`WorkerCrashError` out of ``fn`` marks
+        the worker crashed before the turn is given away, so no later job
+        runs against an engine that may be behind its own WAL.
+        """
         admitted = time.perf_counter()
         try:
             with ENGINE_TURN:
                 if self.crashed:
-                    raise WorkerCrashError(
-                        f"shard {self.shard_id} worker is dead", mid_op=False
-                    )
-                started = self._service_begins(admitted)
+                    raise self._dead()
+                # Everything since admission was queue wait; service starts.
+                started = time.perf_counter()
+                if self._m_wait is not None:
+                    self._m_wait.observe(started - admitted)
                 try:
                     result = fn()
                 except WorkerCrashError as exc:
@@ -493,147 +441,29 @@ class ShardWorker:
                 ).observe(time.perf_counter() - started)
             return result
         finally:
-            self._read_gate.release()
             with self._idle:
                 self._in_flight -= 1
+                if self._m_depth is not None:
+                    self._m_depth.set(self._in_flight)
                 if not self._in_flight:
                     self._idle.notify_all()
 
-    def _service_begins(self, waiting_since: float) -> float:
-        """Called with the turn just taken: books everything since admission
-        as queue wait and starts the service clock."""
-        started = time.perf_counter()
-        if self._m_wait is not None:
-            self._m_wait.observe(started - waiting_since)
-        return started
-
     # ------------------------------------------------------------------
-    # Worker loop (the shard thread)
+    # Retirement and shutdown
     # ------------------------------------------------------------------
-    def _run(self) -> None:
-        while True:
-            job = self._queue.get()
-            if job is _STOP:
-                break
-            if self._m_depth is not None:
-                self._m_depth.set(self._queue.qsize())
-            if not job.future.set_running_or_notify_cancel():
-                continue
-            try:
-                with ENGINE_TURN:
-                    started = self._service_begins(job.enqueued_at)
-                    result = job.fn()
-            except WorkerCrashError as exc:
-                # The worker "process" died mid-operation.  Flag the crash
-                # (mid_op: the op may already be in the WAL and must not be
-                # retried), relay it, and stop the loop WITHOUT draining the
-                # queue — pending jobs stay put for the failover supervisor
-                # to re-route or shed.
-                exc.mid_op = True
-                self.crashed = True
-                self._count(self.stats.errors, job.operation, "error")
-                job.future.set_exception(exc)
-                break
-            except BaseException as exc:  # noqa: BLE001 - relayed to caller
-                self._count(self.stats.errors, job.operation, "error")
-                job.future.set_exception(exc)
-            else:
-                self._count(self.stats.completed, job.operation, "completed")
-                if self._m_service is not None:
-                    self._m_service.labels(
-                        shard=self._shard_label, op=job.operation
-                    ).observe(time.perf_counter() - started)
-                job.future.set_result(result)
-
-    # ------------------------------------------------------------------
-    # Failover support (called by the router's supervisor)
-    # ------------------------------------------------------------------
-    def _take_pending(self, *, stop: bool) -> "list[_Job]":
-        """Atomically mark the worker crashed and take its queued jobs.
-
-        Holding the submit lock while draining closes the race with
-        concurrent submitters: after this returns, no job can ever reach
-        this worker's queue again.
-
-        The returned list is **FIFO by submission**: per-shard write
-        ordering is part of the service's contract (a create must not jump
-        a cancel that was accepted before it), and the caller requeues
-        these jobs verbatim, so any reordering here would survive into the
-        successor shard.  Queue drain order already is submission order;
-        the sort by enqueue timestamp makes the guarantee explicit and
-        self-enforcing rather than an accident of ``queue.Queue`` internals.
-        """
-        with self._submit_lock:
-            self.crashed = True
-            pending = []
-            while True:
-                try:
-                    job = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if job is not _STOP:
-                    pending.append(job)
-            pending.sort(key=lambda job: job.enqueued_at)
-            if stop:
-                # The queue was just emptied under the submit lock, so there
-                # is room for the sentinel; the worker thread exits after it.
-                self._queue.put_nowait(_STOP)
-            if self._m_depth is not None:
-                self._m_depth.set(0)
-            return pending
-
-    def drain_pending(self) -> "list[_Job]":
-        """Failover: take the queued jobs of a worker whose thread died."""
-        return self._take_pending(stop=False)
-
-    def retire(self) -> "list[_Job]":
-        """Stop a *healthy* worker for migration and take its queued jobs.
-
-        The elastic-resharding path needs what :meth:`drain_pending` gives a
-        failover, but for a worker whose thread is alive and must be
-        *stopped*, not merely abandoned.  Marking the worker crashed
-        redirects concurrent submitters into the transport's failover path
-        (where they block on the reshard lock and then re-resolve routing
-        under the new epoch); the stop sentinel lets the thread finish its
-        in-flight job against the old engine — whose WAL is synced before
-        the swap — and exit.  Caller joins, then requeues the returned jobs
-        on the successor worker(s).
-        """
-        return self._take_pending(stop=True)
-
-    def resubmit(self, job: _Job) -> bool:
-        """Requeue a drained job (its original future included) on this
-        worker; False when the queue is full (caller sheds the job)."""
-        with self._submit_lock:
-            if self._closed or self.crashed:
-                return False
-            try:
-                self._queue.put_nowait(job)
-            except queue.Full:
-                return False
-            self._start_thread()
-        if self._m_depth is not None:
-            self._m_depth.set(self._queue.qsize())
-        return True
-
-    def join(self, timeout_s: float = 5.0) -> None:
-        """Wait for the worker thread to exit (crashed workers: no-op soon)."""
-        if self._thread is not None:
-            self._thread.join(timeout=timeout_s)
-
-    # ------------------------------------------------------------------
-    # Shutdown
-    # ------------------------------------------------------------------
-    def close(self, timeout_s: float = 5.0) -> None:
-        """Stop accepting work, drain the queue, join the thread, and wait
-        (within ``timeout_s``) for the inline jobs already admitted."""
-        if self._closed:
-            return
-        with self._submit_lock, self._idle:
-            self._closed = True
-            started = self._thread is not None
-        if started and not self.crashed:
-            self._queue.put(_STOP)  # blocks until there is room: queue drains
-        self.join(timeout_s)
+    def retire(self, timeout_s: float = 5.0) -> None:
+        """Stop a healthy worker for a reshard: mark it crashed, so a job
+        that has not started bounces to its caller (whose failover blocks
+        on the reshard lock, then re-resolves routing under the new epoch),
+        and wait (within ``timeout_s``) for the job holding the turn to
+        finish against the old engine."""
         with self._idle:
+            self.crashed = True
+            self._idle.wait_for(lambda: not self._in_flight, timeout_s)
+
+    def close(self, timeout_s: float = 5.0) -> None:
+        """Admit nothing more and wait (within ``timeout_s``) for the jobs
+        already admitted to finish."""
+        with self._idle:
+            self._closed = True
             self._idle.wait_for(lambda: not self._in_flight, timeout_s)

@@ -19,7 +19,7 @@ worker that no longer owns the cluster.  :meth:`split_assignment` and
 :meth:`merge_assignment` derive candidate tables — a load-weighted cut of
 one shard's strip-ordered cluster range, or the union of two shards — but
 *install nothing*: the router owns the commit point because the swap must
-be coordinated with WAL carving and worker hand-off.
+be coordinated with WAL carving and the shards' restart.
 
 Routing rules derived from the partition:
 

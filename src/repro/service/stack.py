@@ -8,7 +8,8 @@ lane, **recovered** from checkpoint + WAL when the slot's log already
 exists (restart *is* crash recovery; there is no separate cold path);
 ``XARAdapter``, then the WAL decorator (innermost, so resilient retries are
 logged too), then the optional resilient runtime; and a
-:class:`~repro.service.shard.ShardWorker` in front.
+:class:`~repro.service.shard.ShardWorker` in front, which runs every op on
+the thread that asked for it.
 
 A :class:`ShardSpec` says *which* shard (slot, lane, files), a
 :class:`StackConfig` *how* every shard of the service is built.  The stack
@@ -22,7 +23,6 @@ subprocess adds RPC decoding.
 from __future__ import annotations
 
 import os
-from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -50,14 +50,14 @@ from .sharding import derive_seed
 class Rerouted(Exception):
     """Routing moved this operation's target before it was applied.
 
-    Raised at the transport boundary (never on a worker thread — there the
-    job *returns* a sentinel, because an exception would be miscounted as an
-    op failure); the router core catches it, re-resolves the slot under the
+    Raised at the transport boundary (never inside the job — there it
+    *returns* a sentinel, because an exception would be miscounted as an op
+    failure); the router core catches it, re-resolves the slot under the
     new routing table and resubmits.  The op has not touched any engine.
     """
 
 
-#: What a guarded job returns on the worker thread when its guard fails.
+#: What a guarded job returns when its guard fails.
 _REROUTED = object()
 
 
@@ -236,31 +236,19 @@ class ShardStack:
             else:
                 self.durable.abandon()
 
-    def adopt(self, fresh: Optional["ShardStack"], pending: List[Any],
-              drop: Callable[[Any], None]) -> None:
+    def adopt(self, fresh: Optional["ShardStack"]) -> None:
         """Continue as ``fresh`` (or, with ``None``, as the same stack behind
-        a new worker) and requeue ``pending`` jobs, original futures intact.
-
-        Engine + adapter are published first — requeued jobs late-bind
-        through this object and may start executing immediately — but the
-        worker is held back until every drained job is requeued: submitters
-        route through the worker, so while it is unpublished none of them
-        can race the survivors for queue slots and the drained jobs keep
-        their FIFO positions ahead of all later traffic.  Jobs the new
-        queue cannot hold go to ``drop``.
-        """
+        a new worker).  Engine and adapter are published before the worker:
+        jobs late-bind through this object, so one the new worker admits
+        finds the new engine."""
         if fresh is not None:
             self.spec, self.recovery = fresh.spec, fresh.recovery
             self.engine, self.adapter = fresh.engine, fresh.adapter
             self.durable = fresh.durable
-            worker = fresh.worker
+            self.worker = fresh.worker
         else:
             self.engine.fault_hook = None
-            worker = self._new_worker()
-        for job in pending:
-            if not worker.resubmit(job):
-                drop(job)
-        self.worker = worker
+            self.worker = self._new_worker()
 
     def entomb(self) -> None:
         """Become the tombstone of a merged-away slot."""
@@ -274,7 +262,7 @@ class ShardStack:
     def run(self, op: Op, args: Sequence[Any],
             guard: Optional[Callable[[], bool]] = None) -> Any:
         """The local body of a table op (:mod:`~repro.service.ops`): an
-        adapter job calls the op's adapter method on the worker thread, any
+        adapter job calls the op's adapter method through the worker, any
         other op is this stack's method of the op's name (a routed one
         takes the guard)."""
         if op.adapter_job:
@@ -286,49 +274,36 @@ class ShardStack:
 
     def mutate(self, operation: str, apply: Callable[[Any], Any],
                guard: Optional[Callable[[], bool]] = None) -> Any:
-        """Run one mutation on the worker thread against the current adapter.
+        """Run one mutation through the worker against the current adapter.
 
-        ``guard`` is the routing re-check: evaluated on the worker thread
-        right before the op would apply; when it fails the job touches
-        nothing and the caller gets :class:`Rerouted`.
+        ``guard`` is the routing re-check: evaluated in the turn right
+        before the op would apply; when it fails the job touches nothing
+        and the caller gets :class:`Rerouted`.
         """
         def job() -> Any:
             if guard is not None and not guard():
                 return _REROUTED
             return apply(self.adapter)
 
-        result = self._serve(operation, job)
+        result = self.worker.call(operation, job)
         if result is _REROUTED:
             raise Rerouted()
         return result
 
-    def _serve(self, operation: str, fn: Callable[[], Any]) -> Any:
-        """Run one of this shard's serialised jobs (a mutation, an admin
-        read) and return its result: queued for the worker thread here;
-        a shard child runs it inline on the thread that read the op."""
-        return self.worker.call(operation, fn)
-
     def search(self, request: RideRequest,
                k: Optional[int]) -> List[MatchOption]:
-        """The inline read path: runs in the caller's thread, in its turn,
-        under the engine's own lock — no worker hand-off."""
+        """The read path: runs in the caller's thread, in its turn, under
+        the engine's own lock."""
         return self.worker.execute_inline(
             "search", lambda: self.adapter.search(request, k)
-        )
-
-    def track(self, now_s: float) -> "Future[int]":
-        """Enqueue a tracking sweep; returns its future.  Late-bound: a job
-        requeued after failover sweeps the *recovered* engine."""
-        return self.worker.submit(
-            "track", lambda: self.adapter.track_all(now_s)
         )
 
     def find_ride(self, ride_id: int,
                   guard: Optional[Callable[[], bool]] = None) -> Any:
         """A ride (live or completed), read under the engine's lock.
 
-        Without the lock a concurrent cancel or completion sweep on the
-        worker thread could be observed mid-removal (popped from ``rides``
+        Without the lock a concurrent cancel or completion sweep on another
+        thread could be observed mid-removal (popped from ``rides``
         but not yet in ``completed_rides``), spuriously raising
         ``UnknownRideError`` for a ride that exists.  The guard is checked
         under the lock too: a reshard swap between resolve and read sends
@@ -346,9 +321,9 @@ class ShardStack:
         return ride
 
     def admin(self, fn: Callable[[], Any], operation: str = "admin") -> Any:
-        """Run a read of this stack on its worker thread (serialised with
-        the shard's mutations; ``fn`` must late-bind through ``self``)."""
-        return self._serve(operation, fn)
+        """Run a read of this stack through its worker (serialised with the
+        shard's mutations; ``fn`` must late-bind through ``self``)."""
+        return self.worker.call(operation, fn)
 
     def active_rides(self) -> List[Any]:
         return self.admin(lambda: self.adapter.active_rides())
@@ -363,7 +338,7 @@ class ShardStack:
         return len(self.engine.rollbacks)
 
     def audit(self, heal: bool) -> Tuple[int, int]:
-        """Invariant sweep inside the worker: ``(violations, healed)``; with
+        """Invariant sweep in the shard's turn: ``(violations, healed)``; with
         ``heal`` index damage is repaired and a second sweep verifies."""
         def sweep() -> Tuple[int, int]:
             auditor = InvariantAuditor(self.engine)
@@ -380,7 +355,7 @@ class ShardStack:
         """Race-free counters: worker stats copied under its stats lock,
         engine state read under the engine's lock."""
         snapshot = self.worker.stats_snapshot()
-        snapshot["depth"] = self.worker.depth
+        snapshot["depth"] = self.worker.in_flight
         with self.engine.lock:
             snapshot["rides"] = self.engine.n_active_rides
             snapshot["bookings"] = self.engine.n_bookings

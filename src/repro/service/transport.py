@@ -2,11 +2,14 @@
 
 A transport owns the slot table of live shards and answers the table ops
 (:mod:`~repro.service.ops`) per slot; it knows nothing about routing.  :class:`ThreadTransport` keeps
-every slot as a :class:`~repro.service.stack.ShardStack` in this process and
-recovers a dead worker **in place** from its WAL, from the caller that trips
-over it; :class:`~repro.service.proc.supervisor.ShardSupervisor` runs the
-same stack in a supervised subprocess per slot, reached over a UNIX socket,
-and respawns dead processes from its monitor.
+every slot as a :class:`~repro.service.stack.ShardStack` in this process,
+runs every op on its caller's thread, and recovers a dead worker **in
+place** from its WAL, from the caller that trips over it.  An op that finds
+its worker dead or retired before it started bounces to its own caller,
+which fails over, then re-resolves or retries once; no op is ever held for
+a successor.  :class:`~repro.service.proc.supervisor.ShardSupervisor` runs
+the same stack in a supervised subprocess per slot, reached over a UNIX
+socket, and respawns dead processes from its monitor.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ class ShardTransport(Protocol):
     makes its WAL durable and serialises its engine, ``start`` boots a slot
     from a spec's files (one past the table = a new slot), ``resume``
     un-parks a source whose reshard aborted, ``retire`` tombstones a
-    merged-away source in favour of ``heir``.
+    merged-away source.
     """
 
     lock: Any  #: serialises failovers and reshard actions (re-entrant)
@@ -71,16 +74,9 @@ class ShardTransport(Protocol):
     def snapshot(self, slot) -> Dict[str, Any]: ...
     def start(self, spec: ShardSpec): ...
     def resume(self, slot): ...
-    def retire(self, slot, heir): ...
+    def retire(self, slot): ...
     def close(self): ...
     def abandon(self): ...
-
-
-#: Routed mutations: their jobs carry the routing guard, so they are safe to
-#: requeue on a *different* slot's worker during a merge (they bounce back
-#: to re-resolve, never touch the wrong adapter).
-_ROUTED_OPS = tuple(
-    op.name for op in OPS.values() if op.routed and op.adapter_job)
 
 
 class ThreadTransport:
@@ -106,7 +102,6 @@ class ThreadTransport:
         metrics: MetricsRegistry,
         engine_factory: Optional[Callable[[ShardSpec], XAREngine]] = None,
     ):
-        self.metrics = metrics
         #: One lock serialises all recoveries AND all reshard actions
         #: (re-entrant: a drain may heal a crashed shard first).
         self.lock = threading.RLock()
@@ -115,8 +110,6 @@ class ThreadTransport:
             ShardStack, region, config=config, digest=digest,
             metrics=metrics, engine_factory=engine_factory,
         )
-        #: Jobs taken off a drained slot's queue, held for its successor.
-        self._pending: Dict[int, List[Any]] = {}
         self._c_failovers = metrics.counter(
             "xar_failovers_total",
             "Shard worker crashes recovered by the failover supervisor",
@@ -158,11 +151,12 @@ class ThreadTransport:
 
         A crash *mid-operation* re-raises after failover — the op may
         already be in the WAL, and recovery has replayed it, so a blind
-        retry would double-apply.  A crash *detected at submission*
-        (``mid_op=False``: the op never started — the worker was dead or
-        being retired) is retried once on the recovered shard; a routed
-        mutation (``reroute``) goes back to the core instead, which
-        re-resolves — routing may have moved — and resubmits.
+        retry would double-apply.  An op that *never started*
+        (``mid_op=False``: the worker was dead or retired when it was
+        admitted or when it took the turn) is retried once on the recovered
+        shard; a routed mutation (``reroute``) goes back to the core
+        instead, which re-resolves — routing may have moved — and
+        resubmits.
         """
         shard = self._live(slot)
         try:
@@ -175,17 +169,9 @@ class ThreadTransport:
                 raise Rerouted() from None
             return attempt(shard)
 
-    def _drop(self, slot: int, job: Any) -> None:
-        """Shed a drained job the successor queue cannot hold."""
-        self.metrics.counter(
-            "xar_shard_ops_total", labels=("shard", "op", "outcome"),
-        ).labels(shard=str(slot), op=job.operation, outcome="dropped").inc()
-        job.future.set_exception(ShardOverloadError(slot, job.operation))
-
     def _failover(self, shard: ShardStack) -> None:
-        """Recover a crashed shard in place: drain its queue, replay its
-        WAL (checkpoint + suffix) into a fresh stack, requeue the drained
-        jobs (original futures intact)."""
+        """Recover a crashed shard in place: replay its WAL (checkpoint +
+        suffix) into a fresh stack."""
         with self.lock:
             if self._closed:
                 raise ServiceClosedError("service is shut down")
@@ -199,14 +185,11 @@ class ThreadTransport:
                     f"shard {shard.shard_id} crashed but the service has no "
                     "durability configured: its state is unrecoverable"
                 )
-            pending = shard.worker.drain_pending()
-            shard.worker.join(timeout_s=5.0)
             # Disarm any one-shot crash hook and release the dead stack's
             # WAL handle so the rebuilt stack can reopen the file.
             shard.engine.fault_hook = None
             shard.release_wal(sync=False)
-            shard.adopt(self._build(spec=shard.spec), pending,
-                        functools.partial(self._drop, shard.shard_id))
+            shard.adopt(self._build(spec=shard.spec))
             self._c_failovers.labels(shard=str(shard.shard_id)).inc()
 
     def supervise(self) -> int:
@@ -219,7 +202,7 @@ class ThreadTransport:
 
     def crash(self, slot: int, *, mid_book: bool = False) -> None:
         """Chaos: kill a shard's worker as a process death would — a job
-        that dies on the worker thread, or the armed mid-book hook."""
+        that dies in the shard's turn, or the armed mid-book hook."""
         shard = self.shards[slot]
         if shard.spec.wal_path is None:
             raise ConfigurationError(
@@ -234,7 +217,7 @@ class ThreadTransport:
             raise WorkerCrashError(f"injected crash in shard {slot}")
 
         try:
-            shard.worker.submit("crash", die).result(timeout=5.0)
+            shard.worker.call("crash", die)
         except (WorkerCrashError, ShardOverloadError, ServiceClosedError):
             pass  # dead now — or already dead, saturated, shutting down
 
@@ -250,10 +233,9 @@ class ThreadTransport:
             reroute=spec.adapter_job)
 
     def search_many(self, slots, request, k):
-        """Inline reads, run one after the other as they are gathered: a
-        fan-out of three shards costs three small searches, not six thread
-        hand-offs, and inside one interpreter there is nothing to overlap
-        them with (the turn, :mod:`~repro.service.shard`)."""
+        """Reads, run one after the other as they are gathered: inside one
+        interpreter there is nothing to overlap them with (the turn,
+        :mod:`~repro.service.shard`)."""
         def read(shard: ShardStack) -> Any:
             return shard.search(request, k)
 
@@ -261,20 +243,20 @@ class ThreadTransport:
                 for slot in slots]
 
     def track(self, slot, now_s):
-        shard = self._live(slot)
-        future = shard.track(now_s)
-
-        def sweep() -> int:
+        def sweep(shard: ShardStack) -> int:
             try:
-                return future.result()
-            except WorkerCrashError:
+                return shard.run(OPS["track"], (now_s,))
+            except WorkerCrashError as exc:
+                if not exc.mid_op:
+                    raise  # never started: recovered, then retried once
                 # The tick crashed this shard mid-sweep.  Its WAL holds the
                 # track record, so recovery replays the sweep; the tick is
                 # not lost, just accounted to the recovered engine.
                 self._failover(shard)
                 return 0
 
-        return sweep
+        swept = self._with_failover(slot, sweep)
+        return lambda: swept
 
     # ------------------------------------------------------------------
     # Introspection
@@ -299,13 +281,12 @@ class ThreadTransport:
     # Reshard steps
     # ------------------------------------------------------------------
     def drain(self, slot, *, force=False):
-        """Retire the slot's worker: no new job can ever reach its queue
-        (submitters trip the failover path, block on the lock, then
-        re-resolve), the in-flight job finishes, pending jobs are held."""
-        del force  # a worker thread has no process to signal
+        """Retire the slot's worker: an op that has not started bounces to
+        its caller (which fails over: blocks on the lock, then
+        re-resolves), the op holding the turn finishes."""
+        del force  # a thread shard has no process to signal
         shard = self._live(slot)  # heal a crashed shard before carving it
-        self._pending[slot] = shard.worker.retire()
-        shard.worker.join(timeout_s=5.0)
+        shard.worker.retire()
         shard.engine.fault_hook = None
 
     def snapshot(self, slot):
@@ -317,8 +298,7 @@ class ThreadTransport:
     def resume(self, slot):
         """The old engine, adapter and WAL handle are untouched (carving
         only *read* state), so a fresh worker restores service."""
-        self.shards[slot].adopt(None, self._pending.pop(slot, []),
-                                functools.partial(self._drop, slot))
+        self.shards[slot].adopt(None)
 
     def start(self, spec):
         """Boot a slot from its files.  A surviving slot's rebuild
@@ -330,24 +310,12 @@ class ThreadTransport:
         else:
             shard = self.shards[slot]
             shard.release_wal(sync=True)
-            shard.adopt(self._build(spec=spec), self._pending.pop(slot, []),
-                        functools.partial(self._drop, slot))
+            shard.adopt(self._build(spec=spec))
         if spec.wal_path is not None:
             self._c_failovers.labels(shard=str(slot))
 
-    def retire(self, slot, heir):
-        """Tombstone a merged-away slot; its held jobs move to the heir's."""
-        inherited = self._pending.setdefault(heir, [])
-        for job in self._pending.pop(slot, []):
-            if job.operation == "track":
-                # Best-effort tick: the merged engine is swept by the next
-                # tick; resolving the future keeps the broadcaster moving.
-                job.future.set_result(0)
-            elif job.operation in _ROUTED_OPS:
-                inherited.append(job)
-            else:
-                self._drop(slot, job)
-        inherited.sort(key=lambda job: job.enqueued_at)
+    def retire(self, slot):
+        """Tombstone a merged-away slot: its ops bounced when it drained."""
         self.shards[slot].entomb()
 
     # ------------------------------------------------------------------

@@ -93,7 +93,7 @@ def test_a_child_serves_every_op_on_the_calling_thread(
     saved_region_dir, tmp_path, small_city, small_region
 ):
     """Mutations, ticks and admin reads run inline like searches: no op
-    reaches the worker's queue and no ``xar-shard-*`` thread is started,
+    is handed to another thread and no ``xar-shard-*`` thread is started,
     while the shard's stats and ``xar_shard_*`` metrics are kept."""
     before = {thread.ident for thread in threading.enumerate()}
     child = _child(saved_region_dir, tmp_path)
@@ -123,7 +123,7 @@ def test_a_child_serves_every_op_on_the_calling_thread(
         started = [thread.name for thread in threading.enumerate()
                    if thread.ident not in before]
         assert not [name for name in started if name.startswith("xar-shard")]
-        assert worker._thread is None and worker.depth == 0
+        assert worker.in_flight == 0
         completed = worker.stats_snapshot()["completed"]
         assert completed["create"] == len(rides)
         assert completed["book"] == booked

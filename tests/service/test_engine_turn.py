@@ -1,8 +1,8 @@
 """The interpreter's turn: one engine op at a time, on every shard.
 
 ``ShardWorker`` takes the process-wide ``ENGINE_TURN`` around every job it
-runs — inline read or queued mutation — after admission and before the
-service clock starts.  While a thread transport is open, every thread that
+runs, read or mutation, on the caller's thread — after admission and before
+the service clock starts.  While a thread transport is open, every thread that
 takes the turn runs on one CPU.  These tests pin what that must and must
 not change.
 """
@@ -126,9 +126,8 @@ def test_one_op_at_a_time_fifo_per_shard_and_sequential_answers(
             for shard in service.shards:
                 shard.adapter = probe.wrap(shard.shard_id, shard.adapter)
 
-            # Phase 1: one submitter per shard pipelines its creates into
-            # the shard's queue (submission order = list order) while two
-            # readers fan searches out over both shards.
+            # Phase 1: one submitter per shard issues its creates (in list
+            # order) while two readers fan searches out over both shards.
             by_slot = {0: [], 1: []}
             for ride in supply:
                 by_slot[service.table.slot_of_point(ride[0])].append(ride)
@@ -193,8 +192,11 @@ def test_turn_wait_is_queue_wait_not_service_time():
     waiter = ShardWorker(1, None, queue_depth=4, metrics=metrics)
     inside = threading.Event()
     release = threading.Event()
+    held = []
+    hold = threading.Thread(target=lambda: held.append(holder.submit(
+        "hold", lambda: inside.set() or release.wait(5))))
     try:
-        held = holder.submit("hold", lambda: inside.set() or release.wait(5))
+        hold.start()
         assert inside.wait(timeout=5)  # shard 0's job has the turn
         reader = threading.Thread(
             target=waiter.execute_inline, args=("search", lambda: None))
@@ -202,8 +204,8 @@ def test_turn_wait_is_queue_wait_not_service_time():
         time.sleep(0.1)  # shard 1's read waits for the turn this long
         assert reader.is_alive()
         release.set()
-        _join([reader])
-        assert held.result(timeout=5) is True
+        _join([reader, hold])
+        assert held[0].result(timeout=0) is True
     finally:
         release.set()
         holder.close()
@@ -239,7 +241,7 @@ def test_a_read_completes_while_another_shard_sleeps_in_retry_backoff(
             service.create(source, destination, 0.0)))
         creator.start()
         assert faulted.wait(timeout=5)
-        # The create now sleeps >= 0.5 s on its worker thread, mid-job.
+        # The create now sleeps >= 0.5 s on its caller's thread, mid-job.
         other = service.shards[1 - slot]
         started = time.monotonic()
         assert other.worker.execute_inline("search", lambda: "served") == (
@@ -370,14 +372,14 @@ def test_every_thread_that_takes_the_turn_shares_one_cpu(
 ):
     assert _mask() == UNBOUND
     with ShardRouter(region, 2, seed=11) as service:
-        _fill(service, _supply(city, 40))  # the workers take the turn
+        supply = _supply(city, 40)
+        clients.run(lambda i: _fill(service, supply[i::2]))
         clients.run(lambda i: _answers(service, workload[i:40:2]))
-        masks = clients.run(lambda i: _mask())
-        masks += [
-            frozenset(os.sched_getaffinity(shard.worker._thread.native_id))
-            for shard in service.shards]
-        assert masks == [frozenset({min(UNBOUND)})] * 4
-        assert _mask() == UNBOUND  # submitted, never took the turn itself
+        assert clients.run(lambda i: _mask()) == [
+            frozenset({min(UNBOUND)})] * 2
+        assert not [thread for thread in threading.enumerate()
+                    if thread.name.startswith("xar-shard")]  # all on clients
+        assert _mask() == UNBOUND  # never took the turn itself
 
 
 @needs_affinity
@@ -412,13 +414,11 @@ def test_binding_that_fails_changes_no_answer_and_binds_nothing(
 
     def run():
         with ShardRouter(region, 2, seed=11) as service:
-            created = _fill(service, supply)
+            created = clients.run(
+                lambda i: _fill(service, supply) if i == 0 else None)
             answers = clients.run(
                 lambda i: _answers(service, workload[i:60:2]))
             masks = clients.run(lambda i: _mask())
-            masks += [
-                frozenset(os.sched_getaffinity(shard.worker._thread.native_id))
-                for shard in service.shards]
         return created, answers, masks
 
     expected_created, expected_answers, _ = run()
@@ -433,7 +433,7 @@ def test_binding_that_fails_changes_no_answer_and_binds_nothing(
     assert attempts  # binding was tried, refused, and every op ran anyway
     assert created == expected_created
     assert answers == expected_answers
-    assert masks == [UNBOUND] * 4
+    assert masks == [UNBOUND] * 2
 
 
 @needs_affinity
@@ -506,16 +506,19 @@ def test_a_proc_child_launched_from_a_bound_thread_is_placed_on_its_slot(
 
 
 @needs_affinity
-def test_a_thread_that_inherited_the_binding_launches_unbound_after_close(
+def test_an_inherited_binding_places_a_child_on_its_slot_after_close(
     region, workload
 ):
+    """A thread started from a bound thread inherits the one-CPU mask and
+    keeps it after the close; a child it launches is still placed from the
+    unbound mask — slot 1 on the second CPU, not on the old turn CPU."""
     one_cpu = frozenset({min(UNBOUND)})
     with ShardRouter(region, 2, seed=11) as service:
         service.search(workload[0])  # this thread takes the turn: bound
         heir = _Clients(1)  # started from the bound thread: inherits it
 
     def launch(_index):
-        with ENGINE_TURN.unbound():
+        with ENGINE_TURN.slot_cpu(1):
             child = subprocess.Popen(
                 [sys.executable, "-c", "import time; time.sleep(60)"])
         try:
@@ -528,7 +531,10 @@ def test_a_thread_that_inherited_the_binding_launches_unbound_after_close(
         assert _mask() == UNBOUND
         # Never took the turn, so the close did not restore it ...
         assert heir.run(lambda i: _mask()) == [one_cpu]
-        # ... but what it launches starts unbound, and it keeps its mask.
-        assert heir.run(launch) == [(UNBOUND, one_cpu)]
+        # ... but what it launches is placed off that CPU, and it keeps
+        # its mask.
+        (placed, kept), = heir.run(launch)
+        assert placed == {sorted(UNBOUND)[1]} and placed != one_cpu
+        assert kept == one_cpu
     finally:
         heir.close()

@@ -161,44 +161,63 @@ def test_restart_recovers_cold_state(region, city, tmp_path):
         assert second.audit()["violations"] == 0
 
 
-def test_failover_requeues_pending_jobs_in_submission_order(
+def test_ops_waiting_behind_a_crash_bounce_and_land_on_the_recovered_shard(
     durable_service, city
 ):
-    """Jobs still queued when a worker dies replay on the recovered worker
-    in the order they were accepted — per-shard write ordering is part of
-    the service contract and must survive a failover requeue."""
+    """Creates admitted while the job that kills the worker holds the turn
+    never start on the dead engine: each bounces to its own caller, which
+    recovers the shard (once, whoever gets there first) and lands its create
+    on the recovered engine exactly once."""
     worker = durable_service.shards[0].worker
-    gate = threading.Event()
-    executed = []
+    nodes = list(city.nodes())
+    supply = [
+        (city.position(a), city.position(b), float(i))
+        for i, (a, b) in enumerate(zip(nodes[::7], nodes[211::7]))
+        if durable_service.table.slot_of_point(city.position(a)) == 0
+    ][:5]
+    assert len(supply) == 5
+    inside, gate = threading.Event(), threading.Event()
+    created, errors = [], []
 
-    # Park the worker on a blocking job so everything submitted after it
-    # piles up in the queue instead of running.
-    blocker = worker.submit("block", gate.wait)
-    # The injected death lands in the queue *ahead* of the probes (it has
-    # to run off the worker thread: crash_shard blocks on the die job).
-    crasher = threading.Thread(
-        target=durable_service.crash_shard, args=(0,), daemon=True
-    )
-    crasher.start()
+    def die():
+        inside.set()
+        assert gate.wait(timeout=5)
+        raise WorkerCrashError("injected crash in shard 0")
+
+    def kill():
+        with pytest.raises(WorkerCrashError):
+            worker.call("crash", die)
+
+    def create(ride):
+        try:
+            created.append(durable_service.create(*ride).ride_id)
+        except XARError as exc:
+            errors.append(exc)
+
+    killer = threading.Thread(target=kill)
+    killer.start()
+    assert inside.wait(timeout=5)
+    creators = [threading.Thread(target=create, args=(ride,))
+                for ride in supply]
+    for thread in creators:
+        thread.start()
     deadline = time.monotonic() + 5.0
-    while worker._queue.qsize() < 1:  # die job queued => probes land after it
-        assert time.monotonic() < deadline, "injected crash never enqueued"
+    while worker.in_flight < 1 + len(supply):  # all parked behind the kill
+        assert time.monotonic() < deadline, "creates were never admitted"
         time.sleep(0.001)
-    probes = [
-        worker.submit("probe", (lambda i=i: executed.append(i)))
-        for i in range(5)
-    ]
-
     gate.set()
-    crasher.join(timeout=5.0)
-    blocker.result(timeout=5.0)
-    assert worker.crashed
+    for thread in [killer, *creators]:
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
 
-    assert durable_service.supervise() == 1
-    for future in probes:
-        future.result(timeout=5.0)
-    assert executed == list(range(5))
-    _seed(durable_service, city, random.Random(44), n_creates=6, n_books=0)
+    assert worker.crashed and not errors
+    assert durable_service.shards[0].worker is not worker
+    assert worker.stats_snapshot()["completed"] == {}  # none ran on it
+    failovers = durable_service.metrics.get("xar_failovers_total")
+    assert failovers.labels(shard="0").value == 1
+    assert sorted(created) == sorted(
+        ride.ride_id for ride in durable_service.active_rides())
+    assert len(created) == len(supply)
     durable_service.crash_shard(0)
     durable_service.crash_shard(0)  # already dead: nothing to kill
     assert durable_service.supervise() == 1

@@ -22,6 +22,8 @@ from repro.durability import read_topology, recover_engine, topology_path
 from repro.exceptions import ConfigurationError, ReshardError, XARError
 from repro.service import ReshardConfig, ReshardController
 
+from .conftest import Fleet
+
 PHASES = ["drained", "synced", "carved", "committed", "swapped"]
 
 
@@ -419,6 +421,104 @@ def test_ops_that_wait_out_a_split_land_on_the_owning_slot(
         for record in booked:
             home = router.shard_of_ride(record.ride_id)
             assert fleet.holds(router, home, record.ride_id)
+            assert (record.request_id, record.ride_id) in ledger_pairs(router)
+            assert record.request_id in router.find_ride(
+                record.ride_id
+            ).passengers
+        assert router.audit()["violations"] == 0
+
+
+def test_thread_ops_parked_behind_a_split_drain_land_on_the_owning_slot(
+    region, workload, tmp_path
+):
+    """Thread twin of the test above for ops *admitted* before the drain:
+    creates and books waiting for the turn when slot 0 is retired never
+    start on the old engine.  Each bounces to its own caller, which waits
+    out the split and lands on the slot that owns its source cluster or
+    ride after the swap — nothing is held for a successor."""
+    requests = list(workload)
+    with Fleet("thread", region, None).open(tmp_path) as router:
+        probes = []
+        for request in requests[:80]:
+            if router.shard_map.shard_of_point(request.source) != 0:
+                continue
+            ride = router.create(request.source, request.destination,
+                                 request.window_start_s, 3, None)
+            probes.extend(
+                (request, match) for match in router.search(request)
+                if match.ride_id == ride.ride_id
+            )
+        sources = [
+            r for r in requests[200:320]
+            if router.shard_map.shard_of_point(r.source) == 0
+        ]
+        assert len(probes) >= 5 and len(sources) >= 10
+        worker = router.shards[0].worker
+        ran_before = worker.stats_snapshot()["completed"]
+        inside, release = threading.Event(), threading.Event()
+        created, booked, errors, new_slot = [], [], [], []
+
+        def hold():
+            inside.set()
+            assert release.wait(timeout=30)
+
+        def create(request):
+            try:
+                ride = router.create(request.source, request.destination,
+                                     request.window_start_s, 2, None)
+                created.append((request, ride.ride_id))
+            except XARError as exc:
+                errors.append(exc)
+
+        def book(request, match):
+            try:
+                booked.append(router.book(request, match))
+            except XARError:
+                pass  # a legitimately unbookable match, not a routing bug
+
+        parked = [
+            threading.Thread(target=create, args=(r,)) for r in sources[:12]
+        ] + [
+            threading.Thread(target=book, args=probe) for probe in probes[:12]
+        ]
+        holder = threading.Thread(target=worker.call, args=("admin", hold))
+        splitter = threading.Thread(
+            target=lambda: new_slot.append(router.split_shard(0)))
+        try:
+            holder.start()
+            assert inside.wait(timeout=5)
+            for thread in parked:
+                thread.start()
+            deadline = time.monotonic() + 10.0
+            while worker.in_flight < 1 + len(parked):
+                assert time.monotonic() < deadline, "ops were never admitted"
+                time.sleep(0.005)
+            splitter.start()
+            deadline = time.monotonic() + 10.0
+            while not worker.crashed:  # the drain has retired slot 0
+                assert time.monotonic() < deadline, "slot 0 never drained"
+                time.sleep(0.005)
+        finally:
+            release.set()
+        for thread in [holder, splitter, *parked]:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert not errors, errors
+        assert created and booked and new_slot
+        # Only the holder ran on the old engine after the ops were parked.
+        assert worker.stats_snapshot()["completed"] == {
+            **ran_before, "admin": 1}
+
+        homes = set()
+        for request, ride_id in created:
+            home = router.shard_map.shard_of_point(request.source)
+            homes.add(home)
+            assert router.shard_of_ride(ride_id) == home
+            assert Fleet.holds(router, home, ride_id)
+        assert new_slot[0] in homes, "no parked create was carved right"
+        for record in booked:
+            home = router.shard_of_ride(record.ride_id)
+            assert Fleet.holds(router, home, record.ride_id)
             assert (record.request_id, record.ride_id) in ledger_pairs(router)
             assert record.request_id in router.find_ride(
                 record.ride_id

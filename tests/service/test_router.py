@@ -135,6 +135,75 @@ def test_fully_shed_search_raises_overload(region, workload):
         service.close()
 
 
+def test_a_mutation_beyond_the_budget_sheds_and_is_counted(region, workload):
+    """With ``queue_depth=1`` and one op of a shard in flight on another
+    thread, a create routed to that shard is refused at once — it neither
+    waits nor queues — and counted as shed."""
+    import threading
+
+    request = list(workload)[0]
+    service = ShardRouter(region, 2, queue_depth=1, seed=3)
+    worker = service.shards[service.table.slot_of_point(request.source)].worker
+    release = threading.Event()
+    started = threading.Event()
+    outcome = []
+
+    def block():
+        started.set()
+        assert release.wait(timeout=10)
+
+    def create():
+        try:
+            outcome.append(service.create(
+                request.source, request.destination, request.window_start_s))
+        except ShardOverloadError as exc:
+            outcome.append(exc)
+
+    blocker = threading.Thread(target=worker.call, args=("admin", block))
+    creator = threading.Thread(target=create)
+    try:
+        blocker.start()
+        assert started.wait(timeout=5)
+        creator.start()
+        creator.join(timeout=5)
+        assert not creator.is_alive(), "the create waited instead of shedding"
+        assert len(outcome) == 1
+        assert isinstance(outcome[0], ShardOverloadError)
+        assert outcome[0].operation == "create"
+        ops = service.metrics.get("xar_shard_ops_total")
+        assert ops.labels(shard=str(worker.shard_id), op="create",
+                          outcome="shed").value == 1
+    finally:
+        release.set()
+        blocker.join(timeout=5)
+        creator.join(timeout=5)
+        service.close()
+
+
+def test_a_thread_router_serves_every_op_without_a_shard_thread(
+    region, workload
+):
+    """Create, book and tick run on the caller's thread: no ``xar-shard-*``
+    thread is ever started, and the shards' stats still count every op."""
+    import threading
+
+    before = {thread.ident for thread in threading.enumerate()}
+    with ShardRouter(region, 2, seed=11) as service:
+        requests = list(workload)[:60]
+        _replay(service, requests)
+        service.track_all(600.0)
+        started = [thread.name for thread in threading.enumerate()
+                   if thread.ident not in before]
+        assert not [name for name in started if name.startswith("xar-shard")]
+        completed = {}
+        for shard in service.stats()["shards"]:
+            for op, n in shard["completed"].items():
+                completed[op] = completed.get(op, 0) + n
+        assert completed["create"] > 0 and completed["book"] > 0
+        assert completed["track"] == 2  # one sweep per shard
+        assert len(service.bookings()) == completed["book"]
+
+
 def test_stats_surface_shed_and_shard_sizes(service, workload):
     _replay(service, list(workload)[:30])
     stats = service.stats()

@@ -34,18 +34,18 @@ def test_shed_tick_does_not_advance_watermark(region, workload):
             running.set()
             release.wait(timeout=10)
 
-        # Occupy the worker thread, then fill the (depth-1) queue: the next
-        # submit of any job — including a tracking tick — sheds.
-        blocker = worker.submit("admin", block)
+        # A job blocked on another thread fills the (depth-1) admission
+        # budget: the next job — including a tracking tick — sheds.
+        blocker = threading.Thread(target=worker.call, args=("admin", block))
+        blocker.start()
         assert running.wait(timeout=5)
-        filler = worker.submit("admin", lambda: None)
 
         assert service.track_all(100.0) == 0  # every shard shed the tick
         assert service.dropped_ticks == 1
 
         release.set()
-        blocker.result(timeout=5)
-        filler.result(timeout=5)
+        blocker.join(timeout=5)
+        assert not blocker.is_alive()
 
         # The fix: the watermark did not advance, so the SAME timestamp is
         # not coalesced away — the sweep finally happens.
