@@ -22,7 +22,7 @@ from ..discretization import DiscretizedRegion
 from ..exceptions import RideError, UnknownRideError, XARError
 from ..geo import GeoPoint
 from ..index import ClusterRideIndex, FlatSearchIndex, RideIndexEntry
-from ..obs import DETOUR_RATIO_BUCKETS, MetricsRegistry, Tracer
+from ..obs import DETOUR_RATIO_BUCKETS, MetricsRegistry, Tracer, span_group
 from ..roadnet import astar
 from .booking import (
     BookingRecord,
@@ -305,6 +305,8 @@ class XAREngine:
         request: RideRequest,
         k: Optional[int] = None,
         ranking=None,
+        *,
+        peers: Sequence["XAREngine"] = (),
     ) -> List[MatchOption]:
         """All feasible matches (or the best ``k``), least walking first.
 
@@ -312,7 +314,19 @@ class XAREngine:
         :func:`repro.social.social_ranking` puts rides offered by the
         requester's friends first (Section VII's safety motivation).  The
         top-k cut is applied after re-ranking.
+
+        ``peers`` are more engines over the same region, on ride-id lanes
+        disjoint from this one's (the shards of one service, in slot order
+        after this one): the search covers them all in one pass, under
+        every engine's lock taken in that order, and returns what merging
+        each engine's own search by the rank key would.  Each engine's
+        span and match-quality series record the pass as if it had run its
+        own search.  Not combinable with ``ranking``.
         """
+        if peers:
+            if ranking is not None:
+                raise ValueError("a search over peers takes no ranking")
+            return self._search_pass(request, k, peers)
         if self.strict_coverage:
             self.region.require_covered(request.source)
             self.region.require_covered(request.destination)
@@ -321,32 +335,69 @@ class XAREngine:
             with self.lock:
                 if ranking is None:
                     matches = search_rides(self, request, k, span=span)
-                    self._observe_quality(request, matches)
+                    self._observe_quality(
+                        request,
+                        matches[0].detour_estimate_m if matches else None,
+                    )
                     return matches
                 matches = search_rides(self, request, None, span=span)
             with span.stage("rank_merge"):
                 matches.sort(key=ranking)
                 if k is not None:
                     matches = matches[:k]
-            self._observe_quality(request, matches)
+            self._observe_quality(
+                request, matches[0].detour_estimate_m if matches else None
+            )
             return matches
         finally:
             span.finish()
 
+    def _search_pass(
+        self, request: RideRequest, k: Optional[int],
+        peers: Sequence["XAREngine"],
+    ) -> List[MatchOption]:
+        """:meth:`search` over this engine and ``peers`` in one pass."""
+        engines = [self, *peers]
+        if any(engine.strict_coverage for engine in engines):
+            self.region.require_covered(request.source)
+            self.region.require_covered(request.destination)
+        span = span_group([engine.tracer.span("search") for engine in engines])
+        best: List[Optional[float]] = [None] * len(engines)
+        held = 0
+        try:
+            for engine in engines:
+                engine.lock.acquire()
+                held += 1
+            matches = search_rides(
+                self, request, k, span=span, peers=peers, best=best
+            )
+        finally:
+            for engine in engines[:held]:
+                engine.lock.release()
+            span.finish()
+        direct = None
+        for engine, detour in zip(engines, best):
+            if detour is not None and direct is None:
+                direct = request.straight_line_m()
+            engine._observe_quality(request, detour, direct)
+        return matches
+
     def _observe_quality(
-        self, request: RideRequest, matches: Sequence[MatchOption]
+        self, request: RideRequest, best_detour_m: Optional[float],
+        direct_m: Optional[float] = None,
     ) -> None:
-        """Record match quality: best-match detour ratio, or an empty hit."""
+        """Record match quality: the best match's detour ratio (its detour
+        estimate, None when the search came back empty; ``direct_m`` the
+        request's straight-line length when already known), or an empty
+        hit."""
         if self._c_search_empty is None:
             return
-        if not matches:
+        if best_detour_m is None:
             self._c_search_empty.inc()
             return
-        direct = request.straight_line_m()
+        direct = request.straight_line_m() if direct_m is None else direct_m
         if direct > 0:
-            self._h_detour_ratio.observe(
-                matches[0].detour_estimate_m / direct
-            )
+            self._h_detour_ratio.observe(best_detour_m / direct)
 
     def driver_of(self, ride_id: int) -> Optional[int]:
         """Driver user id of a ride, if it is live and has one."""

@@ -18,9 +18,10 @@ computed anywhere on this path.**
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..discretization import WalkOption
+from ..index import flat_index
 from ..obs.trace import NULL_SPAN
 from .request import RideRequest
 
@@ -102,6 +103,8 @@ def search_rides(
     request: RideRequest,
     k: Optional[int] = None,
     span=NULL_SPAN,
+    peers: Sequence["XAREngine"] = (),
+    best: Optional[List[Optional[float]]] = None,
 ) -> List[MatchOption]:
     """Find up to ``k`` feasible matches (all of them when ``k`` is None).
 
@@ -113,6 +116,13 @@ def search_rides(
     over the cluster index (``XAREngine(use_flat_index=False)``, kept for
     differential comparison).
 
+    ``peers`` are more engines searched with this one — shards of one
+    service, on disjoint ride-id lanes: the answer is the k-way merge of
+    every engine's own search, by the rank key.  ``best``, when given, gets
+    per engine (``engine`` first, then ``peers``) the detour estimate of the
+    first match its own search would return, or keeps None where it would
+    return nothing.
+
     ``span`` (a tracing span or the null span) times the five stages of the
     search — each entered **exactly once** per search: **snap** (grid-cell
     resolution + walkable-cluster pruning for both endpoints),
@@ -122,12 +132,23 @@ def search_rides(
     **feasibility_filter** (seat/walk/order/detour validation) and
     **rank_merge** (final ordering and top-k cut).
     """
-    flat = getattr(engine, "flat_index", None)
-    if flat is not None:
-        from ..index.flat_index import flat_search_rides
-
-        return flat_search_rides(engine, flat, request, k, span)
-    return _search_legacy(engine, request, k, span)
+    engines = [engine, *peers]
+    if getattr(engine, "flat_index", None) is not None and (
+        not peers or all(peer.flat_index is not None for peer in peers)
+    ):
+        return flat_index.flat_search_rides(engines, request, k, span, best)
+    batches = [_search_legacy(each, request, k, span) for each in engines]
+    if best is not None:
+        for e, batch in enumerate(batches):
+            if batch:
+                best[e] = batch[0].detour_estimate_m
+    if not peers:
+        return batches[0]
+    merged = sorted(
+        (match for batch in batches for match in batch),
+        key=lambda m: (m.total_walk_m, m.eta_pickup_s, m.ride_id),
+    )
+    return merged if k is None else merged[:k]
 
 
 def _search_legacy(

@@ -53,6 +53,7 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Sequence,
     Tuple,
 )
 
@@ -619,14 +620,27 @@ class FlatSearchIndex:
 # The flat search path (dispatched to by repro.core.search.search_rides)
 # ----------------------------------------------------------------------
 def flat_search_rides(
-    engine: "XAREngine",
-    flat: FlatSearchIndex,
+    engines: Sequence["XAREngine"],
     request,
     k: Optional[int],
     span,
+    best: Optional[List[Optional[float]]] = None,
 ) -> list:
-    """Two-step XAR search over the flat core — identical results (values
-    and rank order) to ``repro.core.search._search_legacy``.
+    """Two-step XAR search over the flat cores of ``engines`` — identical
+    results (values and rank order) to ``repro.core.search._search_legacy``
+    on one engine, and to the k-way merge of each engine's own top-``k`` on
+    several.
+
+    Several engines are the shards of one service: one region, disjoint
+    ride-id lanes.  The request side (snap) runs once; cluster_lookup and
+    candidate_scan run per engine, on its own arena rows; feasibility, the
+    top-``k`` cut and the build run once over the union.  Ride ids are
+    unique across the engines, so the rank key stays a total order and the
+    union's top ``k`` is exactly what merging the per-engine lists gives.
+    ``best``, when given, holds one entry per engine, None on entry: an
+    engine with a feasible match gets the detour estimate of its
+    best-ranked one — the first match its own search would have returned
+    (none at all when ``k`` is 0).
 
     Same five stages, each entered exactly once per search.  Arrays here are
     tens to hundreds of elements, so the cost is the *number* of numpy
@@ -643,7 +657,9 @@ def flat_search_rides(
       row and option index.
     * **feasibility_filter** — order/cluster/walk checks on R1 ∩ R2, seats
       and detour budget read live, then one gather of the survivors'
-      feasibility columns; the landmark-level splice estimate is computed
+      feasibility columns (over several engines, each engine's R1 rows are
+      gathered from its own arena first, so that the checks run once over
+      the union); the landmark-level splice estimate is computed
       with the same float64 operation order as the scalar code, so results
       are bit-identical.  The rare segment-order retry (latest drop-off
       segment before earliest pickup segment) falls back to the exact
@@ -651,7 +667,7 @@ def flat_search_rides(
     * **rank_merge** — ``lexsort`` on the scalar key columns, top-k cut,
       and only the survivors are converted to Python and built.
     """
-    region = engine.region
+    region = engines[0].region
     threshold = request.walk_threshold_m
     with span.stage("snap"):
         src = region.walkable_columns(request.source, threshold)
@@ -666,26 +682,37 @@ def flat_search_rides(
     window_start = request.window_start_s
     with span.stage("cluster_lookup"):
         window_end = request.window_end_s
-        parts = [
-            flat.window(option.cluster_id, window_start, window_end)[0]
-            for option in src.options
+        lookups = [
+            _lookup(engine.flat_index, src.options, window_start, window_end)
+            for engine in engines
         ]
-        counts = list(map(len, parts))
 
     with span.stage("candidate_scan"):
-        scan = (
-            _scan(flat, parts, counts, dst.options, window_start)
+        scans = [
+            (e, _scan(engines[e].flat_index, parts, counts, dst.options,
+                      window_start))
+            for e, (parts, counts) in enumerate(lookups)
             if any(counts)
-            else None
-        )
-    if scan is None:
+        ]
+    if not scans:
         return []
 
     with span.stage("feasibility_filter"):
-        feasible = _feasible(engine, flat, request, src, dst, *scan)
+        feasible = _feasible(engines, request, src, dst, scans)
 
     with span.stage("rank_merge"):
-        return _rank(request.request_id, src.options, dst.options, k, feasible)
+        return _rank(request.request_id, src.options, dst.options, k,
+                     feasible, best)
+
+
+def _lookup(flat, options, window_start, window_end):
+    """One engine's step 1: per source option, the global rows of its
+    cluster's rides in the ETA window, and their counts."""
+    parts = [
+        flat.window(option.cluster_id, window_start, window_end)[0]
+        for option in options
+    ]
+    return parts, list(map(len, parts))
 
 
 def _scan(flat, parts, counts, dst_options, window_start):
@@ -731,13 +758,13 @@ def _scan(flat, parts, counts, dst_options, window_start):
     return src_rids, src_row, src_opt, dst_row, dst_opt
 
 
-def _feasible(engine, flat, request, src, dst, src_rids, src_row, src_opt,
-              dst_row, dst_opt):
-    """Feasibility over R1 ∩ R2.  Returns the columns ``_rank`` sorts and
-    builds from — ``(ride ids, source option, destination option, pickup
-    ETA, drop-off ETA, total walk, detour, feasible mask, fallbacks)`` — or
-    None when nothing survives."""
-    arena = flat._arena
+def _survivors(e, engine, request, src, dst, src_rids, src_row, src_opt,
+               dst_row, dst_opt):
+    """Engine ``e``'s R1 ∩ R2 after the order, cluster, walk, seat and
+    budget checks, and the one gather of its survivors' precomputed
+    columns: ``(ride ids, source option, destination option, total walk,
+    Fs, Fd, Is, Id, detour budgets, e)``, or None when nothing survives."""
+    arena = engine.flat_index._arena
     eta = arena.eta
     walk = src.walk_m[src_opt] + dst.walk_m[dst_opt]
     keep = eta[src_row] < eta[dst_row]          # pickup strictly before drop-off
@@ -764,13 +791,84 @@ def _feasible(engine, flat, request, src, dst, src_rids, src_row, src_opt,
 
     # The one gather of the precomputed per-(cluster, ride) columns.
     sel = np.array(sel, dtype=np.intp)
-    rids, so, do, walk = src_rids[sel], src_opt[sel], dst_opt[sel], walk[sel]
     rs, rd = src_row[sel], dst_row[sel]
-    Fs, Fd = arena.F.take(rs, axis=0), arena.F.take(rd, axis=0)
+    return (
+        src_rids[sel], src_opt[sel], dst_opt[sel], walk[sel],
+        arena.F.take(rs, axis=0), arena.F.take(rd, axis=0),
+        arena.I.take(rs, axis=0), arena.I.take(rd, axis=0), limits, e,
+    )
+
+
+def _gather(arena: _RowArena, src_row, dst_row):
+    """The float and int columns of an engine's source and destination
+    rows: ``(Fs, Fd, Is, Id)``."""
+    return (
+        arena.F.take(src_row, axis=0), arena.F.take(dst_row, axis=0),
+        arena.I.take(src_row, axis=0), arena.I.take(dst_row, axis=0),
+    )
+
+
+def _union_survivors(engines, request, src, dst, scans):
+    """:func:`_survivors` over several engines' scans as one set of rows.
+
+    Each engine's R1 rows bring their precomputed columns from its own arena
+    first — the one gather per engine — so the checks, the live loop and
+    the selection run once, over the union.  The last element is the
+    position in ``engines`` of each survivor's engine."""
+    parts = [
+        (e, src_rids, src_opt, dst_opt,
+         *_gather(engines[e].flat_index._arena, src_row, dst_row))
+        for e, (src_rids, src_row, src_opt, dst_row, dst_opt) in scans
+    ]
+    columns = list(zip(*parts))
+    rids, so, do, Fs, Fd, Is, Id = map(np.concatenate, columns[1:])
+    owners = np.array(columns[0]).repeat(list(map(len, columns[1])))
+    walk = src.walk_m[so] + dst.walk_m[do]
+    keep = Fs[:, F_ETA] < Fd[:, F_ETA]
+    keep &= src.cluster_id[so] != dst.cluster_id[do]
+    keep &= walk <= request.walk_threshold_m
+    cand = keep.nonzero()[0]
+    books = [(engine.rides, engine.ride_entries) for engine in engines]
+    live = [
+        (t, ride.detour_limit_m)
+        for t, rid, (rides, entries) in zip(
+            cand.tolist(), rids[cand].tolist(),
+            map(books.__getitem__, owners[cand].tolist()),
+        )
+        if (ride := rides.get(rid)) is not None
+        and rid in entries
+        and ride.seats_available >= 1
+    ]
+    if not live:
+        return None
+    sel, limits = zip(*live)
+    sel = np.array(sel, dtype=np.intp)
+    return (
+        rids[sel], so[sel], do[sel], walk[sel],
+        Fs[sel], Fd[sel], Is[sel], Id[sel], limits, owners[sel],
+    )
+
+
+def _feasible(engines, request, src, dst, scans):
+    """Feasibility over R1 ∩ R2 of every scanned engine.  Returns the
+    columns ``_rank`` sorts and builds from — ``(ride ids, source option,
+    destination option, pickup ETA, drop-off ETA, total walk, detour,
+    feasible mask, fallbacks, owners)`` — or None when nothing survives.
+    ``owners`` is the position in ``engines`` of each row's engine: one int
+    when a single engine was scanned, else an array; a fallback is ``(total
+    walk, match, owner)``."""
+    (e, scan), *more = scans
+    survivors = (
+        _union_survivors(engines, request, src, dst, scans) if more
+        else _survivors(e, engines[e], request, src, dst, *scan)
+    )
+    if survivors is None:
+        return None
+    rids, so, do, walk, Fs, Fd, Is, Id, limits, owners = survivors
     # The int columns are stored int32; widen the gathered rows once, so
     # the landmark gathers below index with intp and cast nothing.
-    Is = arena.I.take(rs, axis=0).astype(np.intp)
-    Id = arena.I.take(rd, axis=0).astype(np.intp)
+    Is = Is.astype(np.intp)
+    Id = Id.astype(np.intp)
     seg_e, seg_l = Is[:, I_SEG_E], Id[:, I_SEG_L]
     sp_a, sp_b, sd_a, sd_b = Is[:, I_SP_A], Is[:, I_SP_B], Id[:, I_SD_A], Id[:, I_SD_B]
     sp_len, sd_len = Fs[:, F_SP_LEN], Fd[:, F_SD_LEN]
@@ -794,7 +892,8 @@ def _feasible(engine, flat, request, src, dst, src_rids, src_row, src_opt,
     ie = np.maximum(sd_b, 0)
     p = src.landmark_id[so]
     d = dst.landmark_id[do]
-    D = engine.region.landmark_matrix.values
+    region = engines[0].region
+    D = region.landmark_matrix.values
     to_pickup = D[ia, p]
     est = np.where(
         seg_e == seg_l,
@@ -812,8 +911,10 @@ def _feasible(engine, flat, request, src, dst, src_rids, src_row, src_opt,
         # they are rare, so building them eagerly is fine.
         from ..core.search import _build_match, _splice_estimate
 
+        owner = owners if not more else int(owners[j])
+        engine = engines[owner]
         ride_id = int(rids[j])
-        entry = entries[ride_id]
+        entry = engine.ride_entries[ride_id]
         o_s = src.options[so[j]]
         o_d = dst.options[do[j]]
         segment_pickup = int(seg_e[j])
@@ -823,12 +924,12 @@ def _feasible(engine, flat, request, src, dst, src_rids, src_row, src_opt,
         if segment_dropoff is None:
             continue
         det = _splice_estimate(
-            engine.region, entry, segment_pickup, segment_dropoff,
+            region, entry, segment_pickup, segment_dropoff,
             o_s.landmark_id, o_d.landmark_id,
         )
         if det is None:
             det = float(coarse[j])
-        if det > rides[ride_id].detour_limit_m:
+        if det > engine.rides[ride_id].detour_limit_m:
             continue
         match = _build_match(
             ride_id, request.request_id,
@@ -836,28 +937,32 @@ def _feasible(engine, flat, request, src, dst, src_rids, src_row, src_opt,
             o_d.cluster_id, o_d.landmark_id, o_d.walk_m,
             float(e_src[j]), float(e_dst[j]), det,
         )
-        fallbacks.append((float(walk[j]), match))
-    return rids, so, do, e_src, e_dst, walk, detour, final, fallbacks
+        fallbacks.append((float(walk[j]), match, owner))
+    return rids, so, do, e_src, e_dst, walk, detour, final, fallbacks, owners
 
 
-def _rank(request_id, src_options, dst_options, k, feasible) -> list:
+def _rank(request_id, src_options, dst_options, k, feasible, best) -> list:
     """Sort by ``(total_walk_m, eta_pickup_s, ride_id)``, cut to ``k`` and
     build the survivors.  Each ride id appears at most once (R1 is deduped
-    by ride), so the key is a total order and ``np.lexsort`` agrees exactly
-    with the legacy tuple sort."""
+    by ride, and engines hold disjoint ride-id lanes), so the key is a
+    total order and ``np.lexsort`` agrees exactly with the legacy tuple
+    sort.  ``best`` as in :func:`flat_search_rides`."""
     from ..core.search import _build_match
 
     if feasible is None:
         return []
-    rids, so, do, e_src, e_dst, walk, detour, final, fallbacks = feasible
+    rids, so, do, e_src, e_dst, walk, detour, final, fallbacks, owners = feasible
     vec = final.nonzero()[0]
     n_vec = len(vec)
     w_keys, e_keys, r_keys = walk[vec], e_src[vec], rids[vec]
     if fallbacks:
-        w_keys = np.append(w_keys, [w for w, _match in fallbacks])
-        e_keys = np.append(e_keys, [m.eta_pickup_s for _w, m in fallbacks])
-        r_keys = np.append(r_keys, [m.ride_id for _w, m in fallbacks])
-    order = np.lexsort((r_keys, e_keys, w_keys))[:k]
+        w_keys = np.append(w_keys, [w for w, _match, _owner in fallbacks])
+        e_keys = np.append(e_keys, [m.eta_pickup_s for _w, m, _owner in fallbacks])
+        r_keys = np.append(r_keys, [m.ride_id for _w, m, _owner in fallbacks])
+    order = np.lexsort((r_keys, e_keys, w_keys))
+    if best is not None and k != 0 and len(order):
+        _note_best(best, order, vec, detour, owners, fallbacks)
+    order = order[:k]
 
     # Batch-convert the <= k survivors to Python scalars once (C speed) so
     # the build loop touches no numpy scalars; _build_match fills the
@@ -885,3 +990,25 @@ def _rank(request_id, src_options, dst_options, k, feasible) -> list:
         fallbacks[t - n_vec][1] if t >= n_vec else next(vector)
         for t in order.tolist()
     ]
+
+
+def _note_best(best, order, vec, detour, owners, fallbacks) -> None:
+    """Fill ``best`` with each engine's first detour in rank ``order``, which
+    ranks the vector rows ``vec`` and then the ``fallbacks``."""
+    ranked = detour[vec]
+    if fallbacks:
+        ranked = np.append(ranked, [m.detour_estimate_m for _w, m, _o in fallbacks])
+    if isinstance(owners, int):
+        best[owners] = ranked[order[0]].item()
+        return
+    owner = owners[vec]
+    if fallbacks:
+        owner = np.append(owner, [o for _w, _m, o in fallbacks])
+    ranked = ranked.tolist()
+    left = len(best)
+    for t, e in zip(order.tolist(), owner[order].tolist()):
+        if best[e] is None:
+            best[e] = ranked[t]
+            left -= 1
+            if not left:
+                break

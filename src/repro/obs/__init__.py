@@ -31,7 +31,7 @@ from .registry import (
     Histogram,
     MetricsRegistry,
 )
-from .trace import NULL_SPAN, Span, Tracer
+from .trace import NULL_SPAN, Span, Tracer, span_group
 
 __all__ = [
     "Counter",
@@ -46,6 +46,7 @@ __all__ = [
     "NULL_SPAN",
     "Span",
     "Tracer",
+    "span_group",
     "to_prometheus_text",
     "to_json",
     "parse_prometheus_text",

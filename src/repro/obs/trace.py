@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .registry import DEFAULT_LATENCY_BUCKETS_S, MetricsRegistry
 
-__all__ = ["NULL_SPAN", "Span", "Tracer"]
+__all__ = ["NULL_SPAN", "Span", "Tracer", "span_group"]
 
 #: Registry family names the tracer writes to.
 OP_DURATION = "xar_op_duration_seconds"
@@ -64,7 +64,7 @@ NULL_SPAN = _NullSpan()
 class _Stage:
     __slots__ = ("_span", "_name", "_t0")
 
-    def __init__(self, span: "Span", name: str):
+    def __init__(self, span: Any, name: str):
         self._span = span
         self._name = name
 
@@ -113,6 +113,37 @@ class Span:
         self._duration = self._clock() - self._t0
         self._tracer._observe_op(self.op, self._duration, self)
         return self._duration
+
+
+class _SpanGroup:
+    """Spans of several tracers timed as one (see :func:`span_group`)."""
+
+    __slots__ = ("_spans", "_clock")
+
+    def __init__(self, spans: List[Span]):
+        self._spans = spans
+        self._clock = spans[0]._clock
+
+    def stage(self, name: str) -> _Stage:
+        return _Stage(self, name)
+
+    def _record_stage(self, name: str, seconds: float) -> None:
+        for span in self._spans:  # Span._record_stage, inlined
+            span.stages.append((name, seconds))
+            span._tracer._observe_stage(span.op, name, seconds)
+
+    def finish(self) -> None:
+        for span in self._spans:
+            span.finish()
+
+
+def span_group(spans: List[Any]) -> Any:
+    """One span over an operation run once for several tracers (a search
+    pass over several shards' engines): each stage is timed once and
+    recorded in every span, and ``finish`` closes them all.  Null spans are
+    left out; with none left it is the null span."""
+    live = [span for span in spans if span is not NULL_SPAN]
+    return _SpanGroup(live) if live else NULL_SPAN
 
 
 class Tracer:

@@ -255,8 +255,9 @@ class RouterCore:
         """Fan out to the request's slots and k-way-merge their answers.
 
         The transport hands back one gatherable per slot: process shards
-        are all scanning by then, thread shards scan as they are gathered
-        (one interpreter has nothing to overlap them with).
+        are all scanning by then; thread shards have searched in one pass,
+        whose ranked batch one gatherable returns (an empty batch is not
+        merged).
 
         A slot that sheds — concurrency budget exhausted, quarantined,
         mid-restart, or retired out from under the fan-out by a concurrent
@@ -265,22 +266,27 @@ class RouterCore:
         consulted slot refuses is the search itself shed.  A slot whose
         search raises contributes an empty batch and a failure count.
         """
-        shed = 0
+        shed = served = 0
         batches: List[List[MatchOption]] = []
         errors: List[XARError] = []
         slots = self.shards_for_request(request)
         self._h_fanout.observe(len(slots))
         for gather in self.transport.search_many(slots, request, k):
             try:
-                batches.append(gather())
+                batch = gather()
             except (ShardOverloadError, WorkerCrashError):
                 shed += 1
+                continue
             except XARError as exc:
                 self._c_search_failures.inc()
                 errors.append(exc)
-        if shed and (batches or errors):
+                continue
+            served += 1
+            if batch:
+                batches.append(batch)
+        if shed and (served or errors):
             self._c_partial.inc()
-        if not batches:
+        if not served:
             if shed or not errors:
                 # Every consulted slot refused: the search itself is shed.
                 self._c_shed_searches.inc()

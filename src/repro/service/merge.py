@@ -66,7 +66,8 @@ def merge_matches(
     see :func:`assert_rank_order`.
     """
     if len(batches) == 1:
-        # Width-1 fan-out (shard-local traffic): already globally ranked.
+        # One batch (a width-1 fan-out, or one search pass over several
+        # thread shards): already globally ranked.
         batch = batches[0]
         out = list(batch) if k is None else batch[:k]
         assert_rank_order(out)

@@ -29,7 +29,13 @@ turn is taken *after* admission (shedding is untouched) and *before* the
 service clock starts, so waiting for it is queue wait, never service time.
 WAL fsyncs and checkpoints happen inside the turn (at most one ~2.4 ms
 fsync per ``fsync_every`` = 64 appends); the resilient runtime's retry
-backoff does not (:meth:`_Turn.sleep`).
+backoff does not (:meth:`_Turn.sleep`): any admitted op may run while a
+resilient op sleeps, an op of the same shard — a mutation included — as
+well as another shard's.
+
+A fan-out search over several shards is one job for all of them
+(:func:`serve_pass`): each shard admits it, the turn is taken once, and
+each shard counts it as one of its own jobs.
 
 **The turn's threads run on one CPU.**  While a thread transport is open
 (:meth:`_Turn.place`), each thread that takes the turn is bound to one CPU
@@ -61,7 +67,7 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..exceptions import (
     ServiceClosedError,
@@ -253,8 +259,10 @@ class _Turn:
 
     def sleep(self, seconds: float) -> None:
         """``time.sleep`` that gives the turn away while it sleeps (the
-        resilient runtime's retry backoff: 20–500 ms in which another
-        shard's op can run).  Plain sleep for a thread without the turn."""
+        resilient runtime's retry backoff: 20–500 ms in which any admitted
+        op can run — another shard's, or one of the sleeper's own shard, a
+        mutation included, which the sleeper's retry then sees applied).
+        Plain sleep for a thread without the turn."""
         if self._holder != threading.get_ident():
             time.sleep(seconds)
             return
@@ -292,9 +300,13 @@ class ShardWorker:
         self.rng = random.Random(seed)
         self.stats = ShardStats()
         #: Jobs admitted and not yet finished, at most ``queue_depth``.
-        #: Guarded by ``_idle``, which ``close`` and ``retire`` wait on.
+        #: Guarded by ``_lock``.  ``close`` and ``retire`` wait on ``_idle``
+        #: (over the same lock), which is notified only while one of them
+        #: is waiting (``_draining``).
         self._in_flight = 0
-        self._idle = threading.Condition()
+        self._lock = threading.Lock()
+        self._idle = threading.Condition(self._lock)
+        self._draining = 0
         self._stats_lock = threading.Lock()
         self._closed = False
         #: Set when a job died on a :class:`WorkerCrashError` or the worker
@@ -328,18 +340,33 @@ class ShardWorker:
                 buckets=DEFAULT_LATENCY_BUCKETS_S,
             )
         self._shard_label = str(shard_id)
+        #: Labelled children of the op counter and the service histogram,
+        #: by ``(operation, outcome)`` (outcome "service" for the latter).
+        self._children: Dict[Tuple[str, str], Any] = {}
 
     # ------------------------------------------------------------------
     # Stats plumbing (legacy counters + registry, one call site each)
     # ------------------------------------------------------------------
+    def _child(self, operation: str, outcome: str) -> Any:
+        """The registry child an ``operation``'s ``outcome`` is counted in
+        (``"service"``: its service-time histogram), resolved once."""
+        child = self._children.get((operation, outcome))
+        if child is None:
+            if outcome == "service":
+                child = self._m_service.labels(
+                    shard=self._shard_label, op=operation)
+            else:
+                child = self._m_ops.labels(
+                    shard=self._shard_label, op=operation, outcome=outcome)
+            self._children[(operation, outcome)] = child
+        return child
+
     def _count(self, bucket: Dict[str, int], operation: str,
                outcome: str) -> None:
         with self._stats_lock:
             bucket[operation] = bucket.get(operation, 0) + 1
         if self._m_ops is not None:
-            self._m_ops.labels(
-                shard=self._shard_label, op=operation, outcome=outcome
-            ).inc()
+            self._child(operation, outcome).inc()
 
     @property
     def in_flight(self) -> int:
@@ -395,7 +422,7 @@ class ShardWorker:
     def _admit(self, operation: str) -> None:
         """Count a job in, or refuse it: shut down, dead, or shed when
         ``queue_depth`` jobs are already in flight."""
-        with self._idle:
+        with self._lock:
             if self._closed:
                 raise ServiceClosedError(f"shard {self.shard_id} is shut down")
             if self.crashed:
@@ -431,21 +458,27 @@ class ShardWorker:
                     self.crashed = True
                     raise
         except BaseException:
-            self._count(self.stats.errors, operation, "error")
+            self._release(operation, None)
             raise
-        else:
-            self._count(self.stats.completed, operation, "completed")
-            if self._m_service is not None:
-                self._m_service.labels(
-                    shard=self._shard_label, op=operation
-                ).observe(time.perf_counter() - started)
-            return result
+        self._release(operation, time.perf_counter() - started)
+        return result
+
+    def _release(self, operation: str, service_s: Optional[float]) -> None:
+        """Count an admitted job out — completed after ``service_s``
+        seconds, or (None) errored or bounced — and free its place."""
+        try:
+            if service_s is None:
+                self._count(self.stats.errors, operation, "error")
+            else:
+                self._count(self.stats.completed, operation, "completed")
+                if self._m_service is not None:
+                    self._child(operation, "service").observe(service_s)
         finally:
-            with self._idle:
+            with self._lock:
                 self._in_flight -= 1
                 if self._m_depth is not None:
                     self._m_depth.set(self._in_flight)
-                if not self._in_flight:
+                if not self._in_flight and self._draining:
                     self._idle.notify_all()
 
     # ------------------------------------------------------------------
@@ -459,11 +492,80 @@ class ShardWorker:
         finish against the old engine."""
         with self._idle:
             self.crashed = True
-            self._idle.wait_for(lambda: not self._in_flight, timeout_s)
+            self._drain(timeout_s)
 
     def close(self, timeout_s: float = 5.0) -> None:
         """Admit nothing more and wait (within ``timeout_s``) for the jobs
         already admitted to finish."""
         with self._idle:
             self._closed = True
+            self._drain(timeout_s)
+
+    def _drain(self, timeout_s: float) -> None:
+        """Wait (holding ``_idle``) until no job is in flight."""
+        self._draining += 1
+        try:
             self._idle.wait_for(lambda: not self._in_flight, timeout_s)
+        finally:
+            self._draining -= 1
+
+
+def serve_pass(
+    workers: Sequence[ShardWorker],
+    operation: str,
+    fn: Callable[[List[int]], Any],
+) -> Tuple[Any, Optional[Exception], List[Optional[BaseException]]]:
+    """Run one job for several shards in one turn (a fan-out search pass).
+
+    Each worker admits the job as :meth:`ShardWorker.submit` would.  One
+    that refuses it (shed, shut down, dead) or is found dead or retired
+    when the turn is taken is left out; the refusal is returned in its
+    place, and a bounce is counted as that worker's error, as
+    :meth:`ShardWorker.submit` counts it.  ``fn`` is called once, in the
+    turn, with the positions of the workers that take part, and its outcome
+    is each of theirs: one job of ``operation`` counted completed or
+    errored, queue wait from admission to the pass's turn and service time
+    the pass's.  A :class:`WorkerCrashError` out of ``fn`` marks every one
+    of them crashed.
+
+    Returns ``(result, error, refusals)``: what ``fn`` returned or raised
+    (both None when no worker took part), and per worker its refusal or
+    None.
+    """
+    refusals: List[Optional[BaseException]] = [None] * len(workers)
+    for i, worker in enumerate(workers):
+        try:
+            worker._admit(operation)
+        except (ServiceClosedError, ShardOverloadError, WorkerCrashError) as exc:
+            refusals[i] = exc
+    admitted = [i for i, refusal in enumerate(refusals) if refusal is None]
+    result = error = service_s = None
+    if not admitted:
+        return result, error, refusals
+    queued = time.perf_counter()
+    try:
+        with ENGINE_TURN:
+            started = time.perf_counter()
+            for i in admitted:
+                worker = workers[i]
+                if worker.crashed:
+                    refusals[i] = worker._dead()
+                elif worker._m_wait is not None:
+                    worker._m_wait.observe(started - queued)
+            taking = [i for i in admitted if refusals[i] is None]
+            if taking:
+                try:
+                    result = fn(taking)
+                    service_s = time.perf_counter() - started
+                except WorkerCrashError as exc:
+                    exc.mid_op = True
+                    for i in taking:
+                        workers[i].crashed = True
+                    error = exc
+                except Exception as exc:  # noqa: BLE001 - relayed to the caller
+                    error = exc
+    finally:
+        for i in admitted:
+            workers[i]._release(
+                operation, service_s if refusals[i] is None else None)
+    return result, error, refusals

@@ -190,8 +190,10 @@ class ShardStack:
         if config.resilient:
             adapter = ResilientEngine(
                 adapter,
-                # Retry backoff gives the interpreter's turn away: a shard
-                # sleeping off a transient fault must not stall the others.
+                # Retry backoff gives the interpreter's turn away while it
+                # sleeps off a transient fault, so any admitted op runs
+                # meanwhile — of another shard, or of this one (a mutation
+                # included) between the sleeper's attempts.
                 ResilienceConfig(seed=derive_seed(config.seed, spec.slot),
                                  sleep=ENGINE_TURN.sleep),
                 metrics=metrics,

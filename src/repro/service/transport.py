@@ -27,14 +27,19 @@ from ..exceptions import (
     ServiceClosedError,
     ShardOverloadError,
     WorkerCrashError,
+    XARError,
 )
 from ..obs import MetricsRegistry
 from .ops import OPS
-from .shard import ENGINE_TURN
+from .shard import ENGINE_TURN, serve_pass
 from .stack import Rerouted, ShardSpec, ShardStack, StackConfig
 
 #: The core's routing re-check ("does routing still point at this slot?").
 Guard = Optional[Callable[[], bool]]
+
+
+def _raise(exc: BaseException) -> Any:
+    raise exc
 
 
 class ShardTransport(Protocol):
@@ -106,6 +111,7 @@ class ThreadTransport:
         #: (re-entrant: a drain may heal a crashed shard first).
         self.lock = threading.RLock()
         self._closed = False
+        self._resilient = config.resilient
         self._build = functools.partial(
             ShardStack, region, config=config, digest=digest,
             metrics=metrics, engine_factory=engine_factory,
@@ -233,14 +239,67 @@ class ThreadTransport:
             reroute=spec.adapter_job)
 
     def search_many(self, slots, request, k):
-        """Reads, run one after the other as they are gathered: inside one
-        interpreter there is nothing to overlap them with (the turn,
-        :mod:`~repro.service.shard`)."""
+        """A search of one slot runs as it is gathered, behind the failover
+        rule.  A search of several is one pass (:meth:`_search_pass`) unless
+        the stacks are resilient: then each slot's read goes through its
+        runtime (per-op deadline, breaker, degraded tiers), one after the
+        other — inside one interpreter there is nothing to overlap them
+        with (the turn, :mod:`~repro.service.shard`)."""
+        if len(slots) > 1 and not self._resilient:
+            try:
+                shards = [self._live(slot) for slot in slots]
+            except XARError:
+                pass  # shut down or unrecoverable: each read raises its own
+            else:
+                return self._search_pass(shards, request, k)
+
         def read(shard: ShardStack) -> Any:
             return shard.search(request, k)
 
         return [functools.partial(self._with_failover, slot, read)
                 for slot in slots]
+
+    def _search_pass(self, shards, request, k):
+        """Search live ``shards`` in one kernel pass, in one turn.
+
+        Every shard is asked to admit the search; one that sheds, is shut
+        down or bounces is left out, and its gatherable raises that.  The
+        rest take part: their engines are searched together
+        (:meth:`XAREngine.search` with ``peers``, each engine's lock taken
+        in slot order) and each counts one ``search`` job.  The first of
+        them returns the pass's ranked batch, the others an empty one — or,
+        when the pass raised, every one of them raises it, so the core
+        counts one failure per consulted slot as it would for separate
+        reads.
+        """
+        def search(taking: List[int]) -> Any:
+            engines = [shards[i].engine for i in taking]
+            return engines[0].search(request, k, peers=engines[1:])
+
+        result, error, refusals = serve_pass(
+            [shard.worker for shard in shards], "search", search)
+        if error is not None and isinstance(error, WorkerCrashError):
+            for shard, refusal in zip(shards, refusals):
+                if refusal is None:
+                    self._failover(shard)
+
+        def lead() -> Any:
+            if error is not None:
+                raise error
+            return result
+
+        def rest() -> Any:
+            if error is not None:
+                raise error
+            return []
+
+        gathers = [
+            rest if refusal is None else functools.partial(_raise, refusal)
+            for refusal in refusals
+        ]
+        if None in refusals:
+            gathers[refusals.index(None)] = lead
+        return gathers
 
     def track(self, slot, now_s):
         def sweep(shard: ShardStack) -> int:

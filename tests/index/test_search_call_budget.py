@@ -71,10 +71,9 @@ def scenario(region, city):
 
 def test_new_kernel_stays_within_its_call_budget(scenario):
     engine, ref, queries = scenario
-    flat = engine.flat_index
 
     def run_new():
-        return [flat_search_rides(engine, flat, q, TOP_K, NULL_SPAN) for q in queries]
+        return [flat_search_rides([engine], q, TOP_K, NULL_SPAN) for q in queries]
 
     def run_reference():
         return [ref_flat_search_rides(engine, ref, q, TOP_K, NULL_SPAN) for q in queries]

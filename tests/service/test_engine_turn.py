@@ -38,8 +38,9 @@ def _join(threads):
 
 
 class _Probe:
-    """Wraps shard adapters; sees how many ops execute at once, process-wide,
-    and the order mutations reach each shard's engine."""
+    """Wraps shard adapters (mutations) and engines (searches: a search of
+    several shards is one engine call); sees how many ops execute at once,
+    process-wide, and the order mutations reach each shard's engine."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -51,6 +52,16 @@ class _Probe:
     def wrap(self, slot, inner):
         self.order[slot] = []
         return _Probed(self, slot, inner)
+
+    def around(self, fn):
+        def probed(*args, **kwargs):
+            self.enter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.leave()
+
+        return probed
 
     def enter(self):
         with self._lock:
@@ -76,9 +87,6 @@ class _Probed:
             return fn()
         finally:
             self._probe.leave()
-
-    def search(self, request, k=None):
-        return self._run(lambda: self._inner.search(request, k))
 
     def create(self, source, destination, depart_s, **options):
         self._probe.order[self._slot].append(depart_s)
@@ -125,6 +133,7 @@ def test_one_op_at_a_time_fifo_per_shard_and_sequential_answers(
         with ShardRouter(region, 2, seed=11) as service:
             for shard in service.shards:
                 shard.adapter = probe.wrap(shard.shard_id, shard.adapter)
+                shard.engine.search = probe.around(shard.engine.search)
 
             # Phase 1: one submitter per shard issues its creates (in list
             # order) while two readers fan searches out over both shards.

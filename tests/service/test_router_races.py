@@ -67,7 +67,7 @@ def test_search_failure_counters_are_exact_under_contention(region, workload):
     """N threads x M failing fan-outs must count exactly N*M*shards."""
 
     class _FailingEngine(XAREngine):
-        def search(self, request, k=None, ranking=None):
+        def search(self, request, k=None, ranking=None, *, peers=()):
             raise XARError("injected search failure")
 
     def factory(shard_id: int, n_shards: int) -> XAREngine:
@@ -93,8 +93,9 @@ def test_search_failure_counters_are_exact_under_contention(region, workload):
             t.start()
         for t in threads:
             t.join()
-        # Every search consults both shards and both raise: the unlocked
-        # ``+=`` this replaces dropped a visible fraction of these.
+        # Every search consults both shards and fails on both (one pass
+        # over both engines that raises counts a failure per shard): the
+        # unlocked ``+=`` this replaces dropped a visible fraction of these.
         assert service.search_failures == n_threads * per_thread * 2
     finally:
         sys.setswitchinterval(old_interval)
@@ -102,7 +103,7 @@ def test_search_failure_counters_are_exact_under_contention(region, workload):
 
 
 def test_find_ride_never_observes_a_half_removed_ride(region, workload):
-    """find_ride racing a mutation on the worker thread must block, not miss."""
+    """find_ride racing a mutation on another thread must block, not miss."""
     request = list(workload)[0]
     service = ShardRouter(region, 2, seed=11)
     try:
@@ -120,18 +121,33 @@ def test_find_ride_never_observes_a_half_removed_ride(region, workload):
             with engine.lock:
                 popped = engine.rides.pop(ride.ride_id)
                 in_critical.set()
-                resume.wait(timeout=10)
+                resumed = resume.wait(timeout=2)
                 engine.rides[ride.ride_id] = popped
+            # Nothing set ``resume`` unless find_ride ran inside this window:
+            # a run that serialises the two fails here, fast, instead of
+            # passing late.
+            assert resumed, "the mutation was not raced by find_ride"
 
-        future = shard.worker.submit("admin", mutate)
-        assert in_critical.wait(timeout=5)
-        # Pre-fix find_ride read the dicts lock-free and raised
-        # UnknownRideError here.  Post-fix it blocks on the engine lock
-        # (released once `resume` fires) and resolves the ride.
-        threading.Timer(0.2, resume.set).start()
-        found = service.find_ride(ride.ride_id)
-        assert found.ride_id == ride.ride_id
-        future.result(timeout=5)
+        # A job runs on the thread that submits it, so the mutation needs a
+        # thread of its own to be mid-flight while find_ride runs here.
+        submitted = []
+        mutator = threading.Thread(
+            target=lambda: submitted.append(shard.worker.submit("admin", mutate))
+        )
+        mutator.start()
+        try:
+            assert in_critical.wait(timeout=2)
+            # Pre-fix find_ride read the dicts lock-free and raised
+            # UnknownRideError here.  Post-fix it blocks on the engine lock
+            # (released once `resume` fires) and resolves the ride.
+            threading.Timer(0.2, resume.set).start()
+            found = service.find_ride(ride.ride_id)
+            assert found.ride_id == ride.ride_id
+        finally:
+            resume.set()
+            mutator.join(timeout=2)
+        assert not mutator.is_alive()
+        submitted[0].result(timeout=0)
 
         # Unknown ids still raise.
         with pytest.raises(UnknownRideError):
