@@ -46,9 +46,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "RequestError",
         "PlannerError",
         "ResilienceError",
-        "TransientFaultError",
         "DeadlineExceededError",
-        "CircuitOpenError",
     ),
     ".geo": ("GeoPoint", "BoundingBox", "GridIndex"),
     ".roadnet": (
@@ -73,9 +71,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".resilience": (
         "AuditReport",
         "InvariantAuditor",
-        "ResilienceConfig",
-        "ResilientEngine",
-        "RetryPolicy",
     ),
     ".baselines": ("TShareEngine",),
     ".workloads": ("NYCWorkloadGenerator", "trips_to_requests"),

@@ -65,7 +65,6 @@ from .roadnet import (
     random_planar_city,
     save_network,
 )
-from .resilience import ResilienceConfig, ResilientEngine
 from .service import (
     Gateway,
     GatewayConfig,
@@ -169,8 +168,6 @@ def _simulate(args: argparse.Namespace) -> int:
         adapter = FaultInjectingAdapter(
             adapter, policies, seed=args.fault_seed
         )
-    if args.resilient:
-        adapter = ResilientEngine(adapter, ResilienceConfig(seed=args.fault_seed))
     config = SimulatorConfig(audit_every_s=args.audit_every)
     report = RideShareSimulator(adapter, config).run(requests)
     print(report.describe())
@@ -251,7 +248,6 @@ def _loadtest(args: argparse.Namespace) -> int:
                 queue_depth=args.queue_depth,
                 fsync_every=args.fsync_every,
                 checkpoint_every=args.checkpoint_every,
-                resilient=args.resilient,
                 seed=args.seed,
             ),
             fanout=args.fanout,
@@ -263,7 +259,6 @@ def _loadtest(args: argparse.Namespace) -> int:
             args.shards,
             queue_depth=args.queue_depth,
             fanout=args.fanout,
-            resilient=args.resilient,
             seed=args.seed,
             durability=durability,
             reshard=reshard,
@@ -443,7 +438,6 @@ def _serve(args: argparse.Namespace) -> int:
             queue_depth=args.queue_depth,
             fsync_every=args.fsync_every,
             checkpoint_every=args.checkpoint_every,
-            resilient=args.resilient,
             seed=args.seed,
         ),
         fanout=args.fanout,
@@ -983,11 +977,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="XAR insertion optimization at booking")
     p.add_argument("--faults", default="",
                    help="inject faults, e.g. "
-                        "'router=0.05,dropout=0.1,cancel=0.02,corrupt=0.01'")
+                        "'dropout=0.1,cancel=0.02,corrupt=0.01'")
     p.add_argument("--fault-seed", type=int, default=0, dest="fault_seed")
-    p.add_argument("--resilient", action="store_true",
-                   help="wrap the engine in the fault-tolerant runtime "
-                        "(retries, circuit breaker, degraded search tiers)")
     p.add_argument("--audit-every", type=float, default=0.0, dest="audit_every",
                    help="invariant-audit cadence in simulated seconds "
                         "(0 disables; audits self-heal and a post-run sweep "
@@ -1028,8 +1019,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fanout", choices=["local", "all"], default="local",
                    help="search fan-out: walkable shards only, or all shards "
                         "(full recall)")
-    p.add_argument("--resilient", action="store_true",
-                   help="wrap each shard engine in the fault-tolerant runtime")
     p.add_argument("--prepopulate", type=int, default=0,
                    help="rides created before the measured run (supply)")
     p.add_argument("--supply-seats", type=int, default=None,
@@ -1126,8 +1115,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-shard request queue bound (admission control)")
     p.add_argument("--fanout", choices=["local", "all"], default="local",
                    help="search fan-out policy")
-    p.add_argument("--resilient", action="store_true",
-                   help="wrap each shard engine in the fault-tolerant runtime")
     p.add_argument("--fsync-every", type=int, default=64, dest="fsync_every",
                    help="WAL appends between fsync barriers per shard")
     p.add_argument("--checkpoint-every", type=int, default=0,

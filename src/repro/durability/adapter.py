@@ -1,10 +1,9 @@
 """DurableAdapter: log-before-apply WAL wrapper around an engine adapter.
 
 Sits *innermost* in the service stack — directly around
-:class:`~repro.sim.adapters.XARAdapter`, underneath the resilient runtime
-and the shard worker — so that every mutation that actually reaches the
-engine is logged, including the retries and create-on-miss calls the
-resilient layer issues on its own.
+:class:`~repro.sim.adapters.XARAdapter`, underneath the shard worker — so
+that every mutation that actually reaches the engine is logged, whichever
+caller (router, replay, recovery) issued it.
 
 Protocol per logged op (:data:`~repro.durability.records.WAL_OPS`):
 

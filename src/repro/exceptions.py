@@ -61,11 +61,7 @@ class RequestError(XARError):
 
 
 class ResilienceError(XARError):
-    """Base class for the fault-tolerant runtime's own failures."""
-
-
-class TransientFaultError(ResilienceError):
-    """A transient infrastructure fault (injected or real); safe to retry."""
+    """Base class for the serving stack's fault-handling failures."""
 
 
 class DeadlineExceededError(ResilienceError):
@@ -79,14 +75,6 @@ class DeadlineExceededError(ResilienceError):
         self.operation = operation
         self.elapsed_s = elapsed_s
         self.deadline_s = deadline_s
-
-
-class CircuitOpenError(ResilienceError):
-    """The circuit breaker is open; the operation was short-circuited."""
-
-    def __init__(self, operation: str):
-        super().__init__(f"circuit open: {operation} short-circuited")
-        self.operation = operation
 
 
 class PlannerError(XARError):
@@ -208,10 +196,10 @@ class WorkerCrashError(Exception):
     """An injected (or real) worker-process death.
 
     Deliberately **not** an :class:`XARError`: a crash must rip through every
-    layer that swallows or retries library errors — the engine's transactional
-    ``book`` rollback, the resilient runtime's retry loop, the load
-    generator's per-op handlers — exactly like a process death would.  Only
-    the service's failover supervisor is allowed to handle it.
+    layer that swallows library errors — the engine's transactional ``book``
+    rollback, the replay's and the load generator's per-op handlers —
+    exactly like a process death would.  Only the service's failover
+    supervisor is allowed to handle it.
 
     ``mid_op`` distinguishes a crash that interrupted an executing operation
     (which may already be in the WAL and must NOT be retried — recovery

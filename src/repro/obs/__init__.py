@@ -1,11 +1,11 @@
 """First-class observability: metrics registry, tracing spans, exporters.
 
-The serving stack (engine, shard workers, router, resilient runtime, load
-generator) reports into one :class:`MetricsRegistry`:
+The serving stack (engine, shard workers, router, process supervisor,
+gateway, load generator) reports into one :class:`MetricsRegistry`:
 
 * **counters** — shed/error/partial-search/dropped-tick totals, atomic
   under a lock (replacing the racy ad-hoc ints the router used to keep);
-* **gauges** — shard queue depth, circuit-breaker state;
+* **gauges** — shard queue depth, shard-process state and heartbeat age;
 * **histograms** — per-operation and per-*stage* durations (search:
   snap → cluster_lookup → candidate_scan → feasibility_filter →
   rank_merge; book: snapshot → splice → reindex; track: sweep), queue

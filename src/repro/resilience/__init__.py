@@ -1,45 +1,28 @@
-"""Fault-tolerant runtime for the XAR engine.
+"""Invariant auditing and transactional ride state for the XAR engine.
 
 Production traffic breaks in ways the paper's clean replay never exercises:
-routers time out, drivers cancel mid-ride, GPS tracking drops out, bookings
-race seat exhaustion, and index entries get lost.  This package adds the
-resilience layer:
+drivers cancel mid-ride, GPS tracking drops out, bookings race seat
+exhaustion, and index entries get lost.  This package holds what keeps the
+engine's state sound through those faults:
 
 * :mod:`~repro.resilience.snapshot` — ride-state snapshots powering
   transactional booking (a failed ``book()`` is a byte-identical no-op);
-* :class:`ResilientEngine` — an ``EngineAdapter`` façade with per-operation
-  deadlines, bounded retry with backoff + jitter, circuit breaking, and
-  tiered degradation (optimized search → grid scan → create-on-miss);
 * :class:`InvariantAuditor` — a non-raising invariant sweep with self-healing
   re-indexing, run on a cadence by the simulator and exposed via the CLI.
 
-Fault *injection* lives with the simulator (:mod:`repro.sim.faults`); this
-package is the machinery that survives those faults.
+Fault *injection* lives with the simulator (:mod:`repro.sim.faults`): a fault
+is a simulation input, not something the engine retries away.  The service's
+own failure model (supervisor restart and quarantine, idempotent RPC retry,
+gateway deadlines, partial searches) lives in :mod:`repro.service`.
 """
 
 from .audit import AuditReport, AuditViolation, InvariantAuditor
-from .fallback import grid_scan_search
-from .runtime import (
-    TRANSIENT_ERRORS,
-    CircuitBreaker,
-    ResilienceConfig,
-    ResilienceStats,
-    ResilientEngine,
-    RetryPolicy,
-)
 from .snapshot import RideSnapshot, diff_ride, restore_ride, snapshot_ride
 
 __all__ = [
     "AuditReport",
     "AuditViolation",
     "InvariantAuditor",
-    "grid_scan_search",
-    "TRANSIENT_ERRORS",
-    "CircuitBreaker",
-    "ResilienceConfig",
-    "ResilienceStats",
-    "ResilientEngine",
-    "RetryPolicy",
     "RideSnapshot",
     "diff_ride",
     "restore_ride",

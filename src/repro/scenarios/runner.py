@@ -2,8 +2,8 @@
 
 The runner is façade-agnostic: any :class:`~repro.sim.adapters.EngineAdapter`
 surface works, so one spec can be replayed on the single engine, the
-thread- or process-sharded service, the resilient runtime, the durable
-engine, or the windowed batch matcher just by changing ``spec.facade``.
+thread- or process-sharded service, the durable engine, or the windowed
+batch matcher just by changing ``spec.facade``.
 
 Determinism is a hard contract: the same spec and seed produce a
 byte-identical :meth:`ScenarioReport.canonical_json` — wall-clock latencies
@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..exceptions import ScenarioError, XARError
-from ..resilience import ResilienceConfig, ResilientEngine
 from ..resilience.audit import InvariantAuditor
 from ..sim import FaultInjectingAdapter, parse_fault_policies
 from ..verify.differential import Facade, make_facade
@@ -114,7 +113,7 @@ class ScenarioReport:
 
 
 def build_facade(spec: ScenarioSpec, region) -> Facade:
-    """Build the spec's façade (with fault/resilience wrapping applied)."""
+    """Build the spec's façade (with fault injection applied)."""
     facade = make_facade(spec.facade, region, seed=spec.seed)
     target = facade.target
     if spec.faults.policies:
@@ -124,11 +123,6 @@ def build_facade(spec: ScenarioSpec, region) -> Facade:
             raise ScenarioError(str(exc)) from None
         target = FaultInjectingAdapter(
             target, policies, seed=spec.faults.seed
-        )
-    if spec.faults.resilient:
-        target = ResilientEngine(
-            target, ResilienceConfig(seed=spec.faults.seed,
-                                     sleep=lambda _s: None)
         )
     facade.target = target
     return facade

@@ -155,11 +155,9 @@ class DemandSpec:
 class FaultSpec:
     """Chaos composed around the engine façade."""
 
-    #: The CLI mini-language: ``"router=0.05,dropout=0.1,cancel=0.02"``.
+    #: The CLI mini-language: ``"dropout=0.1,cancel=0.02,corrupt=0.01"``.
     policies: str = ""
     seed: int = 0
-    #: Wrap the (possibly fault-injected) target in the resilient runtime.
-    resilient: bool = False
     #: Crash a rotating shard every N served requests (façades with
     #: ``crash_shard`` only: shardN with durability, procN).
     crash_every: int = 0

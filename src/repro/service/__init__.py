@@ -21,8 +21,8 @@ loop at a target QPS and reports throughput plus p50/p95/p99 latency per
 operation against :class:`ServiceSLO` objectives.
 
 The router implements the simulator's ``EngineAdapter`` protocol, so every
-existing harness (replay simulator, fault injector, resilient runtime) can
-drive a sharded fleet unchanged.
+existing harness (replay simulator, fault injector, differential fuzzer)
+can drive a sharded fleet unchanged.
 
 Process mode (:mod:`~repro.service.proc`) promotes each shard to a
 supervised *subprocess* — real fault domains, no shared GIL — behind the

@@ -152,7 +152,6 @@ class SupervisorConfig:
     queue_depth: int = 128
     fsync_every: int = 64
     checkpoint_every: int = 0
-    resilient: bool = False
     optimize_insertion: bool = False
     seed: int = 0
 
@@ -587,7 +586,6 @@ class ShardSupervisor:
             queue_depth=config.queue_depth,
             fsync_every=config.fsync_every,
             checkpoint_every=config.checkpoint_every,
-            resilient=config.resilient,
             optimize_insertion=config.optimize_insertion,
             seed=config.seed,
         )

@@ -10,8 +10,8 @@ numpy's BLAS pool included — run there.  On start the child
 2. builds the :class:`~repro.service.stack.ShardStack` a thread shard runs
    too — engine **recovered** from the spec's WAL when it exists (restart
    *is* crash recovery; there is no separate cold path), then
-   ``XARAdapter`` → ``DurableAdapter`` → optional ``ResilientEngine``
-   behind a :class:`~repro.service.shard.ShardWorker` — and serves each
+   ``XARAdapter`` → ``DurableAdapter`` behind a
+   :class:`~repro.service.shard.ShardWorker` — and serves each
    RPC by decoding it, calling the stack's local operation, and encoding
    the answer, and
 3. connects back to the supervisor's UNIX socket: ``ops_connections``

@@ -16,8 +16,8 @@ from its log by the next caller that touches it (or :meth:`supervise`), and
 a restart over the same directory recovers every shard — through the
 committed ``topology.json`` when the service has resharded.
 
-Reproducibility: per-shard RNGs (retry jitter, any stochastic policy) are
-derived from one root seed via :func:`~repro.service.sharding.derive_seed`.
+Reproducibility: each shard worker's RNG is derived from one root seed via
+:func:`~repro.service.sharding.derive_seed`, for any stochastic shard policy.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ class ShardRouter(RouterCore):
         queue_depth: int = 128,
         fanout: str = "local",
         fanout_radius_m: Optional[float] = None,
-        resilient: bool = False,
         optimize_insertion: bool = False,
         seed: int = 0,
         engine_factory: Optional[Callable[[int, int], XAREngine]] = None,
@@ -79,7 +78,6 @@ class ShardRouter(RouterCore):
             table.specs(),
             StackConfig(
                 queue_depth=queue_depth,
-                resilient=resilient,
                 optimize_insertion=optimize_insertion,
                 seed=seed,
                 **flush_policy,

@@ -27,11 +27,11 @@ times per search and both finish later than if they had taken turns
 555/s in total, two threads taking turns 1 300/s — docs/service.md).  The
 turn is taken *after* admission (shedding is untouched) and *before* the
 service clock starts, so waiting for it is queue wait, never service time.
-WAL fsyncs and checkpoints happen inside the turn (at most one ~2.4 ms
-fsync per ``fsync_every`` = 64 appends); the resilient runtime's retry
-backoff does not (:meth:`_Turn.sleep`): any admitted op may run while a
-resilient op sleeps, an op of the same shard — a mutation included — as
-well as another shard's.
+A job holds the turn from admission to finish: nothing inside an op gives
+it away, so the turn holds one op at a time and the ops of an interpreter
+are linearised in the order they took it.  WAL fsyncs and checkpoints
+happen inside the turn (at most one ~2.4 ms fsync per ``fsync_every`` = 64
+appends).
 
 A fan-out search over several shards is one job for all of them
 (:func:`serve_pass`): each shard admits it, the turn is taken once, and
@@ -256,21 +256,6 @@ class _Turn:
 
     def __exit__(self, *_exc: Any) -> None:
         self.release()
-
-    def sleep(self, seconds: float) -> None:
-        """``time.sleep`` that gives the turn away while it sleeps (the
-        resilient runtime's retry backoff: 20–500 ms in which any admitted
-        op can run — another shard's, or one of the sleeper's own shard, a
-        mutation included, which the sleeper's retry then sees applied).
-        Plain sleep for a thread without the turn."""
-        if self._holder != threading.get_ident():
-            time.sleep(seconds)
-            return
-        self.release()
-        try:
-            time.sleep(seconds)
-        finally:
-            self.acquire()
 
 
 #: Process-wide because the interpreter is: one lock for every worker of

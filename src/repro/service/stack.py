@@ -1,4 +1,4 @@
-"""One shard stack, built one way: engine → WAL → resilient runtime → worker.
+"""One shard stack, built one way: engine → WAL → worker.
 
 Every place a shard comes to life goes through :class:`ShardStack` — the
 thread transport's initial build, its in-place failover and reshard
@@ -6,8 +6,7 @@ rebuilds, the shard subprocess's boot — so "what a shard is" has exactly
 one definition: an :class:`~repro.core.XAREngine` on the slot's ride-id
 lane, **recovered** from checkpoint + WAL when the slot's log already
 exists (restart *is* crash recovery; there is no separate cold path);
-``XARAdapter``, then the WAL decorator (innermost, so resilient retries are
-logged too), then the optional resilient runtime; and a
+``XARAdapter``, then the WAL decorator when the shard is durable; and a
 :class:`~repro.service.shard.ShardWorker` in front, which runs every op on
 the thread that asked for it.
 
@@ -40,10 +39,10 @@ from ..durability import (
 )
 from ..exceptions import UnknownRideError, WorkerCrashError
 from ..obs import MetricsRegistry
-from ..resilience import InvariantAuditor, ResilienceConfig, ResilientEngine
+from ..resilience import InvariantAuditor
 from ..sim.adapters import XARAdapter
 from .ops import Op
-from .shard import ENGINE_TURN, ShardWorker
+from .shard import ShardWorker
 from .sharding import derive_seed
 
 
@@ -81,7 +80,6 @@ class StackConfig:
     queue_depth: int = 128
     fsync_every: int = 64
     checkpoint_every: int = 0
-    resilient: bool = False
     optimize_insertion: bool = False
     seed: int = 0
 
@@ -186,18 +184,6 @@ class ShardStack:
                 shard_id=spec.slot,
                 digest=digest,
                 metrics=metrics,
-            )
-        if config.resilient:
-            adapter = ResilientEngine(
-                adapter,
-                # Retry backoff gives the interpreter's turn away while it
-                # sleeps off a transient fault, so any admitted op runs
-                # meanwhile — of another shard, or of this one (a mutation
-                # included) between the sleeper's attempts.
-                ResilienceConfig(seed=derive_seed(config.seed, spec.slot),
-                                 sleep=ENGINE_TURN.sleep),
-                metrics=metrics,
-                metrics_labels=labels,
             )
         self.adapter = adapter
         self.worker = self._new_worker()

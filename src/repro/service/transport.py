@@ -111,7 +111,6 @@ class ThreadTransport:
         #: (re-entrant: a drain may heal a crashed shard first).
         self.lock = threading.RLock()
         self._closed = False
-        self._resilient = config.resilient
         self._build = functools.partial(
             ShardStack, region, config=config, digest=digest,
             metrics=metrics, engine_factory=engine_factory,
@@ -240,12 +239,8 @@ class ThreadTransport:
 
     def search_many(self, slots, request, k):
         """A search of one slot runs as it is gathered, behind the failover
-        rule.  A search of several is one pass (:meth:`_search_pass`) unless
-        the stacks are resilient: then each slot's read goes through its
-        runtime (per-op deadline, breaker, degraded tiers), one after the
-        other — inside one interpreter there is nothing to overlap them
-        with (the turn, :mod:`~repro.service.shard`)."""
-        if len(slots) > 1 and not self._resilient:
+        rule.  A search of several is one pass (:meth:`_search_pass`)."""
+        if len(slots) > 1:
             try:
                 shards = [self._live(slot) for slot in slots]
             except XARError:

@@ -13,7 +13,6 @@ from .faults import (
     FaultInjectingAdapter,
     FaultPolicy,
     IndexCorruption,
-    RouterFault,
     TrackingDropout,
     default_fault_policies,
     parse_fault_policies,
@@ -28,7 +27,6 @@ __all__ = [
     "TShareAdapter",
     "FaultPolicy",
     "FaultInjectingAdapter",
-    "RouterFault",
     "TrackingDropout",
     "DriverCancellation",
     "IndexCorruption",

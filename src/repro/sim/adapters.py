@@ -11,8 +11,8 @@ system explicit:
 
 Adapters compose: :class:`repro.sim.faults.FaultInjectingAdapter` injects
 fault policies around any adapter, and
-:class:`repro.resilience.ResilientEngine` wraps one with retries, deadlines,
-circuit breaking and tiered degradation.  Every decorator subclasses
+:class:`repro.durability.DurableAdapter` logs every mutation to a WAL before
+it runs.  Every decorator subclasses
 :class:`DelegatingAdapter`: the wrapped adapter is ``.inner``, each protocol
 member forwards to it unless the decorator overrides it, and the raw engine
 stays reachable through the ``.engine`` attribute chain

@@ -8,12 +8,8 @@ simulator's control flow knows whether it is running on clean or hostile
 infrastructure.
 
 Policies (each with its own deterministic RNG derived from the adapter
-seed, so runs replay bit-identically):
+seed and the policy's position, so runs replay bit-identically):
 
-* :class:`RouterFault` — the routing back-end fails transiently
-  (``NoPathError``) or stalls (latency spikes) on the shortest-path-bound
-  operations (create / book); optionally stalls search too, modelling a
-  shared ETA service;
 * :class:`TrackingDropout` — whole ``track_all`` sweeps are dropped (GPS /
   telemetry outage), leaving obsolete clusters stale;
 * :class:`DriverCancellation` — per processed request, a random
@@ -23,12 +19,15 @@ seed, so runs replay bit-identically):
   cluster index (lost updates / partial failures), the damage class the
   invariant auditor detects and heals.
 
+A fault here is an input the engine lives with, never something it retries
+away: the engine is deterministic, so a failed op fails the same way again.
+
 Compose them with :class:`FaultInjectingAdapter`::
 
     adapter = FaultInjectingAdapter(
         XARAdapter(engine),
-        policies=[RouterFault(rate=0.05), TrackingDropout(rate=0.1),
-                  DriverCancellation(rate=0.02), IndexCorruption(rate=0.01)],
+        policies=[TrackingDropout(rate=0.1), DriverCancellation(rate=0.02),
+                  IndexCorruption(rate=0.01)],
         seed=7,
     )
     report = RideShareSimulator(adapter, config).run(requests)
@@ -37,13 +36,9 @@ Compose them with :class:`FaultInjectingAdapter`::
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..core.request import RideRequest
-from ..exceptions import NoPathError, TransientFaultError
-from ..geo import GeoPoint
 from .adapters import DelegatingAdapter, raw_engine
 
 
@@ -72,72 +67,9 @@ class FaultPolicy:
     def on_request(self, ctx: FaultContext) -> None:
         """Fires once per processed request (before its operations)."""
 
-    def before_create(self, ctx: FaultContext) -> None:
-        """May raise to fail the create call."""
-
-    def before_book(self, ctx: FaultContext) -> None:
-        """May raise to fail the book call."""
-
-    def before_search(self, ctx: FaultContext) -> None:
-        """May raise/stall to fail the search call."""
-
     def allow_track(self, ctx: FaultContext) -> bool:
         """Return False to drop this track sweep."""
         return True
-
-
-class RouterFault(FaultPolicy):
-    """Transient routing failures and latency spikes.
-
-    ``rate`` — probability a create/book call raises ``NoPathError``
-    (transient: an immediate retry re-rolls the dice);
-    ``latency_rate``/``latency_s`` — probability and duration of a stall
-    injected into create/book (and search when ``stall_search``), which
-    per-operation deadlines are meant to catch.
-    """
-
-    name = "router"
-
-    def __init__(
-        self,
-        rate: float = 0.05,
-        latency_rate: float = 0.0,
-        latency_s: float = 0.0,
-        stall_search: bool = False,
-        sleep=time.sleep,
-    ):
-        super().__init__()
-        if not (0.0 <= rate <= 1.0) or not (0.0 <= latency_rate <= 1.0):
-            raise ValueError("fault rates must be within [0, 1]")
-        self.rate = rate
-        self.latency_rate = latency_rate
-        self.latency_s = latency_s
-        self.stall_search = stall_search
-        self._sleep = sleep
-
-    def _roll(self, ctx: FaultContext) -> None:
-        if self.latency_rate > 0 and ctx.rng.random() < self.latency_rate:
-            self.injections += 1
-            self._sleep(self.latency_s)
-        if self.rate > 0 and ctx.rng.random() < self.rate:
-            self.injections += 1
-            raise NoPathError(-1, -1)
-
-    def before_create(self, ctx: FaultContext) -> None:
-        self._roll(ctx)
-
-    def before_book(self, ctx: FaultContext) -> None:
-        self._roll(ctx)
-
-    def before_search(self, ctx: FaultContext) -> None:
-        if not self.stall_search:
-            return
-        if self.latency_rate > 0 and ctx.rng.random() < self.latency_rate:
-            self.injections += 1
-            self._sleep(self.latency_s)
-        if self.rate > 0 and ctx.rng.random() < self.rate:
-            self.injections += 1
-            raise TransientFaultError("search backend unavailable")
 
 
 class TrackingDropout(FaultPolicy):
@@ -265,32 +197,8 @@ class FaultInjectingAdapter(DelegatingAdapter):
         return raw_engine(self.inner)
 
     # ------------------------------------------------------------------
-    # EngineAdapter protocol: the ops a policy can fail, stall or drop
+    # EngineAdapter protocol: the one op a policy can drop
     # ------------------------------------------------------------------
-    def create(
-        self,
-        source: GeoPoint,
-        destination: GeoPoint,
-        depart_s: float,
-        seats: Optional[int] = None,
-        detour_limit_m: Optional[float] = None,
-        shift_end_s: Optional[float] = None,
-    ) -> Any:
-        for policy, ctx in zip(self.policies, self._contexts):
-            policy.before_create(ctx)
-        return super().create(source, destination, depart_s, seats,
-                              detour_limit_m, shift_end_s)
-
-    def search(self, request: RideRequest, k: Optional[int] = None) -> List[Any]:
-        for policy, ctx in zip(self.policies, self._contexts):
-            policy.before_search(ctx)
-        return super().search(request, k)
-
-    def book(self, request: RideRequest, match: Any) -> Any:
-        for policy, ctx in zip(self.policies, self._contexts):
-            policy.before_book(ctx)
-        return super().book(request, match)
-
     def track_all(self, now_s: float) -> int:
         for policy, ctx in zip(self.policies, self._contexts):
             ctx.now_s = now_s
@@ -303,14 +211,12 @@ class FaultInjectingAdapter(DelegatingAdapter):
 
 
 def default_fault_policies(
-    router_rate: float = 0.05,
     tracking_rate: float = 0.1,
     cancellation_rate: float = 0.02,
     corruption_rate: float = 0.01,
 ) -> List[FaultPolicy]:
-    """The four-policy suite at the acceptance-test rates."""
+    """The three-policy suite at the acceptance-test rates."""
     return [
-        RouterFault(rate=router_rate),
         TrackingDropout(rate=tracking_rate),
         DriverCancellation(rate=cancellation_rate),
         IndexCorruption(rate=corruption_rate),
@@ -318,11 +224,10 @@ def default_fault_policies(
 
 
 def parse_fault_policies(spec: str) -> List[FaultPolicy]:
-    """The fault mini-language: ``router=0.05,dropout=0.1,cancel=0.02,
-    corrupt=0.01`` (a bare name takes rate 0.05).  Raises ValueError on an
-    unknown policy or a bad rate."""
+    """The fault mini-language: ``dropout=0.1,cancel=0.02,corrupt=0.01``
+    (a bare name takes rate 0.05).  Raises ValueError on an unknown policy
+    or a bad rate."""
     makers = {
-        "router": RouterFault,
         "dropout": TrackingDropout,
         "cancel": DriverCancellation,
         "corrupt": IndexCorruption,

@@ -100,12 +100,10 @@ class SimulationReport:
     #: Bookings that failed mid-splice and were rolled back (transactional
     #: booking audit trail; XAR only).
     n_rollbacks: int = 0
-    #: Requests served per degradation tier (ResilientEngine only):
-    #: optimized / grid_fallback / create_on_miss.
-    degradation_tiers: Dict[str, int] = field(default_factory=dict)
     #: Injected faults per policy name (fault-injected runs only).
     fault_injections: Dict[str, int] = field(default_factory=dict)
-    #: Resilience counters: retries, deadline violations, breaker trips, ...
+    #: Operations the replay absorbed: ``search_failures`` (counted as
+    #: misses) and ``create_failures`` (requests left unserved).
     resilience: Dict[str, float] = field(default_factory=dict)
     #: Invariant-audit counters: sweeps, violations_found, healed,
     #: post_run_violations.
@@ -141,14 +139,6 @@ class SimulationReport:
             lines.append(f"rides cancelled   : {self.n_cancelled}")
         if self.n_rollbacks:
             lines.append(f"booking rollbacks : {self.n_rollbacks}")
-        if self.degradation_tiers:
-            tiers = self.degradation_tiers
-            lines.append(
-                "served by tier    : "
-                f"optimized {tiers.get('optimized', 0)}"
-                f" / grid-fallback {tiers.get('grid_fallback', 0)}"
-                f" / create-on-miss {tiers.get('create_on_miss', 0)}"
-            )
         if self.fault_injections:
             injected = ", ".join(
                 f"{name}={count}" for name, count in sorted(self.fault_injections.items())
@@ -156,11 +146,9 @@ class SimulationReport:
             lines.append(f"faults injected   : {injected}")
         if self.resilience:
             lines.append(
-                "resilience        : "
-                f"retries {self.resilience.get('retries', 0)}, "
-                f"deadline blows {self.resilience.get('deadline_violations', 0)}, "
-                f"breaker trips {self.resilience.get('breaker_trips', 0)}, "
-                f"fallback searches {self.resilience.get('fallback_searches', 0)}"
+                "failed ops        : "
+                f"search {self.resilience.get('search_failures', 0)}, "
+                f"create {self.resilience.get('create_failures', 0)}"
             )
         if self.audit:
             lines.append(

@@ -120,8 +120,9 @@ class RideShareSimulator:
                     n_cancelled += 1
 
             # Extra looks first (high look-to-book regimes).  A search that
-            # fails (injected outage) counts as zero matches — the request
-            # degrades to create-on-miss rather than killing the replay.
+            # fails (an XARError: a shard shed or quarantined, an uncovered
+            # endpoint) counts as zero matches — the request degrades to
+            # create-on-miss rather than killing the replay.
             for _look in range(config.looks_per_book):
                 t0 = time.perf_counter()
                 try:
@@ -193,20 +194,12 @@ class RideShareSimulator:
         if auditor is not None:
             report.audit = dict(audit_stats)
 
-        # Fault/resilience accounting contributed by decorated adapters.
+        # Fault accounting contributed by a fault-injecting adapter.
         fault_stats = getattr(self.adapter, "fault_stats", None)
         if fault_stats is not None:
             report.fault_injections = dict(fault_stats())
             report.n_cancelled += getattr(self.adapter, "n_cancelled", 0)
-        resilience_stats = getattr(self.adapter, "resilience_stats", None)
-        if resilience_stats is not None:
-            stats = dict(resilience_stats())
-            report.degradation_tiers = stats.pop("tiers", {})
-            stats.pop("breaker_states", None)
-            stats["search_failures"] = n_search_failures
-            stats["create_failures"] = n_create_failures
-            report.resilience = stats
-        elif n_search_failures or n_create_failures:
+        if n_search_failures or n_create_failures:
             report.resilience = {
                 "search_failures": n_search_failures,
                 "create_failures": n_create_failures,

@@ -3,7 +3,7 @@
 The harness drives the same seeded operation sequence through every façade
 (:class:`~repro.core.engine.XAREngine`, :class:`~repro.service.ShardRouter`
 at 1/2/4 shards, :class:`~repro.service.ProcRouter` over process shards,
-:class:`~repro.resilience.ResilientEngine`, and the brute-force
+the WAL-backed and resharding targets, and the brute-force
 :class:`~repro.verify.oracle.OracleEngine`) and checks after every
 operation that:
 
@@ -21,8 +21,8 @@ operation that:
 * **cancel / cancel_booking / track** — outcomes and records agree and the
   live ride sets and their fingerprints stay equal;
 * periodically, every underlying :class:`XAREngine` passes the
-  :class:`~repro.resilience.audit.InvariantAuditor` sweep (shared with the
-  resilience subsystem; process shards run it in their workers through
+  :class:`~repro.resilience.audit.InvariantAuditor` sweep (the one the
+  simulator runs; process shards run it in their workers through
   the router's ``audit()``), so a divergence-free run is also structurally
   sound.
 
@@ -67,7 +67,6 @@ from ..durability import (
 from ..exceptions import ReshardError, WorkerCrashError, XARError
 from ..geo import GeoPoint
 from ..obs import MetricsRegistry
-from ..resilience import ResilienceConfig, ResilientEngine
 from ..resilience.audit import InvariantAuditor
 from ..service import ProcRouter, ReshardConfig, ShardRouter, SupervisorConfig
 from ..sim.adapters import DelegatingAdapter, XARAdapter
@@ -78,8 +77,8 @@ from .oracle import OracleAdapter, OracleEngine
 #: ``legacy`` pins the pre-flat per-object search path, so a run containing
 #: both is the old-vs-new search differential.
 FACADE_NAMES = (
-    "oracle", "xar", "legacy", "shard1", "shard2", "shard4", "resilient",
-    "durable", "batch", "reshard", "proc2",
+    "oracle", "xar", "legacy", "shard1", "shard2", "shard4", "durable",
+    "batch", "reshard", "proc2",
 )
 
 
@@ -350,7 +349,7 @@ def make_facade(
     name: str, region: DiscretizedRegion, seed: int = 0
 ) -> Facade:
     """Build one façade by name: ``oracle | xar | legacy | shardN | procN |
-    resilient | durable | reshard | batch``."""
+    durable | reshard | batch``."""
     if name == "oracle":
         return Facade(name, OracleAdapter(OracleEngine(region)))
     if name == "xar":
@@ -382,11 +381,6 @@ def make_facade(
             shutil.rmtree(run_dir, ignore_errors=True)
 
         return Facade(name, router, closer=close)
-    if name == "resilient":
-        config = ResilienceConfig(seed=seed, sleep=lambda _s: None)
-        return Facade(
-            name, ResilientEngine(XARAdapter(XAREngine(region)), config)
-        )
     if name == "durable":
         directory = tempfile.mkdtemp(prefix="xar-differential-durable-")
         target = _DurableTarget(region, directory)

@@ -75,6 +75,9 @@ def test_unknown_section_key_rejected():
     with pytest.raises(ScenarioError, match="unknown keys in scenario "
                                             "section 'demand'"):
         ScenarioSpec.from_dict({"name": "x", "demand": {"requsets": 10}})
+    with pytest.raises(ScenarioError,
+                       match=r"section 'faults': \['resilient'\]"):
+        ScenarioSpec.from_dict({"name": "x", "faults": {"resilient": True}})
 
 
 def test_invalid_json_raises_scenario_error():
@@ -98,9 +101,12 @@ def test_every_facade_the_harness_builds_is_a_valid_scenario_facade():
 def test_bad_fault_policy_is_a_scenario_error(small_region):
     from repro.scenarios import build_facade
 
-    spec = ScenarioSpec(name="x", faults=FaultSpec(policies="router=0.1,warp"))
-    with pytest.raises(ScenarioError, match="unknown fault policy 'warp'"):
-        build_facade(spec, small_region)
+    for policies, name in (("dropout=0.1,warp", "warp"),
+                           ("router=0.05", "router")):
+        spec = ScenarioSpec(name="x", faults=FaultSpec(policies=policies))
+        with pytest.raises(ScenarioError,
+                           match=f"unknown fault policy '{name}'"):
+            build_facade(spec, small_region)
 
 
 def test_crash_injection_needs_a_proc_facade():

@@ -21,7 +21,6 @@ from concurrent.futures import Future
 import pytest
 
 from repro.durability import DurabilityConfig
-from repro.exceptions import TransientFaultError
 from repro.obs import MetricsRegistry
 from repro.service import ProcRouter, ShardRouter, ShardWorker
 from repro.service.shard import ENGINE_TURN
@@ -223,42 +222,6 @@ def test_turn_wait_is_queue_wait_not_service_time():
         metrics, "xar_shard_queue_wait_seconds", shard="1") >= 0.09
     assert _histogram_sum(
         metrics, "xar_shard_service_seconds", shard="1", op="search") < 0.05
-
-
-def test_a_read_completes_while_another_shard_sleeps_in_retry_backoff(
-    region, city
-):
-    """The resilient runtime's backoff sleep gives the turn away."""
-    with ShardRouter(region, 2, seed=11, resilient=True) as service:
-        source, destination, _ = _supply(city, 1)[0]
-        slot = service.table.slot_of_point(source)
-        resilient = service.shards[slot].adapter
-        resilient.config.retry.base_delay_s = 1.0
-        resilient.config.retry.max_delay_s = 1.0
-        faulted = threading.Event()
-        inner_create = resilient.inner.create
-
-        def flaky_create(*args, **kwargs):
-            if not faulted.is_set():
-                faulted.set()
-                raise TransientFaultError("injected")
-            return inner_create(*args, **kwargs)
-
-        resilient.inner.create = flaky_create
-        created = []
-        creator = threading.Thread(target=lambda: created.append(
-            service.create(source, destination, 0.0)))
-        creator.start()
-        assert faulted.wait(timeout=5)
-        # The create now sleeps >= 0.5 s on its caller's thread, mid-job.
-        other = service.shards[1 - slot]
-        started = time.monotonic()
-        assert other.worker.execute_inline("search", lambda: "served") == (
-            "served")
-        assert time.monotonic() - started < 0.4  # did not wait the sleep out
-        assert created == []
-        _join([creator])
-        assert len(created) == 1  # and the retry took the turn back
 
 
 def test_reentrant_acquisition_raises_instead_of_deadlocking():

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 
 import pytest
 
@@ -162,19 +161,20 @@ def _fill(service, workload, n=60):
 
 def test_a_shard_held_at_its_budget_is_left_out_of_the_pass(region, workload):
     """Shard 1's only admission is taken by an op blocked on a helper
-    thread (sleeping with the turn given away, as a resilient op's backoff
-    does): the pass serves shard 0 alone — exactly its own read — the
-    search counts as partial, and the shed is counted on shard 1."""
+    thread (which hands the turn back while it waits, so the pass can take
+    it): the pass serves shard 0 alone — exactly its own read — the search
+    counts as partial, and the shed is counted on shard 1."""
     service = ShardRouter(region, 2, fanout="all", queue_depth=1, seed=3)
     release = threading.Event()
     started = threading.Event()
 
     def block():
-        started.set()
-        deadline = time.monotonic() + 5
-        while not release.is_set():
-            assert time.monotonic() < deadline
-            ENGINE_TURN.sleep(0.002)
+        ENGINE_TURN.release()
+        try:
+            started.set()
+            assert release.wait(timeout=5)
+        finally:
+            ENGINE_TURN.acquire()
 
     blocker = threading.Thread(
         target=service.shards[1].worker.call, args=("admin", block))

@@ -3,10 +3,10 @@
 The protocol is ``@runtime_checkable``, so ``isinstance`` verifies the whole
 simulator-facing surface — including the introspection methods
 (``rollback_count``/``index_stats``) that had previously drifted between the
-XAR and T-Share adapters.  Decorators (fault injector, resilient runtime,
-WAL, batch window, the differential harness's crashable target) conform
-through :class:`~repro.sim.adapters.DelegatingAdapter`, the sharded service
-routers conform directly, and the HTTP client through the op table.
+XAR and T-Share adapters.  Decorators (fault injector, WAL, batch window,
+the differential harness's crashable target) conform through
+:class:`~repro.sim.adapters.DelegatingAdapter`, the sharded service routers
+conform directly, and the HTTP client through the op table.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from repro.baselines import TShareEngine
 from repro.batch import BatchConfig, BatchMatcher
 from repro.core import XAREngine
 from repro.durability import DurableAdapter, WriteAheadLog
-from repro.resilience import ResilienceConfig, ResilientEngine
 from repro.service import (
     HttpServiceClient,
     ProcRouter,
@@ -57,9 +56,6 @@ def adapters(region, tmp_path):
     faulty = FaultInjectingAdapter(
         XARAdapter(XAREngine(region)), default_fault_policies(), seed=1
     )
-    resilient = ResilientEngine(
-        XARAdapter(XAREngine(region)), ResilienceConfig(seed=1)
-    )
     oracle = OracleAdapter(OracleEngine(region))
     batch = BatchMatcher(
         XARAdapter(XAREngine(region)), BatchConfig(window_s=0.0, max_batch=4)
@@ -73,7 +69,6 @@ def adapters(region, tmp_path):
         "XARAdapter": xar,
         "TShareAdapter": tshare,
         "FaultInjectingAdapter": faulty,
-        "ResilientEngine": resilient,
         "OracleAdapter": oracle,
         "BatchMatcher": batch,
         "DurableAdapter": durable,
@@ -129,8 +124,7 @@ def test_decorators_only_override_what_they_change():
     """Every decorator is a DelegatingAdapter, and none re-declares a plain
     forward: what a subclass defines, it changes."""
     overridden = {
-        FaultInjectingAdapter: {"create", "search", "book", "track_all"},
-        ResilientEngine: {"create", "search", "book", "track_all"},
+        FaultInjectingAdapter: {"track_all"},
         DurableAdapter: {"create", "book", "cancel", "cancel_booking",
                          "track_all"},
         BatchMatcher: {"name", "search", "book"},

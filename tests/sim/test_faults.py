@@ -3,18 +3,18 @@
 import pytest
 
 from repro.core import XAREngine
-from repro.exceptions import NoPathError, TransientFaultError
-from repro.resilience import InvariantAuditor, ResilienceConfig, ResilientEngine
+from repro.exceptions import NoPathError
+from repro.resilience import InvariantAuditor
 from repro.sim import (
     DriverCancellation,
     FaultInjectingAdapter,
     IndexCorruption,
     RideShareSimulator,
-    RouterFault,
     TrackingDropout,
     XARAdapter,
     default_fault_policies,
 )
+from repro.sim.adapters import DelegatingAdapter
 from repro.sim.simulator import SimulatorConfig
 
 
@@ -31,41 +31,6 @@ def populate(adapter, city, rng, n=30):
             adapter.create(city.position(a), city.position(b), rng.uniform(0, 900))
         except Exception:
             continue
-
-
-class TestRouterFault:
-    def test_certain_fault_fails_every_create(self, adapter, city):
-        faulty = FaultInjectingAdapter(adapter, [RouterFault(rate=1.0)], seed=1)
-        with pytest.raises(NoPathError):
-            faulty.create(city.position(0), city.position(50), 0.0)
-        assert faulty.policies[0].injections == 1
-        assert not adapter.engine.rides  # nothing slipped through
-
-    def test_search_untouched_unless_stall_search(self, adapter, city, rng, engine):
-        populate(adapter, city, rng)
-        request = adapter.engine.make_request(
-            city.position(3), city.position(40), 0.0, 3600.0
-        )
-        quiet = FaultInjectingAdapter(adapter, [RouterFault(rate=1.0)], seed=1)
-        quiet.search(request)  # must not raise
-        loud = FaultInjectingAdapter(
-            adapter, [RouterFault(rate=1.0, stall_search=True)], seed=1
-        )
-        with pytest.raises(TransientFaultError):
-            loud.search(request)
-
-    def test_latency_spike_calls_sleep(self, adapter, city):
-        naps = []
-        policy = RouterFault(
-            rate=0.0, latency_rate=1.0, latency_s=0.25, sleep=naps.append
-        )
-        faulty = FaultInjectingAdapter(adapter, [policy], seed=1)
-        faulty.create(city.position(0), city.position(50), 0.0)
-        assert naps == [0.25]
-
-    def test_rejects_out_of_range_rate(self):
-        with pytest.raises(ValueError):
-            RouterFault(rate=1.5)
 
 
 class TestTrackingDropout:
@@ -134,12 +99,8 @@ class TestDeterminism:
         adapter = FaultInjectingAdapter(
             XARAdapter(XAREngine(region)), default_fault_policies(), seed=seed
         )
-        resilient = ResilientEngine(
-            adapter, ResilienceConfig(seed=seed, sleep=lambda _s: None)
-        )
         config = SimulatorConfig(audit_every_s=600.0)
-        report = RideShareSimulator(resilient, config).run(workload[:120])
-        return report
+        return RideShareSimulator(adapter, config).run(workload[:120])
 
     def test_same_seed_replays_identically(self, region, workload):
         a = self._run(region, workload, seed=7)
@@ -148,89 +109,91 @@ class TestDeterminism:
         assert a.n_booked == b.n_booked
         assert a.n_created == b.n_created
         assert a.n_cancelled == b.n_cancelled
-        assert a.degradation_tiers == b.degradation_tiers
 
     def test_different_seed_diverges(self, region, workload):
         a = self._run(region, workload, seed=7)
         b = self._run(region, workload, seed=8)
         # Injection counts are overwhelmingly unlikely to coincide exactly
-        # across all four policies under different seeds.
+        # across all three policies under different seeds.
         assert a.fault_injections != b.fault_injections
 
     def test_policies_draw_independently(self, region, workload):
         """Adding a policy must not change another policy's draws."""
         solo = FaultInjectingAdapter(
-            XARAdapter(XAREngine(region)), [RouterFault(rate=0.2)], seed=5
+            XARAdapter(XAREngine(region)), [TrackingDropout(rate=0.5)], seed=5
         )
         duo = FaultInjectingAdapter(
             XARAdapter(XAREngine(region)),
-            [RouterFault(rate=0.2), TrackingDropout(rate=0.5)],
+            [TrackingDropout(rate=0.5), DriverCancellation(rate=0.2)],
             seed=5,
         )
-        config = SimulatorConfig(track_every_s=0.0)
+        config = SimulatorConfig(track_every_s=60.0)
         solo_report = RideShareSimulator(solo, config).run(workload[:100])
         duo_report = RideShareSimulator(duo, config).run(workload[:100])
+        assert duo_report.fault_injections["cancellation"] > 0
         assert (
-            solo_report.fault_injections["router"]
-            == duo_report.fault_injections["router"]
+            solo_report.fault_injections["tracking"]
+            == duo_report.fault_injections["tracking"]
         )
 
 
 class TestAcceptanceCriteria:
     def test_four_policy_storm_completes_clean(self, region, workload):
-        """The issue's acceptance run: router 5%, dropout 10%, cancel 2%,
-        corrupt 1% — no unhandled exception, zero post-run violations, and
-        the report says which degradation tier served the bookings."""
+        """The acceptance run: dropout 10%, cancel 2%, corrupt 1% — no
+        unhandled exception and zero post-run violations."""
         engine = XAREngine(region)
         adapter = FaultInjectingAdapter(
             XARAdapter(engine),
             default_fault_policies(
-                router_rate=0.05,
                 tracking_rate=0.10,
                 cancellation_rate=0.02,
                 corruption_rate=0.01,
             ),
             seed=13,
         )
-        resilient = ResilientEngine(
-            adapter, ResilienceConfig(seed=13, sleep=lambda _s: None)
-        )
         config = SimulatorConfig(audit_every_s=300.0)
-        report = RideShareSimulator(resilient, config).run(workload[:200])
+        report = RideShareSimulator(adapter, config).run(workload[:200])
 
         assert report.n_requests == 200
         assert report.audit["sweeps"] > 0
         assert report.audit["post_run_violations"] == 0
-        assert set(report.degradation_tiers) == {
-            "optimized",
-            "grid_fallback",
-            "create_on_miss",
-        }
-        assert sum(report.degradation_tiers.values()) > 0
         assert set(report.fault_injections) == {
-            "router",
             "tracking",
             "cancellation",
             "index",
         }
-        described = report.describe()
-        assert "served by tier" in described
-        assert "faults injected" in described
+        assert sum(report.fault_injections.values()) > 0
+        assert "faults injected" in report.describe()
         # The strict validator agrees with the auditor's verdict.
         from repro.core import validate_engine
 
         validate_engine(engine)
 
     def test_unprotected_run_degrades_gracefully(self, region, workload):
-        """Without ResilientEngine the simulator itself absorbs failures:
-        failed searches count as misses, failed creates as unserved."""
-        adapter = FaultInjectingAdapter(
-            XARAdapter(XAREngine(region)),
-            [RouterFault(rate=0.3, stall_search=True)],
-            seed=3,
-        )
+        """The simulator itself absorbs failed ops: failed searches count
+        as misses, failed creates as unserved."""
+
+        class EveryThirdFails(DelegatingAdapter):
+            def __init__(self, inner):
+                self.inner, self.name, self.calls = inner, inner.name, 0
+
+            def _roll(self):
+                self.calls += 1
+                if self.calls % 3 == 0:
+                    raise NoPathError(-1, -1)
+
+            def search(self, request, k=None):
+                self._roll()
+                return super().search(request, k)
+
+            def create(self, *args, **kwargs):
+                self._roll()
+                return super().create(*args, **kwargs)
+
+        adapter = EveryThirdFails(XARAdapter(XAREngine(region)))
         report = RideShareSimulator(adapter).run(workload[:100])
         assert report.n_requests == 100
         assert report.resilience["search_failures"] > 0
         assert report.resilience["create_failures"] > 0
         assert report.n_created < 100
+        assert "failed ops" in report.describe()

@@ -55,11 +55,14 @@ class TestCLI:
         assert "engine            : XAR" in out
 
     def test_simulate_rejects_an_unknown_fault_policy(self, region_dir):
-        with pytest.raises(SystemExit, match="unknown fault policy 'warp'"):
-            main([
-                "simulate", str(region_dir), "--requests", "10",
-                "--faults", "router=0.1,warp",
-            ])
+        for faults, name in (("dropout=0.1,warp", "warp"),
+                             ("router=0.05", "router")):
+            with pytest.raises(SystemExit,
+                               match=f"unknown fault policy '{name}'"):
+                main([
+                    "simulate", str(region_dir), "--requests", "10",
+                    "--faults", faults,
+                ])
 
     def test_simulate_tshare(self, region_dir, capsys):
         assert main([

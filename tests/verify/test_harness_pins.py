@@ -46,7 +46,7 @@ PINNED = {
         {"create": 28, "search": 29, "cancel": 17, "book": 38, "track": 8},
         67, 51, 6, 3, 499.959495,
     ),
-    "seed21_shard4_resilient.json": (
+    "seed21_shard4_durable.json": (
         {"create": 33, "search": 19, "book": 16, "track": 3, "cancel": 9},
         35, 30, 3, 2, 199.935863,
     ),
