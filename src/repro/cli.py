@@ -90,7 +90,7 @@ from .sim import (
 )
 from .sim.simulator import SimulatorConfig
 from .sim.modes import compare_modes
-from .verify.differential import FACADE_NAMES
+from .verify.differential import FACADE_NAMES, is_facade_name
 from .workloads import NYCWorkloadGenerator, trips_to_requests
 
 
@@ -522,6 +522,14 @@ def _fuzz(args: argparse.Namespace) -> int:
         shrink_ops,
     )
 
+    engines = [name.strip() for name in args.engines.split(",") if name.strip()]
+    unknown = [name for name in engines if not is_facade_name(name)]
+    if unknown:
+        print(f"error: unknown façade(s) {', '.join(map(repr, unknown))} in "
+              f"--engines (choose from {', '.join(FACADE_NAMES)}; shardN and "
+              f"procN take any N >= 1)", file=sys.stderr)
+        return 2
+
     if args.region:
         region = load_region(args.region)
         region_spec = {"region_path": args.region}
@@ -536,7 +544,6 @@ def _fuzz(args: argparse.Namespace) -> int:
             "poi_seed": args.poi_seed,
         }
 
-    engines = [name.strip() for name in args.engines.split(",") if name.strip()]
     fuzz_config = FuzzConfig(seed=args.seed, n_ops=args.ops)
     ops = generate_ops(region, fuzz_config)
     registry = MetricsRegistry()

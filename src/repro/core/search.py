@@ -13,6 +13,13 @@ Final checks on R': combined walking distance within the requester's limit,
 combined (cluster-level) detour within the ride's remaining detour limit,
 pickup strictly before drop-off, and a free seat.  **No shortest path is
 computed anywhere on this path.**
+
+The flat core (``repro.index.flat_index``, the default) applies the walk
+check early as well: it cuts each end's walkable list to the options that
+can pass it against the other end's nearest option, before step 1.  The
+legacy per-object path here prunes by the threshold alone, so besides the
+pre-flat reference it is the unpruned reference that shows the cut changes
+no answer.
 """
 
 from __future__ import annotations
@@ -114,7 +121,8 @@ def search_rides(
     Two implementations produce identical results: the flat struct-of-arrays
     core (``engine.flat_index``, the default) and the legacy per-object scan
     over the cluster index (``XAREngine(use_flat_index=False)``, kept for
-    differential comparison).
+    differential comparison, and unpruned by the flat core's walk-budget
+    cut).
 
     ``peers`` are more engines searched with this one — shards of one
     service, on disjoint ride-id lanes: the answer is the k-way merge of
@@ -125,7 +133,8 @@ def search_rides(
 
     ``span`` (a tracing span or the null span) times the five stages of the
     search — each entered **exactly once** per search: **snap** (grid-cell
-    resolution + walkable-cluster pruning for both endpoints),
+    resolution + walkable-cluster pruning for both endpoints: to the walk
+    threshold, and on the flat core to the combined walk budget),
     **cluster_lookup** (ETA-window lookup on the source side's potential-ride
     lists), **candidate_scan** (best-walk reduction into R1, then the
     destination-side R1 intersection and reduction into R2),

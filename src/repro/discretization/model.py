@@ -269,11 +269,7 @@ class DiscretizedRegion:
         consulted shard on its search hot path, and a threshold is a free
         float on the wire, so keying by it would grow without bound.
         """
-        cell = self.cell_of(point)
-        full = self._walkable_cache.get((cell, None))
-        if full is None:
-            options = self._compute_walkable(self.grid.centroid_of(cell))
-            full = self._walkable_cache[(cell, None)] = WalkColumns.of(options)
+        cell, full = self._walkable_full(point)
         if max_walk_m is None or max_walk_m >= self.config.max_walk_m:
             return full
         # The options with ``walk_m <= max_walk_m`` (none for a NaN).
@@ -281,6 +277,61 @@ class DiscretizedRegion:
             bisect_right(full.options, max_walk_m, key=_WALK)
             if max_walk_m == max_walk_m else 0
         )
+        return self._walkable_prefix(cell, full, n)
+
+    def walk_budget_columns(
+        self,
+        source: GeoPoint,
+        destination: GeoPoint,
+        max_walk_m: float,
+    ) -> Optional[Tuple[WalkColumns, WalkColumns]]:
+        """The walkable-cluster columns of a trip's two ends, each cut to
+        the options that can still meet a combined walk budget: source
+        option ``i`` is kept iff ``src.walk_m[i] + dst.walk_m[0] <=
+        max_walk_m`` — the float expression a search's final walk check
+        evaluates — against the destination's nearest option, and the
+        destination side likewise against the source's nearest.  None when
+        no pair passes (either end has no option, or a NaN budget).
+
+        Options ascend by walk and IEEE addition is monotone, so each kept
+        set is a prefix, every dropped option fails the check with any
+        partner, and the prefixes come from the same per-(cell, n) cache
+        as :meth:`walkable_columns`.
+        """
+        src_cell, src = self._walkable_full(source)
+        if not src.options or max_walk_m != max_walk_m:
+            return None
+        dst_cell, dst = self._walkable_full(destination)
+        if not dst.options:
+            return None
+        src_walk = src.options[0].walk_m
+        dst_walk = dst.options[0].walk_m
+        n_src = bisect_right(
+            src.options, max_walk_m, key=lambda option: option.walk_m + dst_walk
+        )
+        if not n_src:
+            return None
+        n_dst = bisect_right(
+            dst.options, max_walk_m, key=lambda option: src_walk + option.walk_m
+        )
+        return (
+            self._walkable_prefix(src_cell, src, n_src),
+            self._walkable_prefix(dst_cell, dst, n_dst),
+        )
+
+    def _walkable_full(self, point: GeoPoint) -> Tuple[GridCell, WalkColumns]:
+        """The point's cell and that cell's full (cached) walkable list."""
+        cell = self.cell_of(point)
+        full = self._walkable_cache.get((cell, None))
+        if full is None:
+            options = self._compute_walkable(self.grid.centroid_of(cell))
+            full = self._walkable_cache[(cell, None)] = WalkColumns.of(options)
+        return cell, full
+
+    def _walkable_prefix(
+        self, cell: GridCell, full: WalkColumns, n: int
+    ) -> WalkColumns:
+        """The first ``n`` options of the cell's ``full`` list (cached)."""
         columns = self._walkable_cache.get((cell, n))
         if columns is None:
             columns = self._walkable_cache[(cell, n)] = WalkColumns.of(full.options[:n])

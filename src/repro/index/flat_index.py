@@ -647,6 +647,14 @@ def flat_search_rides(
     calls, not their size: rows travel as global arena ids and every column
     is gathered once, after the cheap checks have thinned the candidates.
 
+    * **snap** — both ends' walkable-cluster lists, each cut to the prefix
+      whose options pass the final walk check against the other end's
+      nearest option (``src.walk_m[i] + dst.walk_m[0] <= threshold``, the
+      filter's own float expression; the destination side symmetric).
+      Options ascend by walk and IEEE addition is monotone, so no dropped
+      option could pass with any partner: the cut spares their window
+      lookups and probes and changes no answer.  An empty cut ends the
+      search.
     * **cluster_lookup** — per source cluster, two binary searches over the
       ETA-sorted view and a slice of its global rows.
     * **candidate_scan** — R1 = first occurrence per ride id over the
@@ -667,17 +675,13 @@ def flat_search_rides(
     * **rank_merge** — ``lexsort`` on the scalar key columns, top-k cut,
       and only the survivors are converted to Python and built.
     """
-    region = engines[0].region
-    threshold = request.walk_threshold_m
     with span.stage("snap"):
-        src = region.walkable_columns(request.source, threshold)
-        dst = (
-            region.walkable_columns(request.destination, threshold)
-            if src.options
-            else src
+        sides = engines[0].region.walk_budget_columns(
+            request.source, request.destination, request.walk_threshold_m
         )
-    if not dst.options:
+    if sides is None:
         return []
+    src, dst = sides
 
     window_start = request.window_start_s
     with span.stage("cluster_lookup"):
@@ -724,7 +728,11 @@ def _scan(flat, parts, counts, dst_options, window_start):
     all_rids = arena.rids[all_rows]
     # First occurrence per ride id in option order == smallest walk
     # (walkable_clusters sorts options ascending by walk_m and the legacy
-    # reduction only replaces on strictly smaller walk).
+    # reduction only replaces on strictly smaller walk).  The options are
+    # the snap stage's walk-budget prefix: a ride first seen past it walks
+    # too far with any drop-off, so it is left out here rather than
+    # rejected by the walk check, and every ride first seen inside it keeps
+    # the same first occurrence.
     order = all_rids.argsort(kind="stable")
     sorted_rids = all_rids[order]
     is_first = np.empty(len(order), dtype=bool)
@@ -740,7 +748,8 @@ def _scan(flat, parts, counts, dst_options, window_start):
     # R1 against each destination slab's rid-sorted view.  A ride keeps its
     # first hit in option order (the smallest walk): options are probed last
     # to first, each overwriting what a later one found.  A ride nothing hits
-    # keeps its source row, which fails "pickup strictly before drop-off".
+    # (its first hit, if any, past the walk-budget prefix) keeps its source
+    # row, which fails "pickup strictly before drop-off".
     eta = arena.eta
     dst_row = src_row.copy()
     dst_opt = np.zeros(len(src_rids), dtype=np.intp)

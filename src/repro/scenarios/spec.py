@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from ..exceptions import ScenarioError
-from ..verify.differential import FACADE_NAMES
+from ..verify.differential import FACADE_NAMES, is_facade_name
 
 try:  # Python 3.11+; requires-python is 3.9 so the import is optional.
     import tomllib
@@ -216,11 +216,9 @@ class ScenarioSpec:
         if not self.name:
             raise ScenarioError("a scenario needs a name")
         base = self.facade
-        if base.startswith(("shard", "proc")):
-            suffix = base[5:] if base.startswith("shard") else base[4:]
-            if not suffix.isdigit() or int(suffix) < 1:
+        if not is_facade_name(base):
+            if base.startswith(("shard", "proc")):
                 raise ScenarioError(f"malformed façade name {base!r}")
-        elif base not in FACADE_NAMES:
             raise ScenarioError(
                 f"unknown façade {base!r} (choose from {FACADE_NAMES}, "
                 f"shardN, or procN)"

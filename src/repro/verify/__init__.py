@@ -21,6 +21,7 @@ from .differential import (
     DifferentialReport,
     Divergence,
     FACADE_NAMES,
+    is_facade_name,
     make_facade,
 )
 from .fuzz import (
@@ -43,6 +44,7 @@ __all__ = [
     "OracleEngine",
     "OracleOptimum",
     "generate_ops",
+    "is_facade_name",
     "load_corpus_entry",
     "make_facade",
     "replay_entry",

@@ -345,6 +345,16 @@ class _ReshardTarget:
         shutil.rmtree(self.directory, ignore_errors=True)
 
 
+def is_facade_name(name: str) -> bool:
+    """Whether :func:`make_facade` builds a façade of this name: one of
+    ``FACADE_NAMES``, or ``shardN`` / ``procN`` for a decimal N >= 1."""
+    for prefix in ("shard", "proc"):
+        if name.startswith(prefix):
+            count = name[len(prefix):]
+            return count.isdecimal() and int(count) >= 1
+    return name in FACADE_NAMES
+
+
 def make_facade(
     name: str, region: DiscretizedRegion, seed: int = 0
 ) -> Facade:

@@ -176,6 +176,32 @@ class TestCLI:
         assert entry["region"] == {"region_path": str(region_dir)}
         assert 0 < len(entry["ops"]) <= 10, "repro was not shrunk"
 
+    @pytest.mark.parametrize("name", ["warp", "resilient"])
+    def test_fuzz_unknown_facade_is_a_usage_error(
+        self, name, region_dir, capsys, monkeypatch
+    ):
+        """An unknown ``--engines`` name exits 2 with one ``error:`` line
+        naming the valid façades, before any region or façade is built."""
+        import repro.cli as cli
+        from repro.verify import FACADE_NAMES, differential
+
+        def built(*_args, **_kwargs):
+            raise AssertionError("built before the façade names were checked")
+
+        monkeypatch.setattr(cli, "load_region", built)
+        monkeypatch.setattr(cli, "build_region", built)
+        monkeypatch.setattr(differential, "make_facade", built)
+        for region_args in (["--region", str(region_dir)], []):
+            assert main([
+                "fuzz", *region_args, "--engines", f"xar,{name},shard2",
+            ]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            (line,) = err.splitlines()
+            assert line.startswith("error:") and repr(name) in line
+            assert all(valid in line for valid in FACADE_NAMES)
+            assert "Traceback" not in err and "ValueError" not in err
+
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
